@@ -10,6 +10,11 @@ every job and reports latencies in reference-speed seconds:
 The kernel is the per-step work of a small-d run: a 4x4 matvec, a
 finiteness check and a norm, in a Python loop.  It uses numpy only, never
 saddleflow, so no change to the library can move it.
+
+Set-up time is mostly interpreter start and imports, which a neighbour slows
+less than this Python loop.  So a fresh interpreter that only imports numpy,
+``REFERENCE_START``, is timed before every set-up start instead, and set-up
+times are scaled by ``REF_START_S`` over its wall time.
 """
 from time import perf_counter
 
@@ -20,6 +25,10 @@ STEPS = 150
 #: usual time on the machine of the baseline (Intel Xeon, 2 vCPUs,
 #: Python 3.11.7, numpy 2.4.6) when a neighbour loads its core.
 REF_S = 2.0e-3
+#: Arguments to the interpreter for the set-up reference, and its usual wall
+#: time on the machine of the baseline.
+REFERENCE_START = ("-c", "import numpy")
+REF_START_S = 0.2
 
 _A = np.array([[0.0, 0.5, 0.1, 0.0],
                [-0.5, 0.0, 0.0, 0.2],

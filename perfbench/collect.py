@@ -1,13 +1,12 @@
-"""Run the benchmark over several seeds and summarize it as one JSON file.
+"""Run the benchmark over ten seeds and summarize it as one JSON file.
 
-    python3 perfbench/collect.py --seeds 1-10 --seconds 30 --traced 1 \
-        --out perfbench/baseline.json
+    python3 perfbench/collect.py --out perfbench/baseline.json
 
-For every workload it runs ``run.py --trace 0`` once per seed, and
-``--trace 1`` for the first ``--traced`` seeds, one process at a time.  It
-records each run's metrics and, per metric, the median and the quartile
-spread (Q3 - Q1) / median, as ``statistics.quantiles(values, n=4)`` gives
-them.
+For every workload it runs ``run.py --trace 0`` once per seed in ``SEEDS``
+and ``--trace 1`` once, on the first seed, one process at a time, for the
+``run_seconds`` that BENCHMARK.json gives.  It records each run's metrics
+and, per metric, the median and the quartile spread (Q3 - Q1) / median, as
+``statistics.quantiles(values, n=4)`` gives them.
 """
 import argparse
 import json
@@ -17,24 +16,17 @@ import sys
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
+ROOT = BENCH_DIR.parent
+SEEDS = tuple(range(1, 11))
 
 sys.path.insert(0, str(BENCH_DIR))
 from workloads import WORKLOADS  # noqa: E402
 
 
-def parse_seeds(text):
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
-    return seeds
-
-
 def run_once(workload, seed, seconds, trace):
     argv = [sys.executable, str(BENCH_DIR / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(argv, cwd=BENCH_DIR.parent, capture_output=True, text=True,
-                          check=True)
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     env = next(json.loads(line.split(" ", 1)[1]) for line in lines
                if line.startswith("environment "))
@@ -57,29 +49,24 @@ def summarize(runs):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 3,5,8")
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--traced", type=int, default=1,
-                        help="traced runs per workload, on the first seeds")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
-    seeds = parse_seeds(args.seeds)
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
 
-    result = {"seeds": seeds, "seconds": args.seconds, "workloads": {}}
-    for workload in args.workloads.split(","):
+    result = {"seeds": list(SEEDS), "seconds": seconds, "workloads": {}}
+    for workload in WORKLOADS:
         entry = {}
-        for trace, run_seeds in ((0, seeds), (1, seeds[:args.traced])):
+        for trace, run_seeds in ((0, SEEDS), (1, SEEDS[:1])):
             runs = []
             for seed in run_seeds:
-                env, out = run_once(workload, seed, args.seconds, trace)
+                env, out = run_once(workload, seed, seconds, trace)
                 result["environment"] = env
                 runs.append({"seed": seed, **out})
                 print(f"{workload} trace={trace} seed={seed} correct={out['correct']} "
                       f"failed={out['failed']}/{out['attempted']}", flush=True)
-            if runs:
-                entry["traced" if trace else "untraced"] = {"summary": summarize(runs),
-                                                            "runs": runs}
+            entry["traced" if trace else "untraced"] = {"summary": summarize(runs),
+                                                        "runs": runs}
         result["workloads"][workload] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)

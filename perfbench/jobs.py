@@ -187,8 +187,7 @@ def _collect_cli(job, raw, out: Path) -> dict:
     summary = payload if command == "run" else payload["run"]
     values = {"final_dist_to_solution": summary["final_dist_to_solution"],
               "final_v_norm": summary["final_v_norm"],
-              "diverged": summary["diverged"],
-              "queries": summary["queries"]}
+              "diverged": summary["diverged"]}
     if command == "lyapunov":
         values["violations"] = {k: len(r["violations"]) for k, r in payload["lyapunov"].items()}
     if command == "rates":

@@ -1,7 +1,7 @@
 """saddleflow benchmark: seeded experiment jobs, timed end to end and traced
 layer by layer.
 
-    python3 perfbench/run.py --workload discrete-dense --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload discrete-dense --seed 1 --seconds 25 --trace 0
 
 Run from a checkout root that holds ``src/saddleflow``.  The benchmark runs
 the workload's job list back to back in this one process and thread (a
@@ -42,7 +42,7 @@ SRC = ROOT / "src"
 WORK = ROOT / ".perfbench_work"
 
 #: Fresh-interpreter starts per run for setup_s and setup.import_s.
-SETUP_STARTS = 7
+SETUP_STARTS = 11
 IMPORT_STARTS = 5
 #: Lower bounds on measured passes, whatever --seconds says.
 MIN_PASSES = 3
@@ -109,15 +109,22 @@ def _child_env():
 
 
 def measure_setup(jobs_path):
-    """Median wall time of a fresh interpreter doing the workload's set-up:
-    (reference-speed seconds, raw seconds)."""
-    argv = [sys.executable, str(BENCH_DIR / "setup_probe.py"), str(SRC), str(jobs_path)]
+    """Set-up time of the workload: (reference-speed seconds, raw seconds).
+
+    Each start of ``setup_probe.py`` follows a start of the reference
+    interpreter (calibrate.REFERENCE_START); the probe's wall time is scaled
+    by REF_START_S over the reference's.  setup_s is the median of the
+    scaled times over the starts, the raw seconds that of the probe's own.
+    """
+    probe = [sys.executable, str(BENCH_DIR / "setup_probe.py"), str(SRC), str(jobs_path)]
+    reference = [sys.executable, *calibrate.REFERENCE_START]
     env = _child_env()
     raw, scaled = [], []
     for _ in range(SETUP_STARTS):
-        wall, out = _time_interpreter(argv, env)
+        ref_s = _time_interpreter(reference, env)[0]
+        wall = _time_interpreter(probe, env)[0]
         raw.append(wall)
-        scaled.append(calibrate.normalize([wall], [float(x) for x in out.split()])[0])
+        scaled.append(wall * calibrate.REF_START_S / ref_s)
     return statistics.median(scaled), statistics.median(raw)
 
 
@@ -204,13 +211,15 @@ def tail_rank(n_jobs):
 def latency_stats(passes):
     """End-to-end timings from a (pass x job) latency matrix.
 
-    Each job's latency is its median over the passes; wall_s sums them into
-    one pass, and job_p50_s and job_tail_s are taken across jobs.
+    Per pass: the sum of its job latencies (wall_s), their median
+    (job_p50_s) and the tail latency (job_tail_s).  Each metric is the
+    median of its per-pass values.
     """
-    per_job = sorted(statistics.median(col) for col in zip(*passes))
-    rank, _ = tail_rank(len(per_job))
-    return {"wall_s": sum(per_job), "job_p50_s": statistics.median(per_job),
-            "job_tail_s": per_job[rank]}
+    rank, _ = tail_rank(len(passes[0]))
+    per_pass = [sorted(latencies) for latencies in passes]
+    return {"wall_s": statistics.median(sum(p) for p in per_pass),
+            "job_p50_s": statistics.median(statistics.median(p) for p in per_pass),
+            "job_tail_s": statistics.median(p[rank] for p in per_pass)}
 
 
 def measure(args, jobs, reference, workdir):
@@ -263,7 +272,7 @@ def measure_traced(args, jobs, reference, workdir):
     values["setup.import_s"] = import_s
     values["trace.overhead_frac"] = (latency_stats(traced)["wall_s"]
                                      / latency_stats(plain)["wall_s"] - 1.0)
-    values["trace.unaccounted_frac"] = (sum(m["job.self_s"] for m in per_pass)
+    values["trace.unaccounted_frac"] = (sum(m["job.unaccounted_s"] for m in per_pass)
                                         / sum(m["job.total_s"] for m in per_pass))
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in METRICS}
     return runner, metrics, {"measured_passes": len(traced)}

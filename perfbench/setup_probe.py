@@ -1,18 +1,13 @@
 """Set-up of one workload in a fresh interpreter: import ``saddleflow.cli``,
 validate every config of the job list, build every operator, exit.
 
-run.py times this script from outside (``setup_s``).  The script prints the
-calibration kernel's time before and after the set-up, which run.py uses to
-convert the wall time to reference-speed seconds.  Usage:
+run.py times this script from outside (``setup_s``).  Usage:
     python3 perfbench/setup_probe.py SRC_DIR JOBS_JSON
 """
 import json
 import sys
 
-import calibrate
-
 sys.path.insert(0, sys.argv[1])
-KERNEL_BEFORE = calibrate.kernel_s()
 
 from saddleflow import cli, problems  # noqa: E402
 
@@ -34,4 +29,3 @@ def main(jobs_path):
 
 if __name__ == "__main__":
     main(sys.argv[2])
-    print(KERNEL_BEFORE, calibrate.kernel_s())

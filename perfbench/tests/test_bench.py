@@ -101,7 +101,7 @@ def test_traced_tiny_pass_reports_every_layer(tmp_path):
     assert computed <= set(m)
     assert m["stability.agree_frac"] == 1.0
     assert m["stability.classify.calls"] > 0 and m["lyapunov.evaluate.calls"] > 0
-    assert 0.0 <= m["job.self_s"] <= m["job.total_s"]
+    assert 0.0 <= m["job.unaccounted_s"] <= m["job.total_s"]
     # The wrappers are gone once restored.
     assert cli.main.__module__ == "saddleflow.cli" and not hasattr(cli.main, "__wrapped__")
     assert not hasattr(problems.Operator.field, "__wrapped__")
