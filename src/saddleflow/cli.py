@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import flows, lyapunov, optimizers, rates, stability
-from .problems import BilinearGame, Operator, make_problem, random_bilinear
+from .problems import PROBLEM_IDS, BilinearGame, Operator, make_problem, random_bilinear
 from .svgplot import line_plot
 
 CSV_BASE_COLUMNS = ("step", "time", "queries", "z_norm", "dist_to_solution", "v_norm")
@@ -316,10 +316,10 @@ def execute_run(cfg: ExperimentConfig):
         aux0 = np.asarray(cfg.aux0, dtype=float)
         if aux0.shape != (op.dim,):
             raise ConfigError(f"init.aux0: expected {op.dim} entries, got {aux0.shape}")
-    elif isinstance(kind, flows.JacobianFreeFlow):
-        aux0 = flows.ogda2_w_from_omega(op, z0, np.zeros(op.dim), cfg.gamma)
     elif isinstance(kind, flows.VariableStepFlow):
-        gamma_start = 1.0 / kind.kappa_fn(0.0)
+        # The constant-kappa flow starts from the configured gamma itself:
+        # 1/kappa(0) = 1/(1/gamma) can differ from gamma in the last bit.
+        gamma_start = cfg.gamma if cfg.method_id == "ogda-hrde2" else 1.0 / kind.kappa_fn(0.0)
         aux0 = flows.ogda2_w_from_omega(op, z0, np.zeros(op.dim), gamma_start)
     else:
         aux0 = np.zeros(op.dim)
@@ -545,7 +545,7 @@ def cmd_rates(cfg: ExperimentConfig, out_dir: Path, tail_fraction=0.5):
 
 def cmd_catalog() -> str:
     lines = ["problems:"]
-    lines += [f"  {pid}" for pid in ("bilinear", "bilinear-random", "quartic", "scaled-identity")]
+    lines += [f"  {pid}" for pid in PROBLEM_IDS]
     lines.append("discrete methods:")
     lines += [f"  {mid}" for mid in optimizers.METHOD_IDS]
     lines.append("flows (hrde mode):")
@@ -639,28 +639,21 @@ def main(argv=None) -> int:
                           out_dir / args.csv, alpha=args.alpha)
             return 0
         cfg = _load_config(args)
-        if args.command == "run":
-            traj = cmd_run(cfg, out_dir)
-            if traj.diverged and args.strict:
-                sys.stderr.write("error: divergence guard tripped (--strict)\n")
-                return 3
-            return 0
         if args.command == "stability":
             cmd_stability(cfg, out_dir)
             return 0
-        if args.command == "lyapunov":
-            payload = cmd_lyapunov(cfg, out_dir)
-            if payload["run"]["diverged"] and args.strict:
-                sys.stderr.write("error: divergence guard tripped (--strict)\n")
-                return 3
-            return 0
-        if args.command == "rates":
-            payload = cmd_rates(cfg, out_dir)
-            if payload["run"]["diverged"] and args.strict:
-                sys.stderr.write("error: divergence guard tripped (--strict)\n")
-                return 3
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.command == "run":
+            diverged = cmd_run(cfg, out_dir).diverged
+        elif args.command == "lyapunov":
+            diverged = cmd_lyapunov(cfg, out_dir)["run"]["diverged"]
+        elif args.command == "rates":
+            diverged = cmd_rates(cfg, out_dir)["run"]["diverged"]
+        else:
+            raise ConfigError(f"unknown command {args.command!r}")
+        if diverged and args.strict:
+            sys.stderr.write("error: divergence guard tripped (--strict)\n")
+            return 3
+        return 0
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -18,8 +18,9 @@ where beta = 2/gamma.  The Jacobian-free optimistic form evolves (z, w):
 
     dz/dt = -kappa*(z + w) - 2 V(z),   dw/dt = -kappa*(z + w),
 
-with kappa = beta/2 = 1/gamma, optionally time-varying.  The shared
-low-resolution baseline dz/dt = -V(z) is also provided.
+with kappa = beta/2 = 1/gamma, optionally time-varying (ogda-hrde2 is the
+constant-kappa case of ogda-hrde2-varstep).  The shared low-resolution
+baseline dz/dt = -V(z) is also provided; it carries an empty aux.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizers import DIVERGENCE_GUARD, Trajectory, step_ogda_s
+from .optimizers import DIVERGENCE_GUARD, Recorder, Trajectory
 from .problems import Operator, as_state
 
 Array = np.ndarray
@@ -51,6 +52,20 @@ class PhaseFlow:
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+
+    def derivative(self, op, z, omega, t):
+        v = op.field(z)
+        domega = self.a_v * v - self.beta * omega
+        if self.a_jv != 0.0 or self.a_jw != 0.0:
+            jac = op.jacobian(z)
+            if self.a_jv != 0.0:
+                domega = domega + self.a_jv * (jac @ v)
+            if self.a_jw != 0.0:
+                domega = domega + self.a_jw * (jac @ omega)
+        return omega.copy(), domega
+
+    def aux_norm(self, z, omega):
+        return float(np.linalg.norm(omega))
 
 
 def gda_flow(beta) -> PhaseFlow:
@@ -81,23 +96,21 @@ def _check_alpha(alpha):
 
 
 @dataclass(frozen=True)
-class JacobianFreeFlow:
-    """(z, w) optimistic flow with constant kappa = 1/gamma."""
-
-    kappa: float
-    name = "ogda-hrde2"
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-
-
-@dataclass(frozen=True)
 class VariableStepFlow:
-    """(z, w) optimistic flow with time-varying kappa(t) = 1/gamma(t)."""
+    """(z, w) optimistic flow with kappa(t) = 1/gamma(t); ogda-hrde2 when constant."""
 
     kappa_fn: Callable[[float], float]
-    name = "ogda-hrde2-varstep"
+    name: str = "ogda-hrde2-varstep"
+
+    def derivative(self, op, z, w, t):
+        kappa = float(self.kappa_fn(t))
+        if kappa <= 0:
+            raise ValueError(f"kappa(t) must be positive, got {kappa} at t={t}")
+        drift = -kappa * (z + w)
+        return drift - 2.0 * op.field(z), drift
+
+    def aux_norm(self, z, w):
+        return float(np.linalg.norm(z + w))
 
 
 @dataclass(frozen=True)
@@ -106,38 +119,24 @@ class LowResolutionFlow:
 
     name = "gda-ode"
 
+    def derivative(self, op, z, aux, t):
+        return -op.field(z), np.zeros(0)
+
+    def aux_norm(self, z, aux):
+        return 0.0
+
 
 def rhs(kind, op: Operator, z, aux, t=0.0):
     """Right-hand side of the selected flow at state (z, aux).
 
     Returns ``(dz, daux)``.  ``aux`` is omega for phase-space kinds, w for the
-    Jacobian-free kinds, and ignored (may be None) for the low-resolution ODE.
+    Jacobian-free kinds, and ignored (may be None) for the low-resolution ODE,
+    whose daux is empty.
     """
     z = np.asarray(z, dtype=float)
     if aux is not None:
         aux = np.asarray(aux, dtype=float)
-    if isinstance(kind, PhaseFlow):
-        v = op.field(z)
-        domega = kind.a_v * v - kind.beta * aux
-        if kind.a_jv != 0.0 or kind.a_jw != 0.0:
-            jac = op.jacobian(z)
-            if kind.a_jv != 0.0:
-                domega = domega + kind.a_jv * (jac @ v)
-            if kind.a_jw != 0.0:
-                domega = domega + kind.a_jw * (jac @ aux)
-        return aux.copy(), domega
-    if isinstance(kind, JacobianFreeFlow):
-        drift = -kind.kappa * (z + aux)
-        return drift - 2.0 * op.field(z), drift
-    if isinstance(kind, VariableStepFlow):
-        kappa = float(kind.kappa_fn(t))
-        if kappa <= 0:
-            raise ValueError(f"kappa(t) must be positive, got {kappa} at t={t}")
-        drift = -kappa * (z + aux)
-        return drift - 2.0 * op.field(z), drift
-    if isinstance(kind, LowResolutionFlow):
-        return -op.field(z), None
-    raise TypeError(f"unknown flow kind {kind!r}")
+    return kind.derivative(op, z, aux, t)
 
 
 def ogda2_w_from_omega(op: Operator, z0, omega0, gamma) -> Array:
@@ -151,20 +150,6 @@ def ogda2_w_from_omega(op: Operator, z0, omega0, gamma) -> Array:
     z0 = as_state(z0, op.dim)
     omega0 = as_state(omega0, op.dim)
     return -gamma * omega0 - 2.0 * gamma * op.field(z0) - z0
-
-
-def low_resolution_ode_rhs(op: Operator, z) -> Array:
-    """-V(z)."""
-    return -op.field(z)
-
-
-def euler_ogda2(op: Operator, z, w, gamma):
-    """Explicit Euler step of the Jacobian-free flow with kappa = 1/(2*gamma).
-
-    This reproduces the two-variable discrete optimistic scheme exactly, so it
-    delegates to the same stepper (bit-identical results by construction).
-    """
-    return step_ogda_s(op, z, w, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +174,6 @@ class IntegratorConfig:
             raise ValueError("record_every must be >= 1")
 
 
-def default_dt(gamma, cap=1e-3) -> float:
-    """Step size keeping the stiff -(2/gamma) relaxation inside RK4's comfort
-    zone (|beta*dt| <= 0.1 by default policy)."""
-    return min(cap, gamma / 20.0)
-
-
 def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
               extra_metrics=None, t0=0.0, problem_label=None) -> Trajectory:
     """Fixed-step integration of a flow, recording every record_every-th step.
@@ -204,59 +183,21 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     Jacobian-free kinds.  ``extra_metrics`` callables receive (t, z, aux).
     The query column counts field evaluations consumed by the integrator.
     """
-    z0 = as_state(z0, op.dim)
-    scalar_aux = isinstance(kind, LowResolutionFlow)
-    if scalar_aux:
-        aux0 = np.zeros(0)
+    z = as_state(z0, op.dim).copy()
+    if isinstance(kind, LowResolutionFlow):
+        aux = np.zeros(0)
     else:
-        aux0 = as_state(aux0, op.dim)
-    extra_metrics = extra_metrics or {}
+        aux = as_state(aux0, op.dim).copy()
 
-    evals = 0
-
-    def count_field(z):
-        nonlocal evals
-        evals += 1
-        return op.field_unchecked(z)
-
-    counting = _CountingOperator(op, count_field)
-
+    counting = _CountingOperator(op)
     n_steps = int(round(cfg.t_end / cfg.dt))
-    n_rec = n_steps // cfg.record_every + 1
-    d = op.dim
-    times = np.zeros(n_rec)
-    queries = np.zeros(n_rec, dtype=np.int64)
-    states = np.full((n_rec, d), np.nan)
-    names = ["z_norm", "dist_to_solution", "v_norm", "aux_norm", *extra_metrics]
-    cols = {name: np.full(n_rec, np.nan) for name in names}
+    steps = np.arange(n_steps // cfg.record_every + 1) * cfg.record_every
+    recorder = Recorder(op, kind.name, problem_label or op.label, steps, extra_metrics,
+                        aux_norm=kind.aux_norm)
     diverged = False
-
-    z, aux = z0.copy(), aux0.copy()
     t = t0
 
-    def aux_norm(z_i, aux_i):
-        if scalar_aux:
-            return 0.0
-        if isinstance(kind, (JacobianFreeFlow, VariableStepFlow)):
-            return float(np.linalg.norm(z_i + aux_i))
-        return float(np.linalg.norm(aux_i))
-
-    def record(i):
-        times[i] = t
-        queries[i] = evals
-        states[i] = z
-        if not np.all(np.isfinite(z)):
-            return
-        v = op.field_unchecked(z)
-        cols["z_norm"][i] = float(np.linalg.norm(z))
-        cols["dist_to_solution"][i] = float(np.linalg.norm(z - op.solution))
-        cols["v_norm"][i] = float(np.linalg.norm(v))
-        cols["aux_norm"][i] = aux_norm(z, aux)
-        for name, fn in extra_metrics.items():
-            cols[name][i] = float(fn(t, z, aux))
-
-    record(0)
-    rec = 1
+    recorder.record(t, counting.evals, z, aux)
     for n in range(n_steps):
         try:
             z, aux = _advance(kind, counting, z, aux, t, cfg.dt, cfg.scheme)
@@ -266,75 +207,64 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
             diverged = True
             break
         t = t0 + (n + 1) * cfg.dt
-        finite = np.all(np.isfinite(z)) and (scalar_aux or np.all(np.isfinite(aux)))
+        finite = np.all(np.isfinite(z)) and np.all(np.isfinite(aux))
         if not finite or np.linalg.norm(z) > DIVERGENCE_GUARD:
             diverged = True
         if (n + 1) % cfg.record_every == 0:
-            record(rec)
-            rec += 1
+            recorder.record(t, counting.evals, z, aux)
         if not finite:
             break
-    if rec < n_rec:
-        times[rec:] = t
-        queries[rec:] = evals
-
-    return Trajectory(
-        method=kind.name,
-        problem=problem_label or op.label,
-        steps=np.arange(n_rec) * cfg.record_every,
-        times=times,
-        queries=queries,
-        states=states,
-        metrics=cols,
-        diverged=diverged,
-    )
+    return recorder.finish(t, counting.evals, diverged)
 
 
 class _CountingOperator:
     """Thin pass-through that counts field evaluations (no validation: the
     integrator handles non-finite states itself)."""
 
-    def __init__(self, op, field_fn):
+    def __init__(self, op):
         self._op = op
-        self.field = field_fn
-        self.dim = op.dim
-        self.lipschitz = op.lipschitz
+        self.evals = 0
+
+    def field(self, z):
+        self.evals += 1
+        return self._op.field_unchecked(z)
 
     def jacobian(self, z):
         return self._op.jacobian(z)
 
 
 def _advance(kind, op, z, aux, t, dt, scheme):
-    if isinstance(kind, LowResolutionFlow):
-        f = lambda s, u: rhs(kind, op, u, None, s)[0]  # noqa: E731
-        if scheme == "euler":
-            return z + dt * f(t, z), aux
-        k1 = f(t, z)
-        k2 = f(t + 0.5 * dt, z + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, z + 0.5 * dt * k2)
-        k4 = f(t + dt, z + dt * k3)
-        return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), aux
-
-    def f(s, zz, ww):
-        return rhs(kind, op, zz, ww, s)
-
     if scheme == "euler":
-        dz, da = f(t, z, aux)
+        dz, da = rhs(kind, op, z, aux, t)
         return z + dt * dz, aux + dt * da
-    dz1, da1 = f(t, z, aux)
-    dz2, da2 = f(t + 0.5 * dt, z + 0.5 * dt * dz1, aux + 0.5 * dt * da1)
-    dz3, da3 = f(t + 0.5 * dt, z + 0.5 * dt * dz2, aux + 0.5 * dt * da2)
-    dz4, da4 = f(t + dt, z + dt * dz3, aux + dt * da3)
+    dz1, da1 = rhs(kind, op, z, aux, t)
+    dz2, da2 = rhs(kind, op, z + 0.5 * dt * dz1, aux + 0.5 * dt * da1, t + 0.5 * dt)
+    dz3, da3 = rhs(kind, op, z + 0.5 * dt * dz2, aux + 0.5 * dt * da2, t + 0.5 * dt)
+    dz4, da4 = rhs(kind, op, z + dt * dz3, aux + dt * da3, t + dt)
     z_next = z + (dt / 6.0) * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
     aux_next = aux + (dt / 6.0) * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
     return z_next, aux_next
 
 
+#: Flow id -> (the argument the flow is built from, builder(gamma, alpha,
+#: kappa_fn)); the order is the CLI catalog order.
+_FLOWS = {
+    "gda-hrde": ("gamma", lambda gamma, alpha, kappa_fn: gda_flow(2.0 / gamma)),
+    "eg-hrde": ("gamma", lambda gamma, alpha, kappa_fn: eg_flow(2.0 / gamma)),
+    "ogda-hrde": ("gamma", lambda gamma, alpha, kappa_fn: ogda_flow(2.0 / gamma)),
+    "la2-gda-hrde": ("gamma", lambda gamma, alpha, kappa_fn: la2_flow(2.0 / gamma, alpha)),
+    "la3-gda-hrde": ("gamma", lambda gamma, alpha, kappa_fn: la3_flow(2.0 / gamma, alpha)),
+    "ogda-hrde2": ("gamma", lambda gamma, alpha, kappa_fn: _constant_kappa_flow(1.0 / gamma)),
+    "ogda-hrde2-varstep": ("kappa_fn", lambda gamma, alpha, kappa_fn: VariableStepFlow(kappa_fn)),
+    "gda-ode": (None, lambda gamma, alpha, kappa_fn: LowResolutionFlow()),
+}
+
 #: Flow identifiers exposed to the CLI.
-FLOW_IDS = (
-    "gda-hrde", "eg-hrde", "ogda-hrde", "la2-gda-hrde", "la3-gda-hrde",
-    "ogda-hrde2", "ogda-hrde2-varstep", "gda-ode",
-)
+FLOW_IDS = tuple(_FLOWS)
+
+
+def _constant_kappa_flow(kappa) -> VariableStepFlow:
+    return VariableStepFlow(lambda t: kappa, name="ogda-hrde2")
 
 
 def make_flow(flow_id, gamma=None, alpha=0.5, kappa_fn=None):
@@ -343,25 +273,11 @@ def make_flow(flow_id, gamma=None, alpha=0.5, kappa_fn=None):
     ``gamma`` sets beta = 2/gamma for phase-space kinds and kappa = 1/gamma
     for the Jacobian-free kind.
     """
-    if flow_id == "gda-ode":
-        return LowResolutionFlow()
-    if flow_id == "ogda-hrde2-varstep":
-        if kappa_fn is None:
-            raise ValueError("ogda-hrde2-varstep requires a kappa schedule")
-        return VariableStepFlow(kappa_fn)
-    if gamma is None or gamma <= 0:
+    if flow_id not in _FLOWS:
+        raise ValueError(f"unknown flow id {flow_id!r}; known: {', '.join(FLOW_IDS)}")
+    needs, build = _FLOWS[flow_id]
+    if needs == "gamma" and (gamma is None or gamma <= 0):
         raise ValueError(f"flow {flow_id!r} requires positive gamma")
-    beta = 2.0 / gamma
-    if flow_id == "gda-hrde":
-        return gda_flow(beta)
-    if flow_id == "eg-hrde":
-        return eg_flow(beta)
-    if flow_id == "ogda-hrde":
-        return ogda_flow(beta)
-    if flow_id == "la2-gda-hrde":
-        return la2_flow(beta, alpha)
-    if flow_id == "la3-gda-hrde":
-        return la3_flow(beta, alpha)
-    if flow_id == "ogda-hrde2":
-        return JacobianFreeFlow(1.0 / gamma)
-    raise ValueError(f"unknown flow id {flow_id!r}; known: {', '.join(FLOW_IDS)}")
+    if needs == "kappa_fn" and kappa_fn is None:
+        raise ValueError(f"{flow_id} requires a kappa schedule")
+    return build(gamma, alpha, kappa_fn)

@@ -7,8 +7,8 @@ up run is an expected, reportable outcome.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,52 +29,48 @@ class NoConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GDA:
+class _FixedStep:
+    """Base of the constant-step descriptors: gamma_n = gamma at every step."""
+
     gamma: float
+
+    def __post_init__(self):
+        _check_gamma(self.gamma)
+
+    def step_size(self, n: int) -> float:
+        return self.gamma
+
+
+@dataclass(frozen=True)
+class GDA(_FixedStep):
     name = "gda"
 
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-
 
 @dataclass(frozen=True)
-class EG:
-    gamma: float
+class EG(_FixedStep):
     name = "eg"
 
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-
 
 @dataclass(frozen=True)
-class OGDA:
-    gamma: float
+class OGDA(_FixedStep):
     name = "ogda"
 
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-
 
 @dataclass(frozen=True)
-class OGDAStateSpace:
+class OGDAStateSpace(_FixedStep):
     """The two-variable form of optimistic descent-ascent (z, w iterates)."""
 
-    gamma: float
     name = "ogda-s"
-
-    def __post_init__(self):
-        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
-class LookaheadGDA:
-    gamma: float
+class LookaheadGDA(_FixedStep):
     k: int = 2
     alpha: float = 0.5
     name = "la-gda"
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        super().__post_init__()
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.alpha <= 1.0:
@@ -101,14 +97,13 @@ class OGDAVariableStep:
 
 
 @dataclass(frozen=True)
-class ImplicitOGDA:
-    gamma: float
+class ImplicitOGDA(_FixedStep):
     fp_tol: float = 1e-12
     fp_max_iter: int = 200
     name = "ogda-implicit"
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        super().__post_init__()
         if self.fp_tol <= 0:
             raise ValueError("fp_tol must be positive")
 
@@ -236,22 +231,102 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
     return z_next, omega_next, queries
 
 
+# ---------------------------------------------------------------------------
+# The method table
+# ---------------------------------------------------------------------------
+
+class _Method(NamedTuple):
+    descriptor: type
+    init_aux: Callable            # (op, z0, kind) -> initial method memory
+    step: Callable                # (op, z, aux, gamma_n, kind) -> (z, aux, queries)
+    queries: Optional[Callable]   # kind -> queries per step; None if it varies
+
+
+def _no_aux(op, z, kind):
+    return None
+
+
+def _ogda_aux(op, z, kind):
+    # The first recorded step must reproduce z_1 = z_0; seeding the field
+    # memory with 2 V(z_0) makes the first update -2 gamma V(z_0) + gamma
+    # (2 V(z_0)) = 0 and leaves the memory at V(z_1) = V(z_0) afterwards, so
+    # the whole sequence matches the two-variable scheme initialized with its
+    # equivalent w_0.
+    return 2.0 * op.field(z)
+
+
+def _ogda_step(op, z, aux, gamma, kind):
+    return (*step_ogda(op, z, aux, gamma), 1)
+
+
+#: Method id -> row, in CLI catalog order.  The method memory (aux) is the
+#: previous field for the one-variable optimistic methods, w for the
+#: two-variable form, omega for the implicit scheme, else None.  The steps
+#: look the steppers up by module-level name at call time, so a wrapped
+#: stepper is the one that runs.
+_METHODS = {
+    "gda": _Method(GDA, _no_aux, lambda op, z, aux, gamma, kind: (step_gda(op, z, gamma), aux, 1),
+                   lambda kind: 1),
+    "eg": _Method(EG, _no_aux, lambda op, z, aux, gamma, kind: (step_eg(op, z, gamma), aux, 2),
+                  lambda kind: 2),
+    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1),
+    "ogda-s": _Method(OGDAStateSpace, lambda op, z, kind: ogda_s_w0(op, z, kind.gamma),
+                      lambda op, z, aux, gamma, kind: (*step_ogda_s(op, z, aux, gamma), 1),
+                      lambda kind: 1),
+    "la-gda": _Method(
+        LookaheadGDA, _no_aux,
+        lambda op, z, aux, gamma, kind: (
+            step_la_gda(op, z, gamma, kind.k, kind.alpha), aux, kind.k),
+        lambda kind: kind.k,
+    ),
+    "ogda-varstep": _Method(OGDAVariableStep, _ogda_aux, _ogda_step, lambda kind: 1),
+    "ogda-implicit": _Method(
+        ImplicitOGDA, lambda op, z, kind: np.zeros(op.dim),      # omega_0 = 0
+        lambda op, z, aux, gamma, kind: step_ogda_implicit(
+            op, z, aux, gamma, kind.fp_tol, kind.fp_max_iter),
+        None,
+    ),
+}
+_BY_DESCRIPTOR = {method.descriptor: method for method in _METHODS.values()}
+
+#: Method identifiers exposed to the CLI.
+METHOD_IDS = tuple(_METHODS)
+
+
+def _method_of(kind) -> _Method:
+    try:
+        return _BY_DESCRIPTOR[type(kind)]
+    except KeyError:
+        raise TypeError(f"unknown optimizer kind {kind!r}") from None
+
+
 def gradient_queries(kind) -> int:
     """Gradient queries consumed per step; implicit steps report per-run."""
-    if isinstance(kind, (GDA, OGDA, OGDAStateSpace, OGDAVariableStep)):
-        return 1
-    if isinstance(kind, EG):
-        return 2
-    if isinstance(kind, LookaheadGDA):
-        return kind.k
-    if isinstance(kind, ImplicitOGDA):
+    queries = _method_of(kind).queries
+    if queries is None:
         raise ValueError("implicit steps consume a variable number of queries; "
                          "read them off the trajectory's query column")
-    raise TypeError(f"unknown optimizer kind {kind!r}")
+    return queries(kind)
+
+
+def make_method(method_id, gamma=None, alpha=0.5, k=2, gamma0=0.1, power=0.6,
+                fp_tol=1e-12, fp_max_iter=200):
+    """Instantiate a method descriptor from its CLI identifier.
+
+    Each descriptor takes the parameters among these that it has fields for.
+    """
+    if method_id not in _METHODS:
+        raise ValueError(f"unknown method id {method_id!r}; known: {', '.join(METHOD_IDS)}")
+    params = {"gamma": gamma, "alpha": alpha, "k": k, "gamma0": gamma0, "power": power,
+              "fp_tol": fp_tol, "fp_max_iter": fp_max_iter}
+    names = [f.name for f in fields(_METHODS[method_id].descriptor) if f.name in params]
+    if "gamma" in names and gamma is None:
+        raise ValueError(f"method {method_id!r} requires gamma")
+    return _METHODS[method_id].descriptor(**{name: params[name] for name in names})
 
 
 # ---------------------------------------------------------------------------
-# Trajectories and the run loop
+# Trajectories, the recorder and the run loop
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -279,15 +354,59 @@ class Trajectory:
         return len(self.steps)
 
 
-def _base_metrics(op, z):
-    if not np.all(np.isfinite(z)):
-        return np.nan, np.nan, np.nan
-    v = op.field_unchecked(z)
-    return (
-        float(np.linalg.norm(z)),
-        float(np.linalg.norm(z - op.solution)),
-        float(np.linalg.norm(v)),
-    )
+class Recorder:
+    """Fills a preallocated Trajectory one record at a time (run and integrate).
+
+    Metric columns: z_norm, dist_to_solution, v_norm, then aux_norm when an
+    ``aux_norm(z, aux)`` callable is given, then one per ``extra_metrics``
+    callable ``f(t, z, aux)``.  A non-finite state's metrics stay NaN.
+    """
+
+    def __init__(self, op: Operator, method, problem, steps, extra_metrics=None, aux_norm=None):
+        self.op = op
+        self.extra_metrics = extra_metrics or {}
+        self.aux_norm = aux_norm
+        self.count = 0
+        n_rec = len(steps)
+        names = ["z_norm", "dist_to_solution", "v_norm"]
+        if aux_norm is not None:
+            names.append("aux_norm")
+        names += list(self.extra_metrics)
+        self.traj = Trajectory(
+            method=method,
+            problem=problem,
+            steps=steps,
+            times=np.zeros(n_rec),
+            queries=np.zeros(n_rec, dtype=np.int64),
+            states=np.full((n_rec, op.dim), np.nan),
+            metrics={name: np.full(n_rec, np.nan) for name in names},
+        )
+
+    def record(self, t, queries, z, aux):
+        traj, i = self.traj, self.count
+        self.count += 1
+        traj.times[i] = t
+        traj.queries[i] = queries
+        traj.states[i] = z
+        if not np.all(np.isfinite(z)):
+            return
+        cols = traj.metrics
+        v = self.op.field_unchecked(z)
+        cols["z_norm"][i] = float(np.linalg.norm(z))
+        cols["dist_to_solution"][i] = float(np.linalg.norm(z - self.op.solution))
+        cols["v_norm"][i] = float(np.linalg.norm(v))
+        if self.aux_norm is not None:
+            cols["aux_norm"][i] = self.aux_norm(z, aux)
+        for name, fn in self.extra_metrics.items():
+            cols[name][i] = float(fn(t, z, aux))
+
+    def finish(self, t, queries, diverged) -> Trajectory:
+        """The Trajectory.  Records never reached stay NaN-padded; their time
+        and query axes are forward-filled with ``t`` and ``queries``."""
+        self.traj.times[self.count:] = t
+        self.traj.queries[self.count:] = queries
+        self.traj.diverged = diverged
+        return self.traj
 
 
 def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None) -> Trajectory:
@@ -297,132 +416,38 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None) -
     (aux is the method memory: previous field for the one-variable optimistic
     method, w for the two-variable form, omega for the implicit scheme, else
     None).  Recording continues through divergence; once the state goes
-    non-finite the remaining records are NaN-padded.
+    non-finite the remaining records are NaN-padded.  A step size
+    ``kind.step_size(n)`` that is not positive raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    method = _method_of(kind)
     z = as_state(z0, op.dim)
-    extra_metrics = extra_metrics or {}
-
-    n_rec = steps + 1
-    times = np.zeros(n_rec)
-    queries = np.zeros(n_rec, dtype=np.int64)
-    states = np.full((n_rec, op.dim), np.nan)
-    names = ["z_norm", "dist_to_solution", "v_norm", *extra_metrics]
-    cols = {name: np.full(n_rec, np.nan) for name in names}
-    diverged = False
-
-    # Method memory.  For the optimistic kinds the first recorded step must
-    # reproduce z_1 = z_0; seeding the field memory with 2 V(z_0) makes the
-    # first update -2 gamma V(z_0) + gamma (2 V(z_0)) = 0 and leaves the
-    # memory at V(z_1) = V(z_0) afterwards, so the whole sequence matches the
-    # two-variable scheme initialized with its equivalent w_0.
-    aux = None
-    if isinstance(kind, (OGDA, OGDAVariableStep)):
-        aux = 2.0 * op.field(z)
-    elif isinstance(kind, OGDAStateSpace):
-        aux = ogda_s_w0(op, z, kind.gamma)
-    elif isinstance(kind, ImplicitOGDA):
-        aux = np.zeros(op.dim)       # omega_0 = 0
-
+    aux = method.init_aux(op, z, kind)
+    recorder = Recorder(op, kind.name, problem_label or op.label, np.arange(steps + 1),
+                        extra_metrics)
     t = 0.0
     total_queries = 0
+    diverged = False
 
-    def record(i, z_i):
-        states[i] = z_i
-        times[i] = t
-        queries[i] = total_queries
-        zn, dist, vn = _base_metrics(op, z_i)
-        cols["z_norm"][i] = zn
-        cols["dist_to_solution"][i] = dist
-        cols["v_norm"][i] = vn
-        for name, fn in extra_metrics.items():
-            if np.all(np.isfinite(z_i)):
-                cols[name][i] = float(fn(t, z_i, aux))
-
-    record(0, z)
-    last = 0
+    recorder.record(t, total_queries, z, aux)
     for n in range(steps):
+        gamma_n = kind.step_size(n)
+        if not gamma_n > 0:
+            raise ValueError(f"step size gamma_n must be positive, got {gamma_n} at n={n}")
         try:
-            if isinstance(kind, GDA):
-                z = step_gda(op, z, kind.gamma)
-                step_queries, dt = 1, kind.gamma
-            elif isinstance(kind, EG):
-                z = step_eg(op, z, kind.gamma)
-                step_queries, dt = 2, kind.gamma
-            elif isinstance(kind, OGDA):
-                z, aux = step_ogda(op, z, aux, kind.gamma)
-                step_queries, dt = 1, kind.gamma
-            elif isinstance(kind, OGDAStateSpace):
-                z, aux = step_ogda_s(op, z, aux, kind.gamma)
-                step_queries, dt = 1, kind.gamma
-            elif isinstance(kind, LookaheadGDA):
-                z = step_la_gda(op, z, kind.gamma, kind.k, kind.alpha)
-                step_queries, dt = kind.k, kind.gamma
-            elif isinstance(kind, OGDAVariableStep):
-                gamma_n = kind.step_size(n)
-                z, aux = step_ogda(op, z, aux, gamma_n)
-                step_queries, dt = 1, gamma_n
-            elif isinstance(kind, ImplicitOGDA):
-                z, aux, step_queries = step_ogda_implicit(
-                    op, z, aux, kind.gamma, kind.fp_tol, kind.fp_max_iter
-                )
-                dt = kind.gamma
-            else:
-                raise TypeError(f"unknown optimizer kind {kind!r}")
-        except TypeError:
-            raise
+            z, aux, step_queries = method.step(op, z, aux, gamma_n, kind)
         except (ValueError, FloatingPointError, NoConvergenceError):
             # Overflow / non-finite evaluation: the run is diverged; the
             # remaining records stay NaN-padded.
             diverged = True
             break
         total_queries += step_queries
-        t += dt
-        record(n + 1, z)
-        last = n + 1
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > DIVERGENCE_GUARD:
+        t += gamma_n
+        recorder.record(t, total_queries, z, aux)
+        finite = np.all(np.isfinite(z))
+        if not finite or np.linalg.norm(z) > DIVERGENCE_GUARD:
             diverged = True
-        if not np.all(np.isfinite(z)):
+        if not finite:
             break
-    # Forward-fill the time/query axes of any NaN-padded tail.
-    if last < steps:
-        times[last + 1 :] = times[last]
-        queries[last + 1 :] = queries[last]
-
-    return Trajectory(
-        method=getattr(kind, "name", type(kind).__name__),
-        problem=problem_label or op.label,
-        steps=np.arange(n_rec),
-        times=times,
-        queries=queries,
-        states=states,
-        metrics=cols,
-        diverged=diverged,
-    )
-
-
-#: Method identifiers exposed to the CLI.
-METHOD_IDS = ("gda", "eg", "ogda", "ogda-s", "la-gda", "ogda-varstep", "ogda-implicit")
-
-
-def make_method(method_id, gamma=None, alpha=0.5, k=2, gamma0=0.1, power=0.6,
-                fp_tol=1e-12, fp_max_iter=200):
-    """Instantiate a method descriptor from its CLI identifier."""
-    if method_id == "ogda-varstep":
-        return OGDAVariableStep(gamma0=gamma0, power=power)
-    if gamma is None:
-        raise ValueError(f"method {method_id!r} requires gamma")
-    if method_id == "gda":
-        return GDA(gamma)
-    if method_id == "eg":
-        return EG(gamma)
-    if method_id == "ogda":
-        return OGDA(gamma)
-    if method_id == "ogda-s":
-        return OGDAStateSpace(gamma)
-    if method_id == "la-gda":
-        return LookaheadGDA(gamma, k=k, alpha=alpha)
-    if method_id == "ogda-implicit":
-        return ImplicitOGDA(gamma, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
-    raise ValueError(f"unknown method id {method_id!r}; known: {', '.join(METHOD_IDS)}")
+    return recorder.finish(t, total_queries, diverged)

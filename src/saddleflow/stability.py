@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flows import eg_flow, gda_flow, la2_flow, la3_flow, ogda_flow, rhs
+from .flows import eg_flow, make_flow, rhs
 from .problems import BilinearGame, QuarticCounterexample
 
 Array = np.ndarray
@@ -37,16 +37,9 @@ STABLE = "stable"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
 
-#: Methods with a stability analysis on the bilinear game.
+#: Methods with a stability analysis on the bilinear game; method m is
+#: analysed through the flow ``make_flow(f"{m}-hrde")``.
 STABILITY_METHODS = ("gda", "eg", "ogda", "la2-gda", "la3-gda")
-
-_FLOW_FACTORY = {
-    "gda": lambda beta, alpha: gda_flow(beta),
-    "eg": lambda beta, alpha: eg_flow(beta),
-    "ogda": lambda beta, alpha: ogda_flow(beta),
-    "la2-gda": la2_flow,
-    "la3-gda": la3_flow,
-}
 
 
 @dataclass
@@ -97,7 +90,7 @@ def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> Sys
     constant game Jacobian [[0, A], [-A^T, 0]] and the coefficient row is the
     method's flow row.  Requires b = c = 0 and a full-rank A.
     """
-    if method not in _FLOW_FACTORY:
+    if method not in STABILITY_METHODS:
         raise ValueError(f"unknown method {method!r}; known: {', '.join(STABILITY_METHODS)}")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -105,25 +98,17 @@ def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> Sys
         raise ValueError("stability analysis requires b = c = 0")
     if not game.full_rank:
         raise ValueError("stability analysis requires a full-rank A")
-    beta = 2.0 / gamma
-    if method in ("la2-gda", "la3-gda"):
-        if alpha is None:
-            raise ValueError(f"method {method!r} requires alpha")
-        flow = _FLOW_FACTORY[method](beta, alpha)
-    else:
-        flow = _FLOW_FACTORY[method](beta, None)
+    lookahead = method in ("la2-gda", "la3-gda")
+    if lookahead and alpha is None:
+        raise ValueError(f"method {method!r} requires alpha")
+    flow = make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha)
     jg = _game_jacobian(game)
     d = game.dim
     c = np.zeros((2 * d, 2 * d))
     c[:d, d:] = np.eye(d)
     c[d:, :d] = flow.a_v * jg + flow.a_jv * (jg @ jg)
-    c[d:, d:] = -beta * np.eye(d) + flow.a_jw * jg
-    return SystemMatrix(c, method, beta, alpha if method in ("la2-gda", "la3-gda") else None)
-
-
-def d_block(method, game: BilinearGame, gamma, alpha=None) -> Array:
-    """The z-coefficient block whose eigenvalues feed the quadratic test."""
-    return assemble_system_matrix(method, game, gamma, alpha).matrix[game.dim:, :game.dim]
+    c[d:, d:] = -flow.beta * np.eye(d) + flow.a_jw * jg
+    return SystemMatrix(c, method, flow.beta, alpha if lookahead else None)
 
 
 def spectral_abscissa(matrix) -> float:

@@ -173,7 +173,7 @@ def test_criterion_05_flow_equivalence():
         w0 = flows.ogda2_w_from_omega(op, z0, omega0, gamma)
         cfg = flows.IntegratorConfig("rk4", 1e-4, 1.0, record_every=100)
         a = flows.integrate(flows.ogda_flow(2.0 / gamma), op, z0, omega0, cfg)
-        b = flows.integrate(flows.JacobianFreeFlow(1.0 / gamma), op, z0, w0, cfg)
+        b = flows.integrate(flows.make_flow("ogda-hrde2", gamma=gamma), op, z0, w0, cfg)
         worst = max(worst, float(np.max(np.abs(a.states - b.states))))
     ok = worst <= 1e-6
     report(5, ok, f"(z,omega) vs (z,w) flow trajectories, worst sup gap {worst:.2e}")
@@ -199,7 +199,7 @@ def test_criterion_06_lyapunov_decrease():
         w0 = flows.ogda2_w_from_omega(op, z0, np.zeros(2), 1.0)
         mons = {"l3": lyap.make_monitor("ogda2_l3", op),
                 "l4": lyap.make_monitor("ogda2_l4", op, kappa=1.0)}
-        traj = flows.integrate(flows.JacobianFreeFlow(1.0), op, z0, w0, cfg,
+        traj = flows.integrate(flows.make_flow("ogda-hrde2", gamma=1.0), op, z0, w0, cfg,
                                extra_metrics=mons)
         for name in mons:
             rep = lyap.continuous_decrease_check(traj.metric(name), tol_abs=1e-7)

@@ -55,7 +55,8 @@ class TestRightHandSides:
 
     def test_jacobian_free_flow(self):
         dz, dw = flows.rhs(
-            flows.JacobianFreeFlow(1.0), SI, np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+            flows.make_flow("ogda-hrde2", gamma=1.0), SI, np.array([1.0, 0.0]),
+            np.array([-1.0, 0.0])
         )
         np.testing.assert_allclose(dz, [-2.0, 0.0])
         np.testing.assert_allclose(dw, [0.0, 0.0])
@@ -72,7 +73,7 @@ class TestRightHandSides:
     def test_zero_state_is_equilibrium_everywhere(self):
         kinds = [flows.gda_flow(4.0), flows.eg_flow(4.0), flows.ogda_flow(4.0),
                  flows.la2_flow(4.0, 0.3), flows.la3_flow(4.0, 0.3),
-                 flows.JacobianFreeFlow(2.0)]
+                 flows.make_flow("ogda-hrde2", gamma=0.5), flows.make_flow("gda-ode")]
         for op in (BG, SI, QuarticCounterexample()):
             for kind in kinds:
                 dz, daux = flows.rhs(kind, op, np.zeros(op.dim), np.zeros(op.dim))
@@ -81,16 +82,17 @@ class TestRightHandSides:
 
     def test_varstep_constant_schedule_matches_fixed(self):
         var = flows.VariableStepFlow(lambda t: 1.0)
-        fix = flows.JacobianFreeFlow(1.0)
+        fix = flows.make_flow("ogda-hrde2", gamma=1.0)
         z, w = np.array([0.3, 0.9]), np.array([-0.2, 0.4])
         for a, b in zip(flows.rhs(var, SI, z, w, t=3.0), flows.rhs(fix, SI, z, w)):
             np.testing.assert_array_equal(a, b)
 
     def test_low_resolution_rhs(self):
-        np.testing.assert_allclose(
-            flows.low_resolution_ode_rhs(BG, np.array([1.0, 0.0])), [0.0, 1.0]
-        )
-        np.testing.assert_allclose(flows.low_resolution_ode_rhs(BG, np.zeros(2)), [0.0, 0.0])
+        kind = flows.make_flow("gda-ode")
+        dz, daux = flows.rhs(kind, BG, np.array([1.0, 0.0]), None)
+        np.testing.assert_allclose(dz, [0.0, 1.0])
+        assert daux.shape == (0,)
+        np.testing.assert_allclose(flows.rhs(kind, BG, np.zeros(2), None)[0], [0.0, 0.0])
 
 
 class TestWInitialization:
@@ -107,23 +109,33 @@ class TestWInitialization:
         w0 = flows.ogda2_w_from_omega(BG, z0, omega0, gamma)
         cfg = flows.IntegratorConfig("rk4", 1e-4, 1.0, record_every=100)
         a = flows.integrate(flows.ogda_flow(2.0 / gamma), BG, z0, omega0, cfg)
-        b = flows.integrate(flows.JacobianFreeFlow(1.0 / gamma), BG, z0, w0, cfg)
+        b = flows.integrate(flows.make_flow("ogda-hrde2", gamma=gamma), BG, z0, w0, cfg)
         assert np.max(np.abs(a.states - b.states)) <= 1e-6
 
 
+def euler_step_ogda2(op, z, w, gamma):
+    """One explicit Euler step of size gamma of the (z, w) flow at
+    kappa = 1/(2 gamma): the two-variable discrete optimistic scheme."""
+    cfg = flows.IntegratorConfig("euler", gamma, gamma)
+    w_parts = {f"w{i}": (lambda t, z, w, i=i: w[i]) for i in range(op.dim)}
+    traj = flows.integrate(flows.make_flow("ogda-hrde2", gamma=2.0 * gamma), op, z, w, cfg,
+                           extra_metrics=w_parts)
+    return traj.states[-1], np.array([traj.metric(name)[-1] for name in w_parts])
+
+
 class TestEulerBridge:
-    def test_bitwise_match_with_two_variable_stepper(self):
+    def test_matches_two_variable_stepper(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             z, w = rng.standard_normal(2), rng.standard_normal(2)
             a_z, a_w = opt.step_ogda_s(BG, z, w, 0.1)
-            b_z, b_w = flows.euler_ogda2(BG, z, w, 0.1)
-            assert a_z.tobytes() == b_z.tobytes()
-            assert a_w.tobytes() == b_w.tobytes()
+            b_z, b_w = euler_step_ogda2(BG, z, w, 0.1)
+            np.testing.assert_allclose(b_z, a_z, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(b_w, a_w, rtol=0.0, atol=1e-14)
 
     def test_hand_value(self):
         z, w = np.array([1.0, 0.0]), np.array([-1.4, 0.0])
-        z_next, _ = flows.euler_ogda2(SI, z, w, 0.1)
+        z_next, _ = euler_step_ogda2(SI, z, w, 0.1)
         np.testing.assert_allclose(z_next, [1.0, 0.0])
 
 
@@ -179,7 +191,7 @@ class TestIntegration:
 
     def test_record_every(self):
         cfg = flows.IntegratorConfig("euler", 0.1, 1.0, record_every=2)
-        traj = flows.integrate(flows.JacobianFreeFlow(1.0), SI,
+        traj = flows.integrate(flows.make_flow("ogda-hrde2", gamma=1.0), SI,
                                np.array([1.0, 0.0]), np.array([-1.0, 0.0]), cfg)
         assert len(traj) == 6
         np.testing.assert_allclose(traj.times, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
@@ -196,14 +208,11 @@ class TestIntegration:
 class TestFlowFactory:
     def test_ids(self):
         assert flows.make_flow("gda-hrde", gamma=0.1).beta == 20.0
-        assert flows.make_flow("ogda-hrde2", gamma=0.1).kappa == 10.0
+        fixed = flows.make_flow("ogda-hrde2", gamma=0.1)
+        assert fixed.name == "ogda-hrde2" and fixed.kappa_fn(0.0) == fixed.kappa_fn(7.0) == 10.0
         assert isinstance(flows.make_flow("gda-ode"), flows.LowResolutionFlow)
         varstep = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 1.0 + t)
         assert varstep.kappa_fn(1.0) == 2.0
-
-    def test_default_dt_policy(self):
-        assert flows.default_dt(0.01) == pytest.approx(0.0005)
-        assert flows.default_dt(1.0) == pytest.approx(1e-3)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="gamma"):

@@ -98,7 +98,7 @@ class TestAnalyticRates:
         for op in (BG, SI, QuarticCounterexample()):
             for kind, params in cases:
                 if kind.startswith("ogda2"):
-                    flow = flows.JacobianFreeFlow(params["kappa"])
+                    flow = flows.make_flow("ogda-hrde2", gamma=1.0 / params["kappa"])
                 else:
                     flow = flows.ogda_flow(params["beta"])
                 for _ in range(100 // 3):
@@ -141,8 +141,8 @@ class TestContinuousDecrease:
                 "lyap_ogda2_l3": lyap.make_monitor("ogda2_l3", op),
                 "lyap_ogda2_l4": lyap.make_monitor("ogda2_l4", op, kappa=1.0),
             }
-            traj = flows.integrate(flows.JacobianFreeFlow(1.0), op, np.array([1.0, 0.0]),
-                                   w0, cfg, extra_metrics=mons)
+            flow = flows.make_flow("ogda-hrde2", gamma=1.0)
+            traj = flows.integrate(flow, op, np.array([1.0, 0.0]), w0, cfg, extra_metrics=mons)
             for name in mons:
                 report = lyap.continuous_decrease_check(traj.metric(name), tol_abs=1e-7)
                 assert report.ok, (op.label, name, report.max_increase)

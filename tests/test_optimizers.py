@@ -159,6 +159,13 @@ class TestRunLoop:
         assert traj.diverged
         assert len(traj) == 601
 
+    def test_nonpositive_schedule_step_raises(self):
+        # A bad step size is a caller error, never a recorded divergence.
+        for bad in (-0.1, 0.0, float("nan")):
+            kind = opt.OGDAVariableStep(schedule=lambda n, bad=bad: 0.1 if n < 3 else bad)
+            with pytest.raises(ValueError, match=r"at n=3"):
+                opt.run(SI, kind, [1.0, 0.0], 5)
+
     def test_la2_divergence_on_bilinear_at_half(self):
         # The per-step multiplier modulus^2 is 1 + alpha^2 gamma^4 a^4 >= 1 at
         # alpha = 1/2: no convergence (pinned structural fact).

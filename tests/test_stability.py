@@ -173,7 +173,7 @@ class TestCharPoly:
         game = BilinearGame([[a]])
         c = st.assemble_system_matrix("eg", game, 1.0).matrix
         beta = 2.0
-        mus = np.linalg.eigvals(st.d_block("eg", game, 1.0))
+        mus = np.linalg.eigvals(c[game.dim:, :game.dim])
         product = np.array([1.0 + 0.0j])
         for mu in mus:
             product = np.convolve(product, [1.0, beta, -mu])
