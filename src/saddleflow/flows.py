@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .optimizers import DIVERGENCE_GUARD, Recorder, Trajectory
-from .problems import Operator, as_state
+from .problems import NonFiniteError, Operator, as_state
 
 Array = np.ndarray
 
@@ -104,7 +104,7 @@ class VariableStepFlow:
 
     def derivative(self, op, z, w, t):
         kappa = float(self.kappa_fn(t))
-        if kappa <= 0:
+        if not kappa > 0:
             raise ValueError(f"kappa(t) must be positive, got {kappa} at t={t}")
         drift = -kappa * (z + w)
         return drift - 2.0 * op.field(z), drift
@@ -182,6 +182,8 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     v_norm) plus aux_norm: ||omega|| for phase-space kinds, ||z + w|| for the
     Jacobian-free kinds.  ``extra_metrics`` callables receive (t, z, aux).
     The query column counts field evaluations consumed by the integrator.
+    A non-finite state or a norm above the guard is recorded as divergence;
+    caller errors, such as a schedule with kappa(t) <= 0, raise.
     """
     z = as_state(z0, op.dim).copy()
     if isinstance(kind, LowResolutionFlow):
@@ -201,13 +203,13 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     for n in range(n_steps):
         try:
             z, aux = _advance(kind, counting, z, aux, t, cfg.dt, cfg.scheme)
-        except (ValueError, FloatingPointError):
+        except (NonFiniteError, FloatingPointError):
             # Overflowed past float range mid-step: flag and stop stepping;
             # remaining records stay NaN-padded.
             diverged = True
             break
         t = t0 + (n + 1) * cfg.dt
-        finite = np.all(np.isfinite(z)) and np.all(np.isfinite(aux))
+        finite = np.isfinite(z).all() and np.isfinite(aux).all()
         if not finite or np.linalg.norm(z) > DIVERGENCE_GUARD:
             diverged = True
         if (n + 1) % cfg.record_every == 0:

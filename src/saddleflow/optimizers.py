@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .problems import Operator, as_state
+from .problems import NonFiniteError, Operator, as_state
 
 Array = np.ndarray
 
@@ -200,7 +200,7 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
         for _ in range(fp_max_iter):
             proposal = c - scale * op.field(z_next)
             queries += 1
-            if not np.all(np.isfinite(proposal)):
+            if not np.isfinite(proposal).all():
                 break
             if np.max(np.abs(proposal - z_next)) <= fp_tol:
                 z_next = proposal
@@ -217,7 +217,11 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
                 converged = True
                 break
             jac = np.eye(op.dim) + scale * op.jacobian(z_next)
-            z_next = z_next - np.linalg.solve(jac, residual)
+            try:
+                z_next = z_next - np.linalg.solve(jac, residual)
+            except np.linalg.LinAlgError as exc:
+                # A singular Newton system is a solver failure, not a caller error.
+                raise NoConvergenceError(f"implicit step Newton system: {exc}") from exc
 
     v_next = op.field(z_next)
     queries += 1
@@ -388,7 +392,7 @@ class Recorder:
         traj.times[i] = t
         traj.queries[i] = queries
         traj.states[i] = z
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             return
         cols = traj.metrics
         v = self.op.field_unchecked(z)
@@ -437,7 +441,7 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None) -
             raise ValueError(f"step size gamma_n must be positive, got {gamma_n} at n={n}")
         try:
             z, aux, step_queries = method.step(op, z, aux, gamma_n, kind)
-        except (ValueError, FloatingPointError, NoConvergenceError):
+        except (NonFiniteError, FloatingPointError, NoConvergenceError):
             # Overflow / non-finite evaluation: the run is diverged; the
             # remaining records stay NaN-padded.
             diverged = True
@@ -445,7 +449,7 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None) -
         total_queries += step_queries
         t += gamma_n
         recorder.record(t, total_queries, z, aux)
-        finite = np.all(np.isfinite(z))
+        finite = np.isfinite(z).all()
         if not finite or np.linalg.norm(z) > DIVERGENCE_GUARD:
             diverged = True
         if not finite:

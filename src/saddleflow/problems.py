@@ -22,6 +22,14 @@ FD_STEP = 1e-5
 FULL_RANK_THRESHOLD = 0.05
 
 
+class NonFiniteError(ValueError):
+    """A state, field value or Jacobian with a NaN or infinite entry.
+
+    The run loops record it as divergence; every other ``ValueError`` is a
+    caller error and propagates.
+    """
+
+
 def as_state(z, dim=None) -> Array:
     """Validate and convert ``z`` to a finite 1-d float64 vector."""
     z = np.asarray(z, dtype=float)
@@ -29,9 +37,14 @@ def as_state(z, dim=None) -> Array:
         raise ValueError(f"state must be a 1-d vector, got shape {z.shape}")
     if dim is not None and z.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {z.shape[0]}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("state contains non-finite entries")
+    if not np.isfinite(z).all():
+        raise NonFiniteError("state contains non-finite entries")
     return z
+
+
+def _read_only(a) -> Array:
+    a.flags.writeable = False
+    return a
 
 
 class Operator:
@@ -40,9 +53,15 @@ class Operator:
     Subclasses implement ``_field`` and ``_jacobian``.  ``field``/``jacobian``
     validate dimensions and finiteness at the boundary; the solution point is
     checked against ``SOLUTION_TOL`` at construction time.
+
+    ``affine`` is True on classes whose field is affine in z, so that J is
+    one constant matrix: ``jacobian`` then builds and checks it on the first
+    call and returns that same read-only array on every later one.
     """
 
     label = "operator"
+    affine = False
+    _constant_jacobian = None
 
     def __init__(self, d1, d2, lipschitz=None, strong_mu=None, solution=None):
         self.d1 = int(d1)
@@ -72,18 +91,22 @@ class Operator:
         """Evaluate V(z)."""
         z = as_state(z, self.dim)
         v = np.asarray(self._field(z), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field evaluation produced non-finite entries")
+        if not np.isfinite(v).all():
+            raise NonFiniteError("field evaluation produced non-finite entries")
         return v
 
     def jacobian(self, z) -> Array:
-        """Evaluate the analytic Jacobian J(z)."""
+        """Evaluate the analytic Jacobian J(z) (shared and read-only if affine)."""
         z = as_state(z, self.dim)
+        if self._constant_jacobian is not None:
+            return self._constant_jacobian
         j = np.asarray(self._jacobian(z), dtype=float)
         if j.shape != (self.dim, self.dim):
             raise ValueError(f"jacobian has shape {j.shape}, expected {(self.dim, self.dim)}")
-        if not np.all(np.isfinite(j)):
-            raise ValueError("jacobian evaluation produced non-finite entries")
+        if not np.isfinite(j).all():
+            raise NonFiniteError("jacobian evaluation produced non-finite entries")
+        if self.affine:
+            self._constant_jacobian = _read_only(j)
         return j
 
     def field_unchecked(self, z) -> Array:
@@ -106,15 +129,18 @@ class BilinearGame(Operator):
     """
 
     label = "bilinear"
+    affine = True
 
     def __init__(self, A, b=None, c=None, rank_threshold=FULL_RANK_THRESHOLD):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
+        # Private read-only copies: a caller writing to its A, b or c later
+        # must not move the field away from the cached Jacobian.
+        A = np.atleast_2d(np.array(A, dtype=float))
         if A.ndim != 2 or not np.all(np.isfinite(A)):
             raise ValueError("A must be a finite 2-d matrix")
         d1, d2 = A.shape
-        self.A = A
-        self.b = np.zeros(d1) if b is None else as_state(b, d1)
-        self.c = np.zeros(d2) if c is None else as_state(c, d2)
+        self.A = _read_only(A)
+        self.b = _read_only(np.zeros(d1) if b is None else as_state(b, d1).copy())
+        self.c = _read_only(np.zeros(d2) if c is None else as_state(c, d2).copy())
         svals = np.linalg.svd(A, compute_uv=False)
         self.sigma_min = float(svals.min()) if svals.size else 0.0
         self.sigma_max = float(svals.max()) if svals.size else 0.0
@@ -160,6 +186,7 @@ class ScaledIdentity(Operator):
     """V(z) = mu * z: the canonical strongly monotone test problem."""
 
     label = "scaled-identity"
+    affine = True
 
     def __init__(self, mu=1.0, dim=2):
         mu = float(mu)

@@ -189,6 +189,21 @@ class TestIntegration:
         traj = flows.integrate(flows.gda_flow(2.0), BG, np.array([1.0, 0.0]), np.zeros(2), cfg)
         assert traj.diverged
 
+    def test_bad_kappa_schedule_raises(self):
+        # A bad schedule is a caller error, never a recorded divergence.
+        cfg = flows.IntegratorConfig("rk4", 0.1, 1.0)
+        z0, w0 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+        for bad in (-1.0, 0.0, float("nan")):
+            kind = flows.VariableStepFlow(lambda t, bad=bad: 1.0 if t < 0.3 else bad)
+            with pytest.raises(ValueError, match=r"kappa\(t\) must be positive, got .* at t=0\.3"):
+                flows.integrate(kind, SI, z0, w0, cfg)
+
+        def failing(t):
+            raise ZeroDivisionError("schedule failed")
+
+        with pytest.raises(ZeroDivisionError, match="schedule failed"):
+            flows.integrate(flows.VariableStepFlow(failing), SI, z0, w0, cfg)
+
     def test_record_every(self):
         cfg = flows.IntegratorConfig("euler", 0.1, 1.0, record_every=2)
         traj = flows.integrate(flows.make_flow("ogda-hrde2", gamma=1.0), SI,

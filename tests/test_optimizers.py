@@ -6,6 +6,7 @@ import pytest
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
+    Operator,
     QuarticCounterexample,
     ScaledIdentity,
     random_bilinear,
@@ -90,6 +91,21 @@ class TestSteppers:
         zn, on, _ = opt.step_ogda_implicit(op, np.array([1.0, 0.0]), np.zeros(2), 2.0)
         expected = (1.0 + 0.5) / (1.0 + 1.5)
         np.testing.assert_allclose(zn, [expected, 0.0], atol=1e-10)
+
+    def test_implicit_singular_newton_system(self):
+        # V(z) = -z at gamma = 4/3 makes I + (3 gamma / 4) J zero: a solver
+        # failure, which run records as divergence.
+        class Flipped(Operator):
+            def _field(self, z):
+                return -z
+
+            def _jacobian(self, z):
+                return -np.eye(self.dim)
+
+        op = Flipped(2, 0)
+        with pytest.raises(opt.NoConvergenceError, match="Newton system"):
+            opt.step_ogda_implicit(op, np.array([1.0, 0.0]), np.zeros(2), 4.0 / 3.0)
+        assert opt.run(op, opt.ImplicitOGDA(4.0 / 3.0), [1.0, 0.0], 5).diverged
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from saddleflow.problems import (
     BilinearGame,
+    NonFiniteError,
     Operator,
     QuarticCounterexample,
     ScaledIdentity,
@@ -60,14 +61,44 @@ class TestFieldEvaluation:
         assert op.lipschitz == op.strong_mu == 3.0
 
     def test_dimension_mismatch_rejected(self):
-        game = BilinearGame([[1.0]])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            game.field([1.0, 2.0, 3.0])
+        for op in CATALOG:
+            op.jacobian(np.zeros(op.dim))  # fills an affine operator's cache
+            for evaluate in (op.field, op.jacobian):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    evaluate(np.ones(op.dim + 1))
 
     def test_non_finite_input_rejected(self):
-        game = BilinearGame([[1.0]])
-        with pytest.raises(ValueError, match="non-finite"):
-            game.field([np.nan, 0.0])
+        for op in CATALOG:
+            op.jacobian(np.zeros(op.dim))
+            for evaluate in (op.field, op.jacobian):
+                for bad in (np.nan, np.inf):
+                    z = np.zeros(op.dim)
+                    z[0] = bad
+                    with pytest.raises(NonFiniteError, match="non-finite"):
+                        evaluate(z)
+
+    def test_affine_jacobian_is_built_once(self):
+        for op in CATALOG:
+            z1, z2 = np.full(op.dim, 0.5), np.arange(1.0, op.dim + 1.0)
+            j1, j2 = op.jacobian(z1), op.jacobian(z2)
+            if not op.affine:
+                assert j1 is not j2 and not np.array_equal(j1, j2)
+                continue
+            assert j1 is j2
+            assert j1.tobytes() == np.asarray(op._jacobian(z2), dtype=float).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                j1[0, 0] = 7.0
+
+    def test_caller_arrays_are_copied(self):
+        A, b, c = np.array([[2.0]]), np.array([1.0]), np.array([-4.0])
+        game = BilinearGame(A, b, c)
+        z = np.array([0.3, -0.7])
+        v, jac = game.field(z), game.jacobian(z).copy()
+        A[0, 0], b[0], c[0] = 5.0, 3.0, 1.0
+        assert game.field(z).tobytes() == v.tobytes()
+        assert game.jacobian(z).tobytes() == jac.tobytes()
+        for attr in (game.A, game.b, game.c):
+            assert not attr.flags.writeable
 
     def test_shifted_optimum_solution(self):
         game = BilinearGame([[2.0]], b=[1.0], c=[-4.0])
