@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,14 +98,21 @@ def _expect_type(value, types, path):
     return value
 
 
-def _positive(value, path, strict=True):
-    if value is None:
-        return None
+def _number(value, path):
     try:
         value = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: expected a number") from None
-    if strict and value <= 0 or not strict and value < 0:
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value}")
+    return value
+
+
+def _positive(value, path):
+    if value is None:
+        return None
+    value = _number(value, path)
+    if not value > 0:
         raise ConfigError(f"{path}: must be positive, got {value}")
     return value
 
@@ -140,14 +148,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     method = _expect_type(_take(raw, "method", "config", {}), dict, "method") or {}
     method_id = _expect_type(_take(method, "id", "method", "ogda"), str, "method.id")
-    gamma = _take(method, "gamma", "method")
-    if gamma is not None:
-        gamma = _positive(gamma, "method.gamma")
-    alpha = _take(method, "alpha", "method", 0.5)
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError):
-        raise ConfigError("method.alpha: expected a number") from None
+    gamma = _positive(_take(method, "gamma", "method"), "method.gamma")
+    alpha = _number(_take(method, "alpha", "method", 0.5), "method.alpha")
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"method.alpha: must lie in (0, 1], got {alpha}")
     k = _expect_type(_take(method, "k", "method", 2), int, "method.k")
@@ -156,11 +158,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     schedule = _expect_type(_take(method, "schedule", "method", {}), dict, "method.schedule") or {}
     schedule = dict(schedule)
     gamma0 = _positive(schedule.pop("gamma0", 0.1), "method.schedule.gamma0")
-    power = schedule.pop("power", 0.6)
-    try:
-        power = float(power)
-    except (TypeError, ValueError):
-        raise ConfigError("method.schedule.power: expected a number") from None
+    power = _number(schedule.pop("power", 0.6), "method.schedule.power")
     _reject_unknown(schedule, "method.schedule")
     fp_tol = _positive(_take(method, "fp_tol", "method", 1e-12), "method.fp_tol")
     fp_max_iter = _expect_type(_take(method, "fp_max_iter", "method", 200), int,
@@ -198,12 +196,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
     else:
         if steps is not None:
             raise ConfigError("budget.steps applies to discrete mode only")
-        if t_end is not None:
-            t_end = _positive(t_end, "budget.t_end")
-        if dt is not None:
-            dt = _positive(dt, "budget.dt")
-        if t_end is not None and dt is not None and dt > t_end:
-            raise ConfigError("budget.dt: must not exceed t_end")
+        t_end = _positive(t_end, "budget.t_end")
+        dt = _positive(dt, "budget.dt")
+        if t_end is not None and dt is not None:
+            ratio = t_end / dt
+            if abs(ratio - round(ratio)) > 1e-9 * ratio:
+                raise ConfigError(f"budget.t_end: {t_end} is not a whole multiple "
+                                  f"of budget.dt {dt}")
 
     lyap_kinds = _expect_type(_take(raw, "lyapunov", "config", []), list, "lyapunov") or []
     for kind in lyap_kinds:
@@ -302,10 +301,8 @@ def execute_run(cfg: ExperimentConfig):
             gamma0=cfg.schedule["gamma0"], power=cfg.schedule["power"],
             fp_tol=cfg.fp_tol, fp_max_iter=cfg.fp_max_iter,
         )
-        traj = optimizers.run(op, kind, z0, cfg.steps, extra_metrics=monitors)
-        if cfg.record_every > 1:
-            traj = _decimate(traj, cfg.record_every)
-        return op, traj
+        return op, optimizers.run(op, kind, z0, cfg.steps, extra_metrics=monitors,
+                                  record_every=cfg.record_every)
 
     kappa_fn = None
     if cfg.method_id == "ogda-hrde2-varstep":
@@ -326,18 +323,6 @@ def execute_run(cfg: ExperimentConfig):
     icfg = flows.IntegratorConfig(cfg.scheme, cfg.dt, cfg.t_end, cfg.record_every)
     traj = flows.integrate(kind, op, z0, aux0, icfg, extra_metrics=monitors)
     return op, traj
-
-
-def _decimate(traj, every):
-    idx = np.arange(0, len(traj), every)
-    if idx[-1] != len(traj) - 1:
-        idx = np.append(idx, len(traj) - 1)
-    return optimizers.Trajectory(
-        method=traj.method, problem=traj.problem,
-        steps=traj.steps[idx], times=traj.times[idx], queries=traj.queries[idx],
-        states=traj.states[idx], metrics={k: v[idx] for k, v in traj.metrics.items()},
-        diverged=traj.diverged,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +403,8 @@ def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
     needs alpha < 1/2 to converge on bilinear games, and with the conventional
     gamma the unit-scale game is too slow to show the split; see README).
     """
-    if gamma <= 0:
-        raise ConfigError("figure-bg: gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ConfigError("figure-bg: gamma must be positive and finite")
     if steps < 1:
         raise ConfigError("figure-bg: steps must be >= 1")
     base = random_bilinear(seed, 1, 1, 0.1)

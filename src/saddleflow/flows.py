@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizers import DIVERGENCE_GUARD, Recorder, Trajectory
-from .problems import NonFiniteError, Operator, as_state
+from .optimizers import Recorder, Trajectory, step_loop
+from .problems import Operator, as_state
 
 Array = np.ndarray
 
@@ -50,7 +50,7 @@ class PhaseFlow:
     name: str
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
 
     def derivative(self, op, z, omega, t):
@@ -145,7 +145,7 @@ def ogda2_w_from_omega(op: Operator, z0, omega0, gamma) -> Array:
     With this map the (z, omega) and (z, w) optimistic flows describe the same
     z(t).
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     z0 = as_state(z0, op.dim)
     omega0 = as_state(omega0, op.dim)
@@ -158,6 +158,9 @@ def ogda2_w_from_omega(op: Operator, z0, omega0, gamma) -> Array:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Fixed-step scheme settings; the integration takes round(t_end/dt)
+    steps of dt, so it ends at t_end only when t_end is a multiple of dt."""
+
     scheme: str = "rk4"
     dt: float = 1e-3
     t_end: float = 1.0
@@ -176,47 +179,28 @@ class IntegratorConfig:
 
 def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
               extra_metrics=None, t0=0.0, problem_label=None) -> Trajectory:
-    """Fixed-step integration of a flow, recording every record_every-th step.
+    """Fixed-step integration of a flow, recorded by the ``Recorder`` rule.
 
     Metric columns mirror the discrete run loop (z_norm, dist_to_solution,
     v_norm) plus aux_norm: ||omega|| for phase-space kinds, ||z + w|| for the
     Jacobian-free kinds.  ``extra_metrics`` callables receive (t, z, aux).
     The query column counts field evaluations consumed by the integrator.
-    A non-finite state or a norm above the guard is recorded as divergence;
-    caller errors, such as a schedule with kappa(t) <= 0, raise.
+    Divergence is recorded as in ``optimizers.step_loop``; caller errors,
+    such as a schedule with kappa(t) <= 0, raise.
     """
     z = as_state(z0, op.dim).copy()
-    if isinstance(kind, LowResolutionFlow):
-        aux = np.zeros(0)
-    else:
-        aux = as_state(aux0, op.dim).copy()
-
+    aux = np.zeros(0) if isinstance(kind, LowResolutionFlow) else as_state(aux0, op.dim).copy()
     counting = _CountingOperator(op)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    steps = np.arange(n_steps // cfg.record_every + 1) * cfg.record_every
-    recorder = Recorder(op, kind.name, problem_label or op.label, steps, extra_metrics,
+    recorder = Recorder(op, kind.name, problem_label or op.label,
+                        int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics,
                         aux_norm=kind.aux_norm)
-    diverged = False
-    t = t0
 
-    recorder.record(t, counting.evals, z, aux)
-    for n in range(n_steps):
-        try:
-            z, aux = _advance(kind, counting, z, aux, t, cfg.dt, cfg.scheme)
-        except (NonFiniteError, FloatingPointError):
-            # Overflowed past float range mid-step: flag and stop stepping;
-            # remaining records stay NaN-padded.
-            diverged = True
-            break
-        t = t0 + (n + 1) * cfg.dt
-        finite = np.isfinite(z).all() and np.isfinite(aux).all()
-        if not finite or np.linalg.norm(z) > DIVERGENCE_GUARD:
-            diverged = True
-        if (n + 1) % cfg.record_every == 0:
-            recorder.record(t, counting.evals, z, aux)
-        if not finite:
-            break
-    return recorder.finish(t, counting.evals, diverged)
+    def step(n, z, aux, t):
+        before = counting.evals
+        z, aux = _advance(kind, counting, z, aux, t, cfg.dt, cfg.scheme)
+        return z, aux, t0 + (n + 1) * cfg.dt, counting.evals - before
+
+    return step_loop(recorder, step, z, aux, t0)
 
 
 class _CountingOperator:
@@ -278,7 +262,7 @@ def make_flow(flow_id, gamma=None, alpha=0.5, kappa_fn=None):
     if flow_id not in _FLOWS:
         raise ValueError(f"unknown flow id {flow_id!r}; known: {', '.join(FLOW_IDS)}")
     needs, build = _FLOWS[flow_id]
-    if needs == "gamma" and (gamma is None or gamma <= 0):
+    if needs == "gamma" and (gamma is None or not gamma > 0):
         raise ValueError(f"flow {flow_id!r} requires positive gamma")
     if needs == "kappa_fn" and kappa_fn is None:
         raise ValueError(f"{flow_id} requires a kappa schedule")

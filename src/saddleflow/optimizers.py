@@ -1,6 +1,6 @@
-"""Discrete saddle-point optimizers and the shared run loop.
+"""Discrete saddle-point optimizers and the stepping loop shared with flows.
 
-Steppers are pure functions; the run loop threads method memory, counts
+Steppers are pure functions; the stepping loop threads method memory, counts
 gradient queries, and records per-step metrics into a Trajectory.  Divergence
 (non-finite state or norm above the guard) is recorded, not raised: a blowing
 up run is an expected, reportable outcome.
@@ -104,12 +104,12 @@ class ImplicitOGDA(_FixedStep):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.fp_tol <= 0:
+        if not self.fp_tol > 0:
             raise ValueError("fp_tol must be positive")
 
 
 def _check_gamma(gamma):
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("step size gamma must be positive")
 
 
@@ -359,18 +359,26 @@ class Trajectory:
 
 
 class Recorder:
-    """Fills a preallocated Trajectory one record at a time (run and integrate).
+    """Fills a preallocated Trajectory for a loop of ``n_steps`` steps.
 
-    Metric columns: z_norm, dist_to_solution, v_norm, then aux_norm when an
-    ``aux_norm(z, aux)`` callable is given, then one per ``extra_metrics``
-    callable ``f(t, z, aux)``.  A non-finite state's metrics stay NaN.
+    The record rule: the start (step 0), every ``record_every``-th step and
+    the final step.  Metric columns: z_norm, dist_to_solution, v_norm, then
+    aux_norm when an ``aux_norm(z, aux)`` callable is given, then one per
+    ``extra_metrics`` callable ``f(t, z, aux)``.  A non-finite state's
+    metrics stay NaN.
     """
 
-    def __init__(self, op: Operator, method, problem, steps, extra_metrics=None, aux_norm=None):
+    def __init__(self, op: Operator, method, problem, n_steps, record_every=1,
+                 extra_metrics=None, aux_norm=None):
+        if record_every < 1:
+            raise ValueError("record_every must be >= 1")
         self.op = op
+        self.n_steps = n_steps
+        self.record_every = record_every
         self.extra_metrics = extra_metrics or {}
         self.aux_norm = aux_norm
         self.count = 0
+        steps = np.append(np.arange(0, n_steps, record_every), n_steps)
         n_rec = len(steps)
         names = ["z_norm", "dist_to_solution", "v_norm"]
         if aux_norm is not None:
@@ -386,7 +394,10 @@ class Recorder:
             metrics={name: np.full(n_rec, np.nan) for name in names},
         )
 
-    def record(self, t, queries, z, aux):
+    def record(self, n, t, queries, z, aux):
+        """Record the state after step ``n`` if the record rule selects it."""
+        if n % self.record_every and n != self.n_steps:
+            return
         traj, i = self.traj, self.count
         self.count += 1
         traj.times[i] = t
@@ -413,45 +424,61 @@ class Recorder:
         return self.traj
 
 
-def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None) -> Trajectory:
+def step_loop(recorder: Recorder, step, z, aux, t) -> Trajectory:
+    """The stepping loop shared by ``run`` and ``integrate``.
+
+    Takes ``recorder.n_steps`` steps ``step(n, z, aux, t) -> (z, aux, t,
+    queries)`` from the recorded start.  A step raising NonFiniteError,
+    FloatingPointError or NoConvergenceError ends the run as diverged; other
+    exceptions are caller errors and propagate.  A non-finite state (z or aux)
+    or a norm above DIVERGENCE_GUARD flags divergence; the loop records the
+    state and stops at the first non-finite one.  ``queries`` counts the
+    queries of completed steps only.
+    """
+    queries = 0
+    diverged = False
+    recorder.record(0, t, queries, z, aux)
+    for n in range(recorder.n_steps):
+        try:
+            z, aux, t, step_queries = step(n, z, aux, t)
+        except (NonFiniteError, FloatingPointError, NoConvergenceError):
+            # Overflow / non-finite evaluation: the remaining records stay
+            # NaN-padded.
+            diverged = True
+            break
+        queries += step_queries
+        finite = np.isfinite(z).all() and (aux is None or np.isfinite(aux).all())
+        if not finite or np.linalg.norm(z) > DIVERGENCE_GUARD:
+            diverged = True
+        recorder.record(n + 1, t, queries, z, aux)
+        if not finite:
+            break
+    return recorder.finish(t, queries, diverged)
+
+
+def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
+        record_every=1) -> Trajectory:
     """Iterate ``kind`` from z0 for ``steps`` steps, recording metrics.
 
     ``extra_metrics`` maps column names to callables ``f(t, z, aux) -> float``
     (aux is the method memory: previous field for the one-variable optimistic
     method, w for the two-variable form, omega for the implicit scheme, else
-    None).  Recording continues through divergence; once the state goes
-    non-finite the remaining records are NaN-padded.  A step size
-    ``kind.step_size(n)`` that is not positive raises ValueError.
+    None).  Records follow the ``Recorder`` rule for ``record_every``; see
+    ``step_loop`` for divergence.  A step size ``kind.step_size(n)`` that is
+    not positive raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     method = _method_of(kind)
     z = as_state(z0, op.dim)
-    aux = method.init_aux(op, z, kind)
-    recorder = Recorder(op, kind.name, problem_label or op.label, np.arange(steps + 1),
+    recorder = Recorder(op, kind.name, problem_label or op.label, steps, record_every,
                         extra_metrics)
-    t = 0.0
-    total_queries = 0
-    diverged = False
 
-    recorder.record(t, total_queries, z, aux)
-    for n in range(steps):
+    def step(n, z, aux, t):
         gamma_n = kind.step_size(n)
         if not gamma_n > 0:
             raise ValueError(f"step size gamma_n must be positive, got {gamma_n} at n={n}")
-        try:
-            z, aux, step_queries = method.step(op, z, aux, gamma_n, kind)
-        except (NonFiniteError, FloatingPointError, NoConvergenceError):
-            # Overflow / non-finite evaluation: the run is diverged; the
-            # remaining records stay NaN-padded.
-            diverged = True
-            break
-        total_queries += step_queries
-        t += gamma_n
-        recorder.record(t, total_queries, z, aux)
-        finite = np.isfinite(z).all()
-        if not finite or np.linalg.norm(z) > DIVERGENCE_GUARD:
-            diverged = True
-        if not finite:
-            break
-    return recorder.finish(t, total_queries, diverged)
+        z, aux, queries = method.step(op, z, aux, gamma_n, kind)
+        return z, aux, t + gamma_n, queries
+
+    return step_loop(recorder, step, z, method.init_aux(op, z, kind), 0.0)

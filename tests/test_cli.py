@@ -65,6 +65,49 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="not defined for method"):
             cli.validate_config(bad)
 
+    def test_t_end_must_be_a_multiple_of_dt(self, tmp_path, capsys):
+        code = run_main(["run", "--set", "mode=hrde", "--set", "method.id=ogda-hrde",
+                         "--set", "method.gamma=0.1", "--set", "budget.t_end=1.0",
+                         "--set", "budget.dt=0.3", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: budget.t_end") and "1.0" in err and "0.3" in err
+        assert not (tmp_path / "run.csv").exists()
+        with pytest.raises(cli.ConfigError, match="not a whole multiple"):
+            cli.validate_config({"mode": "hrde", "method": {"id": "gda-ode"},
+                                 "budget": {"t_end": 1.0, "dt": 2.0}})
+        # Multiples up to float rounding are accepted.
+        for t_end, dt in ((1.0, 0.001), (0.5, 0.01), (0.06, 1e-4), (2.0, 0.0005), (0.3, 0.1)):
+            cfg = cli.validate_config({"mode": "hrde", "method": {"id": "gda-ode"},
+                                       "budget": {"t_end": t_end, "dt": dt}})
+            assert cfg.t_end == t_end and cfg.dt == dt
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("key, method_id", [
+        ("method.gamma", "ogda-hrde"),
+        ("method.gamma", "gda"),
+        ("method.fp_tol", "ogda-implicit"),
+        ("method.schedule.gamma0", "ogda-varstep"),
+        ("method.schedule.power", "ogda-varstep"),
+        ("method.schedule.power", "ogda-hrde2-varstep"),
+        ("budget.t_end", "ogda-hrde"),
+        ("budget.dt", "ogda-hrde"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, key, method_id, value):
+        # JSON parsing accepts NaN and Infinity; a misuse must exit 2, never
+        # be recorded as a diverged run.
+        if "hrde" in method_id:
+            budget = ["mode=hrde", "budget.t_end=0.5", "budget.dt=0.01"]
+        else:
+            budget = ["budget.steps=5"]
+        sets = [f"method.id={method_id}", "method.gamma=0.1", *budget, f"{key}={value}"]
+        argv = ["run", "--out", str(tmp_path)]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        assert run_main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: must be finite")
+        assert not (tmp_path / "run.json").exists()
+
     def test_invalid_json(self):
         with pytest.raises(cli.ConfigError, match="not valid JSON"):
             cli.parse_config("{nope")
@@ -218,6 +261,12 @@ class TestFigureCommand:
         assert csv[0] == "method,step,queries,dist_to_solution"
         methods = {line.split(",")[0] for line in csv[1:]}
         assert methods == {"gda", "eg", "ogda", "la2-gda", "la3-gda"}
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0"])
+    def test_bad_gamma_is_a_config_error(self, tmp_path, capsys, gamma):
+        assert run_main(["figure-bg", "--gamma", gamma, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: figure-bg: gamma must be positive and finite\n"
+        assert not (tmp_path / "figure_bg.svg").exists()
 
     def test_single_step_curves(self, tmp_path):
         series = cli.cmd_figure_bg(0.05, 1, 0, tmp_path / "f.svg", tmp_path / "f.csv")

@@ -210,6 +210,15 @@ class TestIntegration:
                                np.array([1.0, 0.0]), np.array([-1.0, 0.0]), cfg)
         assert len(traj) == 6
         np.testing.assert_allclose(traj.times, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
+        # A record_every that does not divide the step count still records
+        # the final step, with its time and query count.
+        cfg = flows.IntegratorConfig("euler", 0.1, 1.0, record_every=3)
+        traj = flows.integrate(flows.make_flow("ogda-hrde2", gamma=1.0), SI,
+                               np.array([1.0, 0.0]), np.array([-1.0, 0.0]), cfg)
+        np.testing.assert_array_equal(traj.steps, [0, 3, 6, 9, 10])
+        assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
+        assert traj.queries[-1] == 10
+        assert np.isfinite(traj.metric("z_norm")).all()
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -236,3 +245,11 @@ class TestFlowFactory:
             flows.make_flow("midpoint", gamma=0.1)
         with pytest.raises(ValueError, match="kappa schedule"):
             flows.make_flow("ogda-hrde2-varstep")
+        nan = float("nan")
+        for flow_id in ("gda-hrde", "ogda-hrde2"):
+            with pytest.raises(ValueError, match="gamma"):
+                flows.make_flow(flow_id, gamma=nan)
+        with pytest.raises(ValueError, match="beta"):
+            flows.PhaseFlow(nan, -1.0, 0.0, 0.0, "gda-hrde")
+        with pytest.raises(ValueError, match="gamma"):
+            flows.ogda2_w_from_omega(SI, [1.0, 0.0], [0.0, 0.0], nan)

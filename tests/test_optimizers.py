@@ -110,6 +110,8 @@ class TestSteppers:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             opt.step_gda(BG, np.zeros(2), 0.0)
+        with pytest.raises(ValueError, match="gamma"):
+            opt.step_eg(BG, np.zeros(2), float("nan"))
 
     def test_fixed_points(self):
         z = np.zeros(2)
@@ -182,6 +184,37 @@ class TestRunLoop:
             with pytest.raises(ValueError, match=r"at n=3"):
                 opt.run(SI, kind, [1.0, 0.0], 5)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("kind, steps", [
+        (opt.OGDA(0.1), 50),
+        (opt.GDA(8.0), 40),     # trips the guard; the state stays finite
+        (opt.GDA(8.0), 400),    # overflows near step 340: NaN tail
+    ])
+    def test_record_every_slices_the_full_run(self, kind, steps, k):
+        z0 = np.array([1.0, 0.0])
+        full = opt.run(BG, kind, z0, steps)
+        thin = opt.run(BG, kind, z0, steps, record_every=k)
+        idx = np.union1d(np.arange(0, steps + 1, k), [steps])
+        np.testing.assert_array_equal(thin.steps, full.steps[idx])
+        np.testing.assert_array_equal(thin.times, full.times[idx])
+        np.testing.assert_array_equal(thin.queries, full.queries[idx])
+        np.testing.assert_array_equal(thin.states, full.states[idx])
+        assert thin.metrics.keys() == full.metrics.keys()
+        for name in full.metrics:
+            np.testing.assert_array_equal(thin.metric(name), full.metric(name)[idx])
+        assert thin.diverged == full.diverged == (kind.name == "gda")
+        if steps == 400:
+            # The first non-finite state is recorded; the records after it
+            # are NaN with the time and query columns forward-filled.
+            last = np.flatnonzero(~np.isnan(full.states).all(axis=1))[-1]
+            assert 0 < last < steps and np.isinf(full.states[last]).any()
+            tail = np.isnan(thin.states).all(axis=1)
+            assert tail[-1] and np.isnan(thin.metric("z_norm")[tail]).all()
+            assert (thin.times[tail] == full.times[last]).all()
+            assert (thin.queries[tail] == full.queries[last]).all()
+
     def test_la2_divergence_on_bilinear_at_half(self):
         # The per-step multiplier modulus^2 is 1 + alpha^2 gamma^4 a^4 >= 1 at
         # alpha = 1/2: no convergence (pinned structural fact).
@@ -232,6 +265,10 @@ class TestMethodFactory:
             opt.LookaheadGDA(0.1, alpha=1.5)
         with pytest.raises(ValueError):
             opt.ImplicitOGDA(0.1, fp_tol=0.0)
+        with pytest.raises(ValueError, match="gamma"):
+            opt.GDA(float("nan"))
+        with pytest.raises(ValueError, match="fp_tol"):
+            opt.ImplicitOGDA(0.1, fp_tol=float("nan"))
 
     def test_ids(self):
         assert isinstance(opt.make_method("gda", gamma=0.1), opt.GDA)
