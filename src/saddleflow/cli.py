@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +32,32 @@ from .svgplot import line_plot
 
 CSV_BASE_COLUMNS = ("step", "time", "queries", "z_norm", "dist_to_solution", "v_norm")
 
-#: Lyapunov kinds admissible per method/flow identifier (aux-type match).
-_OMEGA_KINDS = ("ogda_l", "ogda_l1", "ogda_l2", "ogda_i_l1", "ogda_i_l2")
-_W_KINDS = ("ogda2_l", "ogda2_l3", "ogda2_l4", "ogda_l5")
+#: Lyapunov scales a row supplies, by the argument it is built from: a
+#: constant gamma gives beta = 2/gamma, kappa = 1/gamma and gamma; a gamma(t)
+#: schedule (a kappa_fn flow) gives beta(t) only.
+_SUPPLIED_SCALES = {"gamma": ("beta", "kappa", "gamma"), "kappa_fn": ("beta(t)",), None: ()}
+
+
+def _row(mode, method_id):
+    """(aux variable, argument) of a method or flow row.  A method's argument
+    is "gamma" when its descriptor has a gamma field."""
+    if mode == "hrde":
+        return flows._FLOWS[method_id][:2]
+    row = optimizers._METHODS[method_id]
+    takes_gamma = any(f.name == "gamma" for f in fields(row.descriptor))
+    return row.aux_var, "gamma" if takes_gamma else None
+
+
+#: Lyapunov kinds admissible per method/flow identifier: those on the row's
+#: aux variable, allowed in its mode, and needing no scale or one it supplies.
 LYAPUNOV_COMPAT = {
-    "gda-hrde": _OMEGA_KINDS,
-    "eg-hrde": _OMEGA_KINDS,
-    "ogda-hrde": _OMEGA_KINDS,
-    "la2-gda-hrde": _OMEGA_KINDS,
-    "la3-gda-hrde": _OMEGA_KINDS,
-    "ogda-hrde2": _W_KINDS,
-    "ogda-hrde2-varstep": ("varstep_l", "ogda2_l3"),
-    "ogda-s": _W_KINDS,
-    "ogda-implicit": ("ogda_i_l1", "ogda_i_l2"),
+    method_id: kinds
+    for mode, ids in (("hrde", flows.FLOW_IDS), ("discrete", optimizers.METHOD_IDS))
+    for method_id in ids
+    for aux_var, arg in [_row(mode, method_id)]
+    if (kinds := tuple(kind for kind, k in lyapunov.KINDS.items()
+                       if k.aux_var == aux_var and (k.discrete or mode == "hrde")
+                       and k.scale in (None, *_SUPPLIED_SCALES[arg])))
 }
 
 
@@ -210,14 +223,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"lyapunov: unknown kind {kind!r}; known: {', '.join(lyapunov.KINDS)}"
             )
-    if lyap_kinds:
-        allowed = LYAPUNOV_COMPAT.get(method_id, ())
-        for kind in lyap_kinds:
-            if kind not in allowed:
-                raise ConfigError(
-                    f"lyapunov: kind {kind!r} is not defined for method {method_id!r}"
-                    + (f"; allowed: {', '.join(allowed)}" if allowed else "")
-                )
+    allowed = LYAPUNOV_COMPAT.get(method_id, ())
+    for kind in lyap_kinds:
+        if kind not in allowed:
+            raise ConfigError(
+                f"lyapunov: kind {kind!r} is not defined for method {method_id!r}"
+                + (f"; allowed: {', '.join(allowed)}" if allowed else "")
+            )
 
     init = _expect_type(_take(raw, "init", "config", {}), dict, "init") or {}
     z0 = _expect_type(_take(init, "z0", "init"), list, "init.z0")
@@ -259,23 +271,15 @@ def _gamma_schedule_fn(cfg: ExperimentConfig):
     return lambda t: gamma0 * (1.0 + t) ** (-power)
 
 
-def _monitors(cfg: ExperimentConfig, op: Operator):
-    if not cfg.lyapunov_kinds:
-        return {}
+def _monitors(cfg: ExperimentConfig, op: Operator, gamma_fn):
+    """One monitor per kind on the run's t -> gamma.  Only constant-step rows
+    admit kinds with a constant scale, so those read it at t = 0."""
     mons = {}
-    gamma = cfg.gamma
-    if cfg.method_id == "ogda-hrde2-varstep":
-        gamma_fn = _gamma_schedule_fn(cfg)
-        beta_fn = lambda t: 2.0 / gamma_fn(t)  # noqa: E731
-        for kind in cfg.lyapunov_kinds:
-            mons[f"lyap_{kind}"] = lyapunov.make_monitor(kind, op, beta_fn=beta_fn)
-        return mons
-    beta = 2.0 / gamma if gamma else None
-    kappa = 1.0 / gamma if gamma else None
+    gamma = gamma_fn(0.0)
     for kind in cfg.lyapunov_kinds:
         mons[f"lyap_{kind}"] = lyapunov.make_monitor(
-            kind, op, beta=beta, kappa=kappa, gamma=gamma
-        )
+            kind, op, beta=2.0 / gamma, kappa=1.0 / gamma, gamma=gamma,
+            beta_fn=lambda t: 2.0 / gamma_fn(t))
     return mons
 
 
@@ -283,8 +287,8 @@ def execute_run(cfg: ExperimentConfig):
     """Build the problem and run/integrate per the config; returns
     (operator, trajectory)."""
     op = make_problem(cfg.problem_id, cfg.problem_params, cfg.seed)
-    needs_gamma = cfg.method_id not in ("ogda-varstep", "ogda-hrde2-varstep", "gda-ode")
-    if needs_gamma and cfg.gamma is None:
+    aux_var, arg = _row(cfg.mode, cfg.method_id)
+    if arg == "gamma" and cfg.gamma is None:
         raise ConfigError(f"method.gamma: required for method {cfg.method_id!r}")
     if cfg.mode == "discrete" and cfg.steps is None:
         raise ConfigError("budget.steps: required in discrete mode")
@@ -293,7 +297,8 @@ def execute_run(cfg: ExperimentConfig):
     z0 = _default_z0(op) if cfg.z0 is None else np.asarray(cfg.z0, dtype=float)
     if z0.shape != (op.dim,):
         raise ConfigError(f"init.z0: expected {op.dim} entries, got {z0.shape}")
-    monitors = _monitors(cfg, op)
+    gamma_fn = _gamma_schedule_fn(cfg) if arg == "kappa_fn" else lambda t: cfg.gamma
+    monitors = _monitors(cfg, op, gamma_fn)
 
     if cfg.mode == "discrete":
         kind = optimizers.make_method(
@@ -304,19 +309,16 @@ def execute_run(cfg: ExperimentConfig):
         return op, optimizers.run(op, kind, z0, cfg.steps, extra_metrics=monitors,
                                   record_every=cfg.record_every)
 
-    kappa_fn = None
-    if cfg.method_id == "ogda-hrde2-varstep":
-        gamma_fn = _gamma_schedule_fn(cfg)
-        kappa_fn = lambda t: 1.0 / gamma_fn(t)  # noqa: E731
+    kappa_fn = (lambda t: 1.0 / gamma_fn(t)) if arg == "kappa_fn" else None
     kind = flows.make_flow(cfg.method_id, gamma=cfg.gamma, alpha=cfg.alpha, kappa_fn=kappa_fn)
     if cfg.aux0 is not None:
         aux0 = np.asarray(cfg.aux0, dtype=float)
         if aux0.shape != (op.dim,):
             raise ConfigError(f"init.aux0: expected {op.dim} entries, got {aux0.shape}")
-    elif isinstance(kind, flows.VariableStepFlow):
-        # The constant-kappa flow starts from the configured gamma itself:
+    elif aux_var == "w":
+        # A constant-kappa flow starts from the configured gamma itself:
         # 1/kappa(0) = 1/(1/gamma) can differ from gamma in the last bit.
-        gamma_start = cfg.gamma if cfg.method_id == "ogda-hrde2" else 1.0 / kind.kappa_fn(0.0)
+        gamma_start = cfg.gamma if kappa_fn is None else 1.0 / kappa_fn(0.0)
         aux0 = flows.ogda2_w_from_omega(op, z0, np.zeros(op.dim), gamma_start)
     else:
         aux0 = np.zeros(op.dim)

@@ -232,17 +232,20 @@ def _advance(kind, op, z, aux, t, dt, scheme):
     return z_next, aux_next
 
 
-#: Flow id -> (the argument the flow is built from, builder(gamma, alpha,
-#: kappa_fn)); the order is the CLI catalog order.
+#: Flow id -> (its aux variable, the argument the flow is built from,
+#: builder(gamma, alpha, kappa_fn)); the order is the CLI catalog order.
 _FLOWS = {
-    "gda-hrde": ("gamma", lambda gamma, alpha, kappa_fn: gda_flow(2.0 / gamma)),
-    "eg-hrde": ("gamma", lambda gamma, alpha, kappa_fn: eg_flow(2.0 / gamma)),
-    "ogda-hrde": ("gamma", lambda gamma, alpha, kappa_fn: ogda_flow(2.0 / gamma)),
-    "la2-gda-hrde": ("gamma", lambda gamma, alpha, kappa_fn: la2_flow(2.0 / gamma, alpha)),
-    "la3-gda-hrde": ("gamma", lambda gamma, alpha, kappa_fn: la3_flow(2.0 / gamma, alpha)),
-    "ogda-hrde2": ("gamma", lambda gamma, alpha, kappa_fn: _constant_kappa_flow(1.0 / gamma)),
-    "ogda-hrde2-varstep": ("kappa_fn", lambda gamma, alpha, kappa_fn: VariableStepFlow(kappa_fn)),
-    "gda-ode": (None, lambda gamma, alpha, kappa_fn: LowResolutionFlow()),
+    "gda-hrde": ("omega", "gamma", lambda gamma, alpha, kappa_fn: gda_flow(2.0 / gamma)),
+    "eg-hrde": ("omega", "gamma", lambda gamma, alpha, kappa_fn: eg_flow(2.0 / gamma)),
+    "ogda-hrde": ("omega", "gamma", lambda gamma, alpha, kappa_fn: ogda_flow(2.0 / gamma)),
+    "la2-gda-hrde": ("omega", "gamma",
+                     lambda gamma, alpha, kappa_fn: la2_flow(2.0 / gamma, alpha)),
+    "la3-gda-hrde": ("omega", "gamma",
+                     lambda gamma, alpha, kappa_fn: la3_flow(2.0 / gamma, alpha)),
+    "ogda-hrde2": ("w", "gamma", lambda gamma, alpha, kappa_fn: _constant_kappa_flow(1.0 / gamma)),
+    "ogda-hrde2-varstep": ("w", "kappa_fn",
+                           lambda gamma, alpha, kappa_fn: VariableStepFlow(kappa_fn)),
+    "gda-ode": (None, None, lambda gamma, alpha, kappa_fn: LowResolutionFlow()),
 }
 
 #: Flow identifiers exposed to the CLI.
@@ -261,7 +264,7 @@ def make_flow(flow_id, gamma=None, alpha=0.5, kappa_fn=None):
     """
     if flow_id not in _FLOWS:
         raise ValueError(f"unknown flow id {flow_id!r}; known: {', '.join(FLOW_IDS)}")
-    needs, build = _FLOWS[flow_id]
+    _, needs, build = _FLOWS[flow_id]
     if needs == "gamma" and (gamma is None or not gamma > 0):
         raise ValueError(f"flow {flow_id!r} requires positive gamma")
     if needs == "kappa_fn" and kappa_fn is None:

@@ -37,87 +37,97 @@ origin, and J(z) is positive semidefinite).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .optimizers import step_ogda_s
+from .optimizers import ogda_s_w0, step_ogda_s
 from .problems import Operator, as_state
 
 Array = np.ndarray
-
-#: kind -> which auxiliary variable its state carries.
-KINDS = {
-    "ogda_l": "omega",
-    "ogda_l1": "omega",
-    "ogda_l2": "omega",
-    "ogda2_l": "w",
-    "ogda2_l3": "w",
-    "ogda2_l4": "w",
-    "ogda_l5": "w",
-    "ogda_i_l1": "omega",
-    "ogda_i_l2": "omega",
-    "varstep_l": "w",
-}
 
 
 def _sq(v) -> float:
     return float(v @ v)
 
 
+def _jac_quad(op: Operator, z, x) -> float:
+    return float(x @ (op.jacobian(z) @ x))
+
+
+def _with_field(formula):
+    """A row function ``(op, z, aux, s)`` that evaluates V(z) once and passes
+    it to ``formula(op, z, aux, s, v)``."""
+    return lambda op, z, aux, s: formula(op, z, aux, s, op.field(z))
+
+
+class _Kind(NamedTuple):
+    aux_var: str                     # the state's auxiliary variable: "omega" or "w"
+    scale: Optional[str]             # "beta", "kappa", "gamma", "beta(t)" or None
+    discrete: bool                   # whether discrete schemes may use it
+    value: Callable                  # (op, z, aux, scale) -> value of the functional
+    rate: Optional[Callable] = None  # (op, z, aux, flow scale) -> closed-form d/dt
+
+
+#: kind -> row, in catalog order.  A rate's scale is its flow's: beta on
+#: (z, omega) states, kappa on (z, w) states.
+KINDS = {
+    "ogda_l": _Kind("omega", "beta", False, _with_field(lambda op, z, w, b, v: (
+        _sq(b * z + w) + _sq(w) + 4.0 * b * float(z @ v) + _sq(v + w) + _sq(v)))),
+    "ogda_l1": _Kind(
+        "omega", "beta", False,
+        _with_field(lambda op, z, w, b, v: (
+            0.5 * (_sq(b * z + w) + _sq(w) + 4.0 * b * float(z @ v)))),
+        _with_field(lambda op, z, w, b, v: (
+            -b * _sq(w) - b ** 2 * float(z @ v) - 4.0 * _jac_quad(op, z, w)))),
+    "ogda_l2": _Kind(
+        "omega", None, False,
+        _with_field(lambda op, z, w, s, v: 0.5 * (_sq(v + w) + _sq(v))),
+        _with_field(lambda op, z, w, b, v: -b * _sq(v + w) - _jac_quad(op, z, w))),
+    "ogda2_l": _Kind("w", "kappa", True, _with_field(lambda op, z, w, k, v: (
+        k ** 2 * _sq(z + w) + k ** 2 * _sq(z - w) + _sq(k * (z + w) + v) + _sq(v)))),
+    "ogda2_l3": _Kind(
+        "w", None, True,
+        lambda op, z, w, s: 0.5 * (_sq(z + w) + _sq(z - w)),
+        _with_field(lambda op, z, w, k, v: -2.0 * k * _sq(z + w) - 4.0 * float(z @ v))),
+    "ogda2_l4": _Kind(
+        "w", "kappa", True,
+        _with_field(lambda op, z, w, k, v: 0.5 * (_sq(k * (z + w) + v) + _sq(v))),
+        _with_field(lambda op, z, w, k, v: (
+            -2.0 * k * _sq(k * (z + w) + v) - _jac_quad(op, z, -k * (z + w) - 2.0 * v)))),
+    "ogda_l5": _Kind("w", "gamma", True, _with_field(lambda op, z, w, g, v: (
+        _sq(z - w) + _sq(z + w + 2.0 * g * v)))),
+    "ogda_i_l1": _Kind("omega", "beta", True, _with_field(lambda op, z, w, b, v: (
+        _sq(b * z + w) + _sq(w) + 2.0 * b * float(z @ v)))),
+    "ogda_i_l2": _Kind("omega", None, True, _with_field(lambda op, z, w, s, v: (
+        _sq(v + w) + _sq(v)))),
+    "varstep_l": _Kind("w", "beta(t)", False, lambda op, z, w, b: (
+        0.5 * (_sq(b * z + w) + _sq(w - b * z)))),
+}
+
+
 def evaluate(kind, op: Operator, z, aux, beta=None, kappa=None, gamma=None) -> float:
     """Value of the named functional at state (z, aux).
 
-    ``beta`` is required by ogda_l/l1, ogda_i_l1 and varstep_l; ``kappa`` by
-    ogda2_l/l4; ``gamma`` by ogda_l5.
+    The kind's scale (``KINDS``) names the argument it requires: ``beta``
+    (also for a beta(t) scale, at the current t), ``kappa`` or ``gamma``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown lyapunov kind {kind!r}; known: {', '.join(KINDS)}")
+    row = KINDS[kind]
     z = as_state(z, op.dim)
     aux = as_state(aux, op.dim)
-    if kind == "ogda_l":
-        b = _require(beta, "beta", kind)
-        v = op.field(z)
-        return (_sq(b * z + aux) + _sq(aux) + 4.0 * b * float(z @ v)
-                + _sq(v + aux) + _sq(v))
-    if kind == "ogda_l1":
-        b = _require(beta, "beta", kind)
-        v = op.field(z)
-        return 0.5 * (_sq(b * z + aux) + _sq(aux) + 4.0 * b * float(z @ v))
-    if kind == "ogda_l2":
-        v = op.field(z)
-        return 0.5 * (_sq(v + aux) + _sq(v))
-    if kind == "ogda2_l":
-        k = _require(kappa, "kappa", kind)
-        v = op.field(z)
-        return (k ** 2 * _sq(z + aux) + k ** 2 * _sq(z - aux)
-                + _sq(k * (z + aux) + v) + _sq(v))
-    if kind == "ogda2_l3":
-        return 0.5 * (_sq(z + aux) + _sq(z - aux))
-    if kind == "ogda2_l4":
-        k = _require(kappa, "kappa", kind)
-        v = op.field(z)
-        return 0.5 * (_sq(k * (z + aux) + v) + _sq(v))
-    if kind == "ogda_l5":
-        g = _require(gamma, "gamma", kind)
-        v = op.field(z)
-        return _sq(z - aux) + _sq(z + aux + 2.0 * g * v)
-    if kind == "ogda_i_l1":
-        b = _require(beta, "beta", kind)
-        v = op.field(z)
-        return _sq(b * z + aux) + _sq(aux) + 2.0 * b * float(z @ v)
-    if kind == "ogda_i_l2":
-        v = op.field(z)
-        return _sq(v + aux) + _sq(v)
-    # varstep_l
-    b = _require(beta, "beta", kind)
-    return 0.5 * (_sq(b * z + aux) + _sq(aux - b * z))
+    scale = {None: None, "beta": beta, "beta(t)": beta, "kappa": kappa, "gamma": gamma}[row.scale]
+    if row.scale is not None:
+        scale = _require(scale, row.scale, kind)
+    return row.value(op, z, aux, scale)
 
 
 def _require(value, name, kind):
     if value is None:
         raise ValueError(f"lyapunov kind {kind!r} requires {name}")
     value = float(value)
-    if value <= 0:
+    if not value > 0:
         raise ValueError(f"{name} must be positive")
     return value
 
@@ -125,10 +135,10 @@ def _require(value, name, kind):
 def make_monitor(kind, op: Operator, beta=None, kappa=None, gamma=None, beta_fn=None):
     """Recorder callable ``f(t, z, aux) -> value`` for run/integrate loops.
 
-    For ``varstep_l`` pass ``beta_fn`` (t -> beta(t)); other kinds take their
-    scale as a constant.
+    A kind with a beta(t) scale takes ``beta_fn`` (t -> beta(t)) when it is
+    given; the others take their scale as a constant.
     """
-    if kind == "varstep_l" and beta_fn is not None:
+    if beta_fn is not None and kind in KINDS and KINDS[kind].scale == "beta(t)":
         return lambda t, z, aux: evaluate(kind, op, z, aux, beta=float(beta_fn(t)))
 
     def monitor(t, z, aux):
@@ -167,34 +177,18 @@ def continuous_decrease_check(values, tol_abs=1e-7, tol_rel=1e-9) -> DecreaseRep
 
 
 def analytic_decrease_rate(kind, op: Operator, z, aux, beta=None, kappa=None) -> float:
-    """Closed-form time derivative of the four flow functionals (see module
-    docstring); nonpositive for monotone operators."""
+    """Closed-form time derivative of a functional along its flow (the kinds
+    with a rate in ``KINDS``; see module docstring), nonpositive for monotone
+    operators.  It takes the flow's scale: ``beta`` on (z, omega) states,
+    ``kappa`` on (z, w) states."""
     z = as_state(z, op.dim)
     aux = as_state(aux, op.dim)
-    if kind == "ogda_l1":
-        b = _require(beta, "beta", kind)
-        v = op.field(z)
-        jac = op.jacobian(z)
-        return -b * _sq(aux) - b ** 2 * float(z @ v) - 4.0 * float(aux @ (jac @ aux))
-    if kind == "ogda_l2":
-        b = _require(beta, "beta", kind)
-        v = op.field(z)
-        jac = op.jacobian(z)
-        return -b * _sq(v + aux) - float(aux @ (jac @ aux))
-    if kind == "ogda2_l3":
-        k = _require(kappa, "kappa", kind)
-        v = op.field(z)
-        return -2.0 * k * _sq(z + aux) - 4.0 * float(z @ v)
-    if kind == "ogda2_l4":
-        k = _require(kappa, "kappa", kind)
-        v = op.field(z)
-        jac = op.jacobian(z)
-        zdot = -k * (z + aux) - 2.0 * v
-        return -2.0 * k * _sq(k * (z + aux) + v) - float(zdot @ (jac @ zdot))
-    raise ValueError(
-        f"no closed-form rate for kind {kind!r}; "
-        "available: ogda_l1, ogda_l2, ogda2_l3, ogda2_l4"
-    )
+    row = KINDS.get(kind)
+    if row is None or row.rate is None:
+        available = ", ".join(name for name, r in KINDS.items() if r.rate is not None)
+        raise ValueError(f"no closed-form rate for kind {kind!r}; available: {available}")
+    name, scale = ("beta", beta) if row.aux_var == "omega" else ("kappa", kappa)
+    return row.rate(op, z, aux, _require(scale, name, kind))
 
 
 def discrete_l5_difference(op: Operator, z, w, v_prev, gamma):
@@ -208,7 +202,7 @@ def discrete_l5_difference(op: Operator, z, w, v_prev, gamma):
     z = as_state(z, op.dim)
     w = as_state(w, op.dim)
     v_prev = as_state(v_prev, op.dim)
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     before = evaluate("ogda_l5", op, z, w, gamma=gamma)
     z_next, w_next = step_ogda_s(op, z, w, gamma)
@@ -219,8 +213,6 @@ def discrete_l5_difference(op: Operator, z, w, v_prev, gamma):
 
 def l5_decrease_sweep(op: Operator, z0, gamma, steps):
     """Run the two-variable scheme from z0 and return (deltas, bounds) arrays."""
-    from .optimizers import ogda_s_w0
-
     z = as_state(z0, op.dim)
     w = ogda_s_w0(op, z, gamma)
     v_prev = op.field(z)  # z_1 = z_0 convention
@@ -236,7 +228,7 @@ def l5_decrease_sweep(op: Operator, z0, gamma, steps):
 def discrete_implicit_decrease(op: Operator, state, next_state, gamma):
     """Differences of the two implicit-scheme functionals between consecutive
     states ((z, omega) tuples); both are <= 0 along the scheme."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     beta = 2.0 / gamma
     z, omega = state
@@ -255,7 +247,7 @@ def varstep_precondition(beta_fn, mu, t_range, samples=256) -> bool:
     variable-step flow on a mu-strongly monotone problem; beta' is taken by
     central differences.
     """
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("mu must be nonnegative")
     t0, t1 = map(float, t_range)
     if not t1 > t0:

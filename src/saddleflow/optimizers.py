@@ -244,6 +244,7 @@ class _Method(NamedTuple):
     init_aux: Callable            # (op, z0, kind) -> initial method memory
     step: Callable                # (op, z, aux, gamma_n, kind) -> (z, aux, queries)
     queries: Optional[Callable]   # kind -> queries per step; None if it varies
+    aux_var: Optional[str] = None  # "w" or "omega" when the memory is that state
 
 
 def _no_aux(op, z, kind):
@@ -276,7 +277,7 @@ _METHODS = {
     "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1),
     "ogda-s": _Method(OGDAStateSpace, lambda op, z, kind: ogda_s_w0(op, z, kind.gamma),
                       lambda op, z, aux, gamma, kind: (*step_ogda_s(op, z, aux, gamma), 1),
-                      lambda kind: 1),
+                      lambda kind: 1, "w"),
     "la-gda": _Method(
         LookaheadGDA, _no_aux,
         lambda op, z, aux, gamma, kind: (
@@ -288,7 +289,7 @@ _METHODS = {
         ImplicitOGDA, lambda op, z, kind: np.zeros(op.dim),      # omega_0 = 0
         lambda op, z, aux, gamma, kind: step_ogda_implicit(
             op, z, aux, gamma, kind.fp_tol, kind.fp_max_iter),
-        None,
+        None, "omega",
     ),
 }
 _BY_DESCRIPTOR = {method.descriptor: method for method in _METHODS.values()}

@@ -190,7 +190,7 @@ class ScaledIdentity(Operator):
 
     def __init__(self, mu=1.0, dim=2):
         mu = float(mu)
-        if mu <= 0:
+        if not mu > 0:
             raise ValueError("mu must be positive")
         self.mu = mu
         super().__init__(int(dim), 0, lipschitz=mu, strong_mu=mu)
@@ -270,7 +270,7 @@ def random_bilinear(seed, d1, d2, sigma_min=0.1, max_redraws=100) -> BilinearGam
     """
     if d1 < 1 or d2 < 1:
         raise ValueError("d1 and d2 must be >= 1")
-    if sigma_min <= 0:
+    if not sigma_min > 0:
         raise ValueError("sigma_min must be positive")
     rng = np.random.default_rng(seed)
     for _ in range(max_redraws):

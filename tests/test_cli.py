@@ -5,13 +5,30 @@ import json
 import numpy as np
 import pytest
 
-from saddleflow import cli
+from saddleflow import cli, flows, lyapunov, optimizers
 
 MINIMAL = {
     "problem": {"id": "bilinear"},
     "method": {"id": "ogda", "gamma": 0.0625},
     "mode": "discrete",
     "budget": {"steps": 1000},
+}
+
+LYAPUNOV_KINDS = ("ogda_l", "ogda_l1", "ogda_l2", "ogda2_l", "ogda2_l3", "ogda2_l4",
+                  "ogda_l5", "ogda_i_l1", "ogda_i_l2", "varstep_l")
+_OMEGA_KINDS = ("ogda_l", "ogda_l1", "ogda_l2", "ogda_i_l1", "ogda_i_l2")
+_W_KINDS = ("ogda2_l", "ogda2_l3", "ogda2_l4", "ogda_l5")
+#: Method or flow id -> the Lyapunov kinds it admits; every other id admits none.
+ADMISSIBLE = {
+    "gda-hrde": _OMEGA_KINDS,
+    "eg-hrde": _OMEGA_KINDS,
+    "ogda-hrde": _OMEGA_KINDS,
+    "la2-gda-hrde": _OMEGA_KINDS,
+    "la3-gda-hrde": _OMEGA_KINDS,
+    "ogda-hrde2": _W_KINDS,
+    "ogda-hrde2-varstep": ("varstep_l", "ogda2_l3"),
+    "ogda-s": _W_KINDS,
+    "ogda-implicit": ("ogda_i_l1", "ogda_i_l2"),
 }
 
 
@@ -64,6 +81,25 @@ class TestConfigParsing:
         bad["lyapunov"] = ["ogda_l1"]
         with pytest.raises(cli.ConfigError, match="not defined for method"):
             cli.validate_config(bad)
+
+    def test_lyapunov_admissibility_matrix(self):
+        # Every discrete method and every flow crossed with every kind: exactly
+        # the ADMISSIBLE pairs validate, every other pair is a ConfigError.
+        assert tuple(lyapunov.KINDS) == LYAPUNOV_KINDS
+        rows = ([("discrete", m) for m in optimizers.METHOD_IDS]
+                + [("hrde", f) for f in flows.FLOW_IDS])
+        assert len(rows) == 15
+        accepted = set()
+        for mode, method_id in rows:
+            for kind in LYAPUNOV_KINDS:
+                raw = {"mode": mode, "method": {"id": method_id, "gamma": 0.1},
+                       "lyapunov": [kind]}
+                try:
+                    assert cli.validate_config(raw).lyapunov_kinds == [kind]
+                    accepted.add((method_id, kind))
+                except cli.ConfigError as exc:
+                    assert f"kind {kind!r} is not defined for method {method_id!r}" in str(exc)
+        assert accepted == {(m, k) for m, kinds in ADMISSIBLE.items() for k in kinds}
 
     def test_t_end_must_be_a_multiple_of_dt(self, tmp_path, capsys):
         code = run_main(["run", "--set", "mode=hrde", "--set", "method.id=ogda-hrde",
@@ -176,6 +212,16 @@ class TestRunCommand:
         csv = (tmp_path / "run.csv").read_text().splitlines()
         dist = [float(line.split(",")[4]) for line in csv[1:]]
         assert all(b > a for a, b in zip(dist, dist[1:]))
+
+    def test_nan_problem_parameter_is_an_error(self, tmp_path, capsys):
+        # A NaN problem parameter must fail, never be recorded as a diverged run.
+        code = run_main(["run", "--set", "problem.id=scaled-identity",
+                         "--set", 'problem.params={"mu":NaN}', "--set", "method.id=gda",
+                         "--set", "method.gamma=0.1", "--set", "budget.steps=5",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: ValueError: mu must be positive\n"
+        assert not (tmp_path / "run.json").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = run_main(["run", "--set", "method.gamma=-1", "--out", str(tmp_path)])

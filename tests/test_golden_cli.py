@@ -4,8 +4,8 @@ Every run below goes through ``cli.main`` into its own directory; the test
 compares the exit code and the SHA-256 of every written file (and of the
 catalog text) with ``tests/golden_cli.json``.  The runs cover the README CLI
 commands, every discrete method and every flow (under rk4 and euler) on
-three problems with ``record_every`` > 1, every entry of
-``cli.LYAPUNOV_COMPAT``, and the designed GDA guard trip under ``--strict``.
+three problems with ``record_every`` > 1, every method and flow with its
+admissible Lyapunov kinds, and the designed GDA guard trip under ``--strict``.
 
 Float output depends on the numpy build, so the digests are tied to the
 numpy version that recorded them.  After an intended output change, record
@@ -83,9 +83,25 @@ def _method_runs():
     return runs
 
 
+# Each method or flow with its admissible Lyapunov kinds, in CSV column order.
+_OMEGA_KINDS = ["ogda_l", "ogda_l1", "ogda_l2", "ogda_i_l1", "ogda_i_l2"]
+_W_KINDS = ["ogda2_l", "ogda2_l3", "ogda2_l4", "ogda_l5"]
+LYAPUNOV_RUNS = (
+    ("gda-hrde", _OMEGA_KINDS),
+    ("eg-hrde", _OMEGA_KINDS),
+    ("ogda-hrde", _OMEGA_KINDS),
+    ("la2-gda-hrde", _OMEGA_KINDS),
+    ("la3-gda-hrde", _OMEGA_KINDS),
+    ("ogda-hrde2", _W_KINDS),
+    ("ogda-hrde2-varstep", ["varstep_l", "ogda2_l3"]),
+    ("ogda-s", _W_KINDS),
+    ("ogda-implicit", ["ogda_i_l1", "ogda_i_l2"]),
+)
+
+
 def _lyapunov_runs():
     runs = {}
-    for method, kinds in cli.LYAPUNOV_COMPAT.items():
+    for method, kinds in LYAPUNOV_RUNS:
         if method in flows.FLOW_IDS:
             budget = [("mode", "hrde"), ("budget.t_end", 0.5), ("budget.dt", 0.01)]
         else:

@@ -60,6 +60,10 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="requires beta"):
             lyap.evaluate("ogda_l1", SI, [1.0, 0.0], [0.0, 0.0])
 
+    def test_nan_scale_rejected(self):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            lyap.evaluate("ogda_l1", SI, [1.0, 0.0], [0.0, 0.0], beta=np.nan)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown lyapunov kind"):
             lyap.evaluate("nope", SI, [1.0, 0.0], [0.0, 0.0])
@@ -117,6 +121,10 @@ class TestAnalyticRates:
     def test_unsupported_kind(self):
         with pytest.raises(ValueError, match="closed-form"):
             lyap.analytic_decrease_rate("ogda_l5", SI, [1.0, 0.0], [0.0, 0.0])
+
+    def test_nan_scale_rejected(self):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            lyap.analytic_decrease_rate("ogda_l1", SI, [1.0, 0.0], [0.0, 0.0], beta=np.nan)
 
 
 class TestContinuousDecrease:
@@ -183,6 +191,11 @@ class TestDiscreteDecrease:
                 assert d1 <= 1e-10 and d2 <= 1e-10
                 z, om = zn, on
 
+    def test_implicit_nan_gamma_rejected(self):
+        state = (np.array([1.0, 0.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            lyap.discrete_implicit_decrease(SI, state, state, np.nan)
+
     def test_implicit_solution_state(self):
         d1, d2 = lyap.discrete_implicit_decrease(SI, (np.zeros(2), np.zeros(2)),
                                                  (np.zeros(2), np.zeros(2)), 0.5)
@@ -198,6 +211,10 @@ class TestVarstep:
 
     def test_quadratic_schedule_fails(self):
         assert not lyap.varstep_precondition(lambda t: t * t, 0.1, (0.5, 2.0))
+
+    def test_nan_mu_rejected(self):
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            lyap.varstep_precondition(lambda t: 2.0, np.nan, (0.0, 2.0))
 
     def test_monitor_decreases_under_precondition(self):
         cases = [

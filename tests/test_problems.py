@@ -210,3 +210,11 @@ class TestCatalogFactory:
     def test_unknown_param(self):
         with pytest.raises(ValueError, match="unknown key"):
             make_problem("quartic", {"foo": 1})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_nonpositive_or_nan_parameter_rejected(self, value):
+        # A NaN parameter must fail the guard, not build a NaN problem.
+        with pytest.raises(ValueError, match="mu must be positive"):
+            ScaledIdentity(value)
+        with pytest.raises(ValueError, match="sigma_min must be positive"):
+            random_bilinear(0, 2, 2, value)
