@@ -135,15 +135,19 @@ def _reject_unknown(mapping, path):
         raise ConfigError(f"unknown key(s) in {path}: {', '.join(sorted(mapping))}")
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a UTF-8 JSON config, filling defaults."""
+def _parse_json_object(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return validate_config(raw)
+    return raw
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a UTF-8 JSON config, filling defaults."""
+    return validate_config(_parse_json_object(text))
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -394,9 +398,6 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path):
     return traj
 
 
-FIGURE_METHODS = ("gda", "eg", "ogda", "la2-gda", "la3-gda")
-
-
 def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
                   alpha=0.25, scale=4.0):
     """Five-method distance-vs-queries comparison on one seeded 1x1 game.
@@ -415,7 +416,7 @@ def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
 
     series = []
     rows = []
-    for label in FIGURE_METHODS:
+    for label in stability.STABILITY_METHODS:
         if label.startswith("la"):
             kind = optimizers.LookaheadGDA(gamma, k=int(label[2]), alpha=alpha)
         else:
@@ -569,9 +570,7 @@ def _load_config(args) -> ExperimentConfig:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        raw = json.loads(text) if text.strip() else {}
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
+        raw = _parse_json_object(text) if text.strip() else {}
     else:
         raw = {}
     for assignment in args.set or []:

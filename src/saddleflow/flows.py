@@ -64,9 +64,6 @@ class PhaseFlow:
                 domega = domega + self.a_jw * (jac @ omega)
         return omega.copy(), domega
 
-    def aux_norm(self, z, omega):
-        return float(np.linalg.norm(omega))
-
 
 def gda_flow(beta) -> PhaseFlow:
     return PhaseFlow(beta, -beta, 0.0, 0.0, "gda-hrde")
@@ -109,9 +106,6 @@ class VariableStepFlow:
         drift = -kappa * (z + w)
         return drift - 2.0 * op.field(z), drift
 
-    def aux_norm(self, z, w):
-        return float(np.linalg.norm(z + w))
-
 
 @dataclass(frozen=True)
 class LowResolutionFlow:
@@ -121,9 +115,6 @@ class LowResolutionFlow:
 
     def derivative(self, op, z, aux, t):
         return -op.field(z), np.zeros(0)
-
-    def aux_norm(self, z, aux):
-        return 0.0
 
 
 def rhs(kind, op: Operator, z, aux, t=0.0):
@@ -181,9 +172,8 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
               extra_metrics=None, t0=0.0, problem_label=None) -> Trajectory:
     """Fixed-step integration of a flow, recorded by the ``Recorder`` rule.
 
-    Metric columns mirror the discrete run loop (z_norm, dist_to_solution,
-    v_norm) plus aux_norm: ||omega|| for phase-space kinds, ||z + w|| for the
-    Jacobian-free kinds.  ``extra_metrics`` callables receive (t, z, aux).
+    Metric columns are those of the discrete run loop (z_norm,
+    dist_to_solution, v_norm).  ``extra_metrics`` callables receive (t, z, aux).
     The query column counts field evaluations consumed by the integrator.
     Divergence is recorded as in ``optimizers.step_loop``; caller errors,
     such as a schedule with kappa(t) <= 0, raise.
@@ -192,8 +182,7 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     aux = np.zeros(0) if isinstance(kind, LowResolutionFlow) else as_state(aux0, op.dim).copy()
     counting = _CountingOperator(op)
     recorder = Recorder(op, kind.name, problem_label or op.label,
-                        int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics,
-                        aux_norm=kind.aux_norm)
+                        int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
 
     def step(n, z, aux, t):
         before = counting.evals

@@ -179,60 +179,38 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
     Solves the coupled equations
         z' = z + (gamma/2) (omega' + omega)
         omega' = -V(z') - (V(z') - V(z)) / 2
-    by substituting omega' into the z-equation, which gives the fixed-point
-    map z' = c - (3 gamma / 4) V(z') with c = z + (gamma/2) omega
-    + (gamma/4) V(z).  Picard iteration contracts when (3 gamma / 4) L < 1;
-    otherwise (or on stall) a Newton iteration on the same equation is used.
+    by substituting omega' into the z-equation, which gives
+    g(z') = z' + (3 gamma / 4) V(z') - c = 0 with c = z + (gamma/2) omega
+    + (gamma/4) V(z).  Newton's method solves it from z' = z until
+    max |g(z')| <= fp_tol, at most ``fp_max_iter`` iterations; omega' is
+    built from the V(z') of that stopping test.
 
     Returns ``(z_next, omega_next, queries)`` with ``queries`` the number of
-    field evaluations consumed.
+    field evaluations consumed: V(z) plus one per Newton iteration, so 2 on
+    affine operators, where one iteration solves g exactly.
     """
     _check_gamma(gamma)
     v_z = op.field(z)
-    queries = 1
     c = z + 0.5 * gamma * omega + 0.25 * gamma * v_z
     scale = 0.75 * gamma
-
-    use_newton = op.lipschitz is not None and scale * op.lipschitz >= 1.0
-    z_next = z.copy()
-    converged = False
-    if not use_newton:
-        for _ in range(fp_max_iter):
-            proposal = c - scale * op.field(z_next)
-            queries += 1
-            if not np.isfinite(proposal).all():
-                break
-            if np.max(np.abs(proposal - z_next)) <= fp_tol:
-                z_next = proposal
-                converged = True
-                break
-            z_next = proposal
-
-    if not converged:
-        z_next = z.copy()
-        for _ in range(fp_max_iter):
-            residual = z_next + scale * op.field(z_next) - c
-            queries += 1
-            if np.max(np.abs(residual)) <= fp_tol:
-                converged = True
-                break
-            jac = np.eye(op.dim) + scale * op.jacobian(z_next)
-            try:
-                z_next = z_next - np.linalg.solve(jac, residual)
-            except np.linalg.LinAlgError as exc:
-                # A singular Newton system is a solver failure, not a caller error.
-                raise NoConvergenceError(f"implicit step Newton system: {exc}") from exc
-
-    v_next = op.field(z_next)
-    queries += 1
-    residual = np.max(np.abs(z_next + scale * v_next - c))
-    if not converged or not residual <= 10 * fp_tol:
-        raise NoConvergenceError(
-            f"implicit step residual {residual:.3e} > fp_tol {fp_tol:.1e} "
-            f"after {fp_max_iter} iterations"
-        )
-    omega_next = -1.5 * v_next + 0.5 * v_z
-    return z_next, omega_next, queries
+    z_next, v_next, queries = z, v_z, 1
+    residual = z_next + scale * v_next - c
+    while not np.max(np.abs(residual)) <= fp_tol:
+        if queries > fp_max_iter:
+            raise NoConvergenceError(
+                f"implicit step residual {np.max(np.abs(residual)):.3e} > fp_tol "
+                f"{fp_tol:.1e} after {fp_max_iter} Newton iterations"
+            )
+        jac = np.eye(op.dim) + scale * op.jacobian(z_next)
+        try:
+            z_next = z_next - np.linalg.solve(jac, residual)
+        except np.linalg.LinAlgError as exc:
+            # A singular Newton system is a solver failure, not a caller error.
+            raise NoConvergenceError(f"implicit step Newton system: {exc}") from exc
+        v_next = op.field(z_next)
+        queries += 1
+        residual = z_next + scale * v_next - c
+    return z_next, -1.5 * v_next + 0.5 * v_z, queries
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +342,22 @@ class Recorder:
 
     The record rule: the start (step 0), every ``record_every``-th step and
     the final step.  Metric columns: z_norm, dist_to_solution, v_norm, then
-    aux_norm when an ``aux_norm(z, aux)`` callable is given, then one per
-    ``extra_metrics`` callable ``f(t, z, aux)``.  A non-finite state's
-    metrics stay NaN.
+    one per ``extra_metrics`` callable ``f(t, z, aux)``.  A non-finite
+    state's metrics stay NaN.
     """
 
     def __init__(self, op: Operator, method, problem, n_steps, record_every=1,
-                 extra_metrics=None, aux_norm=None):
+                 extra_metrics=None):
         if record_every < 1:
             raise ValueError("record_every must be >= 1")
         self.op = op
         self.n_steps = n_steps
         self.record_every = record_every
         self.extra_metrics = extra_metrics or {}
-        self.aux_norm = aux_norm
         self.count = 0
         steps = np.append(np.arange(0, n_steps, record_every), n_steps)
         n_rec = len(steps)
-        names = ["z_norm", "dist_to_solution", "v_norm"]
-        if aux_norm is not None:
-            names.append("aux_norm")
-        names += list(self.extra_metrics)
+        names = ["z_norm", "dist_to_solution", "v_norm", *self.extra_metrics]
         self.traj = Trajectory(
             method=method,
             problem=problem,
@@ -411,8 +384,6 @@ class Recorder:
         cols["z_norm"][i] = float(np.linalg.norm(z))
         cols["dist_to_solution"][i] = float(np.linalg.norm(z - self.op.solution))
         cols["v_norm"][i] = float(np.linalg.norm(v))
-        if self.aux_norm is not None:
-            cols["aux_norm"][i] = self.aux_norm(z, aux)
         for name, fn in self.extra_metrics.items():
             cols[name][i] = float(fn(t, z, aux))
 

@@ -192,6 +192,8 @@ class ScaledIdentity(Operator):
         mu = float(mu)
         if not mu > 0:
             raise ValueError("mu must be positive")
+        if np.isinf(mu):
+            raise ValueError("mu must be finite")
         self.mu = mu
         super().__init__(int(dim), 0, lipschitz=mu, strong_mu=mu)
 
@@ -272,6 +274,8 @@ def random_bilinear(seed, d1, d2, sigma_min=0.1, max_redraws=100) -> BilinearGam
         raise ValueError("d1 and d2 must be >= 1")
     if not sigma_min > 0:
         raise ValueError("sigma_min must be positive")
+    if np.isinf(sigma_min):
+        raise ValueError("sigma_min must be finite")
     rng = np.random.default_rng(seed)
     for _ in range(max_redraws):
         A = rng.standard_normal((d1, d2))

@@ -148,6 +148,21 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="not valid JSON"):
             cli.parse_config("{nope")
 
+    def test_malformed_config_file_is_a_config_error(self, tmp_path, capsys):
+        # A --config file goes through the same parse as parse_config.
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text('{"problem": ')
+        assert run_main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config is not valid JSON")
+        cfg_path.write_text("[1]")
+        assert run_main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: config root must be a JSON object\n"
+        assert not (tmp_path / "run.json").exists()
+        # An empty file reads as {}.
+        cfg_path.write_text(" \n")
+        assert run_main(["run", "--config", str(cfg_path), "--set", "method.gamma=0.1",
+                         "--set", "budget.steps=5", "--out", str(tmp_path)]) == 0
+
 
 class TestRunCommand:
     def test_csv_and_json_outputs(self, tmp_path):
@@ -221,6 +236,15 @@ class TestRunCommand:
                          "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err == "error: ValueError: mu must be positive\n"
+        assert not (tmp_path / "run.json").exists()
+
+    def test_infinite_problem_parameter_is_an_error(self, tmp_path, capsys):
+        code = run_main(["run", "--set", "problem.id=scaled-identity",
+                         "--set", 'problem.params={"mu":Infinity}', "--set", "method.id=gda",
+                         "--set", "method.gamma=0.1", "--set", "budget.steps=5",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: ValueError: mu must be finite\n"
         assert not (tmp_path / "run.json").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):

@@ -77,16 +77,20 @@ class TestSteppers:
         np.testing.assert_allclose(np.concatenate([zi, oi]), direct, atol=1e-10)
 
     def test_implicit_residuals(self):
+        # The quartic is the non-affine case, where Newton takes several steps.
         gamma, tol = 0.3, 1e-12
         z, om = np.array([0.6, -0.4]), np.array([0.1, 0.2])
-        zn, on, _ = opt.step_ogda_implicit(BG, z, om, gamma, fp_tol=tol)
-        r1 = zn - z - 0.5 * gamma * (on + om)
-        r2 = on + BG.field(zn) + 0.5 * (BG.field(zn) - BG.field(z))
-        assert np.max(np.abs(r1)) <= 10 * tol
-        assert np.max(np.abs(r2)) <= 10 * tol
+        for op in (BG, QuarticCounterexample()):
+            zn, on, queries = opt.step_ogda_implicit(op, z, om, gamma, fp_tol=tol)
+            r1 = zn - z - 0.5 * gamma * (on + om)
+            r2 = on + op.field(zn) + 0.5 * (op.field(zn) - op.field(z))
+            assert np.max(np.abs(r1)) <= 10 * tol
+            assert np.max(np.abs(r2)) <= 10 * tol
+            assert (queries == 2) if op.affine else (queries > 2)
 
     def test_implicit_newton_path(self):
-        # gamma * L = 2 >= 4/3: Picard does not contract, Newton must kick in.
+        # gamma * L = 2: far from the small-step regime, Newton still solves
+        # the affine step exactly.
         op = ScaledIdentity(1.0, 2)
         zn, on, _ = opt.step_ogda_implicit(op, np.array([1.0, 0.0]), np.zeros(2), 2.0)
         expected = (1.0 + 0.5) / (1.0 + 1.5)
@@ -133,6 +137,15 @@ class TestQueryAccounting:
     def test_implicit_counts_are_per_run(self):
         with pytest.raises(ValueError):
             opt.gradient_queries(opt.ImplicitOGDA(0.1))
+
+    @pytest.mark.parametrize("op", [BG, SI, random_bilinear(3, 2, 2)],
+                             ids=["bilinear", "scaled-identity", "bilinear-random"])
+    @pytest.mark.parametrize("gamma", [0.05, 0.5])
+    def test_implicit_affine_step_costs_two_queries(self, op, gamma):
+        # V(z) and V(z') after one Newton solve, which is exact on an affine field.
+        traj = opt.run(op, opt.ImplicitOGDA(gamma), np.ones(op.dim), 40)
+        assert not traj.diverged
+        np.testing.assert_array_equal(np.diff(traj.queries), 2)
 
     def test_cumulative_queries(self):
         z0 = np.array([1.0, 0.0])

@@ -211,10 +211,17 @@ class TestCatalogFactory:
         with pytest.raises(ValueError, match="unknown key"):
             make_problem("quartic", {"foo": 1})
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), -np.inf])
     def test_nonpositive_or_nan_parameter_rejected(self, value):
         # A NaN parameter must fail the guard, not build a NaN problem.
         with pytest.raises(ValueError, match="mu must be positive"):
             ScaledIdentity(value)
         with pytest.raises(ValueError, match="sigma_min must be positive"):
             random_bilinear(0, 2, 2, value)
+
+    def test_infinite_parameter_rejected(self):
+        # An infinite parameter must fail the guard, not build an inf problem.
+        with pytest.raises(ValueError, match="mu must be finite"):
+            ScaledIdentity(np.inf)
+        with pytest.raises(ValueError, match="sigma_min must be finite"):
+            random_bilinear(0, 2, 2, np.inf)
