@@ -106,6 +106,8 @@ class ImplicitOGDA(_FixedStep):
         super().__post_init__()
         if not self.fp_tol > 0:
             raise ValueError("fp_tol must be positive")
+        if not (type(self.fp_max_iter) is int and self.fp_max_iter >= 1):
+            raise ValueError(f"fp_max_iter must be an integer >= 1, got {self.fp_max_iter!r}")
 
 
 def _check_gamma(gamma):

@@ -291,31 +291,40 @@ PROBLEM_IDS = ("bilinear", "bilinear-random", "quartic", "scaled-identity")
 
 
 def make_problem(problem_id, params=None, seed=0) -> Operator:
-    """Instantiate a catalog problem from its identifier and parameter dict."""
-    params = dict(params or {})
+    """Instantiate a catalog problem from its identifier and parameter dict;
+    a parameter given as None takes its default."""
+    params = {key: value for key, value in (params or {}).items() if value is not None}
     if problem_id == "bilinear":
         A = params.pop("A", [[1.0]])
         b = params.pop("b", None)
         c = params.pop("c", None)
-        _reject_unknown(params, "problem.params")
+        _reject_unknown(params)
         return BilinearGame(A, b, c)
     if problem_id == "bilinear-random":
-        d1 = int(params.pop("d1", 2))
-        d2 = int(params.pop("d2", 2))
-        sigma_min = float(params.pop("sigma_min", 0.1))
-        _reject_unknown(params, "problem.params")
+        d1 = _param(params, "d1", 2, int)
+        d2 = _param(params, "d2", 2, int)
+        sigma_min = _param(params, "sigma_min", 0.1)
+        _reject_unknown(params)
         return random_bilinear(seed, d1, d2, sigma_min)
     if problem_id == "quartic":
-        _reject_unknown(params, "problem.params")
+        _reject_unknown(params)
         return QuarticCounterexample()
     if problem_id == "scaled-identity":
-        mu = float(params.pop("mu", 1.0))
-        dim = int(params.pop("dim", 2))
-        _reject_unknown(params, "problem.params")
+        mu = _param(params, "mu", 1.0)
+        dim = _param(params, "dim", 2, int)
+        _reject_unknown(params)
         return ScaledIdentity(mu, dim)
     raise ValueError(f"unknown problem id {problem_id!r}; known: {', '.join(PROBLEM_IDS)}")
 
 
-def _reject_unknown(params, where):
+def _param(params, name, default, kind=float):
+    """Pop a numeric parameter: an int, or for ``kind=float`` any real; never a bool."""
+    value = params.pop(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _reject_unknown(params):
     if params:
-        raise ValueError(f"unknown key(s) in {where}: {', '.join(sorted(params))}")
+        raise ValueError(f"unknown key(s): {', '.join(sorted(params))}")

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flows import IntegratorConfig, VariableStepFlow, integrate
+from .flows import IntegratorConfig, VariableStepFlow, integrate, ogda2_w_from_omega
 from .problems import Operator
 
 Array = np.ndarray
@@ -163,7 +163,7 @@ def apt_window_check(taus, states, op: Operator, gamma_of_t, T=1.0, windows=8,
     for j, t0 in enumerate(anchors):
         z0 = interp(t0)
         gamma_t = float(gamma_of_t(t0))
-        w0 = -gamma_t * slope_at(t0) - 2.0 * gamma_t * op.field(z0) - z0
+        w0 = ogda2_w_from_omega(op, z0, slope_at(t0), gamma_t)
         kappa_max = max(kappa_fn(t0), kappa_fn(t0 + T))
         step = dt if dt is not None else min(1e-3, 0.2 / kappa_max)
         cfg = IntegratorConfig("rk4", step, T, record_every=1)

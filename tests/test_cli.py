@@ -31,6 +31,30 @@ ADMISSIBLE = {
     "ogda-implicit": ("ogda_i_l1", "ogda_i_l2"),
 }
 
+_RUN = ("method.gamma=0.1", "budget.steps=5")
+_HRDE = ("mode=hrde", "method.id=ogda-hrde", "method.gamma=0.1", "budget.t_end=0.5",
+         "budget.dt=0.01")
+#: (command, --set assignments, the key the error names): each misuse exits 2.
+MISUSE = [
+    ("stability", ["stability.gammas=[-1]"], "stability.gammas"),
+    ("stability", ["stability.gammas=5"], "stability.gammas"),
+    ("stability", ['stability.methods=["la2-gda"]', "stability.alphas=[2]"], "stability.alphas"),
+    # Exited 2 before the key table too; kept so that it stays that way.
+    ("stability", ['stability.methods=["x"]'], "stability.methods"),
+    ("run", [*_RUN, "init.z0=[NaN,0]"], "init.z0"),
+    ("run", [*_RUN, 'init.z0=["a",0]'], "init.z0"),
+    ("run", [*_HRDE, "init.aux0=[NaN,0]"], "init.aux0"),
+    ("run", [*_RUN, "method.id=ogda-implicit", "method.fp_max_iter=0"], "method.fp_max_iter"),
+    ("run", [*_RUN, 'problem.params={"foo":1}'], "problem.params"),
+    ("run", [*_RUN, "problem.id=scaled-identity", 'problem.params={"dim":2.7}'],
+     "problem.params"),
+    ("run", [*_RUN, "problem.id=nope"], "problem.id"),
+    ("run", [*_RUN, "problem.id=bilinear-random", "problem.seed=-1"], "problem.seed"),
+    ("run", [*_RUN, "method.gamma=true"], "method.gamma"),
+    ("run", [*_RUN, "method.id=la-gda", "method.k=true"], "method.k"),
+    ("run", [*_RUN, "outputs.svg=x.svg"], "outputs.svg"),
+]
+
 
 def run_main(argv):
     return cli.main(argv)
@@ -144,6 +168,23 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith(f"error: {key}: must be finite")
         assert not (tmp_path / "run.json").exists()
 
+    @pytest.mark.parametrize("command, sets, key", MISUSE,
+                             ids=[sets[-1] for _, sets, _ in MISUSE])
+    def test_misuse_exits_2_naming_its_key(self, tmp_path, capsys, command, sets, key):
+        # Caught at the config boundary: never a library error (exit 1) and
+        # never a run with a silently changed value (exit 0).
+        argv = [command, "--out", str(tmp_path / "out")]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        assert run_main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}")
+        assert not (tmp_path / "out").exists()
+
+    def test_null_reads_as_absent(self, tmp_path):
+        assert run_main(["run", "--set", "method.gamma=0.1", "--set", "budget.steps=5",
+                         "--set", "budget.record_every=null", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "run.csv").read_text().splitlines()) == 7  # record_every=1
+
     def test_invalid_json(self):
         with pytest.raises(cli.ConfigError, match="not valid JSON"):
             cli.parse_config("{nope")
@@ -234,8 +275,8 @@ class TestRunCommand:
                          "--set", 'problem.params={"mu":NaN}', "--set", "method.id=gda",
                          "--set", "method.gamma=0.1", "--set", "budget.steps=5",
                          "--out", str(tmp_path)])
-        assert code == 1
-        assert capsys.readouterr().err == "error: ValueError: mu must be positive\n"
+        assert code == 2
+        assert capsys.readouterr().err == "error: problem.params: mu must be positive\n"
         assert not (tmp_path / "run.json").exists()
 
     def test_infinite_problem_parameter_is_an_error(self, tmp_path, capsys):
@@ -243,8 +284,8 @@ class TestRunCommand:
                          "--set", 'problem.params={"mu":Infinity}', "--set", "method.id=gda",
                          "--set", "method.gamma=0.1", "--set", "budget.steps=5",
                          "--out", str(tmp_path)])
-        assert code == 1
-        assert capsys.readouterr().err == "error: ValueError: mu must be finite\n"
+        assert code == 2
+        assert capsys.readouterr().err == "error: problem.params: mu must be finite\n"
         assert not (tmp_path / "run.json").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):

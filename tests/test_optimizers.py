@@ -111,6 +111,15 @@ class TestSteppers:
             opt.step_ogda_implicit(op, np.array([1.0, 0.0]), np.zeros(2), 4.0 / 3.0)
         assert opt.run(op, opt.ImplicitOGDA(4.0 / 3.0), [1.0, 0.0], 5).diverged
 
+    def test_implicit_gives_up_after_fp_max_iter(self):
+        # One Newton iteration leaves a residual on the quartic: the step
+        # gives up, and run records that as divergence.
+        op, z0 = QuarticCounterexample(), np.array([0.8, -0.6])
+        with pytest.raises(opt.NoConvergenceError, match="after 1 Newton iterations"):
+            opt.step_ogda_implicit(op, z0, np.zeros(2), 0.1, fp_max_iter=1)
+        traj = opt.run(op, opt.ImplicitOGDA(0.1, fp_max_iter=1), z0, 5)
+        assert traj.diverged and traj.queries[-1] == 0
+
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             opt.step_gda(BG, np.zeros(2), 0.0)
@@ -282,6 +291,9 @@ class TestMethodFactory:
             opt.GDA(float("nan"))
         with pytest.raises(ValueError, match="fp_tol"):
             opt.ImplicitOGDA(0.1, fp_tol=float("nan"))
+        for fp_max_iter in (0, -3, 2.0, True):
+            with pytest.raises(ValueError, match="fp_max_iter"):
+                opt.ImplicitOGDA(0.1, fp_max_iter=fp_max_iter)
 
     def test_ids(self):
         assert isinstance(opt.make_method("gda", gamma=0.1), opt.GDA)

@@ -211,6 +211,23 @@ class TestCatalogFactory:
         with pytest.raises(ValueError, match="unknown key"):
             make_problem("quartic", {"foo": 1})
 
+    @pytest.mark.parametrize("problem_id, name, value", [
+        ("scaled-identity", "dim", 2.7),
+        ("scaled-identity", "dim", 3.0),
+        ("scaled-identity", "dim", True),
+        ("bilinear-random", "d1", True),
+        ("bilinear-random", "d2", 1.5),
+        ("scaled-identity", "mu", True),
+        ("bilinear-random", "sigma_min", "0.1"),
+    ])
+    def test_parameter_types(self, problem_id, name, value):
+        # An integer parameter is never truncated, and a boolean is not a number.
+        with pytest.raises(ValueError, match=f"{name}: expected"):
+            make_problem(problem_id, {name: value})
+
+    def test_none_parameter_takes_its_default(self):
+        assert make_problem("scaled-identity", {"mu": None, "dim": None}).dim == 2
+
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), -np.inf])
     def test_nonpositive_or_nan_parameter_rejected(self, value):
         # A NaN parameter must fail the guard, not build a NaN problem.
