@@ -262,7 +262,8 @@ def _monitors(cfg: SimpleNamespace, op: Operator, gamma_fn):
 def _build_problem(cfg: SimpleNamespace) -> Operator:
     try:
         return make_problem(cfg.problem_id, cfg.problem_params, cfg.seed)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # RuntimeError: random_bilinear found no draw meeting sigma_min.
         raise ConfigError(f"problem.params: {exc}") from None
 
 
@@ -387,6 +388,8 @@ def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
         raise ConfigError("figure-bg: gamma must be positive and finite")
     if steps < 1:
         raise ConfigError("figure-bg: steps must be >= 1")
+    if not 0.0 < alpha <= 1.0:
+        raise ConfigError(f"figure-bg: alpha must lie in (0, 1], got {alpha}")
     base = random_bilinear(seed, 1, 1, 0.1)
     game = BilinearGame(base.A * (scale / base.sigma_min))
     z0 = np.array([1.0, 0.0])

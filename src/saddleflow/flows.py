@@ -21,6 +21,10 @@ where beta = 2/gamma.  The Jacobian-free optimistic form evolves (z, w):
 with kappa = beta/2 = 1/gamma, optionally time-varying (ogda-hrde2 is the
 constant-kappa case of ogda-hrde2-varstep).  The shared low-resolution
 baseline dz/dt = -V(z) is also provided; it carries an empty aux.
+
+On an affine field V(z) = J z + q every constant-parameter flow is the
+linear system d/dt (z, aux) = C (z, aux) + m, which its ``linear_map``
+returns; ``integrate`` then steps that system directly.
 """
 from __future__ import annotations
 
@@ -38,6 +42,15 @@ Array = np.ndarray
 # ---------------------------------------------------------------------------
 # Flow descriptors
 # ---------------------------------------------------------------------------
+
+def _affine_parts(op):
+    """(J, q) of an affine field V(z) = J z + q.  q is not checked for
+    finiteness, as in the rhs path of ``integrate``."""
+    if not op.affine:
+        raise ValueError(f"linear_map requires an affine operator, not {op.label!r}")
+    zero = np.zeros(op.dim)
+    return op.jacobian(zero), op.field_unchecked(zero)
+
 
 @dataclass(frozen=True)
 class PhaseFlow:
@@ -63,6 +76,17 @@ class PhaseFlow:
             if self.a_jw != 0.0:
                 domega = domega + self.a_jw * (jac @ omega)
         return omega.copy(), domega
+
+    def linear_map(self, op):
+        """(C, m) on an affine field: C = [[0, I], [a_v*J + a_jv*J^2,
+        -beta*I + a_jw*J]] and m = (0, a_v*q + a_jv*J q)."""
+        jac, q = _affine_parts(op)
+        d = op.dim
+        c = np.zeros((2 * d, 2 * d))
+        c[:d, d:] = np.eye(d)
+        c[d:, :d] = self.a_v * jac + self.a_jv * (jac @ jac)
+        c[d:, d:] = -self.beta * np.eye(d) + self.a_jw * jac
+        return c, np.concatenate([np.zeros(d), self.a_v * q + self.a_jv * (jac @ q)])
 
 
 def gda_flow(beta) -> PhaseFlow:
@@ -92,9 +116,14 @@ def _check_alpha(alpha):
         raise ValueError("alpha must lie in (0, 1]")
 
 
+def _optimistic_derivative(op, z, w, kappa):
+    drift = -kappa * (z + w)
+    return drift - 2.0 * op.field(z), drift
+
+
 @dataclass(frozen=True)
 class VariableStepFlow:
-    """(z, w) optimistic flow with kappa(t) = 1/gamma(t); ogda-hrde2 when constant."""
+    """(z, w) optimistic flow with kappa(t) = 1/gamma(t)."""
 
     kappa_fn: Callable[[float], float]
     name: str = "ogda-hrde2-varstep"
@@ -103,8 +132,37 @@ class VariableStepFlow:
         kappa = float(self.kappa_fn(t))
         if not kappa > 0:
             raise ValueError(f"kappa(t) must be positive, got {kappa} at t={t}")
-        drift = -kappa * (z + w)
-        return drift - 2.0 * op.field(z), drift
+        return _optimistic_derivative(op, z, w, kappa)
+
+
+@dataclass(frozen=True)
+class ConstantKappaFlow:
+    """(z, w) optimistic flow with a constant kappa = 1/gamma: ogda-hrde2."""
+
+    kappa: float
+    name = "ogda-hrde2"
+
+    def __post_init__(self):
+        if not self.kappa > 0:
+            raise ValueError("kappa must be positive")
+
+    def kappa_fn(self, t) -> float:
+        """kappa(t), as VariableStepFlow has it; constant here."""
+        return self.kappa
+
+    def derivative(self, op, z, w, t):
+        return _optimistic_derivative(op, z, w, self.kappa)
+
+    def linear_map(self, op):
+        """(C, m) on an affine field: C = [[-kappa*I - 2J, -kappa*I],
+        [-kappa*I, -kappa*I]] and m = (-2q, 0)."""
+        jac, q = _affine_parts(op)
+        d = op.dim
+        kappa_eye = self.kappa * np.eye(d)
+        c = np.empty((2 * d, 2 * d))
+        c[:d, :d] = -kappa_eye - 2.0 * jac
+        c[:d, d:] = c[d:, :d] = c[d:, d:] = -kappa_eye
+        return c, np.concatenate([-2.0 * q, np.zeros(d)])
 
 
 @dataclass(frozen=True)
@@ -115,6 +173,11 @@ class LowResolutionFlow:
 
     def derivative(self, op, z, aux, t):
         return -op.field(z), np.zeros(0)
+
+    def linear_map(self, op):
+        """(C, m) = (-J, -q) on an affine field; the aux is empty."""
+        jac, q = _affine_parts(op)
+        return -jac, -q
 
 
 def rhs(kind, op: Operator, z, aux, t=0.0):
@@ -174,22 +237,64 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
 
     Metric columns are those of the discrete run loop (z_norm,
     dist_to_solution, v_norm).  ``extra_metrics`` callables receive (t, z, aux).
-    The query column counts field evaluations consumed by the integrator.
-    Divergence is recorded as in ``optimizers.step_loop``; caller errors,
-    such as a schedule with kappa(t) <= 0, raise.
+    The query column counts the field evaluations of the scheme: 4 per RK4
+    step and 1 per Euler step.  Divergence is recorded as in
+    ``optimizers.step_loop``; caller errors, such as a schedule with
+    kappa(t) <= 0, raise.
+
+    On an affine operator a flow with a ``linear_map`` is stepped as that
+    linear system (``_propagator_step``); every other pair evaluates ``rhs``.
     """
     z = as_state(z0, op.dim).copy()
     aux = np.zeros(0) if isinstance(kind, LowResolutionFlow) else as_state(aux0, op.dim).copy()
-    counting = _CountingOperator(op)
     recorder = Recorder(op, kind.name, problem_label or op.label,
                         int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
+    if op.affine and hasattr(kind, "linear_map"):
+        step = _propagator_step(*kind.linear_map(op), op.dim, cfg, t0)
+    else:
+        step = _rhs_step(kind, op, cfg, t0)
+    return step_loop(recorder, step, z, aux, t0)
+
+
+def _rhs_step(kind, op, cfg, t0):
+    counting = _CountingOperator(op)
 
     def step(n, z, aux, t):
         before = counting.evals
         z, aux = _advance(kind, counting, z, aux, t, cfg.dt, cfg.scheme)
         return z, aux, t0 + (n + 1) * cfg.dt, counting.evals - before
 
-    return step_loop(recorder, step, z, aux, t0)
+    return step
+
+
+def _propagator_step(c, m, dim, cfg, t0):
+    """Step of d/dt (z, aux) = C (z, aux) + m by the stages of ``_advance``.
+
+    The stacked state s = (z, aux, 1) obeys ds/dt = S s with S = [[C, m],
+    [0, 0]], assembled once, so each stage is one matrix-vector product and
+    an RK4 step applies RK4's stability function of dt*S.
+    """
+    n = c.shape[0]
+    system = np.zeros((n + 1, n + 1))
+    system[:n, :n] = c
+    system[:n, n] = m
+    dt, euler = cfg.dt, cfg.scheme == "euler"
+    queries = 1 if euler else 4
+    one = np.ones(1)
+
+    def step(k, z, aux, t):
+        s = np.concatenate((z, aux, one))
+        k1 = system @ s
+        if euler:
+            s = s + dt * k1
+        else:
+            k2 = system @ (s + 0.5 * dt * k1)
+            k3 = system @ (s + 0.5 * dt * k2)
+            k4 = system @ (s + dt * k3)
+            s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return s[:dim], s[dim:n], t0 + (k + 1) * dt, queries
+
+    return step
 
 
 class _CountingOperator:
@@ -231,7 +336,7 @@ _FLOWS = {
                      lambda gamma, alpha, kappa_fn: la2_flow(2.0 / gamma, alpha)),
     "la3-gda-hrde": ("omega", "gamma",
                      lambda gamma, alpha, kappa_fn: la3_flow(2.0 / gamma, alpha)),
-    "ogda-hrde2": ("w", "gamma", lambda gamma, alpha, kappa_fn: _constant_kappa_flow(1.0 / gamma)),
+    "ogda-hrde2": ("w", "gamma", lambda gamma, alpha, kappa_fn: ConstantKappaFlow(1.0 / gamma)),
     "ogda-hrde2-varstep": ("w", "kappa_fn",
                            lambda gamma, alpha, kappa_fn: VariableStepFlow(kappa_fn)),
     "gda-ode": (None, None, lambda gamma, alpha, kappa_fn: LowResolutionFlow()),
@@ -239,10 +344,6 @@ _FLOWS = {
 
 #: Flow identifiers exposed to the CLI.
 FLOW_IDS = tuple(_FLOWS)
-
-
-def _constant_kappa_flow(kappa) -> VariableStepFlow:
-    return VariableStepFlow(lambda t: kappa, name="ogda-hrde2")
 
 
 def make_flow(flow_id, gamma=None, alpha=0.5, kappa_fn=None):

@@ -1,10 +1,11 @@
 """Bilinear-game stability analysis of the flows.
 
 For the game min_x max_y x^T A y each flow is a linear system
-d/dt (z, omega) = C (z, omega).  This module assembles the per-method C
-matrices, runs the Routh-style sign tests on their characteristic
-polynomials, evaluates the complex-coefficient quadratic stability
-condition, and cross-checks everything against a dense eigensolver.
+d/dt (z, omega) = C (z, omega).  This module takes the per-method C
+matrices from the flows' ``linear_map``, runs the Routh-style sign tests on
+their characteristic polynomials, evaluates the complex-coefficient
+quadratic stability condition, and cross-checks everything against a dense
+eigensolver.
 
 The two quartic Routh arrays are pinned to their published closed forms:
 
@@ -79,16 +80,13 @@ class StabilityVerdict:
     eigen_tests: Optional[list] = None  # ComplexEigenTest per D-block eigenvalue
 
 
-def _game_jacobian(game: BilinearGame) -> Array:
-    return game.jacobian(np.zeros(game.dim))
-
-
 def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> SystemMatrix:
     """Block matrix C of the method's flow on a pure bilinear game.
 
-    C = [[0, I], [a_v*Jg + a_jv*Jg^2, -beta*I + a_jw*Jg]] where Jg is the
-    constant game Jacobian [[0, A], [-A^T, 0]] and the coefficient row is the
-    method's flow row.  Requires b = c = 0 and a full-rank A.
+    C is the flow's ``linear_map``: [[0, I], [a_v*Jg + a_jv*Jg^2,
+    -beta*I + a_jw*Jg]] where Jg is the constant game Jacobian
+    [[0, A], [-A^T, 0]] and the coefficient row is the method's flow row.
+    Requires b = c = 0 and a full-rank A.
     """
     if method not in STABILITY_METHODS:
         raise ValueError(f"unknown method {method!r}; known: {', '.join(STABILITY_METHODS)}")
@@ -102,12 +100,7 @@ def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> Sys
     if lookahead and alpha is None:
         raise ValueError(f"method {method!r} requires alpha")
     flow = make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha)
-    jg = _game_jacobian(game)
-    d = game.dim
-    c = np.zeros((2 * d, 2 * d))
-    c[:d, d:] = np.eye(d)
-    c[d:, :d] = flow.a_v * jg + flow.a_jv * (jg @ jg)
-    c[d:, d:] = -flow.beta * np.eye(d) + flow.a_jw * jg
+    c, _ = flow.linear_map(game)
     return SystemMatrix(c, method, flow.beta, alpha if lookahead else None)
 
 

@@ -49,6 +49,8 @@ MISUSE = [
     ("run", [*_RUN, "problem.id=scaled-identity", 'problem.params={"dim":2.7}'],
      "problem.params"),
     ("run", [*_RUN, "problem.id=nope"], "problem.id"),
+    ("run", [*_RUN, "problem.id=bilinear-random", 'problem.params={"sigma_min":100}'],
+     "problem.params"),
     ("run", [*_RUN, "problem.id=bilinear-random", "problem.seed=-1"], "problem.seed"),
     ("run", [*_RUN, "method.gamma=true"], "method.gamma"),
     ("run", [*_RUN, "method.id=la-gda", "method.k=true"], "method.k"),
@@ -377,6 +379,13 @@ class TestFigureCommand:
     def test_bad_gamma_is_a_config_error(self, tmp_path, capsys, gamma):
         assert run_main(["figure-bg", "--gamma", gamma, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: figure-bg: gamma must be positive and finite\n"
+        assert not (tmp_path / "figure_bg.svg").exists()
+
+    @pytest.mark.parametrize("alpha", ["2", "nan", "0"])
+    def test_bad_alpha_is_a_config_error(self, tmp_path, capsys, alpha):
+        assert run_main(["figure-bg", "--alpha", alpha, "--steps", "10",
+                         "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: figure-bg: alpha must lie in (0, 1]")
         assert not (tmp_path / "figure_bg.svg").exists()
 
     def test_single_step_curves(self, tmp_path):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddleflow import flows
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
+    Operator,
     QuarticCounterexample,
     ScaledIdentity,
     random_bilinear,
@@ -253,3 +256,110 @@ class TestFlowFactory:
             flows.PhaseFlow(nan, -1.0, 0.0, 0.0, "gda-hrde")
         with pytest.raises(ValueError, match="gamma"):
             flows.ogda2_w_from_omega(SI, [1.0, 0.0], [0.0, 0.0], nan)
+
+
+class AffineField(Operator):
+    """V(z) = M z + q with its zero at z_star; monotone when M + M^T >= 0."""
+
+    label = "affine-field"
+    affine = True
+
+    def __init__(self, m, z_star):
+        self.m = np.array(m, dtype=float)
+        self.q = -(self.m @ z_star)
+        super().__init__(len(z_star), 0, solution=z_star)
+
+    def _field(self, z):
+        return self.m @ z + self.q
+
+    def _jacobian(self, z):
+        return self.m.copy()
+
+
+class RhsAffineField(AffineField):
+    """The same field declared non-affine, so ``integrate`` evaluates ``rhs``."""
+
+    affine = False
+
+
+CONSTANT_FLOWS = [f for f in flows.FLOW_IDS if f != "ogda-hrde2-varstep"]
+
+
+@st.composite
+def monotone_affine_cases(draw):
+    """(M, z_star, z0, aux0): M = w B B^T + (K - K^T), so M + M^T = 2w B B^T >= 0."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weight = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    b, k = rng.standard_normal((2, dim, dim))
+    m = weight * (b @ b.T) + (k - k.T)
+    return m, rng.standard_normal(dim), rng.standard_normal(dim), rng.standard_normal(dim)
+
+
+def assert_same_run(fast, ref):
+    np.testing.assert_array_equal(fast.steps, ref.steps)
+    np.testing.assert_array_equal(fast.times, ref.times)
+    np.testing.assert_array_equal(fast.queries, ref.queries)
+    assert fast.diverged == ref.diverged
+    finite = np.isfinite(ref.states)
+    np.testing.assert_array_equal(np.isfinite(fast.states), finite)
+    np.testing.assert_array_equal(np.isnan(fast.states), np.isnan(ref.states))
+    # Within 1e-10 of each record's largest entry (at least 1).
+    ref_states = np.where(finite, ref.states, 0.0)
+    gap = np.abs(np.where(finite, fast.states, 0.0) - ref_states)
+    assert np.all(gap <= 1e-10 * np.maximum(1.0, np.abs(ref_states).max(axis=1, keepdims=True)))
+
+
+class TestAffinePropagator:
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(case=monotone_affine_cases(), gamma=st.floats(0.05, 2.0),
+           dt=st.sampled_from([0.005, 0.02, 0.1]), record_every=st.integers(1, 4))
+    def test_matches_rhs_path(self, case, gamma, dt, record_every):
+        m, z_star, z0, aux0 = case
+        affine, twin = AffineField(m, z_star), RhsAffineField(m, z_star)
+        for flow_id in CONSTANT_FLOWS:
+            kind = flows.make_flow(flow_id, gamma=gamma, alpha=0.4)
+            for scheme in ("rk4", "euler"):
+                cfg = flows.IntegratorConfig(scheme, dt, 25 * dt, record_every)
+                fast = flows.integrate(kind, affine, z0, aux0, cfg)
+                assert_same_run(fast, flows.integrate(kind, twin, z0, aux0, cfg))
+                # The record rule still slices the every-step run, bit for bit.
+                every = flows.IntegratorConfig(scheme, dt, 25 * dt)
+                full = flows.integrate(kind, affine, z0, aux0, every)
+                np.testing.assert_array_equal(fast.states, full.states[fast.steps])
+
+    @pytest.mark.parametrize("scheme, t_end", [("rk4", 20.0), ("euler", 40.0)])
+    def test_blow_up_matches_rhs_path(self, scheme, t_end):
+        # dt*beta = 20 lies far outside both schemes' stability regions, so
+        # gda-hrde overflows to a non-finite state within the budget.
+        m, z_star = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2)
+        cfg = flows.IntegratorConfig(scheme, 0.1, t_end, record_every=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast, ref = (flows.integrate(flows.make_flow("gda-hrde", gamma=0.01), op,
+                                         np.array([1.0, 0.0]), np.zeros(2), cfg)
+                         for op in (AffineField(m, z_star), RhsAffineField(m, z_star)))
+        assert ref.diverged and np.isnan(ref.states[-1]).all()
+        assert_same_run(fast, ref)
+
+    def test_selected_by_operator_and_flow(self, monkeypatch):
+        calls = []
+        real_rhs = flows.rhs
+        monkeypatch.setattr(flows, "rhs", lambda *a, **k: calls.append(1) or real_rhs(*a, **k))
+        cfg = flows.IntegratorConfig("rk4", 0.1, 1.0)
+        m, z_star = np.array([[0.5, 1.0], [-1.0, 0.0]]), np.zeros(2)
+        z0, aux0 = np.array([1.0, 0.0]), np.zeros(2)
+        for flow_id in CONSTANT_FLOWS:
+            flows.integrate(flows.make_flow(flow_id, gamma=0.5), AffineField(m, z_star),
+                            z0, aux0, cfg)
+        assert not calls
+        varstep = flows.VariableStepFlow(lambda t: 2.0)
+        flows.integrate(varstep, AffineField(m, z_star), z0, aux0, cfg)
+        assert len(calls) == 40
+        flows.integrate(flows.ogda_flow(4.0), RhsAffineField(m, z_star), z0, aux0, cfg)
+        flows.integrate(flows.ogda_flow(4.0), QuarticCounterexample(), z0, aux0, cfg)
+        assert len(calls) == 120
+
+    def test_linear_map_requires_an_affine_operator(self):
+        for flow_id in CONSTANT_FLOWS:
+            with pytest.raises(ValueError, match="affine"):
+                flows.make_flow(flow_id, gamma=0.5).linear_map(QuarticCounterexample())
