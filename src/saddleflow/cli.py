@@ -222,6 +222,10 @@ def validate_config(raw: dict) -> SimpleNamespace:
 
     # Mode/field mismatches are config errors; the "required" side is
     # enforced by execute_run (report-only commands need no budget).
+    if cfg.aux0 is not None and cfg.mode == "discrete":
+        raise ConfigError("init.aux0: discrete methods seed their own memory from init.z0")
+    if cfg.aux0 is not None and _row(cfg.mode, cfg.method_id)[0] is None:
+        raise ConfigError(f"init.aux0: flow {cfg.method_id!r} has no aux variable to seed")
     if cfg.mode == "discrete":
         if cfg.t_end is not None or cfg.dt is not None:
             raise ConfigError("budget: t_end/dt apply to hrde mode only")

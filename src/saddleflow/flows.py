@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizers import Recorder, Trajectory, step_loop
+from .optimizers import Recorder, Trajectory, affine_parts, stacked_system, step_loop
 from .problems import Operator, as_state
 
 Array = np.ndarray
@@ -42,15 +42,6 @@ Array = np.ndarray
 # ---------------------------------------------------------------------------
 # Flow descriptors
 # ---------------------------------------------------------------------------
-
-def _affine_parts(op):
-    """(J, q) of an affine field V(z) = J z + q.  q is not checked for
-    finiteness, as in the rhs path of ``integrate``."""
-    if not op.affine:
-        raise ValueError(f"linear_map requires an affine operator, not {op.label!r}")
-    zero = np.zeros(op.dim)
-    return op.jacobian(zero), op.field_unchecked(zero)
-
 
 @dataclass(frozen=True)
 class PhaseFlow:
@@ -80,7 +71,7 @@ class PhaseFlow:
     def linear_map(self, op):
         """(C, m) on an affine field: C = [[0, I], [a_v*J + a_jv*J^2,
         -beta*I + a_jw*J]] and m = (0, a_v*q + a_jv*J q)."""
-        jac, q = _affine_parts(op)
+        jac, q = affine_parts(op)
         d = op.dim
         c = np.zeros((2 * d, 2 * d))
         c[:d, d:] = np.eye(d)
@@ -156,7 +147,7 @@ class ConstantKappaFlow:
     def linear_map(self, op):
         """(C, m) on an affine field: C = [[-kappa*I - 2J, -kappa*I],
         [-kappa*I, -kappa*I]] and m = (-2q, 0)."""
-        jac, q = _affine_parts(op)
+        jac, q = affine_parts(op)
         d = op.dim
         kappa_eye = self.kappa * np.eye(d)
         c = np.empty((2 * d, 2 * d))
@@ -176,7 +167,7 @@ class LowResolutionFlow:
 
     def linear_map(self, op):
         """(C, m) = (-J, -q) on an affine field; the aux is empty."""
-        jac, q = _affine_parts(op)
+        jac, q = affine_parts(op)
         return -jac, -q
 
 
@@ -275,9 +266,7 @@ def _propagator_step(c, m, dim, cfg, t0):
     an RK4 step applies RK4's stability function of dt*S.
     """
     n = c.shape[0]
-    system = np.zeros((n + 1, n + 1))
-    system[:n, :n] = c
-    system[:n, n] = m
+    system = stacked_system(c, m, 0.0)
     dt, euler = cfg.dt, cfg.scheme == "euler"
     queries = 1 if euler else 4
     one = np.ones(1)

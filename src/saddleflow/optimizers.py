@@ -4,9 +4,14 @@ Steppers are pure functions; the stepping loop threads method memory, counts
 gradient queries, and records per-step metrics into a Trajectory.  Divergence
 (non-finite state or norm above the guard) is recorded, not raised: a blowing
 up run is an expected, reportable outcome.
+
+On an affine field V(z) = J z + q every constant-step method is the linear
+recurrence (z, aux)' = M (z, aux) + m, which its row's ``linear_map``
+returns; ``run`` then steps that recurrence directly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -216,6 +221,83 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
 
 
 # ---------------------------------------------------------------------------
+# One-step maps on affine fields
+# ---------------------------------------------------------------------------
+
+def affine_parts(op: Operator):
+    """(J, q) of an affine field V(z) = J z + q.  q is not checked for
+    finiteness, as in the run loops' unchecked field evaluations."""
+    if not op.affine:
+        raise ValueError(f"linear_map requires an affine operator, not {op.label!r}")
+    zero = np.zeros(op.dim)
+    return op.jacobian(zero), op.field_unchecked(zero)
+
+
+def stacked_system(c, m, corner) -> Array:
+    """S = [[C, m], [0, corner]], acting on the stacked state (z, aux, 1).
+
+    ``corner`` is 1 for a one-step map s' = C s + m, so that s' = S s, and 0
+    for a flow ds/dt = C s + m, so that ds/dt = S s.
+    """
+    n = c.shape[0]
+    system = np.zeros((n + 1, n + 1))
+    system[:n, :n] = c
+    system[:n, n] = m
+    system[n, n] = corner
+    return system
+
+
+def _gda_map(op, kind):
+    """(M, m) = (I - gamma J, -gamma q): z' = z - gamma V(z)."""
+    jac, q = affine_parts(op)
+    return np.eye(op.dim) - kind.gamma * jac, -kind.gamma * q
+
+
+def _eg_map(op, kind):
+    """(M, m) = (I - gamma J G, -gamma G q) with G = I - gamma J, the GDA
+    matrix: M = I - gamma J + gamma^2 J^2."""
+    jac, q = affine_parts(op)
+    gda = np.eye(op.dim) - kind.gamma * jac
+    return np.eye(op.dim) - kind.gamma * (jac @ gda), -kind.gamma * (gda @ q)
+
+
+def _la_gda_map(op, kind):
+    """(M, m) = ((1 - alpha) I + alpha G^k, alpha g_k): the k-fold GDA map
+    z -> G^k z + g_k, then the interpolation with weight alpha."""
+    gda, shift = _gda_map(op, kind)
+    fast, fast_shift = gda, shift
+    for _ in range(kind.k - 1):
+        fast, fast_shift = gda @ fast, gda @ fast_shift + shift
+    return ((1.0 - kind.alpha) * np.eye(op.dim) + kind.alpha * fast,
+            kind.alpha * fast_shift)
+
+
+def _ogda_map(op, kind):
+    """On s = (z, v_prev): z' = (I - 2 gamma J) z + gamma v_prev - 2 gamma q
+    and v_prev' = V(z) = J z + q."""
+    jac, q = affine_parts(op)
+    d, gamma = op.dim, kind.gamma
+    mat = np.zeros((2 * d, 2 * d))
+    mat[:d, :d] = np.eye(d) - 2.0 * gamma * jac
+    mat[:d, d:] = gamma * np.eye(d)
+    mat[d:, :d] = jac
+    return mat, np.concatenate([-2.0 * gamma * q, q])
+
+
+def _ogda_s_map(op, kind):
+    """On s = (z, w): z' = (I/2 - 2 gamma J) z - w/2 - 2 gamma q and
+    w' = (w - z)/2."""
+    jac, q = affine_parts(op)
+    d, gamma = op.dim, kind.gamma
+    half = 0.5 * np.eye(d)
+    mat = np.empty((2 * d, 2 * d))
+    mat[:d, :d] = half - 2.0 * gamma * jac
+    mat[:d, d:] = mat[d:, :d] = -half
+    mat[d:, d:] = half
+    return mat, np.concatenate([-2.0 * gamma * q, np.zeros(d)])
+
+
+# ---------------------------------------------------------------------------
 # The method table
 # ---------------------------------------------------------------------------
 
@@ -225,6 +307,9 @@ class _Method(NamedTuple):
     step: Callable                # (op, z, aux, gamma_n, kind) -> (z, aux, queries)
     queries: Optional[Callable]   # kind -> queries per step; None if it varies
     aux_var: Optional[str] = None  # "w" or "omega" when the memory is that state
+    # (op, kind) -> (M, m) with (z, aux)' = M (z, aux) + m on an affine
+    # field; None where gamma_n varies or the step is solved iteratively.
+    linear_map: Optional[Callable] = None
 
 
 def _no_aux(op, z, kind):
@@ -251,18 +336,18 @@ def _ogda_step(op, z, aux, gamma, kind):
 #: stepper is the one that runs.
 _METHODS = {
     "gda": _Method(GDA, _no_aux, lambda op, z, aux, gamma, kind: (step_gda(op, z, gamma), aux, 1),
-                   lambda kind: 1),
+                   lambda kind: 1, linear_map=_gda_map),
     "eg": _Method(EG, _no_aux, lambda op, z, aux, gamma, kind: (step_eg(op, z, gamma), aux, 2),
-                  lambda kind: 2),
-    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1),
+                  lambda kind: 2, linear_map=_eg_map),
+    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1, linear_map=_ogda_map),
     "ogda-s": _Method(OGDAStateSpace, lambda op, z, kind: ogda_s_w0(op, z, kind.gamma),
                       lambda op, z, aux, gamma, kind: (*step_ogda_s(op, z, aux, gamma), 1),
-                      lambda kind: 1, "w"),
+                      lambda kind: 1, "w", _ogda_s_map),
     "la-gda": _Method(
         LookaheadGDA, _no_aux,
         lambda op, z, aux, gamma, kind: (
             step_la_gda(op, z, gamma, kind.k, kind.alpha), aux, kind.k),
-        lambda kind: kind.k,
+        lambda kind: kind.k, linear_map=_la_gda_map,
     ),
     "ogda-varstep": _Method(OGDAVariableStep, _ogda_aux, _ogda_step, lambda kind: 1),
     "ogda-implicit": _Method(
@@ -339,6 +424,12 @@ class Trajectory:
         return len(self.steps)
 
 
+def norm(x) -> float:
+    """Euclidean norm of a real vector: the value of ``np.linalg.norm(x)``,
+    which computes sqrt(x.dot(x)) too, without its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
 class Recorder:
     """Fills a preallocated Trajectory for a loop of ``n_steps`` steps.
 
@@ -370,8 +461,9 @@ class Recorder:
             metrics={name: np.full(n_rec, np.nan) for name in names},
         )
 
-    def record(self, n, t, queries, z, aux):
-        """Record the state after step ``n`` if the record rule selects it."""
+    def record(self, n, t, queries, z, aux, z_norm):
+        """Record the state after step ``n`` if the record rule selects it;
+        ``z_norm`` is ``norm(z)``, already computed by the loop's guard."""
         if n % self.record_every and n != self.n_steps:
             return
         traj, i = self.traj, self.count
@@ -382,10 +474,9 @@ class Recorder:
         if not np.isfinite(z).all():
             return
         cols = traj.metrics
-        v = self.op.field_unchecked(z)
-        cols["z_norm"][i] = float(np.linalg.norm(z))
-        cols["dist_to_solution"][i] = float(np.linalg.norm(z - self.op.solution))
-        cols["v_norm"][i] = float(np.linalg.norm(v))
+        cols["z_norm"][i] = z_norm
+        cols["dist_to_solution"][i] = norm(z - self.op.solution)
+        cols["v_norm"][i] = norm(self.op.field_unchecked(z))
         for name, fn in self.extra_metrics.items():
             cols[name][i] = float(fn(t, z, aux))
 
@@ -411,7 +502,7 @@ def step_loop(recorder: Recorder, step, z, aux, t) -> Trajectory:
     """
     queries = 0
     diverged = False
-    recorder.record(0, t, queries, z, aux)
+    recorder.record(0, t, queries, z, aux, norm(z))
     for n in range(recorder.n_steps):
         try:
             z, aux, t, step_queries = step(n, z, aux, t)
@@ -422,9 +513,10 @@ def step_loop(recorder: Recorder, step, z, aux, t) -> Trajectory:
             break
         queries += step_queries
         finite = np.isfinite(z).all() and (aux is None or np.isfinite(aux).all())
-        if not finite or np.linalg.norm(z) > DIVERGENCE_GUARD:
+        z_norm = norm(z)
+        if not finite or z_norm > DIVERGENCE_GUARD:
             diverged = True
-        recorder.record(n + 1, t, queries, z, aux)
+        recorder.record(n + 1, t, queries, z, aux, z_norm)
         if not finite:
             break
     return recorder.finish(t, queries, diverged)
@@ -440,6 +532,11 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     None).  Records follow the ``Recorder`` rule for ``record_every``; see
     ``step_loop`` for divergence.  A step size ``kind.step_size(n)`` that is
     not positive raises ValueError.
+
+    On an affine operator a method whose row has a ``linear_map`` (gda, eg,
+    ogda, ogda-s, la-gda) is stepped as that recurrence
+    (``_propagator_step``), with the nominal query count per step; the
+    others call their stepper.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -447,7 +544,15 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     z = as_state(z0, op.dim)
     recorder = Recorder(op, kind.name, problem_label or op.label, steps, record_every,
                         extra_metrics)
+    if op.affine and method.linear_map is not None:
+        step = _propagator_step(*method.linear_map(op, kind), op.dim, kind.gamma,
+                                method.queries(kind))
+    else:
+        step = _stepper_step(method, op, kind)
+    return step_loop(recorder, step, z, method.init_aux(op, z, kind), 0.0)
 
+
+def _stepper_step(method, op, kind):
     def step(n, z, aux, t):
         gamma_n = kind.step_size(n)
         if not gamma_n > 0:
@@ -455,4 +560,21 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
         z, aux, queries = method.step(op, z, aux, gamma_n, kind)
         return z, aux, t + gamma_n, queries
 
-    return step_loop(recorder, step, z, method.init_aux(op, z, kind), 0.0)
+    return step
+
+
+def _propagator_step(mat, shift, dim, gamma, queries):
+    """Step of s' = M s + m on s = (z, aux), or s = z for memoryless methods.
+
+    The stacked state (s, 1) maps by S = [[M, m], [0, 1]], assembled once,
+    so each step is one matrix-vector product.
+    """
+    system = stacked_system(mat, shift, 1.0)
+    n = mat.shape[0]
+    one = np.ones(1)
+
+    def step(k, z, aux, t):
+        s = system @ np.concatenate((z, one) if aux is None else (z, aux, one))
+        return s[:dim], None if aux is None else s[dim:n], t + gamma, queries
+
+    return step

@@ -44,6 +44,10 @@ MISUSE = [
     ("run", [*_RUN, "init.z0=[NaN,0]"], "init.z0"),
     ("run", [*_RUN, 'init.z0=["a",0]'], "init.z0"),
     ("run", [*_HRDE, "init.aux0=[NaN,0]"], "init.aux0"),
+    # Read by no discrete method and by no gda-ode run.
+    ("run", [*_RUN, "init.aux0=[5,5]"], "init.aux0"),
+    ("run", [*_RUN, "method.id=ogda-s", "init.aux0=[-1,0]"], "init.aux0"),
+    ("run", [*_HRDE, "method.id=gda-ode", "init.aux0=[0,0]"], "init.aux0"),
     ("run", [*_RUN, "method.id=ogda-implicit", "method.fp_max_iter=0"], "method.fp_max_iter"),
     ("run", [*_RUN, 'problem.params={"foo":1}'], "problem.params"),
     ("run", [*_RUN, "problem.id=scaled-identity", 'problem.params={"dim":2.7}'],

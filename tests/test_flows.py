@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine_cases import AffineField, NonAffineTwin, assert_same_run, monotone_affine_cases
 from saddleflow import flows
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
-    Operator,
     QuarticCounterexample,
     ScaledIdentity,
     random_bilinear,
@@ -258,56 +258,7 @@ class TestFlowFactory:
             flows.ogda2_w_from_omega(SI, [1.0, 0.0], [0.0, 0.0], nan)
 
 
-class AffineField(Operator):
-    """V(z) = M z + q with its zero at z_star; monotone when M + M^T >= 0."""
-
-    label = "affine-field"
-    affine = True
-
-    def __init__(self, m, z_star):
-        self.m = np.array(m, dtype=float)
-        self.q = -(self.m @ z_star)
-        super().__init__(len(z_star), 0, solution=z_star)
-
-    def _field(self, z):
-        return self.m @ z + self.q
-
-    def _jacobian(self, z):
-        return self.m.copy()
-
-
-class RhsAffineField(AffineField):
-    """The same field declared non-affine, so ``integrate`` evaluates ``rhs``."""
-
-    affine = False
-
-
 CONSTANT_FLOWS = [f for f in flows.FLOW_IDS if f != "ogda-hrde2-varstep"]
-
-
-@st.composite
-def monotone_affine_cases(draw):
-    """(M, z_star, z0, aux0): M = w B B^T + (K - K^T), so M + M^T = 2w B B^T >= 0."""
-    dim = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    weight = draw(st.sampled_from([0.0, 0.2, 1.0]))
-    b, k = rng.standard_normal((2, dim, dim))
-    m = weight * (b @ b.T) + (k - k.T)
-    return m, rng.standard_normal(dim), rng.standard_normal(dim), rng.standard_normal(dim)
-
-
-def assert_same_run(fast, ref):
-    np.testing.assert_array_equal(fast.steps, ref.steps)
-    np.testing.assert_array_equal(fast.times, ref.times)
-    np.testing.assert_array_equal(fast.queries, ref.queries)
-    assert fast.diverged == ref.diverged
-    finite = np.isfinite(ref.states)
-    np.testing.assert_array_equal(np.isfinite(fast.states), finite)
-    np.testing.assert_array_equal(np.isnan(fast.states), np.isnan(ref.states))
-    # Within 1e-10 of each record's largest entry (at least 1).
-    ref_states = np.where(finite, ref.states, 0.0)
-    gap = np.abs(np.where(finite, fast.states, 0.0) - ref_states)
-    assert np.all(gap <= 1e-10 * np.maximum(1.0, np.abs(ref_states).max(axis=1, keepdims=True)))
 
 
 class TestAffinePropagator:
@@ -316,7 +267,7 @@ class TestAffinePropagator:
            dt=st.sampled_from([0.005, 0.02, 0.1]), record_every=st.integers(1, 4))
     def test_matches_rhs_path(self, case, gamma, dt, record_every):
         m, z_star, z0, aux0 = case
-        affine, twin = AffineField(m, z_star), RhsAffineField(m, z_star)
+        affine, twin = AffineField(m, z_star), NonAffineTwin(m, z_star)
         for flow_id in CONSTANT_FLOWS:
             kind = flows.make_flow(flow_id, gamma=gamma, alpha=0.4)
             for scheme in ("rk4", "euler"):
@@ -337,7 +288,7 @@ class TestAffinePropagator:
         with np.errstate(over="ignore", invalid="ignore"):
             fast, ref = (flows.integrate(flows.make_flow("gda-hrde", gamma=0.01), op,
                                          np.array([1.0, 0.0]), np.zeros(2), cfg)
-                         for op in (AffineField(m, z_star), RhsAffineField(m, z_star)))
+                         for op in (AffineField(m, z_star), NonAffineTwin(m, z_star)))
         assert ref.diverged and np.isnan(ref.states[-1]).all()
         assert_same_run(fast, ref)
 
@@ -355,7 +306,7 @@ class TestAffinePropagator:
         varstep = flows.VariableStepFlow(lambda t: 2.0)
         flows.integrate(varstep, AffineField(m, z_star), z0, aux0, cfg)
         assert len(calls) == 40
-        flows.integrate(flows.ogda_flow(4.0), RhsAffineField(m, z_star), z0, aux0, cfg)
+        flows.integrate(flows.ogda_flow(4.0), NonAffineTwin(m, z_star), z0, aux0, cfg)
         flows.integrate(flows.ogda_flow(4.0), QuarticCounterexample(), z0, aux0, cfg)
         assert len(calls) == 120
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affine_cases import AffineField, NonAffineTwin, assert_same_run, monotone_affine_cases
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
@@ -308,3 +311,145 @@ class TestMethodFactory:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown method id"):
             opt.make_method("sgd", gamma=0.1)
+
+
+#: The constant-step methods with a one-step map, lookahead at k = 1, 2, 3.
+MAPPED_KINDS = [
+    lambda gamma: opt.GDA(gamma),
+    lambda gamma: opt.EG(gamma),
+    lambda gamma: opt.OGDA(gamma),
+    lambda gamma: opt.OGDAStateSpace(gamma),
+    *(lambda gamma, k=k: opt.LookaheadGDA(gamma, k=k, alpha=0.4) for k in (1, 2, 3)),
+]
+STEPPERS = ("step_gda", "step_eg", "step_ogda", "step_ogda_s", "step_la_gda",
+            "step_ogda_implicit")
+
+
+class TestAffinePropagator:
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(case=monotone_affine_cases(), gamma=st.floats(0.05, 1.0),
+           record_every=st.integers(2, 4))
+    def test_matches_stepper_path(self, case, gamma, record_every):
+        m, z_star, z0, _ = case
+        affine, twin = AffineField(m, z_star), NonAffineTwin(m, z_star)
+        w_parts = {f"aux{i}": (lambda t, z, aux, i=i: np.nan if aux is None else aux[i])
+                   for i in range(len(z_star))}
+        for make in MAPPED_KINDS:
+            kind = make(gamma)
+            full = opt.run(affine, kind, z0, 25, extra_metrics=w_parts)
+            ref = opt.run(twin, kind, z0, 25, extra_metrics=w_parts)
+            assert_same_run(full, ref)
+            for name in w_parts:
+                np.testing.assert_allclose(full.metric(name), ref.metric(name),
+                                           rtol=1e-10, atol=1e-10)
+            # The record rule still slices the every-step run, bit for bit.
+            thin = opt.run(affine, kind, z0, 25, extra_metrics=w_parts,
+                           record_every=record_every)
+            np.testing.assert_array_equal(thin.states, full.states[thin.steps])
+            np.testing.assert_array_equal(thin.queries, full.queries[thin.steps])
+            for name in full.metrics:
+                np.testing.assert_array_equal(thin.metric(name), full.metric(name)[thin.steps])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_gda_overflow_matches_stepper_path(self):
+        # |1 + 12i| per step: the guard trips within a dozen steps and the
+        # state overflows near step 290 on both paths.
+        op, twin = BilinearGame([[1.5]]), BilinearGame([[1.5]])
+        twin.affine = False
+        fast, ref = (opt.run(o, opt.GDA(8.0), [1.0, 0.0], 600) for o in (op, twin))
+        assert fast.diverged and ref.diverged
+        np.testing.assert_array_equal(fast.steps, ref.steps)
+        np.testing.assert_array_equal(fast.times, ref.times)
+        np.testing.assert_array_equal(fast.queries, ref.queries)
+        stop = [np.flatnonzero(~np.isnan(t.states).all(axis=1))[-1] for t in (fast, ref)]
+        assert stop[0] == stop[1] < 600
+        assert np.isinf(fast.states[stop[0]]).any()
+        for traj in (fast, ref):
+            assert np.isnan(traj.states[stop[0] + 1:]).all()
+            assert np.isnan(traj.metric("z_norm")[stop[0]:]).all()
+
+    def test_selected_by_operator_and_method(self, monkeypatch):
+        calls = {name: 0 for name in STEPPERS}
+        for name in STEPPERS:
+            real = getattr(opt, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(opt, name, counted)
+        m, z_star = np.array([[0.5, 1.0], [-1.0, 0.0]]), np.zeros(2)
+        z0 = np.array([1.0, 0.0])
+        for make in MAPPED_KINDS:
+            for op in (AffineField(m, z_star), BG, SI):
+                opt.run(op, make(0.1), z0, 10)
+        assert not any(calls.values())
+        opt.run(AffineField(m, z_star), opt.OGDAVariableStep(), z0, 10)
+        opt.run(AffineField(m, z_star), opt.ImplicitOGDA(0.1), z0, 10)
+        assert calls["step_ogda"] == calls["step_ogda_implicit"] == 10
+        for make in MAPPED_KINDS:
+            opt.run(NonAffineTwin(m, z_star), make(0.1), z0, 10)
+            opt.run(QuarticCounterexample(), make(0.01), z0, 10)
+        assert calls == {"step_gda": 20, "step_eg": 20, "step_ogda": 30, "step_ogda_s": 20,
+                         "step_la_gda": 60, "step_ogda_implicit": 10}
+
+    def test_linear_map_requires_an_affine_operator(self):
+        for method_id in ("gda", "eg", "ogda", "ogda-s", "la-gda"):
+            kind = opt.make_method(method_id, gamma=0.1)
+            with pytest.raises(ValueError, match="affine"):
+                opt._METHODS[method_id].linear_map(QuarticCounterexample(), kind)
+        assert opt._METHODS["ogda-varstep"].linear_map is None
+        assert opt._METHODS["ogda-implicit"].linear_map is None
+
+
+def _spectral_radius(mat):
+    return float(np.max(np.abs(np.linalg.eigvals(mat))))
+
+
+class TestOneStepSpectra:
+    """On a bilinear game J has eigenvalues +-i s for the singular values s
+    of A, so each one-step matrix has the spectrum of its polynomial in J."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0])
+    def test_spectral_radius_closed_forms(self, seed, gamma):
+        op = random_bilinear(seed, 3, 3)
+        s = np.linalg.svd(op.A, compute_uv=False)
+        is_ = 1j * gamma * s
+
+        def radius(method_id, **params):
+            kind = opt.make_method(method_id, gamma=gamma, **params)
+            return _spectral_radius(opt._METHODS[method_id].linear_map(op, kind)[0])
+
+        assert radius("gda") == pytest.approx(np.max(np.abs(1 - is_)), rel=1e-12)
+        assert radius("eg") == pytest.approx(np.max(np.abs(1 - is_ + is_ ** 2)), rel=1e-12)
+        # Both optimistic forms: lambda^2 - (1 - 2 i gamma s) lambda - i gamma s = 0.
+        root = np.sqrt(1 - 4 * (gamma * s) ** 2 + 0j)
+        expected = np.max(np.abs([(1 - 2 * is_ + root) / 2, (1 - 2 * is_ - root) / 2]))
+        assert radius("ogda") == pytest.approx(expected, rel=1e-9)
+        assert radius("ogda-s") == pytest.approx(expected, rel=1e-9)
+        for k in (1, 2, 3):
+            for alpha in (0.25, 0.5, 1.0):
+                expected = np.max(np.abs((1 - alpha) + alpha * (1 - is_) ** k))
+                assert radius("la-gda", k=k, alpha=alpha) == pytest.approx(expected, rel=1e-10)
+
+    def test_maps_reproduce_one_step(self):
+        # (M, m) applied to a state equals one stepper call, with q != 0.
+        rng = np.random.default_rng(0)
+        op = AffineField(rng.standard_normal((4, 4)), rng.standard_normal(4))
+        z, aux = rng.standard_normal(op.dim), rng.standard_normal(op.dim)
+        gamma = 0.2
+        cases = [
+            ("gda", {}, None, lambda: opt.step_gda(op, z, gamma)),
+            ("eg", {}, None, lambda: opt.step_eg(op, z, gamma)),
+            ("la-gda", {"k": 3, "alpha": 0.4}, None,
+             lambda: opt.step_la_gda(op, z, gamma, 3, 0.4)),
+            ("ogda", {}, aux, lambda: np.concatenate(opt.step_ogda(op, z, aux, gamma))),
+            ("ogda-s", {}, aux, lambda: np.concatenate(opt.step_ogda_s(op, z, aux, gamma))),
+        ]
+        for method_id, params, memory, stepped in cases:
+            kind = opt.make_method(method_id, gamma=gamma, **params)
+            mat, shift = opt._METHODS[method_id].linear_map(op, kind)
+            state = z if memory is None else np.concatenate([z, memory])
+            np.testing.assert_allclose(mat @ state + shift, stepped(), rtol=0, atol=1e-13)
