@@ -33,20 +33,19 @@ from .svgplot import line_plot
 
 CSV_BASE_COLUMNS = ("step", "time", "queries", "z_norm", "dist_to_solution", "v_norm")
 
-#: Lyapunov scales a row supplies, by the argument it is built from: a
-#: constant gamma gives beta = 2/gamma, kappa = 1/gamma and gamma; a gamma(t)
+#: Lyapunov scales a row supplies, by the arguments it reads: a constant
+#: gamma gives beta = 2/gamma, kappa = 1/gamma and gamma; a gamma(t)
 #: schedule (a kappa_fn flow) gives beta(t) only.
-_SUPPLIED_SCALES = {"gamma": ("beta", "kappa", "gamma"), "kappa_fn": ("beta(t)",), None: ()}
+_SUPPLIED_SCALES = {"gamma": ("beta", "kappa", "gamma"), "kappa_fn": ("beta(t)",)}
 
 
 def _row(mode, method_id):
-    """(aux variable, argument) of a method or flow row.  A method's argument
-    is "gamma" when its descriptor has a gamma field."""
+    """(aux variable, the arguments it reads) of a method or flow row: the
+    descriptor's fields, or the flow builder's parameters."""
     if mode == "hrde":
-        return flows._FLOWS[method_id][:2]
+        return flows._FLOWS[method_id][0], flows.FLOW_READS[method_id]
     row = optimizers._METHODS[method_id]
-    takes_gamma = any(f.name == "gamma" for f in fields(row.descriptor))
-    return row.aux_var, "gamma" if takes_gamma else None
+    return row.aux_var, tuple(f.name for f in fields(row.descriptor))
 
 
 #: Lyapunov kinds admissible per method/flow identifier: those on the row's
@@ -55,10 +54,11 @@ LYAPUNOV_COMPAT = {
     method_id: kinds
     for mode, ids in (("hrde", flows.FLOW_IDS), ("discrete", optimizers.METHOD_IDS))
     for method_id in ids
-    for aux_var, arg in [_row(mode, method_id)]
+    for aux_var, reads in [_row(mode, method_id)]
+    for scales in [[s for arg in reads for s in _SUPPLIED_SCALES.get(arg, ())]]
     if (kinds := tuple(kind for kind, k in lyapunov.KINDS.items()
                        if k.aux_var == aux_var and (k.discrete or mode == "hrde")
-                       and k.scale in (None, *_SUPPLIED_SCALES[arg])))
+                       and k.scale in (None, *scales)))
 }
 
 
@@ -159,7 +159,7 @@ CONFIG_KEYS = {
         "t_end": ("t_end", _positive, None),
         "dt": ("dt", _positive, None),
         "record_every": ("record_every", _int_at_least(1), 1),
-        "scheme": ("scheme", _one_of(("rk4", "euler")), "rk4"),
+        "scheme": ("scheme", _one_of(tuple(flows.SCHEMES)), "rk4"),
     },
     "lyapunov": ("lyapunov_kinds", _list_of(_one_of(tuple(lyapunov.KINDS))), ()),
     "init": {
@@ -179,7 +179,8 @@ CONFIG_KEYS = {
 }
 
 
-def _walk(table, section, prefix, cfg):
+def _walk(table, section, prefix, cfg, given):
+    """Check ``section`` into ``cfg``; ``given`` maps each non-null key's attribute to its path."""
     where = prefix[:-1] or "config"
     section = {} if section is None else _is_dict(section, where)
     unknown = section.keys() - table.keys()
@@ -189,10 +190,12 @@ def _walk(table, section, prefix, cfg):
     for key, row in table.items():
         value = section.get(key)
         if isinstance(row, dict):
-            _walk(row, value, f"{prefix}{key}.", cfg)
+            _walk(row, value, f"{prefix}{key}.", cfg, given)
+        elif value is None:
+            setattr(cfg, row[0], row[2])
         else:
-            attr, check, default = row
-            setattr(cfg, attr, default if value is None else check(value, prefix + key))
+            setattr(cfg, row[0], row[1](value, prefix + key))
+            given[row[0]] = prefix + key
 
 
 def _parse_json_object(text: str) -> dict:
@@ -212,19 +215,26 @@ def parse_config(text: str) -> SimpleNamespace:
 
 def validate_config(raw: dict) -> SimpleNamespace:
     """Check ``raw`` against CONFIG_KEYS; returns one attribute per key."""
-    cfg = SimpleNamespace()
-    _walk(CONFIG_KEYS, raw, "", cfg)
+    cfg, given = SimpleNamespace(), {}
+    _walk(CONFIG_KEYS, raw, "", cfg, given)
 
     known_ids = optimizers.METHOD_IDS if cfg.mode == "discrete" else flows.FLOW_IDS
     if cfg.method_id not in known_ids:
         raise ConfigError(f"method.id: {cfg.method_id!r} is not a {cfg.mode} method; "
                           f"known: {', '.join(known_ids)}")
+    aux_var, reads = _row(cfg.mode, cfg.method_id)
+    # The rates report reads method.gamma for every method; a kappa_fn flow
+    # is built from the method.schedule gamma(t).
+    schedule = ("gamma0", "power") if "kappa_fn" in reads else ()
+    for attr, path in given.items():
+        if path.startswith("method.") and attr not in ("method_id", "gamma", *reads, *schedule):
+            raise ConfigError(f"{path}: not read by {cfg.mode} method {cfg.method_id!r}")
 
     # Mode/field mismatches are config errors; the "required" side is
     # enforced by execute_run (report-only commands need no budget).
     if cfg.aux0 is not None and cfg.mode == "discrete":
         raise ConfigError("init.aux0: discrete methods seed their own memory from init.z0")
-    if cfg.aux0 is not None and _row(cfg.mode, cfg.method_id)[0] is None:
+    if cfg.aux0 is not None and aux_var is None:
         raise ConfigError(f"init.aux0: flow {cfg.method_id!r} has no aux variable to seed")
     if cfg.mode == "discrete":
         if cfg.t_end is not None or cfg.dt is not None:
@@ -275,8 +285,8 @@ def execute_run(cfg: SimpleNamespace):
     """Build the problem and run/integrate per the config; returns
     (operator, trajectory)."""
     op = _build_problem(cfg)
-    aux_var, arg = _row(cfg.mode, cfg.method_id)
-    if arg == "gamma" and cfg.gamma is None:
+    aux_var, reads = _row(cfg.mode, cfg.method_id)
+    if "gamma" in reads and cfg.gamma is None:
         raise ConfigError(f"method.gamma: required for method {cfg.method_id!r}")
     if cfg.mode == "discrete" and cfg.steps is None:
         raise ConfigError("budget.steps: required in discrete mode")
@@ -287,7 +297,7 @@ def execute_run(cfg: SimpleNamespace):
         if vector is not None and vector.shape != (op.dim,):
             raise ConfigError(f"init.{key}: expected {op.dim} entries, got {vector.size}")
     z0 = np.ones(op.dim) / np.sqrt(op.dim) if cfg.z0 is None else cfg.z0
-    gamma_fn = ((lambda t: cfg.gamma0 * (1.0 + t) ** (-cfg.power)) if arg == "kappa_fn"
+    gamma_fn = ((lambda t: cfg.gamma0 * (1.0 + t) ** (-cfg.power)) if "kappa_fn" in reads
                 else lambda t: cfg.gamma)
     monitors = _monitors(cfg, op, gamma_fn)
 
@@ -300,7 +310,7 @@ def execute_run(cfg: SimpleNamespace):
         return op, optimizers.run(op, kind, z0, cfg.steps, extra_metrics=monitors,
                                   record_every=cfg.record_every)
 
-    kappa_fn = (lambda t: 1.0 / gamma_fn(t)) if arg == "kappa_fn" else None
+    kappa_fn = (lambda t: 1.0 / gamma_fn(t)) if "kappa_fn" in reads else None
     kind = flows.make_flow(cfg.method_id, gamma=cfg.gamma, alpha=cfg.alpha, kappa_fn=kappa_fn)
     aux0 = np.zeros(op.dim) if cfg.aux0 is None else cfg.aux0
     if cfg.aux0 is None and aux_var == "w":

@@ -24,16 +24,20 @@ baseline dz/dt = -V(z) is also provided; it carries an empty aux.
 
 On an affine field V(z) = J z + q every constant-parameter flow is the
 linear system d/dt (z, aux) = C (z, aux) + m, which its ``linear_map``
-returns; ``integrate`` then steps that system directly.
+returns.  A fixed-step scheme on it is the one-step map s' = R s of the
+stacked state, which ``integrate`` steps as ``run`` steps a method's map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from inspect import signature
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .optimizers import Recorder, Trajectory, affine_parts, stacked_system, step_loop
+from .optimizers import (Recorder, Trajectory, affine_parts, propagator_step,
+                         stacked_system, step_loop)
 from .problems import Operator, as_state
 
 Array = np.ndarray
@@ -137,10 +141,6 @@ class ConstantKappaFlow:
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
 
-    def kappa_fn(self, t) -> float:
-        """kappa(t), as VariableStepFlow has it; constant here."""
-        return self.kappa
-
     def derivative(self, op, z, w, t):
         return _optimistic_derivative(op, z, w, self.kappa)
 
@@ -201,6 +201,11 @@ def ogda2_w_from_omega(op: Operator, z0, omega0, gamma) -> Array:
 # Fixed-step integration
 # ---------------------------------------------------------------------------
 
+#: Fixed-step scheme -> the degree of its one-step map R(dt*S) on a linear
+#: flow, which is also its field evaluations per step.
+SCHEMES = {"rk4": 4, "euler": 1}
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step scheme settings; the integration takes round(t_end/dt)
@@ -212,8 +217,8 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.scheme not in ("rk4", "euler"):
-            raise ValueError("scheme must be 'rk4' or 'euler'")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if self.dt > self.t_end:
@@ -228,85 +233,64 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
 
     Metric columns are those of the discrete run loop (z_norm,
     dist_to_solution, v_norm).  ``extra_metrics`` callables receive (t, z, aux).
-    The query column counts the field evaluations of the scheme: 4 per RK4
-    step and 1 per Euler step.  Divergence is recorded as in
+    The query column counts the field evaluations of the scheme (``SCHEMES``):
+    4 per RK4 step and 1 per Euler step.  Divergence is recorded as in
     ``optimizers.step_loop``; caller errors, such as a schedule with
     kappa(t) <= 0, raise.
 
-    On an affine operator a flow with a ``linear_map`` is stepped as that
-    linear system (``_propagator_step``); every other pair evaluates ``rhs``.
+    On an affine operator a flow with a ``linear_map`` is stepped by its
+    scheme's one-step map R (``_scheme_map``); every other pair evaluates
+    ``rhs`` at each stage, which can overflow one step before R s does.
     """
     z = as_state(z0, op.dim).copy()
     aux = np.zeros(0) if isinstance(kind, LowResolutionFlow) else as_state(aux0, op.dim).copy()
     recorder = Recorder(op, kind.name, problem_label or op.label,
                         int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
     if op.affine and hasattr(kind, "linear_map"):
-        step = _propagator_step(*kind.linear_map(op), op.dim, cfg, t0)
+        step = propagator_step(_scheme_map(kind, op, cfg), op.dim, SCHEMES[cfg.scheme],
+                               lambda k, t: t0 + (k + 1) * cfg.dt)
     else:
         step = _rhs_step(kind, op, cfg, t0)
     return step_loop(recorder, step, z, aux, t0)
 
 
+def _scheme_map(kind, op, cfg):
+    """The scheme's stability function of A = dt*S, S = [[C, m], [0, 0]]:
+    R = sum_{j<=p} A^j / j! = I + A (I + A/2 (... (I + A/p))), in Horner's
+    form on two buffers, with p the scheme's degree (I + A for Euler)."""
+    a = stacked_system(*kind.linear_map(op), 0.0)
+    degree = SCHEMES[cfg.scheme]
+    # An overflowing R is a divergence for the step loop to record, not an error.
+    with np.errstate(all="ignore"):
+        a *= cfg.dt
+        r, tmp = a / degree, np.empty_like(a)
+        diag = np.diag_indices_from(r)
+        r[diag] += 1.0
+        for j in range(degree - 1, 0, -1):
+            for c in range(0, len(a), 64):  # column tiles keep BLAS's packing buffer small
+                np.matmul(a, r[:, c:c + 64], out=tmp[:, c:c + 64])
+            tmp /= j
+            tmp[diag] += 1.0
+            r, tmp = tmp, r
+    return r
+
+
 def _rhs_step(kind, op, cfg, t0):
-    counting = _CountingOperator(op)
+    # The field without validation: the loop handles non-finite states itself.
+    unchecked = SimpleNamespace(field=op.field_unchecked, jacobian=op.jacobian)
+    queries = SCHEMES[cfg.scheme]
 
     def step(n, z, aux, t):
-        before = counting.evals
-        z, aux = _advance(kind, counting, z, aux, t, cfg.dt, cfg.scheme)
-        return z, aux, t0 + (n + 1) * cfg.dt, counting.evals - before
+        z, aux = _advance(kind, unchecked, z, aux, t, cfg.dt, cfg.scheme)
+        return z, aux, t0 + (n + 1) * cfg.dt, queries
 
     return step
-
-
-def _propagator_step(c, m, dim, cfg, t0):
-    """Step of d/dt (z, aux) = C (z, aux) + m by the stages of ``_advance``.
-
-    The stacked state s = (z, aux, 1) obeys ds/dt = S s with S = [[C, m],
-    [0, 0]], assembled once, so each stage is one matrix-vector product and
-    an RK4 step applies RK4's stability function of dt*S.
-    """
-    n = c.shape[0]
-    system = stacked_system(c, m, 0.0)
-    dt, euler = cfg.dt, cfg.scheme == "euler"
-    queries = 1 if euler else 4
-    one = np.ones(1)
-
-    def step(k, z, aux, t):
-        s = np.concatenate((z, aux, one))
-        k1 = system @ s
-        if euler:
-            s = s + dt * k1
-        else:
-            k2 = system @ (s + 0.5 * dt * k1)
-            k3 = system @ (s + 0.5 * dt * k2)
-            k4 = system @ (s + dt * k3)
-            s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return s[:dim], s[dim:n], t0 + (k + 1) * dt, queries
-
-    return step
-
-
-class _CountingOperator:
-    """Thin pass-through that counts field evaluations (no validation: the
-    integrator handles non-finite states itself)."""
-
-    def __init__(self, op):
-        self._op = op
-        self.evals = 0
-
-    def field(self, z):
-        self.evals += 1
-        return self._op.field_unchecked(z)
-
-    def jacobian(self, z):
-        return self._op.jacobian(z)
 
 
 def _advance(kind, op, z, aux, t, dt, scheme):
-    if scheme == "euler":
-        dz, da = rhs(kind, op, z, aux, t)
-        return z + dt * dz, aux + dt * da
     dz1, da1 = rhs(kind, op, z, aux, t)
+    if scheme == "euler":
+        return z + dt * dz1, aux + dt * da1
     dz2, da2 = rhs(kind, op, z + 0.5 * dt * dz1, aux + 0.5 * dt * da1, t + 0.5 * dt)
     dz3, da3 = rhs(kind, op, z + 0.5 * dt * dz2, aux + 0.5 * dt * da2, t + 0.5 * dt)
     dz4, da4 = rhs(kind, op, z + dt * dz3, aux + dt * da3, t + dt)
@@ -315,24 +299,25 @@ def _advance(kind, op, z, aux, t, dt, scheme):
     return z_next, aux_next
 
 
-#: Flow id -> (its aux variable, the argument the flow is built from,
-#: builder(gamma, alpha, kappa_fn)); the order is the CLI catalog order.
+#: Flow id -> (its aux variable, builder); a builder's parameters are the
+#: arguments among gamma, alpha and kappa_fn that the flow reads.  The order
+#: is the CLI catalog order.
 _FLOWS = {
-    "gda-hrde": ("omega", "gamma", lambda gamma, alpha, kappa_fn: gda_flow(2.0 / gamma)),
-    "eg-hrde": ("omega", "gamma", lambda gamma, alpha, kappa_fn: eg_flow(2.0 / gamma)),
-    "ogda-hrde": ("omega", "gamma", lambda gamma, alpha, kappa_fn: ogda_flow(2.0 / gamma)),
-    "la2-gda-hrde": ("omega", "gamma",
-                     lambda gamma, alpha, kappa_fn: la2_flow(2.0 / gamma, alpha)),
-    "la3-gda-hrde": ("omega", "gamma",
-                     lambda gamma, alpha, kappa_fn: la3_flow(2.0 / gamma, alpha)),
-    "ogda-hrde2": ("w", "gamma", lambda gamma, alpha, kappa_fn: ConstantKappaFlow(1.0 / gamma)),
-    "ogda-hrde2-varstep": ("w", "kappa_fn",
-                           lambda gamma, alpha, kappa_fn: VariableStepFlow(kappa_fn)),
-    "gda-ode": (None, None, lambda gamma, alpha, kappa_fn: LowResolutionFlow()),
+    "gda-hrde": ("omega", lambda gamma: gda_flow(2.0 / gamma)),
+    "eg-hrde": ("omega", lambda gamma: eg_flow(2.0 / gamma)),
+    "ogda-hrde": ("omega", lambda gamma: ogda_flow(2.0 / gamma)),
+    "la2-gda-hrde": ("omega", lambda gamma, alpha: la2_flow(2.0 / gamma, alpha)),
+    "la3-gda-hrde": ("omega", lambda gamma, alpha: la3_flow(2.0 / gamma, alpha)),
+    "ogda-hrde2": ("w", lambda gamma: ConstantKappaFlow(1.0 / gamma)),
+    "ogda-hrde2-varstep": ("w", lambda kappa_fn: VariableStepFlow(kappa_fn)),
+    "gda-ode": (None, lambda: LowResolutionFlow()),
 }
 
 #: Flow identifiers exposed to the CLI.
 FLOW_IDS = tuple(_FLOWS)
+
+#: Flow id -> the arguments among gamma, alpha and kappa_fn that it reads.
+FLOW_READS = {fid: tuple(signature(build).parameters) for fid, (_, build) in _FLOWS.items()}
 
 
 def make_flow(flow_id, gamma=None, alpha=0.5, kappa_fn=None):
@@ -343,9 +328,10 @@ def make_flow(flow_id, gamma=None, alpha=0.5, kappa_fn=None):
     """
     if flow_id not in _FLOWS:
         raise ValueError(f"unknown flow id {flow_id!r}; known: {', '.join(FLOW_IDS)}")
-    _, needs, build = _FLOWS[flow_id]
-    if needs == "gamma" and (gamma is None or not gamma > 0):
+    reads = FLOW_READS[flow_id]
+    if "gamma" in reads and (gamma is None or not gamma > 0):
         raise ValueError(f"flow {flow_id!r} requires positive gamma")
-    if needs == "kappa_fn" and kappa_fn is None:
+    if "kappa_fn" in reads and kappa_fn is None:
         raise ValueError(f"{flow_id} requires a kappa schedule")
-    return build(gamma, alpha, kappa_fn)
+    args = {"gamma": gamma, "alpha": alpha, "kappa_fn": kappa_fn}
+    return _FLOWS[flow_id][1](**{name: args[name] for name in reads})

@@ -237,7 +237,8 @@ def stacked_system(c, m, corner) -> Array:
     """S = [[C, m], [0, corner]], acting on the stacked state (z, aux, 1).
 
     ``corner`` is 1 for a one-step map s' = C s + m, so that s' = S s, and 0
-    for a flow ds/dt = C s + m, so that ds/dt = S s.
+    for a flow ds/dt = C s + m, so that ds/dt = S s; ``flows.integrate``
+    turns the latter into its scheme's one-step map R(dt S).
     """
     n = c.shape[0]
     system = np.zeros((n + 1, n + 1))
@@ -535,7 +536,7 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
 
     On an affine operator a method whose row has a ``linear_map`` (gda, eg,
     ogda, ogda-s, la-gda) is stepped as that recurrence
-    (``_propagator_step``), with the nominal query count per step; the
+    (``propagator_step``), with the nominal query count per step; the
     others call their stepper.
     """
     if steps < 1:
@@ -545,8 +546,8 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     recorder = Recorder(op, kind.name, problem_label or op.label, steps, record_every,
                         extra_metrics)
     if op.affine and method.linear_map is not None:
-        step = _propagator_step(*method.linear_map(op, kind), op.dim, kind.gamma,
-                                method.queries(kind))
+        step = propagator_step(stacked_system(*method.linear_map(op, kind), 1.0), op.dim,
+                               method.queries(kind), lambda k, t: t + kind.gamma)
     else:
         step = _stepper_step(method, op, kind)
     return step_loop(recorder, step, z, method.init_aux(op, z, kind), 0.0)
@@ -563,18 +564,18 @@ def _stepper_step(method, op, kind):
     return step
 
 
-def _propagator_step(mat, shift, dim, gamma, queries):
-    """Step of s' = M s + m on s = (z, aux), or s = z for memoryless methods.
+def propagator_step(system, dim, queries, next_time):
+    """Step of the stacked state s = (z, aux, 1), or (z, 1) for memoryless
+    methods, by s' = ``system`` s: one matrix-vector product per step.
 
-    The stacked state (s, 1) maps by S = [[M, m], [0, 1]], assembled once,
-    so each step is one matrix-vector product.
+    ``system`` is a one-step map [[M, m], [0, 1]]: a method's recurrence, or
+    the one-step map of a fixed-step scheme on a linear flow.  Each step
+    reports ``queries`` and the time ``next_time(k, t)`` after step k.
     """
-    system = stacked_system(mat, shift, 1.0)
-    n = mat.shape[0]
     one = np.ones(1)
 
     def step(k, z, aux, t):
         s = system @ np.concatenate((z, one) if aux is None else (z, aux, one))
-        return s[:dim], None if aux is None else s[dim:n], t + gamma, queries
+        return s[:dim], None if aux is None else s[dim:-1], next_time(k, t), queries
 
     return step

@@ -59,6 +59,13 @@ MISUSE = [
     ("run", [*_RUN, "method.gamma=true"], "method.gamma"),
     ("run", [*_RUN, "method.id=la-gda", "method.k=true"], "method.k"),
     ("run", [*_RUN, "outputs.svg=x.svg"], "outputs.svg"),
+    # Valid values on a row that never reads them.
+    ("run", [*_RUN, "method.alpha=0.4"], "method.alpha"),
+    ("run", [*_RUN, "method.k=7"], "method.k"),
+    ("run", [*_RUN, "method.schedule.gamma0=0.2"], "method.schedule.gamma0"),
+    ("run", [*_HRDE, "method.schedule.power=0.5"], "method.schedule.power"),
+    ("run", [*_HRDE, "method.fp_tol=1e-9"], "method.fp_tol"),
+    ("run", [*_RUN, "method.id=la-gda", "method.fp_max_iter=10"], "method.fp_max_iter"),
 ]
 
 

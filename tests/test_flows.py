@@ -1,5 +1,7 @@
 """Tests for the flow right-hand sides and the fixed-step integrators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,7 +238,7 @@ class TestFlowFactory:
     def test_ids(self):
         assert flows.make_flow("gda-hrde", gamma=0.1).beta == 20.0
         fixed = flows.make_flow("ogda-hrde2", gamma=0.1)
-        assert fixed.name == "ogda-hrde2" and fixed.kappa_fn(0.0) == fixed.kappa_fn(7.0) == 10.0
+        assert fixed.name == "ogda-hrde2" and fixed.kappa == 10.0
         assert isinstance(flows.make_flow("gda-ode"), flows.LowResolutionFlow)
         varstep = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 1.0 + t)
         assert varstep.kappa_fn(1.0) == 2.0
@@ -282,15 +284,74 @@ class TestAffinePropagator:
     @pytest.mark.parametrize("scheme, t_end", [("rk4", 20.0), ("euler", 40.0)])
     def test_blow_up_matches_rhs_path(self, scheme, t_end):
         # dt*beta = 20 lies far outside both schemes' stability regions, so
-        # gda-hrde overflows to a non-finite state within the budget.
+        # gda-hrde overflows to a non-finite state within the budget.  The
+        # rhs path overflows inside a stage while the exact next state R s is
+        # still finite, so it stops one step before the propagator does.
+        dt, beta = 0.1, 200.0
         m, z_star = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2)
-        cfg = flows.IntegratorConfig(scheme, 0.1, t_end, record_every=3)
+        z0, omega0 = np.array([1.0, 0.0]), np.zeros(2)
+        cfg = flows.IntegratorConfig(scheme, dt, t_end)
         with np.errstate(over="ignore", invalid="ignore"):
-            fast, ref = (flows.integrate(flows.make_flow("gda-hrde", gamma=0.01), op,
-                                         np.array([1.0, 0.0]), np.zeros(2), cfg)
+            fast, ref = (flows.integrate(flows.make_flow("gda-hrde", gamma=2.0 / beta), op,
+                                         z0, omega0, cfg)
                          for op in (AffineField(m, z_star), NonAffineTwin(m, z_star)))
-        assert ref.diverged and np.isnan(ref.states[-1]).all()
-        assert_same_run(fast, ref)
+            # R = sum_{j<=p} (dt C)^j / j! on s = (z, omega), with
+            # C = [[0, I], [-beta M, -beta I]]; q = 0, so m drops out.
+            c = np.block([[np.zeros((2, 2)), np.eye(2)], [-beta * m, -beta * np.eye(2)]])
+            term, r = np.eye(4), np.eye(4)
+            for j in range(1, 5 if scheme == "rk4" else 2):
+                term = term @ (dt * c) / j
+                r = r + term
+            s, n_stop = np.concatenate([z0, omega0]), 0
+            while np.isfinite(s).all():
+                s, n_stop = r @ s, n_stop + 1
+
+        def first(flags):
+            return int(np.argmax(flags))
+
+        def stop(traj):  # the step after which the loop stopped
+            return int(round(traj.times[-1] / dt))
+
+        assert fast.diverged and ref.diverged
+        over = [first(t.metric("z_norm") > opt.DIVERGENCE_GUARD) for t in (fast, ref)]
+        assert over[0] == over[1] > 0
+        # Every record up to the rhs path's first non-finite one agrees.
+        n_ref = first(~np.isfinite(ref.states).all(axis=1))
+        head = [replace(t, steps=t.steps[:n_ref], times=t.times[:n_ref],
+                        queries=t.queries[:n_ref], states=t.states[:n_ref]) for t in (fast, ref)]
+        assert_same_run(*head)
+        # The propagator stops where R^n s0 overflows, the rhs path a step before.
+        assert stop(fast) == n_stop and stop(ref) == n_stop - 1
+        assert np.isfinite(fast.states[:n_stop]).all()
+        assert np.isnan(fast.states[n_stop + 1:]).all() and np.isnan(ref.states[n_ref:]).all()
+
+    @pytest.mark.parametrize("scheme", ["rk4", "euler"])
+    @pytest.mark.parametrize("mu, dt", [(1.0, 0.1), (6.0, 0.5)])
+    def test_scheme_map_closed_form(self, scheme, mu, dt):
+        # dz/dt = -mu z: one step multiplies z by the scheme's stability
+        # function R(x) at x = -mu*dt.  At mu*dt = 3, RK4's R = 1.375 > 1, so
+        # the integration grows although the flow decays.
+        x, n = -mu * dt, 20
+        r = 1.0 + x if scheme == "euler" else 1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24
+        if mu * dt == 3.0 and scheme == "rk4":
+            assert r == 1.375
+        z0 = np.array([0.6, -0.8])
+        cfg = flows.IntegratorConfig(scheme, dt, n * dt)
+        traj = flows.integrate(flows.make_flow("gda-ode"), ScaledIdentity(mu, 2), z0, None, cfg)
+        want = r ** np.arange(n + 1)[:, None] * z0
+        np.testing.assert_allclose(traj.states, want, rtol=1e-13, atol=0)
+        assert not traj.diverged
+
+    def test_overflowing_scheme_map_is_divergence(self):
+        # dt*beta = 2e79: R overflows while it is built.  Under a caller's
+        # np.errstate(all="raise") that is still a recorded divergence, as an
+        # overflowing rhs stage is, never a raised FloatingPointError.
+        cfg = flows.IntegratorConfig("rk4", 0.1, 1.0)
+        kind = flows.make_flow("gda-hrde", gamma=1e-80)
+        for op in (ScaledIdentity(1.0, 2), NonAffineTwin(np.eye(2), np.zeros(2))):
+            with np.errstate(all="raise"):
+                traj = flows.integrate(kind, op, np.array([1.0, 0.0]), np.zeros(2), cfg)
+            assert traj.diverged and np.isnan(traj.states[-1]).all()
 
     def test_selected_by_operator_and_flow(self, monkeypatch):
         calls = []

@@ -67,16 +67,18 @@ def _method_runs():
     runs = {}
     for problem in PROBLEMS:
         for method in optimizers.METHOD_IDS:
+            lookahead = [("method.k", 3), ("method.alpha", 0.4)] if method == "la-gda" else []
             runs[f"discrete/{problem}/{method}"] = ["run", *_sets([
                 ("problem.id", problem), ("mode", "discrete"), ("method.id", method),
-                ("method.gamma", 0.05), ("method.k", 3), ("method.alpha", 0.4),
+                ("method.gamma", 0.05), *lookahead,
                 ("budget.steps", 60), ("budget.record_every", 7),
             ])]
         for scheme in ("rk4", "euler"):
             for flow in flows.FLOW_IDS:
+                alpha = [("method.alpha", 0.4)] if flow.startswith("la") else []
                 runs[f"hrde/{scheme}/{problem}/{flow}"] = ["run", *_sets([
                     ("problem.id", problem), ("mode", "hrde"), ("method.id", flow),
-                    ("method.gamma", 0.1), ("method.alpha", 0.4),
+                    ("method.gamma", 0.1), *alpha,
                     ("budget.t_end", 0.5), ("budget.dt", 0.01),
                     ("budget.record_every", 3), ("budget.scheme", scheme),
                 ])]
