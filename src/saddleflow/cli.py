@@ -213,10 +213,16 @@ def parse_config(text: str) -> SimpleNamespace:
     return validate_config(_parse_json_object(text))
 
 
-def validate_config(raw: dict) -> SimpleNamespace:
-    """Check ``raw`` against CONFIG_KEYS; returns one attribute per key."""
+def validate_config(raw: dict, command="run") -> SimpleNamespace:
+    """Check ``raw`` against CONFIG_KEYS for the CLI ``command`` that reads
+    it; returns one attribute per key."""
     cfg, given = SimpleNamespace(), {}
     _walk(CONFIG_KEYS, raw, "", cfg, given)
+    if command == "stability":
+        for path in given.values():
+            if path.startswith("method."):
+                raise ConfigError(f"{path}: not read by the stability command, "
+                                  "which takes its methods from stability.methods")
 
     known_ids = optimizers.METHOD_IDS if cfg.mode == "discrete" else flows.FLOW_IDS
     if cfg.method_id not in known_ids:
@@ -327,28 +333,17 @@ def execute_run(cfg: SimpleNamespace):
 # Emitters
 # ---------------------------------------------------------------------------
 
-def _g17(x) -> str:
-    return format(float(x), ".17g")
-
-
 def trajectory_csv(traj) -> str:
     """Fixed-schema CSV: step,time,queries,z_norm,dist_to_solution,v_norm
     plus one lyap_<kind> column per attached monitor."""
     lyap_cols = [name for name in traj.metrics if name.startswith("lyap_")]
     header = ",".join(CSV_BASE_COLUMNS + tuple(lyap_cols))
-    lines = [header]
-    for i in range(len(traj)):
-        row = [
-            str(int(traj.steps[i])),
-            _g17(traj.times[i]),
-            str(int(traj.queries[i])),
-            _g17(traj.metric("z_norm")[i]),
-            _g17(traj.metric("dist_to_solution")[i]),
-            _g17(traj.metric("v_norm")[i]),
-        ]
-        row.extend(_g17(traj.metric(c)[i]) for c in lyap_cols)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    # Formatted column by column from Python numbers (tolist): the same text
+    # as formatting each numpy scalar, in fewer calls.
+    floats = [traj.times, *(traj.metric(c) for c in (*CSV_BASE_COLUMNS[3:], *lyap_cols))]
+    times, *metrics = [[format(x, ".17g") for x in col.tolist()] for col in floats]
+    rows = zip(map(str, traj.steps.tolist()), times, map(str, traj.queries.tolist()), *metrics)
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 def _finite_or_none(x):
@@ -418,11 +413,10 @@ def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
         traj = optimizers.run(game, kind, z0, steps, problem_label="bilinear-figure")
         dist = traj.metric("dist_to_solution")
         series.append((label, traj.queries, dist))
-        for i in range(len(traj)):
-            rows.append((label, int(traj.steps[i]), int(traj.queries[i]), dist[i]))
+        rows += [f"{label},{s},{q},{d:.17g}" for s, q, d in
+                 zip(traj.steps.tolist(), traj.queries.tolist(), dist.tolist())]
 
-    csv_lines = ["method,step,queries,dist_to_solution"]
-    csv_lines += [f"{m},{s},{q},{_g17(d)}" for m, s, q, d in rows]
+    csv_lines = ["method,step,queries,dist_to_solution", *rows]
     if out_csv is not None:
         _write(out_csv, "\n".join(csv_lines) + "\n")
     svg = line_plot(
@@ -565,7 +559,7 @@ def _load_config(args) -> SimpleNamespace:
         _apply_override(raw, assignment)
     if args.seed is not None:
         _apply_override(raw, f"problem.seed={args.seed}")
-    return validate_config(raw)
+    return validate_config(raw, args.command)
 
 
 def build_parser() -> argparse.ArgumentParser:

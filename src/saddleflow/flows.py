@@ -36,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizers import (Recorder, Trajectory, affine_parts, propagator_step,
-                         stacked_system, step_loop)
+from .optimizers import (Recorder, Trajectory, affine_parts, matmul_step, stacked_system,
+                         step_loop)
 from .problems import Operator, as_state
 
 Array = np.ndarray
@@ -232,23 +232,25 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     """Fixed-step integration of a flow, recorded by the ``Recorder`` rule.
 
     Metric columns are those of the discrete run loop (z_norm,
-    dist_to_solution, v_norm).  ``extra_metrics`` callables receive (t, z, aux).
-    The query column counts the field evaluations of the scheme (``SCHEMES``):
-    4 per RK4 step and 1 per Euler step.  Divergence is recorded as in
-    ``optimizers.step_loop``; caller errors, such as a schedule with
-    kappa(t) <= 0, raise.
+    dist_to_solution, v_norm), computed once when the loop ends.
+    ``extra_metrics`` callables receive (t, z, aux).  The query column counts
+    the field evaluations of the scheme (``SCHEMES``): 4 per RK4 step and 1
+    per Euler step.  Divergence is recorded as in ``optimizers.step_loop``;
+    caller errors, such as a schedule with kappa(t) <= 0, raise.
 
+    Both paths step the stacked state (z, aux, 1) in ``optimizers.step_loop``.
     On an affine operator a flow with a ``linear_map`` is stepped by its
-    scheme's one-step map R (``_scheme_map``); every other pair evaluates
-    ``rhs`` at each stage, which can overflow one step before R s does.
+    scheme's one-step map R (``_scheme_map``), one matrix-vector product per
+    step; every other pair evaluates ``rhs`` at each stage, which can
+    overflow one step before R s does.
     """
-    z = as_state(z0, op.dim).copy()
-    aux = np.zeros(0) if isinstance(kind, LowResolutionFlow) else as_state(aux0, op.dim).copy()
+    z = as_state(z0, op.dim)
+    aux = np.zeros(0) if isinstance(kind, LowResolutionFlow) else as_state(aux0, op.dim)
     recorder = Recorder(op, kind.name, problem_label or op.label,
                         int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
     if op.affine and hasattr(kind, "linear_map"):
-        step = propagator_step(_scheme_map(kind, op, cfg), op.dim, SCHEMES[cfg.scheme],
-                               lambda k, t: t0 + (k + 1) * cfg.dt)
+        step = matmul_step(_scheme_map(kind, op, cfg), SCHEMES[cfg.scheme],
+                           lambda n, t: t0 + (n + 1) * cfg.dt)
     else:
         step = _rhs_step(kind, op, cfg, t0)
     return step_loop(recorder, step, z, aux, t0)
@@ -278,11 +280,12 @@ def _scheme_map(kind, op, cfg):
 def _rhs_step(kind, op, cfg, t0):
     # The field without validation: the loop handles non-finite states itself.
     unchecked = SimpleNamespace(field=op.field_unchecked, jacobian=op.jacobian)
-    queries = SCHEMES[cfg.scheme]
+    dim, queries = op.dim, SCHEMES[cfg.scheme]
 
-    def step(n, z, aux, t):
-        z, aux = _advance(kind, unchecked, z, aux, t, cfg.dt, cfg.scheme)
-        return z, aux, t0 + (n + 1) * cfg.dt, queries
+    def step(n, s, out, t):
+        out[:dim], out[dim:-1] = _advance(kind, unchecked, s[:dim], s[dim:-1], t, cfg.dt,
+                                          cfg.scheme)
+        return t0 + (n + 1) * cfg.dt, queries
 
     return step
 

@@ -1,7 +1,8 @@
 """Discrete saddle-point optimizers and the stepping loop shared with flows.
 
 Steppers are pure functions; the stepping loop threads method memory, counts
-gradient queries, and records per-step metrics into a Trajectory.  Divergence
+gradient queries, and records the selected steps into a Trajectory, whose
+metrics are computed once, over all records, when the loop ends.  Divergence
 (non-finite state or norm above the guard) is recorded, not raised: a blowing
 up run is an expected, reportable outcome.
 
@@ -11,7 +12,6 @@ returns; ``run`` then steps that recurrence directly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -425,18 +425,21 @@ class Trajectory:
         return len(self.steps)
 
 
-def norm(x) -> float:
-    """Euclidean norm of a real vector: the value of ``np.linalg.norm(x)``,
-    which computes sqrt(x.dot(x)) too, without its dispatch."""
-    return math.sqrt(x.dot(x))
+def _row_norms(zs) -> Array:
+    """Euclidean norm of each row: sqrt(z.dot(z)) bit for bit, as stacked
+    dot products (a sum of squares over axis 1 rounds differently)."""
+    return np.sqrt(np.matmul(zs[:, None, :], zs[:, :, None])[:, 0, 0])
 
 
 class Recorder:
     """Fills a preallocated Trajectory for a loop of ``n_steps`` steps.
 
     The record rule: the start (step 0), every ``record_every``-th step and
-    the final step.  Metric columns: z_norm, dist_to_solution, v_norm, then
-    one per ``extra_metrics`` callable ``f(t, z, aux)``.  A non-finite
+    the final step.  ``record`` keeps the time, query count and state of the
+    selected steps, and the method memory too when ``extra_metrics`` are
+    attached; ``finish`` computes the metric columns once, over all records:
+    z_norm, dist_to_solution, v_norm, then one per ``extra_metrics``
+    callable ``f(t, z, aux)``, called record by record.  A non-finite
     state's metrics stay NaN.
     """
 
@@ -446,9 +449,9 @@ class Recorder:
             raise ValueError("record_every must be >= 1")
         self.op = op
         self.n_steps = n_steps
-        self.record_every = record_every
         self.extra_metrics = extra_metrics or {}
         self.count = 0
+        self.memory = None
         steps = np.append(np.arange(0, n_steps, record_every), n_steps)
         n_rec = len(steps)
         names = ["z_norm", "dist_to_solution", "v_norm", *self.extra_metrics]
@@ -462,64 +465,104 @@ class Recorder:
             metrics={name: np.full(n_rec, np.nan) for name in names},
         )
 
-    def record(self, n, t, queries, z, aux, z_norm):
-        """Record the state after step ``n`` if the record rule selects it;
-        ``z_norm`` is ``norm(z)``, already computed by the loop's guard."""
-        if n % self.record_every and n != self.n_steps:
-            return
+    def record(self, first, times, queries, zs, auxs):
+        """Keep the rows that the record rule selects among consecutive steps:
+        row j of ``times``, ``queries``, ``zs`` (states) and ``auxs`` (method
+        memory, or None for a method without one) is step ``first + j``."""
         traj, i = self.traj, self.count
-        self.count += 1
-        traj.times[i] = t
-        traj.queries[i] = queries
-        traj.states[i] = z
-        if not np.isfinite(z).all():
-            return
-        cols = traj.metrics
-        cols["z_norm"][i] = z_norm
-        cols["dist_to_solution"][i] = norm(z - self.op.solution)
-        cols["v_norm"][i] = norm(self.op.field_unchecked(z))
-        for name, fn in self.extra_metrics.items():
-            cols[name][i] = float(fn(t, z, aux))
+        j = i + int(np.searchsorted(traj.steps[i:], first + len(zs)))
+        rows = traj.steps[i:j] - first
+        traj.times[i:j] = times[rows]
+        traj.queries[i:j] = queries[rows]
+        traj.states[i:j] = zs[rows]
+        if self.extra_metrics and auxs is not None:
+            if self.memory is None:
+                self.memory = np.full((len(traj.steps), auxs.shape[1]), np.nan)
+            self.memory[i:j] = auxs[rows]
+        self.count = j
 
     def finish(self, t, queries, diverged) -> Trajectory:
-        """The Trajectory.  Records never reached stay NaN-padded; their time
-        and query axes are forward-filled with ``t`` and ``queries``."""
-        self.traj.times[self.count:] = t
-        self.traj.queries[self.count:] = queries
-        self.traj.diverged = diverged
-        return self.traj
+        """The Trajectory with its metric columns.  Records never reached stay
+        NaN-padded; their time and query axes are forward-filled with ``t``
+        and ``queries``."""
+        traj, n = self.traj, self.count
+        traj.times[n:] = t
+        traj.queries[n:] = queries
+        traj.diverged = diverged
+        ok = np.flatnonzero(np.isfinite(traj.states[:n]).all(axis=1))
+        zs = traj.states[ok]
+        cols = traj.metrics
+        cols["z_norm"][ok] = _row_norms(zs)
+        cols["dist_to_solution"][ok] = _row_norms(zs - self.op.solution)
+        cols["v_norm"][ok] = _row_norms(self.op.fields_unchecked(zs))
+        if self.extra_metrics:
+            times = traj.times.tolist()
+            for i in ok.tolist():
+                aux = None if self.memory is None else self.memory[i]
+                for name, fn in self.extra_metrics.items():
+                    cols[name][i] = float(fn(times[i], traj.states[i], aux))
+        return traj
+
+
+#: Most rows, and most bytes, in one block of the step loop's states; the
+#: byte cap keeps wide states small (40 rows for a d = 100 flow with omega).
+BLOCK_ROWS, BLOCK_BYTES = 256, 1 << 16
 
 
 def step_loop(recorder: Recorder, step, z, aux, t) -> Trajectory:
     """The stepping loop shared by ``run`` and ``integrate``.
 
-    Takes ``recorder.n_steps`` steps ``step(n, z, aux, t) -> (z, aux, t,
-    queries)`` from the recorded start.  A step raising NonFiniteError,
-    FloatingPointError or NoConvergenceError ends the run as diverged; other
-    exceptions are caller errors and propagate.  A non-finite state (z or aux)
-    or a norm above DIVERGENCE_GUARD flags divergence; the loop records the
-    state and stops at the first non-finite one.  ``queries`` counts the
-    queries of completed steps only.
+    Takes ``recorder.n_steps`` steps of the stacked state s = (z, aux, 1),
+    or (z, 1) when ``aux`` is None, from the recorded start at time ``t``.
+    ``step(n, s, out, t) -> (t, queries)`` writes the state after step n
+    into ``out``.  The states fill a block of at most BLOCK_ROWS rows and
+    BLOCK_BYTES bytes; the guard and the record rule then act on the whole
+    block.  A step raising
+    NonFiniteError, FloatingPointError or NoConvergenceError ends the run as
+    diverged; other exceptions are caller errors and propagate.  A non-finite
+    state (z or aux) or a norm of z above DIVERGENCE_GUARD flags divergence;
+    the loop takes no step after the first non-finite state, which it
+    records.  ``queries`` counts the queries of completed steps only.
     """
-    queries = 0
-    diverged = False
-    recorder.record(0, t, queries, z, aux, norm(z))
-    for n in range(recorder.n_steps):
-        try:
-            z, aux, t, step_queries = step(n, z, aux, t)
-        except (NonFiniteError, FloatingPointError, NoConvergenceError):
-            # Overflow / non-finite evaluation: the remaining records stay
-            # NaN-padded.
-            diverged = True
-            break
-        queries += step_queries
-        finite = np.isfinite(z).all() and (aux is None or np.isfinite(aux).all())
-        z_norm = norm(z)
-        if not finite or z_norm > DIVERGENCE_GUARD:
-            diverged = True
-        recorder.record(n + 1, t, queries, z, aux, z_norm)
-        if not finite:
-            break
+    dim, n_steps = len(z), recorder.n_steps
+    s = np.concatenate((z, () if aux is None else aux, (1.0,)))
+    width, rows = len(s), max(1, min(BLOCK_ROWS, BLOCK_BYTES // s.nbytes, n_steps))
+    # Row 0 holds the state before the block; the last column stays 1 on
+    # the paths that write only z and aux.
+    block = np.empty((rows + 1, width))
+    block[:] = s
+    times, counts = np.full(rows + 1, t), np.zeros(rows + 1, dtype=np.int64)
+    states = list(block)
+
+    def record(first, done):
+        recorder.record(first, times[done], counts[done], block[done, :dim],
+                        None if aux is None else block[done, dim:-1])
+
+    record(0, slice(0, 1))
+    n = queries = 0
+    diverged = stopped = False
+    while n < n_steps and not stopped:
+        filled = 0
+        for i in range(1, min(rows, n_steps - n) + 1):
+            try:
+                t, step_queries = step(n, states[i - 1], states[i], t)
+            except (NonFiniteError, FloatingPointError, NoConvergenceError):
+                # Overflow / non-finite evaluation: the remaining records
+                # stay NaN-padded.
+                stopped = True
+                break
+            n += 1
+            queries += step_queries
+            times[i], counts[i], filled = t, queries, i
+            # count_nonzero: the test of isfinite(...).all() without the
+            # reduction's overhead, about 1 us of each step at small d.
+            if np.count_nonzero(np.isfinite(states[i])) < width:
+                stopped = True
+                break
+        record(n - filled + 1, slice(1, filled + 1))
+        z_norms = _row_norms(block[1:filled + 1, :dim])
+        diverged = diverged or stopped or bool((z_norms > DIVERGENCE_GUARD).any())
+        block[0] = block[filled]
     return recorder.finish(t, queries, diverged)
 
 
@@ -535,9 +578,8 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     not positive raises ValueError.
 
     On an affine operator a method whose row has a ``linear_map`` (gda, eg,
-    ogda, ogda-s, la-gda) is stepped as that recurrence
-    (``propagator_step``), with the nominal query count per step; the
-    others call their stepper.
+    ogda, ogda-s, la-gda) is stepped as that recurrence (``matmul_step``),
+    with the nominal query count per step; the others call their stepper.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -546,36 +588,38 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     recorder = Recorder(op, kind.name, problem_label or op.label, steps, record_every,
                         extra_metrics)
     if op.affine and method.linear_map is not None:
-        step = propagator_step(stacked_system(*method.linear_map(op, kind), 1.0), op.dim,
-                               method.queries(kind), lambda k, t: t + kind.gamma)
+        step = matmul_step(stacked_system(*method.linear_map(op, kind), 1.0),
+                           method.queries(kind), lambda n, t: t + kind.gamma)
     else:
         step = _stepper_step(method, op, kind)
     return step_loop(recorder, step, z, method.init_aux(op, z, kind), 0.0)
 
 
 def _stepper_step(method, op, kind):
-    def step(n, z, aux, t):
+    dim = op.dim
+
+    def step(n, s, out, t):
         gamma_n = kind.step_size(n)
         if not gamma_n > 0:
             raise ValueError(f"step size gamma_n must be positive, got {gamma_n} at n={n}")
-        z, aux, queries = method.step(op, z, aux, gamma_n, kind)
-        return z, aux, t + gamma_n, queries
+        # A memoryless method's aux is the empty slice, which its step ignores.
+        z, aux, queries = method.step(op, s[:dim], s[dim:-1], gamma_n, kind)
+        out[:dim], out[dim:-1] = z, aux
+        return t + gamma_n, queries
 
     return step
 
 
-def propagator_step(system, dim, queries, next_time):
-    """Step of the stacked state s = (z, aux, 1), or (z, 1) for memoryless
-    methods, by s' = ``system`` s: one matrix-vector product per step.
+def matmul_step(system, queries, next_time):
+    """Step of ``step_loop`` by s' = ``system`` s: one matrix-vector product
+    per step, written into the loop's block.
 
     ``system`` is a one-step map [[M, m], [0, 1]]: a method's recurrence, or
     the one-step map of a fixed-step scheme on a linear flow.  Each step
-    reports ``queries`` and the time ``next_time(k, t)`` after step k.
+    reports ``queries`` and the time ``next_time(n, t)`` after step n.
     """
-    one = np.ones(1)
-
-    def step(k, z, aux, t):
-        s = system @ np.concatenate((z, one) if aux is None else (z, aux, one))
-        return s[:dim], None if aux is None else s[dim:-1], next_time(k, t), queries
+    def step(n, s, out, t):
+        np.matmul(system, s, out=out)
+        return next_time(n, t), queries
 
     return step

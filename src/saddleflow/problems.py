@@ -113,6 +113,15 @@ class Operator:
         """V(z) without finiteness validation; used by run loops after divergence."""
         return np.asarray(self._field(np.asarray(z, dtype=float)), dtype=float)
 
+    def fields_unchecked(self, zs) -> Array:
+        """V at each row of the (n, dim) matrix ``zs``, without validation.
+
+        Row i equals ``field_unchecked(zs[i])`` bit for bit; this default
+        evaluates the rows one by one, and affine subclasses override it with
+        one stacked product.
+        """
+        return np.array([self.field_unchecked(z) for z in zs]).reshape(len(zs), self.dim)
+
     def _field(self, z) -> Array:
         raise NotImplementedError
 
@@ -158,6 +167,13 @@ class BilinearGame(Operator):
         x, y = z[: self.d1], z[self.d1 :]
         return np.concatenate([self.A @ y + self.b, -self.A.T @ x - self.c])
 
+    def fields_unchecked(self, zs):
+        # Stacked matrix-vector products round as the per-row ones in _field;
+        # a matrix product such as ys @ A.T would not.
+        xs, ys = zs[:, : self.d1, None], zs[:, self.d1 :, None]
+        return np.concatenate([np.matmul(self.A, ys)[..., 0] + self.b,
+                               np.matmul(-self.A.T, xs)[..., 0] - self.c], axis=1)
+
     def _jacobian(self, z):
         d = self.dim
         j = np.zeros((d, d))
@@ -199,6 +215,9 @@ class ScaledIdentity(Operator):
 
     def _field(self, z):
         return self.mu * z
+
+    def fields_unchecked(self, zs):
+        return self.mu * zs
 
     def _jacobian(self, z):
         return self.mu * np.eye(self.dim)

@@ -41,6 +41,10 @@ MISUSE = [
     ("stability", ['stability.methods=["la2-gda"]', "stability.alphas=[2]"], "stability.alphas"),
     # Exited 2 before the key table too; kept so that it stays that way.
     ("stability", ['stability.methods=["x"]'], "stability.methods"),
+    # The stability command reads no method key, not even one the row of
+    # method.id would read; the first given one is named.
+    ("stability", ["method.k=7", "method.id=la-gda"], "method.id"),
+    ("stability", ["method.gamma=0.1"], "method.gamma"),
     ("run", [*_RUN, "init.z0=[NaN,0]"], "init.z0"),
     ("run", [*_RUN, 'init.z0=["a",0]'], "init.z0"),
     ("run", [*_HRDE, "init.aux0=[NaN,0]"], "init.aux0"),

@@ -1,5 +1,7 @@
 """Tests for the discrete steppers and the run loop."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from affine_cases import AffineField, NonAffineTwin, assert_same_run, monotone_a
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
+    NonFiniteError,
     Operator,
     QuarticCounterexample,
     ScaledIdentity,
@@ -401,6 +404,201 @@ class TestAffinePropagator:
                 opt._METHODS[method_id].linear_map(QuarticCounterexample(), kind)
         assert opt._METHODS["ogda-varstep"].linear_map is None
         assert opt._METHODS["ogda-implicit"].linear_map is None
+
+
+def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
+                  extra_metrics=None):
+    """The loop one step at a time: ``advance(z, aux) -> (z, aux)``; each
+    state is checked, guarded and recorded (metrics included) as it is
+    reached, and no step follows the first non-finite one."""
+    grid = np.append(np.arange(0, steps, record_every), steps)
+    extra = extra_metrics or {}
+    names = ["z_norm", "dist_to_solution", "v_norm", *extra]
+    traj = opt.Trajectory("reference", op.label, grid, np.zeros(len(grid)),
+                          np.zeros(len(grid), dtype=np.int64),
+                          np.full((len(grid), op.dim), np.nan),
+                          {name: np.full(len(grid), np.nan) for name in names})
+    count = 0
+
+    def record(t, q, z, aux):
+        nonlocal count
+        i, count = count, count + 1
+        traj.times[i], traj.queries[i], traj.states[i] = t, q, z
+        if np.isfinite(z).all():
+            v, d = op.field_unchecked(z), z - op.solution
+            traj.metrics["z_norm"][i] = math.sqrt(z.dot(z))
+            traj.metrics["dist_to_solution"][i] = math.sqrt(d.dot(d))
+            traj.metrics["v_norm"][i] = math.sqrt(v.dot(v))
+            for name, fn in extra.items():
+                traj.metrics[name][i] = float(fn(t, z, aux))
+
+    z, aux, t, q = np.asarray(z0, dtype=float), aux0, 0.0, 0
+    record(t, q, z, aux)
+    for n in range(1, steps + 1):
+        try:
+            z, aux = advance(z, aux)
+        except (NonFiniteError, FloatingPointError):
+            traj.diverged = True
+            break
+        t, q = t + gamma, q + queries
+        finite = np.isfinite(z).all() and (aux is None or np.isfinite(aux).all())
+        if not finite or math.sqrt(z.dot(z)) > opt.DIVERGENCE_GUARD:
+            traj.diverged = True
+        if n % record_every == 0 or n == steps:
+            record(t, q, z, aux)
+        if not finite:
+            break
+    traj.times[count:], traj.queries[count:] = t, q
+    return traj
+
+
+def mapped_advance(op, kind):
+    """One step of the method's affine map, on (z, aux) split out of s."""
+    system = opt.stacked_system(*opt._METHODS[kind.name].linear_map(op, kind), 1.0)
+    dim = op.dim
+
+    def advance(z, aux):
+        s = system @ np.concatenate((z, () if aux is None else aux, (1.0,)))
+        return s[:dim], None if aux is None else s[dim:-1]
+
+    return advance
+
+
+def assert_same_records(fast, ref):
+    """assert_same_run, and every state and metric equal bit for bit."""
+    assert_same_run(fast, ref)
+    np.testing.assert_array_equal(fast.states, ref.states)
+    assert fast.metrics.keys() == ref.metrics.keys()
+    for name in ref.metrics:
+        np.testing.assert_array_equal(fast.metric(name), ref.metric(name))
+
+
+class Tripwire(NonAffineTwin):
+    """The same field, except that its ``trip``-th checked evaluation
+    overflows (a FloatingPointError under np.errstate(all="raise"))."""
+
+    def __init__(self, m, z_star, trip):
+        super().__init__(m, z_star)
+        self.trip, self.calls = trip, 0
+
+    def field(self, z):
+        self.calls += 1
+        v = super().field(z)
+        return v * 1e300 * 1e300 if self.calls == self.trip else v
+
+
+def _block_rows(width):
+    return min(opt.BLOCK_ROWS, opt.BLOCK_BYTES // (8 * width))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestBlockLoop:
+    """The block loop against the per-step reference loop, at its edges."""
+
+    @pytest.mark.parametrize("dim", [1, 60])
+    @pytest.mark.parametrize("at", [(0, 0), (0, -2), (0, -1), (1, 0), (1, -1), (2, 0)],
+                             ids=["row0", "row-2", "row-1", "block2-row0", "block2-row-1",
+                                  "block3-row0"])
+    def test_first_non_finite_state_at_block_edges(self, dim, at):
+        # GDA with gamma = 3 on V(z) = z doubles |z| each step with exact
+        # arithmetic, so z0 = 2^(1024 - k) overflows at step k exactly.  Row
+        # i of block b holds step b * rows + i + 1 (rows = 256 at dim 1, and
+        # fewer at dim 60, where the byte cap binds).
+        rows = _block_rows(dim + 1)
+        block, row = at
+        k = block * rows + row % rows + 1
+        op, kind = ScaledIdentity(1.0, dim), opt.GDA(3.0)
+        z0 = np.full(dim, math.ldexp(1.0, 1024 - k))
+        steps = k + 20
+        fast = opt.run(op, kind, z0, steps)
+        ref = reference_run(op, mapped_advance(op, kind), z0, None, steps, 3.0, 1)
+        assert_same_records(fast, ref)
+        assert fast.diverged
+        last = np.flatnonzero(~np.isnan(fast.states).all(axis=1))[-1]
+        assert fast.steps[last] == k and np.isinf(fast.states[last]).all()
+        assert np.isfinite(fast.states[:last]).all()
+        assert fast.times[-1] == 3.0 * k and fast.queries[-1] == k
+
+    def test_guard_trip_without_non_finite_state(self):
+        # |z_n| = 2^n passes the 1e12 guard at n = 40 and stays finite.  On
+        # the nilpotent field GDA's map is [[0, 1e13], [0, 0]]: (0, 1) goes to
+        # (1e13, 0) and then to 0, past the guard at step 1 of a block that
+        # ends at 0.
+        doubling = ScaledIdentity(1.0, 2)
+        nilpotent = AffineField(np.array([[1.0, -1e13], [0.0, 1.0]]), np.zeros(2))
+        for op, kind, z0, steps, tripped in [(doubling, opt.GDA(3.0), [1.0, 0.0], 39, False),
+                                             (doubling, opt.GDA(3.0), [1.0, 0.0], 40, True),
+                                             (doubling, opt.GDA(3.0), [1.0, 0.0], 300, True),
+                                             (nilpotent, opt.GDA(1.0), [0.0, 1.0], 10, True)]:
+            z0 = np.array(z0)
+            fast = opt.run(op, kind, z0, steps)
+            assert_same_records(fast, reference_run(op, mapped_advance(op, kind), z0, None,
+                                                    steps, kind.gamma, 1))
+            assert fast.diverged == tripped
+            assert np.isfinite(fast.states).all()
+
+    @pytest.mark.parametrize("record_every", [3, 7, 100, 255, 257, 1000])
+    @pytest.mark.parametrize("steps", [300, 601, 1001])
+    def test_record_every_off_the_block_grid(self, steps, record_every):
+        cases = [(BilinearGame([[1.0, 0.5], [0.0, 1.0]]), opt.OGDA(0.1),
+                  np.array([1.0, 0.0, 0.5, -0.5])),
+                 (BilinearGame([[1.0]]), opt.LookaheadGDA(0.2, k=3, alpha=0.4),
+                  np.array([1.0, 0.0])),
+                 # Overflows at step 290, inside the run for 601 and 1001 steps.
+                 (ScaledIdentity(1.0, 1), opt.GDA(3.0), np.array([math.ldexp(1.0, 734)]))]
+        for op, kind, z0 in cases:
+            fast = opt.run(op, kind, z0, steps, record_every=record_every)
+            aux0 = opt._METHODS[kind.name].init_aux(op, z0, kind)
+            ref = reference_run(op, mapped_advance(op, kind), z0, aux0, steps, kind.gamma,
+                                opt.gradient_queries(kind), record_every)
+            assert_same_records(fast, ref)
+            assert fast.steps[-1] == steps
+
+    @pytest.mark.parametrize("trip", [1, 255, 256, 257, 513])
+    def test_floating_point_error_at_block_edges(self, trip):
+        # Under np.errstate(all="raise") the trip-th field evaluation raises
+        # FloatingPointError: step trip is never taken and the run diverged.
+        m, z_star, z0 = np.array([[0.1, 1.0], [-1.0, 0.1]]), np.zeros(2), np.array([1.0, 0.0])
+        steps, gamma = 600, 0.01
+        with np.errstate(all="raise"):
+            fast = opt.run(Tripwire(m, z_star, trip), opt.GDA(gamma), z0, steps)
+            op = Tripwire(m, z_star, trip)
+            ref = reference_run(op, lambda z, aux: (opt.step_gda(op, z, gamma), aux), z0, None,
+                                steps, gamma, 1)
+        assert_same_records(fast, ref)
+        assert fast.diverged
+        assert np.isfinite(fast.states[:trip]).all() and np.isnan(fast.states[trip:]).all()
+        assert fast.queries[-1] == trip - 1 and fast.times[-1] == ref.times[trip - 1]
+
+    @pytest.mark.parametrize("kind, op", [
+        (opt.OGDA(0.1), BilinearGame([[1.0, 0.5], [0.0, 1.0]])),
+        (opt.OGDAStateSpace(0.1), BilinearGame([[1.0, 0.5], [0.0, 1.0]])),
+        (opt.EG(0.2), ScaledIdentity(2.0, 4)),
+    ])
+    def test_monitors_see_the_same_records(self, kind, op):
+        # Monitors are called once the loop ends, record by record, with the
+        # (t, z, aux) that the per-step loop passes as it goes.
+        def monitor(calls):
+            def f(t, z, aux):
+                calls.append((t, z.copy(), None if aux is None else aux.copy()))
+                return t + float(z.sum()) + (0.0 if aux is None else float(aux.sum()))
+            return f
+
+        z0 = np.arange(1.0, op.dim + 1)
+        aux0 = opt._METHODS[kind.name].init_aux(op, z0, kind)
+        seen = {"fast": [], "ref": []}
+        fast = opt.run(op, kind, z0, 700, record_every=3,
+                       extra_metrics={"m": monitor(seen["fast"])})
+        ref = reference_run(op, mapped_advance(op, kind), z0, aux0, 700, kind.gamma,
+                            opt.gradient_queries(kind), 3, {"m": monitor(seen["ref"])})
+        assert_same_records(fast, ref)
+        assert len(seen["fast"]) == len(seen["ref"]) == len(fast)
+        for (t, z, aux), (t_ref, z_ref, aux_ref) in zip(seen["fast"], seen["ref"]):
+            assert type(t) is float and t == t_ref
+            np.testing.assert_array_equal(z, z_ref)
+            assert (aux is None) == (aux_ref is None) == (kind.name == "eg")
+            if aux is not None:
+                np.testing.assert_array_equal(aux, aux_ref)
 
 
 def _spectral_radius(mat):

@@ -1,8 +1,13 @@
 """Tests for the problem catalog: fields, Jacobians, and probes."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
     NonFiniteError,
@@ -104,6 +109,64 @@ class TestFieldEvaluation:
         game = BilinearGame([[2.0]], b=[1.0], c=[-4.0])
         np.testing.assert_allclose(game.field(game.solution), [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(game.solution, [2.0, -0.5])
+
+
+@st.composite
+def batched_field_cases(draw):
+    """(operator, rows): a bilinear game with non-zero b and c (in the ranges
+    of A and A^T, so that it has a zero), a scaled identity or the quartic,
+    and up to 6 states, one of them possibly non-finite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["bilinear", "scaled-identity", "quartic"]))
+    if family == "bilinear":
+        d1, d2 = draw(st.sampled_from([1, 2, 50])), draw(st.sampled_from([1, 2, 50]))
+        a = rng.standard_normal((d1, d2))
+        op = BilinearGame(a, a @ rng.standard_normal(d2), a.T @ rng.standard_normal(d1))
+    elif family == "scaled-identity":
+        op = ScaledIdentity(draw(st.floats(0.01, 100.0)), draw(st.sampled_from([1, 2, 50])))
+    else:
+        op = QuarticCounterexample()
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    zs = scale * rng.standard_normal((draw(st.integers(0, 6)), op.dim))
+    bad = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    if bad is not None and len(zs):
+        zs[draw(st.integers(0, len(zs) - 1)), 0] = bad
+    return op, zs
+
+
+class TestBatchedField:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=batched_field_cases())
+    def test_rows_match_field_unchecked(self, case):
+        op, zs = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = op.fields_unchecked(zs)
+            rows = np.array([op.field_unchecked(z) for z in zs]).reshape(zs.shape)
+        assert batch.shape == zs.shape
+        finite = np.isfinite(zs).all(axis=1)
+        # Bit for bit on finite rows; the non-finite pattern on the others.
+        assert np.array_equal(batch[finite].view(np.uint64), rows[finite].view(np.uint64))
+        assert np.array_equal(batch, rows, equal_nan=True)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=batched_field_cases())
+    def test_recorder_metrics_match_per_row(self, case):
+        # The metrics the recorder computes once per run equal the per-record
+        # formulas bit for bit; a non-finite state's metrics stay NaN.
+        op, zs = case
+        if not len(zs):
+            return
+        rec = opt.Recorder(op, "method", "problem", len(zs) - 1)
+        rec.record(0, np.arange(len(zs), dtype=float), np.arange(len(zs)), zs, None)
+        with np.errstate(invalid="ignore", over="ignore"):
+            traj = rec.finish(len(zs) - 1.0, len(zs) - 1, False)
+        for i, z in enumerate(zs):
+            metrics = [traj.metric(name)[i] for name in ("z_norm", "dist_to_solution", "v_norm")]
+            if not np.isfinite(z).all():
+                assert np.isnan(metrics).all()
+                continue
+            v, d = op.field_unchecked(z), z - op.solution
+            assert metrics == [math.sqrt(z.dot(z)), math.sqrt(d.dot(d)), math.sqrt(v.dot(v))]
 
 
 class TestFiniteDifferenceJacobian:
