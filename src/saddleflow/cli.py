@@ -179,6 +179,10 @@ CONFIG_KEYS = {
 }
 
 
+#: The keys that the stability command reads; it rejects every other given key.
+STABILITY_READS = ("problem.", "stability.", "outputs.json")
+
+
 def _walk(table, section, prefix, cfg, given):
     """Check ``section`` into ``cfg``; ``given`` maps each non-null key's attribute to its path."""
     where = prefix[:-1] or "config"
@@ -220,9 +224,9 @@ def validate_config(raw: dict, command="run") -> SimpleNamespace:
     _walk(CONFIG_KEYS, raw, "", cfg, given)
     if command == "stability":
         for path in given.values():
-            if path.startswith("method."):
-                raise ConfigError(f"{path}: not read by the stability command, "
-                                  "which takes its methods from stability.methods")
+            if not path.startswith(STABILITY_READS):
+                raise ConfigError(f"{path}: not read by the stability command, which "
+                                  "reads only problem.*, stability.* and outputs.json")
 
     known_ids = optimizers.METHOD_IDS if cfg.mode == "discrete" else flows.FLOW_IDS
     if cfg.method_id not in known_ids:

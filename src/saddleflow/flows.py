@@ -22,10 +22,11 @@ with kappa = beta/2 = 1/gamma, optionally time-varying (ogda-hrde2 is the
 constant-kappa case of ogda-hrde2-varstep).  The shared low-resolution
 baseline dz/dt = -V(z) is also provided; it carries an empty aux.
 
-On an affine field V(z) = J z + q every constant-parameter flow is the
-linear system d/dt (z, aux) = C (z, aux) + m, which its ``linear_map``
-returns.  A fixed-step scheme on it is the one-step map s' = R s of the
-stacked state, which ``integrate`` steps as ``run`` steps a method's map.
+On an affine field V(z) = J z + q every flow whose derivative does not read
+t is the linear system d/dt (z, aux) = C (z, aux) + m, which
+``linear_system`` reads off its ``derivative``.  A fixed-step scheme on it
+is the one-step map s' = R s of the stacked state, which ``integrate``
+steps as ``run`` steps a method's map.
 """
 from __future__ import annotations
 
@@ -36,8 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizers import (Recorder, Trajectory, affine_parts, matmul_step, stacked_system,
-                         step_loop)
+from .optimizers import Recorder, Trajectory, affine_system, matmul_step, step_loop
 from .problems import Operator, as_state
 
 Array = np.ndarray
@@ -71,17 +71,6 @@ class PhaseFlow:
             if self.a_jw != 0.0:
                 domega = domega + self.a_jw * (jac @ omega)
         return omega.copy(), domega
-
-    def linear_map(self, op):
-        """(C, m) on an affine field: C = [[0, I], [a_v*J + a_jv*J^2,
-        -beta*I + a_jw*J]] and m = (0, a_v*q + a_jv*J q)."""
-        jac, q = affine_parts(op)
-        d = op.dim
-        c = np.zeros((2 * d, 2 * d))
-        c[:d, d:] = np.eye(d)
-        c[d:, :d] = self.a_v * jac + self.a_jv * (jac @ jac)
-        c[d:, d:] = -self.beta * np.eye(d) + self.a_jw * jac
-        return c, np.concatenate([np.zeros(d), self.a_v * q + self.a_jv * (jac @ q)])
 
 
 def gda_flow(beta) -> PhaseFlow:
@@ -122,6 +111,7 @@ class VariableStepFlow:
 
     kappa_fn: Callable[[float], float]
     name: str = "ogda-hrde2-varstep"
+    reads_t = True  # the only flow whose derivative reads t
 
     def derivative(self, op, z, w, t):
         kappa = float(self.kappa_fn(t))
@@ -144,17 +134,6 @@ class ConstantKappaFlow:
     def derivative(self, op, z, w, t):
         return _optimistic_derivative(op, z, w, self.kappa)
 
-    def linear_map(self, op):
-        """(C, m) on an affine field: C = [[-kappa*I - 2J, -kappa*I],
-        [-kappa*I, -kappa*I]] and m = (-2q, 0)."""
-        jac, q = affine_parts(op)
-        d = op.dim
-        kappa_eye = self.kappa * np.eye(d)
-        c = np.empty((2 * d, 2 * d))
-        c[:d, :d] = -kappa_eye - 2.0 * jac
-        c[:d, d:] = c[d:, :d] = c[d:, d:] = -kappa_eye
-        return c, np.concatenate([-2.0 * q, np.zeros(d)])
-
 
 @dataclass(frozen=True)
 class LowResolutionFlow:
@@ -163,12 +142,7 @@ class LowResolutionFlow:
     name = "gda-ode"
 
     def derivative(self, op, z, aux, t):
-        return -op.field(z), np.zeros(0)
-
-    def linear_map(self, op):
-        """(C, m) = (-J, -q) on an affine field; the aux is empty."""
-        jac, q = affine_parts(op)
-        return -jac, -q
+        return -op.field(z), np.zeros_like(z[:0])  # an empty aux, column for column
 
 
 def rhs(kind, op: Operator, z, aux, t=0.0):
@@ -182,6 +156,17 @@ def rhs(kind, op: Operator, z, aux, t=0.0):
     if aux is not None:
         aux = np.asarray(aux, dtype=float)
     return kind.derivative(op, z, aux, t)
+
+
+def linear_system(kind, op: Operator) -> Array:
+    """S = [[C, m], [0, 0]] with d/dt (z, aux, 1) = S (z, aux, 1): a flow
+    whose derivative does not read t, on an affine field, read off that
+    derivative."""
+    if getattr(kind, "reads_t", False):
+        raise ValueError(f"flow {kind.name!r} reads t and has no constant linear system")
+    n_aux = 0 if isinstance(kind, LowResolutionFlow) else op.dim
+    return affine_system(op, n_aux, lambda columns, z, aux: kind.derivative(
+        columns, z, aux, 0.0), 0.0)
 
 
 def ogda2_w_from_omega(op: Operator, z0, omega0, gamma) -> Array:
@@ -239,16 +224,16 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     caller errors, such as a schedule with kappa(t) <= 0, raise.
 
     Both paths step the stacked state (z, aux, 1) in ``optimizers.step_loop``.
-    On an affine operator a flow with a ``linear_map`` is stepped by its
-    scheme's one-step map R (``_scheme_map``), one matrix-vector product per
-    step; every other pair evaluates ``rhs`` at each stage, which can
-    overflow one step before R s does.
+    On an affine operator a flow whose derivative does not read t is stepped
+    by its scheme's one-step map R of ``linear_system`` (``_scheme_map``),
+    one matrix-vector product per step; every other pair evaluates ``rhs``
+    at each stage, which can overflow one step before R s does.
     """
     z = as_state(z0, op.dim)
     aux = np.zeros(0) if isinstance(kind, LowResolutionFlow) else as_state(aux0, op.dim)
     recorder = Recorder(op, kind.name, problem_label or op.label,
                         int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
-    if op.affine and hasattr(kind, "linear_map"):
+    if op.affine and not getattr(kind, "reads_t", False):
         step = matmul_step(_scheme_map(kind, op, cfg), SCHEMES[cfg.scheme],
                            lambda n, t: t0 + (n + 1) * cfg.dt)
     else:
@@ -260,7 +245,7 @@ def _scheme_map(kind, op, cfg):
     """The scheme's stability function of A = dt*S, S = [[C, m], [0, 0]]:
     R = sum_{j<=p} A^j / j! = I + A (I + A/2 (... (I + A/p))), in Horner's
     form on two buffers, with p the scheme's degree (I + A for Euler)."""
-    a = stacked_system(*kind.linear_map(op), 0.0)
+    a = linear_system(kind, op)
     degree = SCHEMES[cfg.scheme]
     # An overflowing R is a divergence for the step loop to record, not an error.
     with np.errstate(all="ignore"):

@@ -7,12 +7,14 @@ metrics are computed once, over all records, when the loop ends.  Divergence
 up run is an expected, reportable outcome.
 
 On an affine field V(z) = J z + q every constant-step method is the linear
-recurrence (z, aux)' = M (z, aux) + m, which its row's ``linear_map``
-returns; ``run`` then steps that recurrence directly.
+recurrence (z, aux)' = M (z, aux) + m.  ``one_step_map`` reads it off the
+method's own stepper (``affine_system``), and ``run`` then steps that
+recurrence directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -221,81 +223,38 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
 
 
 # ---------------------------------------------------------------------------
-# One-step maps on affine fields
+# Affine systems, read off a stepper or a flow derivative
 # ---------------------------------------------------------------------------
 
-def affine_parts(op: Operator):
-    """(J, q) of an affine field V(z) = J z + q.  q is not checked for
-    finiteness, as in the run loops' unchecked field evaluations."""
-    if not op.affine:
-        raise ValueError(f"linear_map requires an affine operator, not {op.label!r}")
-    zero = np.zeros(op.dim)
-    return op.jacobian(zero), op.field_unchecked(zero)
+def affine_system(op: Operator, n_aux, advance, corner) -> Array:
+    """S = [[C, m], [0, corner]] of an update that is affine on V(z) = J z + q.
 
-
-def stacked_system(c, m, corner) -> Array:
-    """S = [[C, m], [0, corner]], acting on the stacked state (z, aux, 1).
-
-    ``corner`` is 1 for a one-step map s' = C s + m, so that s' = S s, and 0
-    for a flow ds/dt = C s + m, so that ds/dt = S s; ``flows.integrate``
-    turns the latter into its scheme's one-step map R(dt S).
+    ``advance(op, z, aux) -> (z', aux')``, a stepper or a flow derivative,
+    reads V only through ``op.field``, ``op.jacobian``, ``@`` and
+    broadcasting, so on an affine field it is (z', aux') = C (z, aux) + m.
+    One call on the columns of the identity of size n + 1, n = dim + n_aux,
+    through the column operator V(Z) = J Z with q added to the last
+    (homogeneous) column only, returns column j of S for every j at once.
+    ``corner`` is 1 for a one-step map, so that s' = S s on the stacked
+    state s = (z, aux, 1), and 0 for a flow, so that ds/dt = S s.
     """
-    n = c.shape[0]
-    system = np.zeros((n + 1, n + 1))
-    system[:n, :n] = c
-    system[:n, n] = m
-    system[n, n] = corner
+    if not op.affine:
+        raise ValueError(f"an affine system requires an affine operator, not {op.label!r}")
+    dim, zero = op.dim, np.zeros(op.dim)
+    jac, q = op.jacobian(zero), op.field_unchecked(zero)  # q unchecked, as in the run loops
+
+    def field(zs):
+        v = jac @ zs
+        v[:, -1] += q
+        return v
+
+    system = np.eye(dim + n_aux + 1)
+    # The identity becomes S in place: advance returns new arrays (or the
+    # empty aux it was given), all computed before the first row is written.
+    system[:dim], system[dim:-1] = advance(SimpleNamespace(field=field, jacobian=lambda zs: jac),
+                                           system[:dim], system[dim:-1])
+    system[-1, -1] = corner
     return system
-
-
-def _gda_map(op, kind):
-    """(M, m) = (I - gamma J, -gamma q): z' = z - gamma V(z)."""
-    jac, q = affine_parts(op)
-    return np.eye(op.dim) - kind.gamma * jac, -kind.gamma * q
-
-
-def _eg_map(op, kind):
-    """(M, m) = (I - gamma J G, -gamma G q) with G = I - gamma J, the GDA
-    matrix: M = I - gamma J + gamma^2 J^2."""
-    jac, q = affine_parts(op)
-    gda = np.eye(op.dim) - kind.gamma * jac
-    return np.eye(op.dim) - kind.gamma * (jac @ gda), -kind.gamma * (gda @ q)
-
-
-def _la_gda_map(op, kind):
-    """(M, m) = ((1 - alpha) I + alpha G^k, alpha g_k): the k-fold GDA map
-    z -> G^k z + g_k, then the interpolation with weight alpha."""
-    gda, shift = _gda_map(op, kind)
-    fast, fast_shift = gda, shift
-    for _ in range(kind.k - 1):
-        fast, fast_shift = gda @ fast, gda @ fast_shift + shift
-    return ((1.0 - kind.alpha) * np.eye(op.dim) + kind.alpha * fast,
-            kind.alpha * fast_shift)
-
-
-def _ogda_map(op, kind):
-    """On s = (z, v_prev): z' = (I - 2 gamma J) z + gamma v_prev - 2 gamma q
-    and v_prev' = V(z) = J z + q."""
-    jac, q = affine_parts(op)
-    d, gamma = op.dim, kind.gamma
-    mat = np.zeros((2 * d, 2 * d))
-    mat[:d, :d] = np.eye(d) - 2.0 * gamma * jac
-    mat[:d, d:] = gamma * np.eye(d)
-    mat[d:, :d] = jac
-    return mat, np.concatenate([-2.0 * gamma * q, q])
-
-
-def _ogda_s_map(op, kind):
-    """On s = (z, w): z' = (I/2 - 2 gamma J) z - w/2 - 2 gamma q and
-    w' = (w - z)/2."""
-    jac, q = affine_parts(op)
-    d, gamma = op.dim, kind.gamma
-    half = 0.5 * np.eye(d)
-    mat = np.empty((2 * d, 2 * d))
-    mat[:d, :d] = half - 2.0 * gamma * jac
-    mat[:d, d:] = mat[d:, :d] = -half
-    mat[d:, d:] = half
-    return mat, np.concatenate([-2.0 * gamma * q, np.zeros(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +267,9 @@ class _Method(NamedTuple):
     step: Callable                # (op, z, aux, gamma_n, kind) -> (z, aux, queries)
     queries: Optional[Callable]   # kind -> queries per step; None if it varies
     aux_var: Optional[str] = None  # "w" or "omega" when the memory is that state
-    # (op, kind) -> (M, m) with (z, aux)' = M (z, aux) + m on an affine
-    # field; None where gamma_n varies or the step is solved iteratively.
-    linear_map: Optional[Callable] = None
+    # True where the step is one fixed affine map on an affine field: not
+    # where gamma_n varies or the step is solved iteratively.
+    fixed_map: bool = False
 
 
 def _no_aux(op, z, kind):
@@ -337,18 +296,18 @@ def _ogda_step(op, z, aux, gamma, kind):
 #: stepper is the one that runs.
 _METHODS = {
     "gda": _Method(GDA, _no_aux, lambda op, z, aux, gamma, kind: (step_gda(op, z, gamma), aux, 1),
-                   lambda kind: 1, linear_map=_gda_map),
+                   lambda kind: 1, fixed_map=True),
     "eg": _Method(EG, _no_aux, lambda op, z, aux, gamma, kind: (step_eg(op, z, gamma), aux, 2),
-                  lambda kind: 2, linear_map=_eg_map),
-    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1, linear_map=_ogda_map),
+                  lambda kind: 2, fixed_map=True),
+    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1, fixed_map=True),
     "ogda-s": _Method(OGDAStateSpace, lambda op, z, kind: ogda_s_w0(op, z, kind.gamma),
                       lambda op, z, aux, gamma, kind: (*step_ogda_s(op, z, aux, gamma), 1),
-                      lambda kind: 1, "w", _ogda_s_map),
+                      lambda kind: 1, "w", True),
     "la-gda": _Method(
         LookaheadGDA, _no_aux,
         lambda op, z, aux, gamma, kind: (
             step_la_gda(op, z, gamma, kind.k, kind.alpha), aux, kind.k),
-        lambda kind: kind.k, linear_map=_la_gda_map,
+        lambda kind: kind.k, fixed_map=True,
     ),
     "ogda-varstep": _Method(OGDAVariableStep, _ogda_aux, _ogda_step, lambda kind: 1),
     "ogda-implicit": _Method(
@@ -378,6 +337,18 @@ def gradient_queries(kind) -> int:
         raise ValueError("implicit steps consume a variable number of queries; "
                          "read them off the trajectory's query column")
     return queries(kind)
+
+
+def one_step_map(op: Operator, kind) -> Array:
+    """S = [[M, m], [0, 1]] with (z, aux, 1)' = S (z, aux, 1): one step of a
+    ``fixed_map`` method on an affine field, read off its stepper."""
+    method = _method_of(kind)
+    if not method.fixed_map:
+        raise ValueError(f"method {kind.name!r} has no fixed one-step map")
+    # Every method memory is one d-vector: a field, w or omega.
+    n_aux = 0 if method.init_aux is _no_aux else op.dim
+    return affine_system(op, n_aux, lambda columns, z, aux: method.step(
+        columns, z, aux, kind.gamma, kind)[:2], 1.0)
 
 
 def make_method(method_id, gamma=None, alpha=0.5, k=2, gamma0=0.1, power=0.6,
@@ -492,9 +463,11 @@ class Recorder:
         ok = np.flatnonzero(np.isfinite(traj.states[:n]).all(axis=1))
         zs = traj.states[ok]
         cols = traj.metrics
-        cols["z_norm"][ok] = _row_norms(zs)
-        cols["dist_to_solution"][ok] = _row_norms(zs - self.op.solution)
-        cols["v_norm"][ok] = _row_norms(self.op.fields_unchecked(zs))
+        # A finite state far past the guard may have an infinite norm or field.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols["z_norm"][ok] = _row_norms(zs)
+            cols["dist_to_solution"][ok] = _row_norms(zs - self.op.solution)
+            cols["v_norm"][ok] = _row_norms(self.op.fields_unchecked(zs))
         if self.extra_metrics:
             times = traj.times.tolist()
             for i in ok.tolist():
@@ -560,7 +533,8 @@ def step_loop(recorder: Recorder, step, z, aux, t) -> Trajectory:
                 stopped = True
                 break
         record(n - filled + 1, slice(1, filled + 1))
-        z_norms = _row_norms(block[1:filled + 1, :dim])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf > DIVERGENCE_GUARD
+            z_norms = _row_norms(block[1:filled + 1, :dim])
         diverged = diverged or stopped or bool((z_norms > DIVERGENCE_GUARD).any())
         block[0] = block[filled]
     return recorder.finish(t, queries, diverged)
@@ -577,9 +551,10 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     ``step_loop`` for divergence.  A step size ``kind.step_size(n)`` that is
     not positive raises ValueError.
 
-    On an affine operator a method whose row has a ``linear_map`` (gda, eg,
-    ogda, ogda-s, la-gda) is stepped as that recurrence (``matmul_step``),
-    with the nominal query count per step; the others call their stepper.
+    On an affine operator a ``fixed_map`` method (gda, eg, ogda, ogda-s,
+    la-gda) calls its stepper once, for ``one_step_map``, and is stepped as
+    that recurrence (``matmul_step``), with the nominal query count per
+    step; the others call their stepper at every step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -587,9 +562,9 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     z = as_state(z0, op.dim)
     recorder = Recorder(op, kind.name, problem_label or op.label, steps, record_every,
                         extra_metrics)
-    if op.affine and method.linear_map is not None:
-        step = matmul_step(stacked_system(*method.linear_map(op, kind), 1.0),
-                           method.queries(kind), lambda n, t: t + kind.gamma)
+    if op.affine and method.fixed_map:
+        step = matmul_step(one_step_map(op, kind), method.queries(kind),
+                           lambda n, t: t + kind.gamma)
     else:
         step = _stepper_step(method, op, kind)
     return step_loop(recorder, step, z, method.init_aux(op, z, kind), 0.0)
@@ -616,10 +591,15 @@ def matmul_step(system, queries, next_time):
 
     ``system`` is a one-step map [[M, m], [0, 1]]: a method's recurrence, or
     the one-step map of a fixed-step scheme on a linear flow.  Each step
-    reports ``queries`` and the time ``next_time(n, t)`` after step n.
+    reports ``queries`` and the time ``next_time(n, t)`` after step n.  An
+    overflowing product is a state for the loop to record as divergence,
+    under any np.errstate.
     """
     def step(n, s, out, t):
-        np.matmul(system, s, out=out)
+        try:
+            np.matmul(system, s, out=out)
+        except FloatingPointError:
+            pass  # raised after the whole product is written into out
         return next_time(n, t), queries
 
     return step

@@ -1,11 +1,11 @@
 """Bilinear-game stability analysis of the flows.
 
 For the game min_x max_y x^T A y each flow is a linear system
-d/dt (z, omega) = C (z, omega).  This module takes the per-method C
-matrices from the flows' ``linear_map``, runs the Routh-style sign tests on
-their characteristic polynomials, evaluates the complex-coefficient
-quadratic stability condition, and cross-checks everything against a dense
-eigensolver.
+d/dt (z, omega) = C (z, omega).  This module reads the per-method C
+matrices off the flows' derivatives (``flows.linear_system``), runs the
+Routh-style sign tests on their characteristic polynomials, evaluates the
+complex-coefficient quadratic stability condition, and cross-checks
+everything against a dense eigensolver.
 
 The two quartic Routh arrays are pinned to their published closed forms:
 
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flows import eg_flow, make_flow, rhs
+from .flows import eg_flow, linear_system, make_flow, rhs
 from .problems import BilinearGame, QuarticCounterexample
 
 Array = np.ndarray
@@ -83,9 +83,10 @@ class StabilityVerdict:
 def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> SystemMatrix:
     """Block matrix C of the method's flow on a pure bilinear game.
 
-    C is the flow's ``linear_map``: [[0, I], [a_v*Jg + a_jv*Jg^2,
-    -beta*I + a_jw*Jg]] where Jg is the constant game Jacobian
-    [[0, A], [-A^T, 0]] and the coefficient row is the method's flow row.
+    C is the flow's ``linear_system`` without its homogeneous row and
+    column: [[0, I], [a_v*Jg + a_jv*Jg^2, -beta*I + a_jw*Jg]] where Jg is
+    the constant game Jacobian [[0, A], [-A^T, 0]] and the coefficient row
+    is the method's flow row.
     Requires b = c = 0 and a full-rank A.
     """
     if method not in STABILITY_METHODS:
@@ -100,7 +101,7 @@ def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> Sys
     if lookahead and alpha is None:
         raise ValueError(f"method {method!r} requires alpha")
     flow = make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha)
-    c, _ = flow.linear_map(game)
+    c = linear_system(flow, game)[:-1, :-1]
     return SystemMatrix(c, method, flow.beta, alpha if lookahead else None)
 
 

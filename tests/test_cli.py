@@ -45,6 +45,13 @@ MISUSE = [
     # method.id would read; the first given one is named.
     ("stability", ["method.k=7", "method.id=la-gda"], "method.id"),
     ("stability", ["method.gamma=0.1"], "method.gamma"),
+    # Nor any key outside problem.*, stability.* and outputs.json, named
+    # before the mode, method and Lyapunov cross-checks.
+    ("stability", ["init.z0=[1,2]", "budget.steps=5"], "budget.steps"),
+    ("stability", ["init.z0=[1,2]"], "init.z0"),
+    ("stability", ['lyapunov=["ogda_l1"]'], "lyapunov: not read by the stability command"),
+    ("stability", ["mode=hrde"], "mode"),
+    ("stability", ["outputs.csv=x.csv"], "outputs.csv"),
     ("run", [*_RUN, "init.z0=[NaN,0]"], "init.z0"),
     ("run", [*_RUN, 'init.z0=["a",0]'], "init.z0"),
     ("run", [*_HRDE, "init.aux0=[NaN,0]"], "init.aux0"),

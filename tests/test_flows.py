@@ -371,7 +371,45 @@ class TestAffinePropagator:
         flows.integrate(flows.ogda_flow(4.0), QuarticCounterexample(), z0, aux0, cfg)
         assert len(calls) == 120
 
-    def test_linear_map_requires_an_affine_operator(self):
+    def test_linear_system_requires_an_affine_operator(self):
         for flow_id in CONSTANT_FLOWS:
             with pytest.raises(ValueError, match="affine"):
-                flows.make_flow(flow_id, gamma=0.5).linear_map(QuarticCounterexample())
+                flows.linear_system(flows.make_flow(flow_id, gamma=0.5), QuarticCounterexample())
+        with pytest.raises(ValueError, match="reads t"):
+            flows.linear_system(flows.VariableStepFlow(lambda t: 2.0), BG)
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_linear_system_matches_closed_forms(self, dim):
+        # The system read off each derivative equals the hand-derived block
+        # matrix of its coefficient row, (z, w) form or gda-ode form, q != 0.
+        rng = np.random.default_rng(dim)
+        op = AffineField(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+        for flow_id in CONSTANT_FLOWS:
+            kind = flows.make_flow(flow_id, gamma=0.3, alpha=0.4)
+            system = flows.linear_system(kind, op)
+            c, m = closed_form_system(kind, op)
+            want = np.zeros_like(system)
+            want[:-1, :-1], want[:-1, -1] = c, m
+            assert np.any(m)
+            np.testing.assert_allclose(system, want, rtol=1e-14,
+                                       atol=1e-14 * np.abs(want).max())
+
+
+def closed_form_system(kind, op):
+    """(C, m) with d/dt (z, aux) = C (z, aux) + m on V(z) = J z + q, derived
+    by hand: the reference that ``flows.linear_system`` must reproduce."""
+    zero, d = np.zeros(op.dim), op.dim
+    jac, q, eye = op.jacobian(zero), op.field(zero), np.eye(op.dim)
+    if isinstance(kind, flows.LowResolutionFlow):
+        return -jac, -q
+    c = np.empty((2 * d, 2 * d))
+    if isinstance(kind, flows.ConstantKappaFlow):
+        # [[-kappa I - 2J, -kappa I], [-kappa I, -kappa I]] and m = (-2q, 0)
+        c[:d, :d] = -kind.kappa * eye - 2.0 * jac
+        c[:d, d:] = c[d:, :d] = c[d:, d:] = -kind.kappa * eye
+        return c, np.concatenate([-2.0 * q, zero])
+    # [[0, I], [a_v J + a_jv J^2, -beta I + a_jw J]] and m = (0, a_v q + a_jv J q)
+    c[:d, :d], c[:d, d:] = 0.0, eye
+    c[d:, :d] = kind.a_v * jac + kind.a_jv * (jac @ jac)
+    c[d:, d:] = -kind.beta * eye + kind.a_jw * jac
+    return c, np.concatenate([zero, kind.a_v * q + kind.a_jv * (jac @ q)])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_cases import AffineField, NonAffineTwin, assert_same_run, monotone_affine_cases
+from saddleflow import flows
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
@@ -373,6 +374,7 @@ class TestAffinePropagator:
             assert np.isnan(traj.metric("z_norm")[stop[0]:]).all()
 
     def test_selected_by_operator_and_method(self, monkeypatch):
+        # A mapped run calls its stepper once, for one_step_map, never per step.
         calls = {name: 0 for name in STEPPERS}
         for name in STEPPERS:
             real = getattr(opt, name)
@@ -387,23 +389,26 @@ class TestAffinePropagator:
         for make in MAPPED_KINDS:
             for op in (AffineField(m, z_star), BG, SI):
                 opt.run(op, make(0.1), z0, 10)
-        assert not any(calls.values())
+        assert calls == {"step_gda": 3, "step_eg": 3, "step_ogda": 3, "step_ogda_s": 3,
+                         "step_la_gda": 9, "step_ogda_implicit": 0}
         opt.run(AffineField(m, z_star), opt.OGDAVariableStep(), z0, 10)
         opt.run(AffineField(m, z_star), opt.ImplicitOGDA(0.1), z0, 10)
-        assert calls["step_ogda"] == calls["step_ogda_implicit"] == 10
+        assert calls["step_ogda"] == 13 and calls["step_ogda_implicit"] == 10
         for make in MAPPED_KINDS:
             opt.run(NonAffineTwin(m, z_star), make(0.1), z0, 10)
             opt.run(QuarticCounterexample(), make(0.01), z0, 10)
-        assert calls == {"step_gda": 20, "step_eg": 20, "step_ogda": 30, "step_ogda_s": 20,
-                         "step_la_gda": 60, "step_ogda_implicit": 10}
+        assert calls == {"step_gda": 23, "step_eg": 23, "step_ogda": 33, "step_ogda_s": 23,
+                         "step_la_gda": 69, "step_ogda_implicit": 10}
 
-    def test_linear_map_requires_an_affine_operator(self):
+    def test_one_step_map_requires_an_affine_operator(self):
         for method_id in ("gda", "eg", "ogda", "ogda-s", "la-gda"):
             kind = opt.make_method(method_id, gamma=0.1)
             with pytest.raises(ValueError, match="affine"):
-                opt._METHODS[method_id].linear_map(QuarticCounterexample(), kind)
-        assert opt._METHODS["ogda-varstep"].linear_map is None
-        assert opt._METHODS["ogda-implicit"].linear_map is None
+                opt.one_step_map(QuarticCounterexample(), kind)
+        for kind in (opt.OGDAVariableStep(), opt.ImplicitOGDA(0.1)):
+            assert not opt._METHODS[kind.name].fixed_map
+            with pytest.raises(ValueError, match="no fixed one-step map"):
+                opt.one_step_map(BG, kind)
 
 
 def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
@@ -454,7 +459,7 @@ def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
 
 def mapped_advance(op, kind):
     """One step of the method's affine map, on (z, aux) split out of s."""
-    system = opt.stacked_system(*opt._METHODS[kind.name].linear_map(op, kind), 1.0)
+    system = opt.one_step_map(op, kind)
     dim = op.dim
 
     def advance(z, aux):
@@ -570,6 +575,28 @@ class TestBlockLoop:
         assert np.isfinite(fast.states[:trip]).all() and np.isnan(fast.states[trip:]).all()
         assert fast.queries[-1] == trip - 1 and fast.times[-1] == ref.times[trip - 1]
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", [opt.GDA(8.0), opt.OGDA(8.0), "gda-hrde"])
+    def test_raising_errstate_records_the_same_blow_up(self, kind):
+        # Past |z| ~ 1.3e154 the guard's norm overflows, and the map's
+        # product overflows to a non-finite state: neither is an error, so
+        # np.errstate(all="raise") records the run that the default does.
+        z0 = np.array([1.0, 0.0])
+        if kind == "gda-hrde":  # dt*beta = 20: RK4's R(dt S) grows the state
+            op = AffineField(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2))
+            cfg = flows.IntegratorConfig("rk4", 0.1, 20.0)
+            go = lambda: flows.integrate(flows.make_flow(kind, gamma=0.01), op, z0,
+                                         np.zeros(2), cfg)
+        else:
+            go = lambda: opt.run(BilinearGame([[1.5]]), kind, z0, 600)
+        ref = go()
+        with np.errstate(all="raise"):
+            raised = go()
+        # A finite state whose norm overflows, then a non-finite state.
+        assert ref.diverged and np.isinf(ref.metric("z_norm")).any()
+        assert not np.isfinite(ref.states).all() and not np.isnan(ref.states).all(axis=1).all()
+        assert_same_records(raised, ref)
+
     @pytest.mark.parametrize("kind, op", [
         (opt.OGDA(0.1), BilinearGame([[1.0, 0.5], [0.0, 1.0]])),
         (opt.OGDAStateSpace(0.1), BilinearGame([[1.0, 0.5], [0.0, 1.0]])),
@@ -618,7 +645,7 @@ class TestOneStepSpectra:
 
         def radius(method_id, **params):
             kind = opt.make_method(method_id, gamma=gamma, **params)
-            return _spectral_radius(opt._METHODS[method_id].linear_map(op, kind)[0])
+            return _spectral_radius(opt.one_step_map(op, kind)[:-1, :-1])
 
         assert radius("gda") == pytest.approx(np.max(np.abs(1 - is_)), rel=1e-12)
         assert radius("eg") == pytest.approx(np.max(np.abs(1 - is_ + is_ ** 2)), rel=1e-12)
@@ -632,22 +659,57 @@ class TestOneStepSpectra:
                 expected = np.max(np.abs((1 - alpha) + alpha * (1 - is_) ** k))
                 assert radius("la-gda", k=k, alpha=alpha) == pytest.approx(expected, rel=1e-10)
 
-    def test_maps_reproduce_one_step(self):
-        # (M, m) applied to a state equals one stepper call, with q != 0.
-        rng = np.random.default_rng(0)
-        op = AffineField(rng.standard_normal((4, 4)), rng.standard_normal(4))
-        z, aux = rng.standard_normal(op.dim), rng.standard_normal(op.dim)
-        gamma = 0.2
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=monotone_affine_cases(), gamma=st.floats(0.05, 1.0))
+    def test_maps_reproduce_one_step(self, case, gamma):
+        # S applied to (z, aux, 1) equals one stepper call, and S equals the
+        # hand-derived (M, m), on generated monotone fields with q != 0.
+        m, z_star, z, aux = case
+        op = AffineField(m, z_star)
         cases = [
-            ("gda", {}, None, lambda: opt.step_gda(op, z, gamma)),
-            ("eg", {}, None, lambda: opt.step_eg(op, z, gamma)),
-            ("la-gda", {"k": 3, "alpha": 0.4}, None,
-             lambda: opt.step_la_gda(op, z, gamma, 3, 0.4)),
-            ("ogda", {}, aux, lambda: np.concatenate(opt.step_ogda(op, z, aux, gamma))),
-            ("ogda-s", {}, aux, lambda: np.concatenate(opt.step_ogda_s(op, z, aux, gamma))),
+            (opt.GDA(gamma), None, lambda: opt.step_gda(op, z, gamma)),
+            (opt.EG(gamma), None, lambda: opt.step_eg(op, z, gamma)),
+            (opt.OGDA(gamma), aux, lambda: np.concatenate(opt.step_ogda(op, z, aux, gamma))),
+            (opt.OGDAStateSpace(gamma), aux,
+             lambda: np.concatenate(opt.step_ogda_s(op, z, aux, gamma))),
+            *((opt.LookaheadGDA(gamma, k=k, alpha=0.4), None,
+               lambda k=k: opt.step_la_gda(op, z, gamma, k, 0.4)) for k in (1, 2, 3)),
         ]
-        for method_id, params, memory, stepped in cases:
-            kind = opt.make_method(method_id, gamma=gamma, **params)
-            mat, shift = opt._METHODS[method_id].linear_map(op, kind)
-            state = z if memory is None else np.concatenate([z, memory])
-            np.testing.assert_allclose(mat @ state + shift, stepped(), rtol=0, atol=1e-13)
+        for kind, memory, stepped in cases:
+            system = opt.one_step_map(op, kind)
+            want = np.eye(len(system))
+            want[:-1] = np.column_stack(closed_form_map(op, kind))
+            np.testing.assert_allclose(system, want, rtol=1e-13,
+                                       atol=1e-13 * np.abs(want).max())
+            state = np.concatenate([z, () if memory is None else memory, (1.0,)])
+            expected = stepped()
+            np.testing.assert_allclose((system @ state)[:-1], expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+
+
+def closed_form_map(op, kind):
+    """(M, m) of each fixed-map method on V(z) = J z + q, derived by hand:
+    the reference that ``one_step_map`` must reproduce."""
+    zero, dim, gamma = np.zeros(op.dim), op.dim, kind.gamma
+    jac, q, eye = op.jacobian(zero), op.field(zero), np.eye(op.dim)
+    gda = eye - gamma * jac
+    if kind.name == "gda":
+        return gda, -gamma * q
+    if kind.name == "eg":  # M = I - gamma J G with G the GDA matrix
+        return eye - gamma * (jac @ gda), -gamma * (gda @ q)
+    if kind.name == "la-gda":  # (1 - alpha) I + alpha G^k, alpha g_k
+        fast, shift = gda, -gamma * q
+        for _ in range(kind.k - 1):
+            fast, shift = gda @ fast, gda @ shift - gamma * q
+        return (1.0 - kind.alpha) * eye + kind.alpha * fast, kind.alpha * shift
+    mat = np.zeros((2 * dim, 2 * dim))
+    if kind.name == "ogda":  # on (z, v_prev): z' = (I - 2 gamma J) z + gamma v_prev - 2 gamma q
+        mat[:dim, :dim] = eye - 2.0 * gamma * jac
+        mat[:dim, dim:] = gamma * eye
+        mat[dim:, :dim] = jac
+        return mat, np.concatenate([-2.0 * gamma * q, q])
+    # ogda-s on (z, w): z' = (I/2 - 2 gamma J) z - w/2 - 2 gamma q, w' = (w - z)/2
+    mat[:dim, :dim] = 0.5 * eye - 2.0 * gamma * jac
+    mat[:dim, dim:] = mat[dim:, :dim] = -0.5 * eye
+    mat[dim:, dim:] = 0.5 * eye
+    return mat, np.concatenate([-2.0 * gamma * q, zero])
