@@ -179,6 +179,11 @@ CONFIG_KEYS = {
 }
 
 
+#: Method keys accepted on a row that never reads them: perfbench's
+#: flow-rk4 workload sets method.gamma on every constant flow, gda-ode
+#: included (ROADMAP item 6).
+_UNREAD_ACCEPTED = {"gda-ode": ("gamma",)}
+
 #: The keys that the stability command reads; it rejects every other given key.
 STABILITY_READS = ("problem.", "stability.", "outputs.json")
 
@@ -233,11 +238,11 @@ def validate_config(raw: dict, command="run") -> SimpleNamespace:
         raise ConfigError(f"method.id: {cfg.method_id!r} is not a {cfg.mode} method; "
                           f"known: {', '.join(known_ids)}")
     aux_var, reads = _row(cfg.mode, cfg.method_id)
-    # The rates report reads method.gamma for every method; a kappa_fn flow
-    # is built from the method.schedule gamma(t).
+    # A kappa_fn flow is built from the method.schedule gamma(t).
     schedule = ("gamma0", "power") if "kappa_fn" in reads else ()
     for attr, path in given.items():
-        if path.startswith("method.") and attr not in ("method_id", "gamma", *reads, *schedule):
+        if path.startswith("method.") and attr not in (
+                "method_id", *reads, *schedule, *_UNREAD_ACCEPTED.get(cfg.method_id, ())):
             raise ConfigError(f"{path}: not read by {cfg.mode} method {cfg.method_id!r}")
 
     # Mode/field mismatches are config errors; the "required" side is
@@ -493,7 +498,8 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
     else:
         payload["exponent"] = None
     mu = op.strong_mu if op.strong_mu else None
-    beta = 2.0 / cfg.gamma if cfg.gamma else None
+    # beta = 2/gamma only where the row reads a constant gamma.
+    beta = 2.0 / cfg.gamma if "gamma" in _row(cfg.mode, cfg.method_id)[1] else None
     if np.all(zn[1:] > 0):
         gfit = rates.fit_geometric(times[1:], zn[1:], tail_fraction, mu=mu, beta=beta)
         payload["rho_hat"] = gfit.rho_hat
@@ -501,8 +507,8 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
     else:
         payload["rho_hat"] = None
         payload["rho_theory"] = None
-    if (cfg.mode == "discrete" and cfg.method_id == "ogda" and op.lipschitz
-            and cfg.gamma <= 1.0 / (16.0 * op.lipschitz) + 1e-15):
+    if (cfg.mode == "discrete" and optimizers._METHODS[cfg.method_id].explicit_bound
+            and op.lipschitz and cfg.gamma <= 1.0 / (16.0 * op.lipschitz) + 1e-15):
         z0_norm = float(zn[0])
         margins = rates.best_iterate_bound_check(vn, cfg.gamma, op.lipschitz, z0_norm)
         payload["bound_margins"] = {

@@ -26,7 +26,9 @@ On an affine field V(z) = J z + q every flow whose derivative does not read
 t is the linear system d/dt (z, aux) = C (z, aux) + m, which
 ``linear_system`` reads off its ``derivative``.  A fixed-step scheme on it
 is the one-step map s' = R s of the stacked state, which ``integrate``
-steps as ``run`` steps a method's map.
+steps as ``run`` steps a method's map.  The time-varying optimistic flow is
+S(kappa) = S0 + kappa S1 there, and ``integrate`` steps it by one exact map
+R_n per step, built a block of steps at a time.
 """
 from __future__ import annotations
 
@@ -37,7 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizers import Recorder, Trajectory, affine_system, matmul_step, step_loop
+from .optimizers import (BLOCK_BYTES, STEP_MAP_MAX_WIDTH, Recorder, Trajectory, affine_system,
+                         matmul_step, step_loop)
 from .problems import Operator, as_state
 
 Array = np.ndarray
@@ -105,6 +108,11 @@ def _optimistic_derivative(op, z, w, kappa):
     return drift - 2.0 * op.field(z), drift
 
 
+#: A field that is zero everywhere: the optimistic derivative through it is
+#: the kappa-drift alone.
+_NO_FIELD = SimpleNamespace(field=np.zeros_like)
+
+
 @dataclass(frozen=True)
 class VariableStepFlow:
     """(z, w) optimistic flow with kappa(t) = 1/gamma(t)."""
@@ -113,11 +121,15 @@ class VariableStepFlow:
     name: str = "ogda-hrde2-varstep"
     reads_t = True  # the only flow whose derivative reads t
 
-    def derivative(self, op, z, w, t):
+    def kappa(self, t) -> float:
+        """kappa(t); ValueError unless it is positive."""
         kappa = float(self.kappa_fn(t))
         if not kappa > 0:
             raise ValueError(f"kappa(t) must be positive, got {kappa} at t={t}")
-        return _optimistic_derivative(op, z, w, kappa)
+        return kappa
+
+    def derivative(self, op, z, w, t):
+        return _optimistic_derivative(op, z, w, self.kappa(t))
 
 
 @dataclass(frozen=True)
@@ -223,11 +235,13 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     per Euler step.  Divergence is recorded as in ``optimizers.step_loop``;
     caller errors, such as a schedule with kappa(t) <= 0, raise.
 
-    Both paths step the stacked state (z, aux, 1) in ``optimizers.step_loop``.
+    Every path steps the stacked state (z, aux, 1) in ``optimizers.step_loop``.
     On an affine operator a flow whose derivative does not read t is stepped
     by its scheme's one-step map R of ``linear_system`` (``_scheme_map``),
-    one matrix-vector product per step; every other pair evaluates ``rhs``
-    at each stage, which can overflow one step before R s does.
+    one matrix-vector product per step, and the time-varying optimistic flow
+    by one map R_n per step (``_step_maps``) while its stacked state is at
+    most ``STEP_MAP_MAX_WIDTH`` wide.  Every other pair evaluates ``rhs`` at
+    each stage, which can overflow one step before R s does.
     """
     z = as_state(z0, op.dim)
     aux = np.zeros(0) if isinstance(kind, LowResolutionFlow) else as_state(aux0, op.dim)
@@ -236,6 +250,8 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     if op.affine and not getattr(kind, "reads_t", False):
         step = matmul_step(_scheme_map(kind, op, cfg), SCHEMES[cfg.scheme],
                            lambda n, t: t0 + (n + 1) * cfg.dt)
+    elif op.affine and len(z) + len(aux) + 1 <= STEP_MAP_MAX_WIDTH:
+        step = _step_maps(kind, op, cfg, t0, recorder.n_steps)
     else:
         step = _rhs_step(kind, op, cfg, t0)
     return step_loop(recorder, step, z, aux, t0)
@@ -260,6 +276,77 @@ def _scheme_map(kind, op, cfg):
             tmp[diag] += 1.0
             r, tmp = tmp, r
     return r
+
+
+def _step_maps(kind, op, cfg, t0, n_steps):
+    """Step of ``step_loop`` for a VariableStepFlow on an affine field: s' =
+    R_n s, the scheme's exact map for step n, one matrix-vector product.
+
+    S(kappa) = S0 + kappa S1 is read off ``_optimistic_derivative``: S0 at
+    kappa = 0, S1 through a zero field, so that its entries are 0 and -1 and
+    kappa S1 is exact.  When a step leaves the current block of maps, the
+    next block is built: kappa is read once per distinct stage time of each
+    step (t, t + dt/2 and t + dt for RK4, t for Euler), at the arguments the
+    ``rhs`` path passes, for as many steps as fit in BLOCK_BYTES and remain
+    in the budget.  A kappa that is not positive ends the block before its
+    step, which then raises as the ``rhs`` path does; any other exception
+    of the schedule propagates while the block is built, up to a block of
+    steps early.
+    """
+    dim, dt, queries = op.dim, cfg.dt, SCHEMES[cfg.scheme]
+    s0 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(cols, z, w, 0.0), 0.0)
+    s1 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(
+        _NO_FIELD, z, w, 1.0), 0.0)
+    rows = max(1, BLOCK_BYTES // s0.nbytes)
+    offsets = (0.5 * dt, dt) if cfg.scheme == "rk4" else ()  # the later stage times
+
+    def build(n, t):
+        # (maps of steps n, n + 1, ..., the ValueError that ended them or None)
+        kappas, error = [], None
+        for k in range(n, min(n + rows, n_steps)):
+            tk = t if k == n else t0 + k * dt
+            try:
+                kappas.append([kind.kappa(tau) for tau in (tk, *[tk + o for o in offsets])])
+            except ValueError as exc:
+                error = exc
+                break
+        kappas = np.array(kappas, dtype=float).reshape(-1, 1 + len(offsets))
+        return _block_maps(s0, s1, kappas, dt), error
+
+    maps, first, error = s0[:0], 0, None
+
+    def step(n, s, out, t):
+        nonlocal maps, first, error
+        if n - first == len(maps):
+            if error is None:
+                first, (maps, error) = n, build(n, t)
+            if n - first == len(maps):
+                raise error
+        try:
+            np.matmul(maps[n - first], s, out=out)
+        except FloatingPointError:
+            pass  # raised after the whole product is written into out
+        return t0 + (n + 1) * dt, queries
+
+    return step
+
+
+def _block_maps(s0, s1, kappas, h):
+    """R_n for each row of ``kappas``, the step's kappa at its distinct stage
+    times: I + h S_a for Euler; for RK4 I + h/6 (S_a + 2 Q1 + 2 Q2 + Q3) with
+    Q1 = S_b (I + h/2 S_a), Q2 = S_b (I + h/2 Q1) and Q3 = S_c (I + h Q2),
+    S_x = S0 + kappa_x S1, in three batched products."""
+    eye = np.eye(len(s0))
+    # An overflowing R_n is a divergence for the step loop to record.
+    with np.errstate(all="ignore"):
+        s_a, *s_bc = (s0 + kappa[:, None, None] * s1 for kappa in kappas.T)
+        if not s_bc:
+            return eye + h * s_a
+        s_b, s_c = s_bc
+        q1 = np.matmul(s_b, eye + (0.5 * h) * s_a)
+        q2 = np.matmul(s_b, eye + (0.5 * h) * q1)
+        q3 = np.matmul(s_c, eye + h * q2)
+        return eye + (h / 6.0) * (s_a + 2.0 * q1 + 2.0 * q2 + q3)
 
 
 def _rhs_step(kind, op, cfg, t0):

@@ -270,6 +270,9 @@ class _Method(NamedTuple):
     # True where the step is one fixed affine map on an affine field: not
     # where gamma_n varies or the step is solved iteratively.
     fixed_map: bool = False
+    # True where rates.explicit_bound caps the iterates: the explicit
+    # constant-step optimistic sequence with z_1 = z_0.
+    explicit_bound: bool = False
 
 
 def _no_aux(op, z, kind):
@@ -299,10 +302,11 @@ _METHODS = {
                    lambda kind: 1, fixed_map=True),
     "eg": _Method(EG, _no_aux, lambda op, z, aux, gamma, kind: (step_eg(op, z, gamma), aux, 2),
                   lambda kind: 2, fixed_map=True),
-    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1, fixed_map=True),
+    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1, fixed_map=True,
+                    explicit_bound=True),
     "ogda-s": _Method(OGDAStateSpace, lambda op, z, kind: ogda_s_w0(op, z, kind.gamma),
                       lambda op, z, aux, gamma, kind: (*step_ogda_s(op, z, aux, gamma), 1),
-                      lambda kind: 1, "w", True),
+                      lambda kind: 1, "w", True, True),
     "la-gda": _Method(
         LookaheadGDA, _no_aux,
         lambda op, z, aux, gamma, kind: (
@@ -480,6 +484,12 @@ class Recorder:
 #: Most rows, and most bytes, in one block of the step loop's states; the
 #: byte cap keeps wide states small (40 rows for a d = 100 flow with omega).
 BLOCK_ROWS, BLOCK_BYTES = 256, 1 << 16
+
+#: Widest stacked state (z, aux, 1) that ``flows.integrate`` steps by a map
+#: built for each step (d = 16 for the optimistic flow).  Building one costs
+#: O(width^3); measured per RK4 step, it overtakes the four stage
+#: evaluations it replaces between widths 37 and 49 (README).
+STEP_MAP_MAX_WIDTH = 33
 
 
 def step_loop(recorder: Recorder, step, z, aux, t) -> Trajectory:

@@ -46,9 +46,10 @@ def monotone_affine_cases(draw):
     return m, rng.standard_normal(dim), rng.standard_normal(dim), rng.standard_normal(dim)
 
 
-def assert_same_run(fast, ref):
+def assert_same_run(fast, ref, rtol=1e-10):
     """Identical steps, times, queries, divergence flag and non-finite
-    pattern; states within 1e-10 of each record's largest entry (at least 1)."""
+    pattern; states within ``rtol`` of each record's largest entry (at
+    least 1)."""
     np.testing.assert_array_equal(fast.steps, ref.steps)
     np.testing.assert_array_equal(fast.times, ref.times)
     np.testing.assert_array_equal(fast.queries, ref.queries)
@@ -58,4 +59,4 @@ def assert_same_run(fast, ref):
     np.testing.assert_array_equal(np.isnan(fast.states), np.isnan(ref.states))
     ref_states = np.where(finite, ref.states, 0.0)
     gap = np.abs(np.where(finite, fast.states, 0.0) - ref_states)
-    assert np.all(gap <= 1e-10 * np.maximum(1.0, np.abs(ref_states).max(axis=1, keepdims=True)))
+    assert np.all(gap <= rtol * np.maximum(1.0, np.abs(ref_states).max(axis=1, keepdims=True)))

@@ -77,6 +77,12 @@ MISUSE = [
     ("run", [*_HRDE, "method.schedule.power=0.5"], "method.schedule.power"),
     ("run", [*_HRDE, "method.fp_tol=1e-9"], "method.fp_tol"),
     ("run", [*_RUN, "method.id=la-gda", "method.fp_max_iter=10"], "method.fp_max_iter"),
+    # Rows without a constant step: the rates report takes beta only from a
+    # row that reads gamma.
+    ("run", ["budget.steps=5", "method.id=ogda-varstep", "method.gamma=7"], "method.gamma"),
+    ("lyapunov", ["mode=hrde", "method.id=ogda-hrde2-varstep", "budget.t_end=0.5",
+                  "budget.dt=0.01", 'lyapunov=["varstep_l"]', "method.gamma=0.3"],
+     "method.gamma"),
 ]
 
 
@@ -140,8 +146,9 @@ class TestConfigParsing:
         accepted = set()
         for mode, method_id in rows:
             for kind in LYAPUNOV_KINDS:
-                raw = {"mode": mode, "method": {"id": method_id, "gamma": 0.1},
-                       "lyapunov": [kind]}
+                # method.gamma only where the row reads it: elsewhere it exits 2.
+                gamma = {"gamma": 0.1} if "gamma" in cli._row(mode, method_id)[1] else {}
+                raw = {"mode": mode, "method": {"id": method_id, **gamma}, "lyapunov": [kind]}
                 try:
                     assert cli.validate_config(raw).lyapunov_kinds == [kind]
                     accepted.add((method_id, kind))
@@ -486,6 +493,41 @@ class TestReportCommands:
         assert payload["bound_margins"]["all_nonnegative"] is True
         assert payload["bound_margins"]["min"] >= 0.0
         assert payload["rho_hat"] is not None
+
+    def test_rates_bound_check_follows_the_method_row(self, tmp_path):
+        # ogda-s runs the same sequence as ogda, so it gets the same check;
+        # a method without the certified sequence gets none.
+        margins = {}
+        for method in ("ogda", "ogda-s", "eg"):
+            out = tmp_path / method
+            assert run_main(["rates", "--set", f"method.id={method}", "--set",
+                             "method.gamma=0.0625", "--set", "budget.steps=3000",
+                             "--out", str(out)]) == 0
+            margins[method] = json.loads((out / "run.json").read_text())["bound_margins"]
+        assert margins["ogda"]["all_nonnegative"] is margins["ogda-s"]["all_nonnegative"] is True
+        assert margins["ogda-s"]["min"] == pytest.approx(margins["ogda"]["min"], rel=1e-12, abs=0)
+        assert margins["eg"] is None
+
+    def test_rates_takes_beta_only_from_a_row_that_reads_gamma(self, tmp_path):
+        hrde = ["mode=hrde", "budget.t_end=2.0", "budget.dt=0.01"]
+        cases = {"ogda": ["method.gamma=0.1", "budget.steps=200"],
+                 "ogda-varstep": ["budget.steps=200"],
+                 "ogda-hrde": [*hrde, "method.gamma=0.5"],
+                 # gda-ode accepts the method.gamma that it never reads.
+                 "gda-ode": [*hrde, "method.gamma=0.5"]}
+        rho_theory = {}
+        for method, sets in cases.items():
+            argv = ["rates", "--set", "problem.id=scaled-identity", "--set", f"method.id={method}"]
+            for assignment in sets:
+                argv += ["--set", assignment]
+            assert run_main([*argv, "--out", str(tmp_path / method)]) == 0
+            payload = json.loads((tmp_path / method / "run.json").read_text())
+            assert payload["rho_hat"] is not None
+            rho_theory[method] = payload["rho_theory"]
+        # 1 / (1/mu + 9/(2 beta)) with mu = 1 and beta = 2/gamma.
+        assert rho_theory["ogda"] == pytest.approx(1.0 / (1.0 + 9.0 / 40.0))
+        assert rho_theory["ogda-hrde"] == pytest.approx(1.0 / (1.0 + 9.0 / 8.0))
+        assert rho_theory["ogda-varstep"] is None and rho_theory["gda-ode"] is None
 
     def test_catalog(self, capsys):
         assert run_main(["catalog"]) == 0

@@ -364,8 +364,11 @@ class TestAffinePropagator:
             flows.integrate(flows.make_flow(flow_id, gamma=0.5), AffineField(m, z_star),
                             z0, aux0, cfg)
         assert not calls
+        # The time-varying flow takes its per-step maps on an affine field too.
         varstep = flows.VariableStepFlow(lambda t: 2.0)
         flows.integrate(varstep, AffineField(m, z_star), z0, aux0, cfg)
+        assert not calls
+        flows.integrate(varstep, NonAffineTwin(m, z_star), z0, aux0, cfg)
         assert len(calls) == 40
         flows.integrate(flows.ogda_flow(4.0), NonAffineTwin(m, z_star), z0, aux0, cfg)
         flows.integrate(flows.ogda_flow(4.0), QuarticCounterexample(), z0, aux0, cfg)
@@ -393,6 +396,78 @@ class TestAffinePropagator:
             assert np.any(m)
             np.testing.assert_allclose(system, want, rtol=1e-14,
                                        atol=1e-14 * np.abs(want).max())
+
+
+@st.composite
+def positive_schedules(draw):
+    """kappa(t) = a (1 + b t)^p: positive, rising or falling, at most 14 on
+    the horizons below."""
+    a, b = draw(st.floats(0.1, 4.0)), draw(st.floats(0.0, 1.0))
+    p = draw(st.floats(-1.0, 1.0))
+    return lambda t: a * (1.0 + b * t) ** p
+
+
+class TestVariableStepMaps:
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(case=monotone_affine_cases(), kappa_fn=positive_schedules(),
+           dt=st.sampled_from([0.005, 0.02, 0.1]), t0=st.sampled_from([0.0, 0.7]),
+           record_every=st.integers(1, 4))
+    def test_matches_rhs_path(self, case, kappa_fn, dt, t0, record_every):
+        m, z_star, z0, w0 = case
+        kind = flows.VariableStepFlow(kappa_fn)
+        w_parts = {f"w{i}": (lambda t, z, w, i=i: w[i]) for i in range(len(z0))}
+        for scheme in ("rk4", "euler"):
+            cfg = flows.IntegratorConfig(scheme, dt, 25 * dt, record_every)
+            fast, ref = (flows.integrate(kind, op(m, z_star), z0, w0, cfg, w_parts, t0)
+                         for op in (AffineField, NonAffineTwin))
+            assert_same_run(fast, ref, rtol=1e-12)
+            for name in w_parts:
+                np.testing.assert_allclose(fast.metric(name), ref.metric(name), rtol=0,
+                                           atol=1e-12 * max(1.0, np.abs(ref.metric(name)).max()))
+
+    @pytest.mark.parametrize("scheme", ["rk4", "euler"])
+    @pytest.mark.parametrize("n_steps", [5, 700])  # 700 steps span three blocks of maps at d = 2
+    def test_kappa_read_at_rhs_stage_times(self, scheme, n_steps):
+        # The rhs path reads kappa at t, t + dt/2, t + dt/2 and t + dt of each
+        # RK4 step; the maps read each distinct time once, with the same
+        # argument bit for bit, and nothing past the budget.
+        dt, t0 = 0.01, 0.3
+        cfg = flows.IntegratorConfig(scheme, dt, n_steps * dt)
+        m, z_star = np.array([[0.5, 1.0], [-1.0, 0.0]]), np.zeros(2)
+        seen = {}
+        for op in (AffineField, NonAffineTwin):
+            times = seen[op] = []
+            kind = flows.VariableStepFlow(lambda t, times=times: times.append(t) or 1.0 + t)
+            flows.integrate(kind, op(m, z_star), np.array([1.0, 0.0]), np.zeros(2), cfg, t0=t0)
+        rhs_times = seen[NonAffineTwin]
+        assert len(rhs_times) == flows.SCHEMES[scheme] * n_steps
+        want = rhs_times if scheme == "euler" else [
+            t for i, t in enumerate(rhs_times) if i % 4 != 2]
+        assert len(want) == {"rk4": 3, "euler": 1}[scheme] * n_steps
+        assert seen[AffineField] == want
+
+    def test_maps_up_to_the_width_bound(self, monkeypatch):
+        calls = []
+        real_rhs = flows.rhs
+        monkeypatch.setattr(flows, "rhs", lambda *a, **k: calls.append(1) or real_rhs(*a, **k))
+        dim = (opt.STEP_MAP_MAX_WIDTH - 1) // 2
+        assert 2 * dim + 1 == opt.STEP_MAP_MAX_WIDTH  # (z, w, 1) is exactly at the bound
+        cfg = flows.IntegratorConfig("rk4", 0.1, 0.3)
+        kind = flows.VariableStepFlow(lambda t: 2.0)
+        for d in (dim, dim + 1):
+            flows.integrate(kind, ScaledIdentity(1.0, d), np.ones(d), np.zeros(d), cfg)
+            assert len(calls) == (0 if d == dim else 4 * 3)
+
+    def test_overflowing_maps_are_divergence(self):
+        # kappa = 1e300 overflows the maps as they are built; under a caller's
+        # np.errstate(all="raise") that is a recorded divergence, as on the
+        # rhs path.
+        cfg = flows.IntegratorConfig("rk4", 0.1, 1.0)
+        kind = flows.VariableStepFlow(lambda t: 1e300)
+        for op in (ScaledIdentity(1.0, 2), NonAffineTwin(np.eye(2), np.zeros(2))):
+            with np.errstate(all="raise"):
+                traj = flows.integrate(kind, op, np.array([1.0, 0.0]), np.zeros(2), cfg)
+            assert traj.diverged and np.isnan(traj.states[-1]).all()
 
 
 def closed_form_system(kind, op):

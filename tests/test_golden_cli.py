@@ -63,6 +63,11 @@ def _readme_runs():
     }
 
 
+def _gamma(mode, method, gamma):
+    """The method.gamma setting, on the rows that read it."""
+    return [("method.gamma", gamma)] if "gamma" in cli._row(mode, method)[1] else []
+
+
 def _method_runs():
     runs = {}
     for problem in PROBLEMS:
@@ -70,7 +75,7 @@ def _method_runs():
             lookahead = [("method.k", 3), ("method.alpha", 0.4)] if method == "la-gda" else []
             runs[f"discrete/{problem}/{method}"] = ["run", *_sets([
                 ("problem.id", problem), ("mode", "discrete"), ("method.id", method),
-                ("method.gamma", 0.05), *lookahead,
+                *_gamma("discrete", method, 0.05), *lookahead,
                 ("budget.steps", 60), ("budget.record_every", 7),
             ])]
         for scheme in ("rk4", "euler"):
@@ -78,7 +83,7 @@ def _method_runs():
                 alpha = [("method.alpha", 0.4)] if flow.startswith("la") else []
                 runs[f"hrde/{scheme}/{problem}/{flow}"] = ["run", *_sets([
                     ("problem.id", problem), ("mode", "hrde"), ("method.id", flow),
-                    ("method.gamma", 0.1), *alpha,
+                    *_gamma("hrde", flow, 0.1), *alpha,
                     ("budget.t_end", 0.5), ("budget.dt", 0.01),
                     ("budget.record_every", 3), ("budget.scheme", scheme),
                 ])]
@@ -104,13 +109,14 @@ LYAPUNOV_RUNS = (
 def _lyapunov_runs():
     runs = {}
     for method, kinds in LYAPUNOV_RUNS:
-        if method in flows.FLOW_IDS:
+        mode = "hrde" if method in flows.FLOW_IDS else "discrete"
+        if mode == "hrde":
             budget = [("mode", "hrde"), ("budget.t_end", 0.5), ("budget.dt", 0.01)]
         else:
             budget = [("mode", "discrete"), ("budget.steps", 50)]
         runs[f"lyapunov/{method}"] = ["lyapunov", *_sets([
             ("problem.id", "scaled-identity"), ("method.id", method),
-            ("method.gamma", 0.1), ("lyapunov", list(kinds)), *budget,
+            *_gamma(mode, method, 0.1), ("lyapunov", list(kinds)), *budget,
         ])]
     return runs
 

@@ -141,6 +141,22 @@ class TestAptWindows:
         # the improvement is monotone across the second half of the windows
         assert np.all(np.diff(sups[4:]) < 0)
 
+    def test_window_sups_match_the_per_record_loop(self, monkeypatch):
+        # The windows interpolate the run at all record times at once; the
+        # sups equal those of interpolating and taking a norm record by record.
+        traj, gamma_of_t = self._varstep_run(2000)
+        runs = []
+        real_integrate = rates.integrate
+        monkeypatch.setattr(rates, "integrate",
+                            lambda *a, **k: runs.append(real_integrate(*a, **k)) or runs[-1])
+        sups = rates.apt_window_check(traj.times, traj.states, SI, gamma_of_t, T=0.5, windows=3)
+        assert len(runs) == 3
+        for sup, flow in zip(sups, runs):
+            t0 = flow.times[0]
+            diffs = [np.linalg.norm([np.interp(t0 + h, traj.times, col) for col in traj.states.T]
+                                    - zs) for h, zs in zip(flow.times - t0, flow.states)]
+            assert abs(sup - max(diffs)) <= 1e-12 * max(diffs)
+
     def test_self_comparison_is_small(self):
         # A "discrete" trajectory sampled from the flow itself must sit on the
         # flow up to integrator/interpolation error.  Anchors start past the
