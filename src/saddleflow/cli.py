@@ -472,11 +472,12 @@ def cmd_lyapunov(cfg: SimpleNamespace, out_dir: Path, tol_abs=1e-7, tol_rel=1e-9
     for kind in cfg.lyapunov_kinds:
         values = traj.metric(f"lyap_{kind}")
         check = lyapunov.continuous_decrease_check(values, tol_abs, tol_rel)
+        # Non-finite values (a diverged run) map to null, as in run_summary.
         report[kind] = {
             "violations": check.violations,
-            "max_increase": check.max_increase,
-            "initial": float(values[0]),
-            "final": float(values[-1]),
+            "max_increase": _finite_or_none(check.max_increase),
+            "initial": _finite_or_none(values[0]),
+            "final": _finite_or_none(values[-1]),
         }
     _write(out_dir / cfg.csv_path, trajectory_csv(traj))
     payload = {"run": run_summary(traj), "lyapunov": report}

@@ -230,7 +230,8 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
 
     Metric columns are those of the discrete run loop (z_norm,
     dist_to_solution, v_norm), computed once when the loop ends.
-    ``extra_metrics`` callables receive (t, z, aux).  The query column counts
+    ``extra_metrics`` callables receive (ts, zs, auxs) once, for all finite
+    records, as in ``Recorder``.  The query column counts
     the field evaluations of the scheme (``SCHEMES``): 4 per RK4 step and 1
     per Euler step.  Divergence is recorded as in ``optimizers.step_loop``;
     caller errors, such as a schedule with kappa(t) <= 0, raise.

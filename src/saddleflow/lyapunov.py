@@ -41,45 +41,52 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .optimizers import ogda_s_w0, step_ogda_s
+from .optimizers import ogda_s_w0, row_dots, step_ogda_s
 from .problems import Operator, as_state
 
 Array = np.ndarray
 
 
-def _sq(v) -> float:
-    return float(v @ v)
+def _dot(x, y) -> Array:
+    """``row_dots`` of two (n, d) stacks as an (n, 1) column."""
+    return row_dots(x, y)[:, None]
 
 
-def _jac_quad(op: Operator, z, x) -> float:
-    return float(x @ (op.jacobian(z) @ x))
+def _sq(x) -> Array:
+    return _dot(x, x)
+
+
+def _jac_quad(op: Operator, zs, xs) -> Array:
+    return np.array([[x @ (op.jacobian(z) @ x)] for z, x in zip(zs, xs)])
 
 
 def _with_field(formula):
-    """A row function ``(op, z, aux, s)`` that evaluates V(z) once and passes
-    it to ``formula(op, z, aux, s, v)``."""
-    return lambda op, z, aux, s: formula(op, z, aux, s, op.field(z))
+    """A row function ``(op, z, aux, s, fields)`` that evaluates V at the rows
+    of z once, with ``fields``, and passes it to ``formula(op, z, aux, s, v)``."""
+    return lambda op, z, aux, s, fields: formula(op, z, aux, s, fields(z))
 
 
 class _Kind(NamedTuple):
     aux_var: str                     # the state's auxiliary variable: "omega" or "w"
     scale: Optional[str]             # "beta", "kappa", "gamma", "beta(t)" or None
     discrete: bool                   # whether discrete schemes may use it
-    value: Callable                  # (op, z, aux, scale) -> value of the functional
-    rate: Optional[Callable] = None  # (op, z, aux, flow scale) -> closed-form d/dt
+    value: Callable                  # (op, z, aux, scale, fields) -> value of the functional
+    rate: Optional[Callable] = None  # (op, z, aux, flow scale, fields) -> closed-form d/dt
 
 
 #: kind -> row, in catalog order.  A rate's scale is its flow's: beta on
-#: (z, omega) states, kappa on (z, w) states.
+#: (z, omega) states, kappa on (z, w) states.  Every formula acts on (n, d)
+#: stacks of states and auxes with a scale that is a number or an (n, 1)
+#: column, and gives an (n, 1) column.
 KINDS = {
     "ogda_l": _Kind("omega", "beta", False, _with_field(lambda op, z, w, b, v: (
-        _sq(b * z + w) + _sq(w) + 4.0 * b * float(z @ v) + _sq(v + w) + _sq(v)))),
+        _sq(b * z + w) + _sq(w) + 4.0 * b * _dot(z, v) + _sq(v + w) + _sq(v)))),
     "ogda_l1": _Kind(
         "omega", "beta", False,
         _with_field(lambda op, z, w, b, v: (
-            0.5 * (_sq(b * z + w) + _sq(w) + 4.0 * b * float(z @ v)))),
+            0.5 * (_sq(b * z + w) + _sq(w) + 4.0 * b * _dot(z, v)))),
         _with_field(lambda op, z, w, b, v: (
-            -b * _sq(w) - b ** 2 * float(z @ v) - 4.0 * _jac_quad(op, z, w)))),
+            -b * _sq(w) - b ** 2 * _dot(z, v) - 4.0 * _jac_quad(op, z, w)))),
     "ogda_l2": _Kind(
         "omega", None, False,
         _with_field(lambda op, z, w, s, v: 0.5 * (_sq(v + w) + _sq(v))),
@@ -88,8 +95,8 @@ KINDS = {
         k ** 2 * _sq(z + w) + k ** 2 * _sq(z - w) + _sq(k * (z + w) + v) + _sq(v)))),
     "ogda2_l3": _Kind(
         "w", None, True,
-        lambda op, z, w, s: 0.5 * (_sq(z + w) + _sq(z - w)),
-        _with_field(lambda op, z, w, k, v: -2.0 * k * _sq(z + w) - 4.0 * float(z @ v))),
+        lambda op, z, w, s, fields: 0.5 * (_sq(z + w) + _sq(z - w)),
+        _with_field(lambda op, z, w, k, v: -2.0 * k * _sq(z + w) - 4.0 * _dot(z, v))),
     "ogda2_l4": _Kind(
         "w", "kappa", True,
         _with_field(lambda op, z, w, k, v: 0.5 * (_sq(k * (z + w) + v) + _sq(v))),
@@ -98,29 +105,57 @@ KINDS = {
     "ogda_l5": _Kind("w", "gamma", True, _with_field(lambda op, z, w, g, v: (
         _sq(z - w) + _sq(z + w + 2.0 * g * v)))),
     "ogda_i_l1": _Kind("omega", "beta", True, _with_field(lambda op, z, w, b, v: (
-        _sq(b * z + w) + _sq(w) + 2.0 * b * float(z @ v)))),
+        _sq(b * z + w) + _sq(w) + 2.0 * b * _dot(z, v)))),
     "ogda_i_l2": _Kind("omega", None, True, _with_field(lambda op, z, w, s, v: (
         _sq(v + w) + _sq(v)))),
-    "varstep_l": _Kind("w", "beta(t)", False, lambda op, z, w, b: (
+    "varstep_l": _Kind("w", "beta(t)", False, lambda op, z, w, b, fields: (
         0.5 * (_sq(b * z + w) + _sq(w - b * z)))),
 }
 
 
-def evaluate(kind, op: Operator, z, aux, beta=None, kappa=None, gamma=None) -> float:
+def evaluate(kind, op: Operator, z, aux, beta=None, kappa=None, gamma=None):
     """Value of the named functional at state (z, aux).
 
     The kind's scale (``KINDS``) names the argument it requires: ``beta``
     (also for a beta(t) scale, at the current t), ``kappa`` or ``gamma``.
+
+    For one state (1-d z and aux) the state is validated, V is the checked
+    ``op.field`` and the value is a float.  For an (n, d) stack of states and
+    auxes the value is an (n,) array, row i equal to the one-state value of
+    row i bit for bit; the scale may then also be an (n,) array (a beta(t)
+    read at each row's time).  V comes from ``op.fields_unchecked``, so a
+    finite state whose field or value overflows gives inf or NaN, under any
+    np.errstate.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown lyapunov kind {kind!r}; known: {', '.join(KINDS)}")
     row = KINDS[kind]
+    scale = {None: None, "beta": beta, "beta(t)": beta, "kappa": kappa, "gamma": gamma}[row.scale]
+    if np.ndim(z) == 2:
+        zs, auxs = _as_stack(z, op.dim), _as_stack(aux, op.dim)
+        if len(auxs) != len(zs):
+            raise ValueError(f"aux has {len(auxs)} rows, expected {len(zs)}")
+        if row.scale is not None:
+            scale = _require_stack(scale, row.scale, kind, len(zs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return row.value(op, zs, auxs, scale, op.fields_unchecked)[:, 0]
     z = as_state(z, op.dim)
     aux = as_state(aux, op.dim)
-    scale = {None: None, "beta": beta, "beta(t)": beta, "kappa": kappa, "gamma": gamma}[row.scale]
     if row.scale is not None:
         scale = _require(scale, row.scale, kind)
-    return row.value(op, z, aux, scale)
+    return float(row.value(op, z[None], aux[None], scale, _checked_field(op))[0, 0])
+
+
+def _checked_field(op: Operator):
+    """``fields`` for a one-row stack: the validated ``op.field``."""
+    return lambda zs: op.field(zs[0])[None]
+
+
+def _as_stack(zs, dim) -> Array:
+    zs = np.asarray(zs, dtype=float)
+    if zs.ndim != 2 or zs.shape[1] != dim:
+        raise ValueError(f"expected an (n, {dim}) stack of states, got shape {zs.shape}")
+    return zs
 
 
 def _require(value, name, kind):
@@ -132,17 +167,34 @@ def _require(value, name, kind):
     return value
 
 
+def _require_stack(value, name, kind, n):
+    """A scale for n rows: a positive number, or an (n,) array of them as an
+    (n, 1) column."""
+    if np.ndim(value) == 0:
+        return _require(value, name, kind)
+    value = np.asarray(value, dtype=float)
+    if value.shape != (n,):
+        raise ValueError(f"{name} must be a number or an array of {n} values")
+    if not (value > 0).all():
+        raise ValueError(f"{name} must be positive")
+    return value[:, None]
+
+
 def make_monitor(kind, op: Operator, beta=None, kappa=None, gamma=None, beta_fn=None):
-    """Recorder callable ``f(t, z, aux) -> value`` for run/integrate loops.
+    """Recorder callable ``f(ts, zs, auxs) -> values`` for run/integrate loops:
+    the functional at each of n records, from the (n,) record times and the
+    (n, d) stacks of states and auxes, in one ``evaluate`` call.
 
     A kind with a beta(t) scale takes ``beta_fn`` (t -> beta(t)) when it is
-    given; the others take their scale as a constant.
+    given, called once per record time; the others take their scale as a
+    constant.
     """
     if beta_fn is not None and kind in KINDS and KINDS[kind].scale == "beta(t)":
-        return lambda t, z, aux: evaluate(kind, op, z, aux, beta=float(beta_fn(t)))
+        return lambda ts, zs, auxs: evaluate(
+            kind, op, zs, auxs, beta=np.array([float(beta_fn(t)) for t in ts.tolist()]))
 
-    def monitor(t, z, aux):
-        return evaluate(kind, op, z, aux, beta=beta, kappa=kappa, gamma=gamma)
+    def monitor(ts, zs, auxs):
+        return evaluate(kind, op, zs, auxs, beta=beta, kappa=kappa, gamma=gamma)
 
     return monitor
 
@@ -163,17 +215,18 @@ def continuous_decrease_check(values, tol_abs=1e-7, tol_rel=1e-9) -> DecreaseRep
     """Check that a recorded functional is non-increasing.
 
     The slack tol_abs + tol_rel * (1 + |value|) absorbs integrator error; the
-    underlying continuous statements are exact.
+    underlying continuous statements are exact.  A NaN increase (a NaN value,
+    or inf - inf) is neither a violation nor a candidate for
+    ``max_increase``, which is the first largest of the other increases, or
+    -inf when there are none.
     """
     values = np.asarray(values, dtype=float)
-    violations = []
-    max_increase = -np.inf
-    for i in range(values.size - 1):
-        increase = values[i + 1] - values[i]
-        max_increase = max(max_increase, increase)
-        if increase > tol_abs + tol_rel * (1.0 + abs(values[i])):
-            violations.append(i)
-    return DecreaseReport(violations, float(max_increase))
+    with np.errstate(over="ignore", invalid="ignore"):
+        increases = np.diff(values)
+        violations = np.flatnonzero(increases > tol_abs + tol_rel * (1.0 + np.abs(values[:-1])))
+    candidates = increases[~np.isnan(increases)]
+    max_increase = candidates[np.argmax(candidates)] if candidates.size else -np.inf
+    return DecreaseReport(violations.tolist(), float(max_increase))
 
 
 def analytic_decrease_rate(kind, op: Operator, z, aux, beta=None, kappa=None) -> float:
@@ -188,7 +241,8 @@ def analytic_decrease_rate(kind, op: Operator, z, aux, beta=None, kappa=None) ->
         available = ", ".join(name for name, r in KINDS.items() if r.rate is not None)
         raise ValueError(f"no closed-form rate for kind {kind!r}; available: {available}")
     name, scale = ("beta", beta) if row.aux_var == "omega" else ("kappa", kappa)
-    return row.rate(op, z, aux, _require(scale, name, kind))
+    scale = _require(scale, name, kind)
+    return float(row.rate(op, z[None], aux[None], scale, _checked_field(op))[0, 0])
 
 
 def discrete_l5_difference(op: Operator, z, w, v_prev, gamma):
@@ -207,7 +261,7 @@ def discrete_l5_difference(op: Operator, z, w, v_prev, gamma):
     before = evaluate("ogda_l5", op, z, w, gamma=gamma)
     z_next, w_next = step_ogda_s(op, z, w, gamma)
     after = evaluate("ogda_l5", op, z_next, w_next, gamma=gamma)
-    bound = -2.0 * gamma ** 2 * _sq(v_prev)
+    bound = -2.0 * gamma ** 2 * float(v_prev @ v_prev)
     return after - before, bound
 
 

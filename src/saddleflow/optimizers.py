@@ -400,10 +400,16 @@ class Trajectory:
         return len(self.steps)
 
 
+def row_dots(xs, ys) -> Array:
+    """Dot product of each pair of rows of two (n, d) stacks: x.dot(y) bit
+    for bit, as stacked dot products (a sum of products over axis 1 rounds
+    differently)."""
+    return np.matmul(xs[:, None, :], ys[:, :, None])[:, 0, 0]
+
+
 def _row_norms(zs) -> Array:
-    """Euclidean norm of each row: sqrt(z.dot(z)) bit for bit, as stacked
-    dot products (a sum of squares over axis 1 rounds differently)."""
-    return np.sqrt(np.matmul(zs[:, None, :], zs[:, :, None])[:, 0, 0])
+    """Euclidean norm of each row: sqrt(z.dot(z)) bit for bit."""
+    return np.sqrt(row_dots(zs, zs))
 
 
 class Recorder:
@@ -414,8 +420,10 @@ class Recorder:
     selected steps, and the method memory too when ``extra_metrics`` are
     attached; ``finish`` computes the metric columns once, over all records:
     z_norm, dist_to_solution, v_norm, then one per ``extra_metrics``
-    callable ``f(t, z, aux)``, called record by record.  A non-finite
-    state's metrics stay NaN.
+    callable ``f(ts, zs, auxs) -> values``, called once with the (n,) times,
+    the (n, d) finite states and their memory rows (None for a method
+    without memory), and returning the n values.  A non-finite state's
+    metrics stay NaN.
     """
 
     def __init__(self, op: Operator, method, problem, n_steps, record_every=1,
@@ -472,12 +480,13 @@ class Recorder:
             cols["z_norm"][ok] = _row_norms(zs)
             cols["dist_to_solution"][ok] = _row_norms(zs - self.op.solution)
             cols["v_norm"][ok] = _row_norms(self.op.fields_unchecked(zs))
-        if self.extra_metrics:
-            times = traj.times.tolist()
-            for i in ok.tolist():
-                aux = None if self.memory is None else self.memory[i]
-                for name, fn in self.extra_metrics.items():
-                    cols[name][i] = float(fn(times[i], traj.states[i], aux))
+        ts, auxs = traj.times[ok], None if self.memory is None else self.memory[ok]
+        for name, fn in self.extra_metrics.items():
+            values = np.asarray(fn(ts, zs, auxs), dtype=float)
+            if values.shape != ok.shape:
+                raise ValueError(f"metric {name!r} gave shape {values.shape} "
+                                 f"for {len(ok)} records")
+            cols[name][ok] = values
         return traj
 
 
@@ -554,10 +563,11 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
         record_every=1) -> Trajectory:
     """Iterate ``kind`` from z0 for ``steps`` steps, recording metrics.
 
-    ``extra_metrics`` maps column names to callables ``f(t, z, aux) -> float``
-    (aux is the method memory: previous field for the one-variable optimistic
-    method, w for the two-variable form, omega for the implicit scheme, else
-    None).  Records follow the ``Recorder`` rule for ``record_every``; see
+    ``extra_metrics`` maps column names to callables ``f(ts, zs, auxs)``,
+    called once per run with the finite records (see ``Recorder``): auxs
+    holds the method memory (previous field for the one-variable optimistic
+    method, w for the two-variable form, omega for the implicit scheme), or
+    is None for a method without one.  Records follow the ``Recorder`` rule for ``record_every``; see
     ``step_loop`` for divergence.  A step size ``kind.step_size(n)`` that is
     not positive raises ValueError.
 

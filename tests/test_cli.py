@@ -90,6 +90,11 @@ def run_main(argv):
     return cli.main(argv)
 
 
+def _reject(token):
+    """``parse_constant`` for strict JSON: NaN and Infinity are errors."""
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 class TestConfigParsing:
     def test_minimal_fills_defaults(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))
@@ -477,6 +482,37 @@ class TestReportCommands:
         payload = json.loads((tmp_path / "run.json").read_text())
         assert payload["lyapunov"]["varstep_l"]["violations"] == []
         assert payload["run"]["final_dist_to_solution"] < 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lyapunov_records_an_overflowing_field(self, tmp_path):
+        # z0 is finite but V(z0) = 4 z0^3 overflows: the run diverges at its
+        # first step and the monitor records inf at record 0, as run does.
+        code = run_main(["lyapunov", "--set", "problem.id=quartic", "--set", "mode=hrde",
+                         "--set", "method.id=ogda-hrde", "--set", "method.gamma=0.5",
+                         "--set", "budget.t_end=0.01", "--set", "budget.dt=0.001",
+                         "--set", "init.z0=[1e150,0.5]", "--set", 'lyapunov=["ogda_l1"]',
+                         "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "run.json").read_text(), parse_constant=_reject)
+        assert payload["run"]["diverged"] is True
+        assert payload["lyapunov"]["ogda_l1"]["initial"] is None
+        rows = (tmp_path / "run.csv").read_text().splitlines()
+        header, record0 = rows[0].split(","), rows[1].split(",")
+        assert not np.isfinite(float(record0[header.index("lyap_ogda_l1")]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lyapunov_report_is_strict_json(self, tmp_path):
+        # gamma = 3 diverges: the final value is NaN and the largest increase
+        # inf, both written as null.
+        code = run_main(["lyapunov", "--set", "problem.id=bilinear", "--set", "method.id=ogda-s",
+                         "--set", "method.gamma=3", "--set", "budget.steps=800",
+                         "--set", 'lyapunov=["ogda_l5"]', "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "run.json").read_text(), parse_constant=_reject)
+        report = payload["lyapunov"]["ogda_l5"]
+        assert payload["run"]["diverged"] is True
+        assert report["final"] is None and report["max_increase"] is None
+        assert report["initial"] > 0 and report["violations"]
 
     def test_rates_report(self, tmp_path):
         raw = {

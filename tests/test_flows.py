@@ -122,7 +122,7 @@ def euler_step_ogda2(op, z, w, gamma):
     """One explicit Euler step of size gamma of the (z, w) flow at
     kappa = 1/(2 gamma): the two-variable discrete optimistic scheme."""
     cfg = flows.IntegratorConfig("euler", gamma, gamma)
-    w_parts = {f"w{i}": (lambda t, z, w, i=i: w[i]) for i in range(op.dim)}
+    w_parts = {f"w{i}": (lambda ts, zs, ws, i=i: ws[:, i]) for i in range(op.dim)}
     traj = flows.integrate(flows.make_flow("ogda-hrde2", gamma=2.0 * gamma), op, z, w, cfg,
                            extra_metrics=w_parts)
     return traj.states[-1], np.array([traj.metric(name)[-1] for name in w_parts])
@@ -415,7 +415,7 @@ class TestVariableStepMaps:
     def test_matches_rhs_path(self, case, kappa_fn, dt, t0, record_every):
         m, z_star, z0, w0 = case
         kind = flows.VariableStepFlow(kappa_fn)
-        w_parts = {f"w{i}": (lambda t, z, w, i=i: w[i]) for i in range(len(z0))}
+        w_parts = {f"w{i}": (lambda ts, zs, ws, i=i: ws[:, i]) for i in range(len(z0))}
         for scheme in ("rk4", "euler"):
             cfg = flows.IntegratorConfig(scheme, dt, 25 * dt, record_every)
             fast, ref = (flows.integrate(kind, op(m, z_star), z0, w0, cfg, w_parts, t0)

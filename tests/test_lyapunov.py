@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddleflow import flows, lyapunov as lyap, optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
+    NonFiniteError,
     QuarticCounterexample,
     ScaledIdentity,
     random_bilinear,
@@ -67,6 +70,110 @@ class TestEvaluation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown lyapunov kind"):
             lyap.evaluate("nope", SI, [1.0, 0.0], [0.0, 0.0])
+
+
+#: Stacked-evaluation problems: bilinear games at d = 4 and d = 100 (one of
+#: them shifted off the origin), the scaled identity and the quartic.
+STACK_PROBLEMS = [
+    random_bilinear(3, 2, 2),
+    BilinearGame(np.random.default_rng(4).standard_normal((2, 2)), b=[0.5, -1.0], c=[2.0, 0.25]),
+    random_bilinear(5, 50, 50),
+    ScaledIdentity(1.7, 3),
+    QuarticCounterexample(),
+]
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("d", [2, 4, 16, 33, 100, 201])
+    def test_row_dots_match_vector_dots(self, d):
+        rng = np.random.default_rng(d)
+        xs, ys = rng.standard_normal((2, 50, d)) * rng.lognormal(0.0, 4.0, (2, 50, 1))
+        dots = opt.row_dots(xs, ys)
+        assert dots.shape == (50,)
+        assert dots.tobytes() == np.array([x @ y for x, y in zip(xs, ys)]).tobytes()
+
+    @pytest.mark.parametrize("op", STACK_PROBLEMS, ids=lambda op: f"{op.label}-{op.dim}")
+    @pytest.mark.parametrize("kind", list(lyap.KINDS))
+    def test_stack_matches_rows_bit_for_bit(self, op, kind):
+        rng = np.random.default_rng(op.dim)
+        zs, auxs = rng.standard_normal((2, 9, op.dim))
+        stacked = lyap.evaluate(kind, op, zs, auxs, **_params_for(kind))
+        rows = [lyap.evaluate(kind, op, z, a, **_params_for(kind)) for z, a in zip(zs, auxs)]
+        assert stacked.shape == (9,)
+        assert stacked.tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("op", STACK_PROBLEMS, ids=lambda op: f"{op.label}-{op.dim}")
+    def test_beta_array_matches_rows(self, op):
+        rng = np.random.default_rng(7)
+        zs, auxs = rng.standard_normal((2, 6, op.dim))
+        betas = rng.uniform(0.1, 5.0, 6)
+        for kind, row in lyap.KINDS.items():
+            if row.scale not in ("beta", "beta(t)"):
+                continue
+            stacked = lyap.evaluate(kind, op, zs, auxs, beta=betas)
+            rows = [lyap.evaluate(kind, op, z, a, beta=b) for z, a, b in zip(zs, auxs, betas)]
+            assert stacked.tobytes() == np.array(rows).tobytes(), kind
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_field_gives_inf(self):
+        # V(z) = 4 z^3 overflows at z = 1e150: one state raises, a stack
+        # records inf under any errstate.
+        op, z, aux = QuarticCounterexample(), np.array([1e150, 0.5]), np.zeros(2)
+        with pytest.raises(NonFiniteError):
+            lyap.evaluate("ogda_l1", op, z, aux, beta=4.0)
+        with np.errstate(all="raise"):
+            values = lyap.evaluate("ogda_l1", op, np.array([z, [0.5, 0.5]]),
+                                   np.zeros((2, 2)), beta=4.0)
+        assert np.isinf(values[0]) and values[1] == lyap.evaluate(
+            "ogda_l1", op, [0.5, 0.5], aux, beta=4.0)
+
+    @pytest.mark.parametrize("zs, auxs, beta, match", [
+        (np.zeros((3, 3)), np.zeros((3, 3)), 2.0, r"\(n, 2\) stack"),
+        (np.zeros((3, 2)), np.zeros((2, 2)), 2.0, "aux has 2 rows, expected 3"),
+        (np.zeros((3, 2)), np.zeros(2), 2.0, r"\(n, 2\) stack"),
+        (np.zeros((3, 2)), np.zeros((3, 2)), np.ones(2), "number or an array of 3"),
+        (np.zeros((3, 2)), np.zeros((3, 2)), np.array([1.0, 0.0, 1.0]), "beta must be positive"),
+        (np.zeros((3, 2)), np.zeros((3, 2)), np.array([1.0, np.nan, 1.0]), "beta must be positive"),
+        (np.zeros((3, 2)), np.zeros((3, 2)), None, "requires beta"),
+    ])
+    def test_stack_misuse_rejected(self, zs, auxs, beta, match):
+        with pytest.raises(ValueError, match=match):
+            lyap.evaluate("ogda_l1", SI, zs, auxs, beta=beta)
+
+    def test_beta_fn_read_once_per_record_time(self):
+        seen = []
+
+        def beta_fn(t):
+            seen.append(t)
+            return 2.0 + t
+
+        ts = np.array([0.0, 0.5, 1.25])
+        zs, ws = np.random.default_rng(2).standard_normal((2, 3, 2))
+        values = lyap.make_monitor("varstep_l", SI, beta_fn=beta_fn)(ts, zs, ws)
+        assert seen == [0.0, 0.5, 1.25] and all(type(t) is float for t in seen)
+        expected = [lyap.evaluate("varstep_l", SI, z, w, beta=2.0 + t)
+                    for t, z, w in zip(ts, zs, ws)]
+        assert values.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_monitored_divergence_under_any_errstate(self):
+        # gamma = 3 diverges: the states overflow, and the monitor's squares
+        # overflow before them.  The monitored run records the same columns
+        # under the default errstate and under "raise".
+        op = BilinearGame([[1.0]])
+
+        def go():
+            return opt.run(op, opt.OGDAStateSpace(3.0), [1, 0], 800,
+                           extra_metrics={"l5": lyap.make_monitor("ogda_l5", op, gamma=3.0)})
+
+        ref = go()
+        with np.errstate(all="raise"):
+            raised = go()
+        assert ref.diverged and raised.diverged
+        assert np.isinf(ref.metric("l5")).any() and np.isfinite(ref.metric("l5")[0])
+        for name in ref.metrics:
+            assert raised.metric(name).tobytes() == ref.metric(name).tobytes(), name
 
 
 class TestAnalyticRates:
@@ -163,6 +270,41 @@ class TestContinuousDecrease:
         report = lyap.continuous_decrease_check([1.0, 0.5, 0.8, 0.2])
         assert report.violations == [1]
         assert report.max_increase == pytest.approx(0.3)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.floats(width=64),
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1e300, -1e300])),
+        max_size=24),
+        tol_abs=st.sampled_from([0.0, 1e-7, 1.0]), tol_rel=st.sampled_from([0.0, 1e-9]))
+    def test_matches_the_element_loop(self, values, tol_abs, tol_rel):
+        report = lyap.continuous_decrease_check(values, tol_abs, tol_rel)
+        violations, max_increase = loop_decrease_check(values, tol_abs, tol_rel)
+        assert report.violations == violations
+        assert type(report.max_increase) is float
+        # Bit for bit: a -0.0 increase is kept as the loop keeps it.
+        assert np.float64(report.max_increase).tobytes() == np.float64(max_increase).tobytes()
+
+    def test_nan_increases_are_skipped(self):
+        for values in ([1.0, np.nan, 2.0], [np.inf, np.inf], [], [3.0]):
+            report = lyap.continuous_decrease_check(values)
+            assert report.violations == [] and report.max_increase == -np.inf
+        report = lyap.continuous_decrease_check([np.inf, np.nan, 0.0, np.inf])
+        assert report.violations == [2] and report.max_increase == np.inf
+
+
+def loop_decrease_check(values, tol_abs, tol_rel):
+    """The decrease check one increase at a time: Python's ``max`` never
+    takes a NaN increase, and keeps the first of equal ones."""
+    values = np.asarray(values, dtype=float)
+    violations, max_increase = [], -np.inf
+    with np.errstate(all="ignore"):
+        for i in range(values.size - 1):
+            increase = values[i + 1] - values[i]
+            max_increase = max(max_increase, increase)
+            if increase > tol_abs + tol_rel * (1.0 + abs(values[i])):
+                violations.append(i)
+    return violations, float(max_increase)
 
 
 class TestDiscreteDecrease:

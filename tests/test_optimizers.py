@@ -254,8 +254,15 @@ class TestRunLoop:
 
     def test_extra_metrics_recorded(self):
         traj = opt.run(BG, opt.GDA(0.1), np.array([1.0, 0.0]), 5,
-                       extra_metrics={"half_norm": lambda t, z, aux: 0.5 * np.linalg.norm(z)})
+                       extra_metrics={"half_norm": lambda ts, zs, auxs: 0.5 * np.linalg.norm(zs, axis=1)})
         np.testing.assert_allclose(traj.metric("half_norm"), 0.5 * traj.metric("z_norm"))
+
+    @pytest.mark.parametrize("metric", [lambda ts, zs, auxs: 1.0,
+                                        lambda ts, zs, auxs: np.zeros((len(zs), 1))])
+    def test_extra_metric_of_the_wrong_shape_rejected(self, metric):
+        # One value per record: a scalar is not broadcast into the column.
+        with pytest.raises(ValueError, match="metric 'm' gave shape"):
+            opt.run(BG, opt.GDA(0.1), np.array([1.0, 0.0]), 5, extra_metrics={"m": metric})
 
 
 class TestEquivalence:
@@ -336,7 +343,8 @@ class TestAffinePropagator:
     def test_matches_stepper_path(self, case, gamma, record_every):
         m, z_star, z0, _ = case
         affine, twin = AffineField(m, z_star), NonAffineTwin(m, z_star)
-        w_parts = {f"aux{i}": (lambda t, z, aux, i=i: np.nan if aux is None else aux[i])
+        w_parts = {f"aux{i}": (lambda ts, zs, auxs, i=i: np.full(len(zs), np.nan)
+                               if auxs is None else auxs[:, i])
                    for i in range(len(z_star))}
         for make in MAPPED_KINDS:
             kind = make(gamma)
@@ -414,8 +422,9 @@ class TestAffinePropagator:
 def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
                   extra_metrics=None):
     """The loop one step at a time: ``advance(z, aux) -> (z, aux)``; each
-    state is checked, guarded and recorded (metrics included) as it is
-    reached, and no step follows the first non-finite one."""
+    state is checked, guarded and recorded (base metrics included) as it is
+    reached, and no step follows the first non-finite one.  Each of
+    ``extra_metrics`` is then called once with the finite records stacked."""
     grid = np.append(np.arange(0, steps, record_every), steps)
     extra = extra_metrics or {}
     names = ["z_norm", "dist_to_solution", "v_norm", *extra]
@@ -424,6 +433,7 @@ def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
                           np.full((len(grid), op.dim), np.nan),
                           {name: np.full(len(grid), np.nan) for name in names})
     count = 0
+    kept = []  # (record, t, z, aux) of each finite record
 
     def record(t, q, z, aux):
         nonlocal count
@@ -434,8 +444,7 @@ def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
             traj.metrics["z_norm"][i] = math.sqrt(z.dot(z))
             traj.metrics["dist_to_solution"][i] = math.sqrt(d.dot(d))
             traj.metrics["v_norm"][i] = math.sqrt(v.dot(v))
-            for name, fn in extra.items():
-                traj.metrics[name][i] = float(fn(t, z, aux))
+            kept.append((i, t, z.copy(), None if aux is None else aux.copy()))
 
     z, aux, t, q = np.asarray(z0, dtype=float), aux0, 0.0, 0
     record(t, q, z, aux)
@@ -454,6 +463,10 @@ def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
         if not finite:
             break
     traj.times[count:], traj.queries[count:] = t, q
+    rows, ts, zs, auxs = zip(*kept)
+    for name, fn in extra.items():
+        traj.metrics[name][list(rows)] = fn(np.array(ts), np.array(zs),
+                                            None if aux0 is None else np.array(auxs))
     return traj
 
 
@@ -603,12 +616,12 @@ class TestBlockLoop:
         (opt.EG(0.2), ScaledIdentity(2.0, 4)),
     ])
     def test_monitors_see_the_same_records(self, kind, op):
-        # Monitors are called once the loop ends, record by record, with the
-        # (t, z, aux) that the per-step loop passes as it goes.
+        # Monitors are called once, when the loop ends, with the (t, z, aux)
+        # of the finite records that the per-step loop reaches, stacked.
         def monitor(calls):
-            def f(t, z, aux):
-                calls.append((t, z.copy(), None if aux is None else aux.copy()))
-                return t + float(z.sum()) + (0.0 if aux is None else float(aux.sum()))
+            def f(ts, zs, auxs):
+                calls.append((ts.copy(), zs.copy(), None if auxs is None else auxs.copy()))
+                return ts + zs.sum(axis=1) + (0.0 if auxs is None else auxs.sum(axis=1))
             return f
 
         z0 = np.arange(1.0, op.dim + 1)
@@ -619,13 +632,14 @@ class TestBlockLoop:
         ref = reference_run(op, mapped_advance(op, kind), z0, aux0, 700, kind.gamma,
                             opt.gradient_queries(kind), 3, {"m": monitor(seen["ref"])})
         assert_same_records(fast, ref)
-        assert len(seen["fast"]) == len(seen["ref"]) == len(fast)
-        for (t, z, aux), (t_ref, z_ref, aux_ref) in zip(seen["fast"], seen["ref"]):
-            assert type(t) is float and t == t_ref
-            np.testing.assert_array_equal(z, z_ref)
-            assert (aux is None) == (aux_ref is None) == (kind.name == "eg")
-            if aux is not None:
-                np.testing.assert_array_equal(aux, aux_ref)
+        assert len(seen["fast"]) == len(seen["ref"]) == 1
+        (ts, zs, auxs), (ts_ref, zs_ref, auxs_ref) = seen["fast"][0], seen["ref"][0]
+        assert ts.dtype == np.float64 and ts.shape == (len(fast),)
+        np.testing.assert_array_equal(ts, ts_ref)
+        np.testing.assert_array_equal(zs, zs_ref)
+        assert (auxs is None) == (auxs_ref is None) == (kind.name == "eg")
+        if auxs is not None:
+            np.testing.assert_array_equal(auxs, auxs_ref)
 
 
 def _spectral_radius(mat):
