@@ -133,8 +133,9 @@ class BilinearGame(Operator):
     """min_x max_y  x^T A y + b^T x + c^T y.
 
     The joint field is V(x, y) = (A y + b, -A^T x - c) with constant Jacobian
-    [[0, A], [-A^T, 0]].  ``full_rank`` records whether the smallest singular
-    value of A clears ``FULL_RANK_THRESHOLD`` (or a caller-supplied threshold).
+    [[0, A], [-A^T, 0]].  ``singular_values`` holds the min(d1, d2) singular
+    values of A in ascending order (read-only); ``full_rank`` records whether
+    the smallest clears ``FULL_RANK_THRESHOLD`` (or a caller-supplied threshold).
     """
 
     label = "bilinear"
@@ -150,7 +151,8 @@ class BilinearGame(Operator):
         self.A = _read_only(A)
         self.b = _read_only(np.zeros(d1) if b is None else as_state(b, d1).copy())
         self.c = _read_only(np.zeros(d2) if c is None else as_state(c, d2).copy())
-        svals = np.linalg.svd(A, compute_uv=False)
+        svals = np.linalg.svd(A, compute_uv=False)[::-1].copy()
+        self.singular_values = _read_only(svals)
         self.sigma_min = float(svals.min()) if svals.size else 0.0
         self.sigma_max = float(svals.max()) if svals.size else 0.0
         self.full_rank = self.sigma_min >= rank_threshold

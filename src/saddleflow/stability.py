@@ -1,11 +1,17 @@
 """Bilinear-game stability analysis of the flows.
 
-For the game min_x max_y x^T A y each flow is a linear system
-d/dt (z, omega) = C (z, omega).  This module reads the per-method C
-matrices off the flows' derivatives (``flows.linear_system``), runs the
-Routh-style sign tests on their characteristic polynomials, evaluates the
-complex-coefficient quadratic stability condition, and cross-checks
-everything against a dense eigensolver.
+On the game min_x max_y x^T A y each flow is a linear system
+d/dt (z, omega) = C (z, omega) whose blocks are polynomials in the Jacobian
+J = [[0, A], [-A^T, 0]], with eigenvalues mu = +-i*sigma per singular value
+sigma of A and |d1 - d2| zero modes mu = 0.  So each eigenvalue of C is a
+root of lambda^2 + (beta - a_jw mu) lambda - (a_v mu + a_jv mu^2) = 0 for
+the method's flow row.  ``modes`` solves these in closed form, and
+``classify_method`` checks the sign of their spectral abscissa against the
+Routh-style sign tests and the complex-coefficient quadratic condition.  A
+zero mode has the roots 0 and -beta, so on a non-square game EG, OGDA and
+LA-k at or below its threshold are marginal.  The dense C
+(``assemble_system_matrix``) and its eigensolver (``spectral_abscissa``)
+are a cross-check for the tests.
 
 The two quartic Routh arrays are pinned to their published closed forms:
 
@@ -16,7 +22,7 @@ The two quartic Routh arrays are pinned to their published closed forms:
                          (-2bk)(3b^2-4k)/(b^2-2k),
                          (-2bk)(3b^2-4k)(-kb^2)/(b^2-2k)]  (all positive)
 
-with b = 2/gamma > 0 and k an eigenvalue of -A A^T (k < 0 for full-rank A).
+with b = 2/gamma > 0 and k = -sigma^2 < 0 for each singular value sigma.
 A general Routh recursion is provided separately for cross-checks.
 """
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flows import eg_flow, linear_system, make_flow, rhs
+from .flows import PhaseFlow, eg_flow, linear_system, make_flow, rhs
 from .problems import BilinearGame, QuarticCounterexample
 
 Array = np.ndarray
@@ -76,8 +82,36 @@ class StabilityVerdict:
     verdict: str                      # from the Routh / complex-quadratic test
     abscissa_verdict: str             # sign classification of the abscissa
     agrees: bool
-    routh: Optional[list] = None      # RouthResult per Gram eigenvalue
-    eigen_tests: Optional[list] = None  # ComplexEigenTest per D-block eigenvalue
+    routh: Optional[list] = None      # RouthResult per singular value
+    eigen_tests: Optional[list] = None  # ComplexEigenTest per mode mu = +-i*sigma
+
+
+@dataclass
+class Modes:
+    """The eigenvalues of C by mode of J, as ``modes`` returns them."""
+
+    sigma: Array      # singular values of A, ascending
+    roots: Array      # (len(sigma), 2) roots at mu = i*sigma; -i*sigma gives the conjugates
+    zero_modes: int   # |d1 - d2| modes mu = 0, each with the roots 0 and -beta
+    flow: PhaseFlow
+    alpha: Optional[float]
+    spectral_abscissa: float  # max Re over the roots and the zero modes
+
+
+def _phase_flow(method, game: BilinearGame, gamma, alpha):
+    # The checks shared by every analysis; alpha is kept for lookahead only.
+    if method not in STABILITY_METHODS:
+        raise ValueError(f"unknown method {method!r}; known: {', '.join(STABILITY_METHODS)}")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if game.b.any() or game.c.any():
+        raise ValueError("stability analysis requires b = c = 0")
+    if not game.full_rank:
+        raise ValueError("stability analysis requires a full-rank A")
+    lookahead = method in ("la2-gda", "la3-gda")
+    if lookahead and alpha is None:
+        raise ValueError(f"method {method!r} requires alpha")
+    return make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha), alpha if lookahead else None
 
 
 def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> SystemMatrix:
@@ -89,20 +123,25 @@ def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> Sys
     is the method's flow row.
     Requires b = c = 0 and a full-rank A.
     """
-    if method not in STABILITY_METHODS:
-        raise ValueError(f"unknown method {method!r}; known: {', '.join(STABILITY_METHODS)}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if np.any(game.b) or np.any(game.c):
-        raise ValueError("stability analysis requires b = c = 0")
-    if not game.full_rank:
-        raise ValueError("stability analysis requires a full-rank A")
-    lookahead = method in ("la2-gda", "la3-gda")
-    if lookahead and alpha is None:
-        raise ValueError(f"method {method!r} requires alpha")
-    flow = make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha)
+    flow, alpha = _phase_flow(method, game, gamma, alpha)
     c = linear_system(flow, game)[:-1, :-1]
-    return SystemMatrix(c, method, flow.beta, alpha if lookahead else None)
+    return SystemMatrix(c, method, flow.beta, alpha)
+
+
+def modes(method, game: BilinearGame, gamma, alpha=None) -> Modes:
+    """Closed-form eigenvalues of C.  Solves lambda^2 + p lambda + q = 0 at
+    mu = i*sigma for every singular value at once, without cancellation: the
+    larger root -(p + s*sqrt(p^2 - 4q))/2 (s = +-1 maximizing its modulus),
+    then the other as q over it."""
+    flow, alpha = _phase_flow(method, game, gamma, alpha)
+    mu = 1j * game.singular_values
+    p = flow.beta - flow.a_jw * mu
+    q = -(flow.a_v * mu + flow.a_jv * mu * mu)
+    disc = np.sqrt(p * p - 4.0 * q)
+    big = -0.5 * (p + np.where((p.conj() * disc).real >= 0.0, disc, -disc))
+    roots, zero_modes = np.array([big, q / big]).T, abs(game.d1 - game.d2)
+    abscissa = float(max(roots.real.max(), 0.0 if zero_modes else -np.inf))
+    return Modes(game.singular_values, roots, zero_modes, flow, alpha, abscissa)
 
 
 def spectral_abscissa(matrix) -> float:
@@ -216,52 +255,35 @@ def complex_quadratic_stable(beta, mu) -> ComplexEigenTest:
     return ComplexEigenTest(mu.real, mu.imag, beta, margin < 0.0, float(margin))
 
 
-def _gram_eigenvalues(game: BilinearGame) -> Array:
-    """Eigenvalues of -A A^T or -A^T A, whichever block is smaller (those are
-    the strictly negative ones for full-rank A)."""
-    a = game.A
-    gram = a @ a.T if game.d1 <= game.d2 else a.T @ a
-    return -np.linalg.eigvalsh(gram)
-
-
 def classify_method(method, game: BilinearGame, gamma, alpha=None) -> StabilityVerdict:
-    """Routh / complex-quadratic verdict plus the eigensolver cross-check."""
-    system = assemble_system_matrix(method, game, gamma, alpha)
-    abscissa = spectral_abscissa(system.matrix)
-    routh = None
-    eigen_tests = None
+    """Routh / complex-quadratic verdict, cross-checked against the sign of
+    the spectral abscissa of the closed-form ``modes``."""
+    m = modes(method, game, gamma, alpha)
+    beta = m.flow.beta
+    # A zero mode has the root lambda = 0: marginal under every method.
+    verdicts = {MARGINAL} if m.zero_modes else set()
+    routh = eigen_tests = None
     if method in ("gda", "ogda"):
         test = routh_quartic_gda if method == "gda" else routh_quartic_ogda
-        routh = [test(system.beta, float(k)) for k in _gram_eigenvalues(game)]
-        verdicts = {r.verdict for r in routh}
+        routh = [test(beta, k) for k in (-(m.sigma * m.sigma)).tolist()]
+        verdicts.update(r.verdict for r in routh)
     else:
-        dmat = system.matrix[game.dim:, :game.dim]
-        eigen_tests = [complex_quadratic_stable(system.beta, mu)
-                       for mu in np.linalg.eigvals(dmat)]
+        # a_v mu + a_jv mu^2 at mu = i*sigma, then at mu = -i*sigma.
+        a_v, a_jv = m.flow.a_v, m.flow.a_jv
+        eigen_tests = [complex_quadratic_stable(beta, complex(-a_jv * s * s, a_v * s))
+                       for s in (*m.sigma.tolist(), *(-m.sigma).tolist())]
         # Margin scale ~ |mu|, so use a relative epsilon for marginality.
-        verdicts = set()
         for t in eigen_tests:
             scale = max(1.0, abs(t.mu_real), t.mu_imag ** 2 / t.beta ** 2)
             verdicts.add(_classify(t.margin, MARGINAL_EPS * scale))
-    if MARGINAL in verdicts:
-        verdict = MARGINAL
-    elif UNSTABLE in verdicts:
-        verdict = UNSTABLE
-    else:
-        verdict = STABLE
+    # UNSTABLE > MARGINAL > STABLE: the order of a max over the modes' abscissae.
+    verdict = UNSTABLE if UNSTABLE in verdicts else MARGINAL if MARGINAL in verdicts else STABLE
+    abscissa = m.spectral_abscissa
     abscissa_verdict = _classify(abscissa, 1e-8)
-    agrees = verdict == abscissa_verdict
     return StabilityVerdict(
-        method=method,
-        gamma=gamma,
-        alpha=system.alpha,
-        spectral_abscissa=abscissa,
-        verdict=verdict,
-        abscissa_verdict=abscissa_verdict,
-        agrees=agrees,
-        routh=routh,
-        eigen_tests=eigen_tests,
-    )
+        method=method, gamma=gamma, alpha=m.alpha, spectral_abscissa=abscissa, verdict=verdict,
+        abscissa_verdict=abscissa_verdict, agrees=verdict == abscissa_verdict, routh=routh,
+        eigen_tests=eigen_tests)
 
 
 def stability_scan(method, game: BilinearGame, gamma_grid, alpha=None):
@@ -281,19 +303,6 @@ def stability_scan(method, game: BilinearGame, gamma_grid, alpha=None):
             )
         verdicts.append(v)
     return verdicts
-
-
-def char_poly_coeffs(matrix) -> Array:
-    """Coefficients of det(lambda I - C), descending, via Faddeev-LeVerrier."""
-    c = np.asarray(matrix, dtype=float)
-    n = c.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    m = np.zeros_like(c)
-    for k in range(1, n + 1):
-        m = c @ m + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(c @ m) / k
-    return coeffs
 
 
 def eg_hrde_spurious_fixed_point(beta, bracket=None) -> Array:

@@ -92,7 +92,12 @@ def test_criterion_01_bilinear_stability_split():
                 if not v.agrees:
                     disagreements += 1
                 want = expected_class(method, alpha)
-                if abscissa_class(v.spectral_abscissa) != want or v.verdict != want:
+                # The verdict's abscissa is closed-form; the dense eigensolve
+                # of the assembled C is the independent leg.
+                dense = st.spectral_abscissa(
+                    st.assemble_system_matrix(method, game, gamma, alpha).matrix)
+                if (abscissa_class(v.spectral_abscissa) != want or v.verdict != want
+                        or abscissa_class(dense) != want):
                     failures.append((method, alpha, want, v.verdict))
     elapsed = time.monotonic() - start
     summary = sorted(set(failures), key=str)

@@ -450,6 +450,27 @@ class TestReportCommands:
         assert all(e["verdict"] == "stable" for e in by_method["la3-gda"])
         assert "routh_first_columns" in by_method["gda"][0]
 
+    @pytest.mark.parametrize("extra, want", [
+        (["stability.gammas=[0.1]"],
+         {"gda": "unstable", "eg": "marginal", "ogda": "marginal",
+          "la2-gda": "marginal", "la3-gda": "marginal"}),
+        (["stability.gammas=[0.1,10]", "stability.alphas=[0.75]"],
+         {"gda": "unstable", "eg": "marginal", "ogda": "marginal",
+          "la2-gda": "unstable", "la3-gda": "unstable"}),
+    ])
+    def test_stability_report_non_square(self, tmp_path, extra, want):
+        # d1 = 2, d2 = 3: the zero mode (y in null(A)) makes EG, OGDA and
+        # LA-k at alpha = 0.25 marginal; LA-k at alpha = 0.75 is unstable.
+        argv = ["stability", "--set", "problem.id=bilinear-random",
+                "--set", 'problem.params={"d1":2,"d2":3}', "--seed", "3"]
+        for item in extra:
+            argv += ["--set", item]
+        assert run_main([*argv, "--out", str(tmp_path)]) == 0
+        entries = json.loads((tmp_path / "run.json").read_text())["entries"]
+        assert len(entries) == 5 * len(json.loads(extra[0].split("=", 1)[1]))
+        for entry in entries:
+            assert (entry["verdict"], entry["agrees"]) == (want[entry["method"]], True)
+
     def test_lyapunov_report(self, tmp_path):
         raw = {
             "problem": {"id": "bilinear"},

@@ -2,11 +2,38 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from saddleflow import flows, stability as st
-from saddleflow.problems import BilinearGame, QuarticCounterexample, random_bilinear
+from saddleflow.problems import (BilinearGame, QuarticCounterexample, make_problem,
+                                 random_bilinear)
 
 BG = BilinearGame([[1.0]])
+
+#: The non-square game of the CLI repro: d1 = 2, d2 = 3, seed 3, one zero mode.
+NON_SQUARE = make_problem("bilinear-random", {"d1": 2, "d2": 3}, 3)
+
+
+def char_poly_coeffs(matrix):
+    """Coefficients of det(lambda I - C), descending, via Faddeev-LeVerrier."""
+    c = np.asarray(matrix, dtype=float)
+    n = c.shape[0]
+    coeffs = np.zeros(n + 1)
+    coeffs[0] = 1.0
+    m = np.zeros_like(c)
+    for k in range(1, n + 1):
+        m = c @ m + coeffs[k - 1] * np.eye(n)
+        coeffs[k] = -np.trace(c @ m) / k
+    return coeffs
+
+
+def mode_eigenvalues(modes):
+    """The multiset of eigenvalues of C that ``modes`` describes: each root
+    at mu = i*sigma, its conjugate at mu = -i*sigma, and 0 and -beta per
+    zero mode."""
+    zero = np.tile([0.0, -modes.flow.beta], modes.zero_modes)
+    return np.concatenate([modes.roots.ravel(), modes.roots.conj().ravel(), zero])
 
 
 class TestSystemMatrices:
@@ -75,6 +102,98 @@ class TestSystemMatrices:
         tiny = BilinearGame([[1e-4]])
         with pytest.raises(ValueError, match="full-rank"):
             st.assemble_system_matrix("gda", tiny, 1.0)
+
+
+MISUSE = [
+    (("sgd", BG, 1.0, None), "unknown method"),
+    (("gda", BG, 0.0, None), "gamma must be positive"),
+    (("gda", BilinearGame([[1.0]], b=[0.5]), 1.0, None), "b = c = 0"),
+    (("gda", BilinearGame([[1e-4]]), 1.0, None), "full-rank"),
+    (("la2-gda", BG, 1.0, None), "requires alpha"),
+]
+
+
+class TestModes:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(d1=hst.integers(1, 4), d2=hst.integers(1, 4), seed=hst.integers(0, 10 ** 6),
+           method=hst.sampled_from(st.STABILITY_METHODS), gamma=hst.floats(1e-2, 10.0),
+           alpha=hst.floats(0.05, 1.0))
+    def test_match_dense_eigenvalues(self, d1, d2, seed, method, gamma, alpha):
+        # Each closed-form eigenvalue is matched to its nearest unmatched
+        # dense one.  The tolerance is 1e-6 * max(1, |C|_2): the dense solve
+        # is accurate to about sqrt(eps) near a double root (OGDA at
+        # sigma = beta/2) and to about eps * |C|_2 elsewhere.
+        game = random_bilinear(seed, d1, d2, 0.1)
+        alpha = alpha if method.startswith("la") else None
+        c = st.assemble_system_matrix(method, game, gamma, alpha).matrix
+        dense = list(np.linalg.eigvals(c))
+        closed = mode_eigenvalues(st.modes(method, game, gamma, alpha))
+        assert closed.size == len(dense) == 2 * game.dim
+        tol = 1e-6 * max(1.0, np.linalg.norm(c, 2))
+        for root in closed:
+            gaps = np.abs(np.array(dense) - root)
+            assert gaps.min() <= tol, (root, dense)
+            dense.pop(int(gaps.argmin()))
+
+    def test_singular_values_ascending_and_read_only(self):
+        game = random_bilinear(4, 3, 2, 0.1)
+        sigma = game.singular_values
+        np.testing.assert_allclose(sigma, np.sort(np.linalg.svd(game.A, compute_uv=False)))
+        assert np.all(np.diff(sigma) >= 0.0) and sigma[0] == game.sigma_min
+        with pytest.raises(ValueError):
+            sigma[0] = 1.0
+
+    @pytest.mark.parametrize("args, message", MISUSE)
+    def test_same_misuse_rejected_as_dense_path(self, args, message):
+        for analysis in (st.modes, st.assemble_system_matrix, st.classify_method):
+            with pytest.raises(ValueError, match=message):
+                analysis(*args)
+
+    def test_classify_makes_no_dense_eigensolve(self, monkeypatch):
+        games = [random_bilinear(5, 3, 3, 0.1), NON_SQUARE]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify_method called a dense eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for game in games:
+            for method in st.STABILITY_METHODS:
+                alpha = 0.25 if method.startswith("la") else None
+                assert st.classify_method(method, game, 0.1, alpha).agrees
+
+
+class TestNonSquare:
+    """A game with d1 != d2 has |d1 - d2| zero modes with the roots 0 and
+    -beta, so no flow on it is stable: EG, OGDA and LA-k at or below
+    alpha*_k = (k-1)/k are marginal, GDA and LA-k above alpha*_k unstable."""
+
+    GRID = [0.01, 0.1, 1.0, 10.0]
+    EXPECTED = [("gda", None, st.UNSTABLE), ("eg", None, st.MARGINAL),
+                ("ogda", None, st.MARGINAL), ("la2-gda", 0.25, st.MARGINAL),
+                ("la2-gda", 0.5, st.MARGINAL), ("la2-gda", 0.75, st.UNSTABLE),
+                ("la3-gda", 0.25, st.MARGINAL), ("la3-gda", 2.0 / 3.0, st.MARGINAL),
+                ("la3-gda", 0.75, st.UNSTABLE)]
+
+    @pytest.mark.parametrize("method, alpha, want", EXPECTED)
+    def test_scan_classes(self, method, alpha, want):
+        for v in st.stability_scan(method, NON_SQUARE, self.GRID, alpha=alpha):
+            assert (v.verdict, v.abscissa_verdict, v.agrees) == (want, want, True)
+
+    @pytest.mark.parametrize("method, alpha, want", EXPECTED)
+    def test_dense_abscissa_class(self, method, alpha, want):
+        for gamma in self.GRID:
+            c = st.assemble_system_matrix(method, NON_SQUARE, gamma, alpha).matrix
+            assert st._classify(st.spectral_abscissa(c), 1e-8) == want
+
+    def test_wide_and_tall_games(self):
+        for d1, d2 in [(1, 4), (4, 1), (3, 2)]:
+            game = random_bilinear(d1 + 10 * d2, d1, d2, 0.1)
+            m = st.modes("eg", game, 1.0)
+            assert (m.zero_modes, m.roots.shape) == (abs(d1 - d2), (min(d1, d2), 2))
+            assert m.spectral_abscissa == 0.0
+            v = st.classify_method("eg", game, 1.0)
+            assert (v.verdict, v.agrees) == (st.MARGINAL, True)
 
 
 class TestSpectralAbscissa:
@@ -158,14 +277,14 @@ class TestCharPoly:
         c = st.assemble_system_matrix("gda", BG, 1.0).matrix
         beta, kappa = 2.0, -1.0
         expected = [1.0, 2 * beta, beta ** 2, 0.0, -kappa * beta ** 2]
-        np.testing.assert_allclose(st.char_poly_coeffs(c), expected, atol=1e-10)
+        np.testing.assert_allclose(char_poly_coeffs(c), expected, atol=1e-10)
 
     def test_ogda_closed_form(self):
         c = st.assemble_system_matrix("ogda", BG, 1.0).matrix
         beta, kappa = 2.0, -1.0
         expected = [1.0, 2 * beta, beta ** 2 - 4 * kappa, -4 * beta * kappa,
                     -kappa * beta ** 2]
-        np.testing.assert_allclose(st.char_poly_coeffs(c), expected, atol=1e-10)
+        np.testing.assert_allclose(char_poly_coeffs(c), expected, atol=1e-10)
 
     def test_eg_factors_into_complex_quadratics(self):
         # det(C_EG - l I) = prod over D-eigenvalues mu of (l^2 + beta l - mu).
@@ -178,12 +297,12 @@ class TestCharPoly:
         for mu in mus:
             product = np.convolve(product, [1.0, beta, -mu])
         np.testing.assert_allclose(product.imag, 0.0, atol=1e-10)
-        np.testing.assert_allclose(st.char_poly_coeffs(c), product.real, atol=1e-10)
+        np.testing.assert_allclose(char_poly_coeffs(c), product.real, atol=1e-10)
 
     def test_matches_numpy_roots(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((5, 5))
-        np.testing.assert_allclose(st.char_poly_coeffs(m), np.poly(m), atol=1e-8)
+        np.testing.assert_allclose(char_poly_coeffs(m), np.poly(m), atol=1e-8)
 
 
 class TestScan:
