@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizers import (BLOCK_BYTES, STEP_MAP_MAX_WIDTH, Recorder, Trajectory, affine_system,
-                         matmul_step, step_loop)
+from .optimizers import (BLOCK_BYTES, BLOCK_ROWS, STEP_MAP_MAX_WIDTH, Recorder, Trajectory,
+                         affine_system, matmul_step, per_step_blocks, read_positive, step_loop)
 from .problems import Operator, as_state
 
 Array = np.ndarray
@@ -115,21 +115,20 @@ _NO_FIELD = SimpleNamespace(field=np.zeros_like)
 
 @dataclass(frozen=True)
 class VariableStepFlow:
-    """(z, w) optimistic flow with kappa(t) = 1/gamma(t)."""
+    """(z, w) optimistic flow with kappa(t) = 1/gamma(t); ``integrate``
+    reads ``kappa_fn`` at the stage times of a block of steps at once, so it
+    is array in, array out.  A kappa that is not positive raises ValueError.
+    """
 
-    kappa_fn: Callable[[float], float]
+    kappa_fn: Callable[[Array], Array]
     name: str = "ogda-hrde2-varstep"
     reads_t = True  # the only flow whose derivative reads t
 
-    def kappa(self, t) -> float:
-        """kappa(t); ValueError unless it is positive."""
-        kappa = float(self.kappa_fn(t))
-        if not kappa > 0:
-            raise ValueError(f"kappa(t) must be positive, got {kappa} at t={t}")
-        return kappa
-
     def derivative(self, op, z, w, t):
-        return _optimistic_derivative(op, z, w, self.kappa(t))
+        kappa, error = read_positive(self.kappa_fn, np.array([t], dtype=float), "kappa(t)", "t")
+        if error is not None:
+            raise error
+        return _optimistic_derivative(op, z, w, kappa[0])
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,8 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     records, as in ``Recorder``.  The query column counts
     the field evaluations of the scheme (``SCHEMES``): 4 per RK4 step and 1
     per Euler step.  Divergence is recorded as in ``optimizers.step_loop``;
-    caller errors, such as a schedule with kappa(t) <= 0, raise.
+    caller errors, such as a schedule with kappa(t) <= 0, raise.  A
+    ``VariableStepFlow`` schedule is read a block of steps at a time.
 
     Every path steps the stacked state (z, aux, 1) in ``optimizers.step_loop``.
     On an affine operator a flow whose derivative does not read t is stepped
@@ -242,7 +242,8 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     one matrix-vector product per step, and the time-varying optimistic flow
     by one map R_n per step (``_step_maps``) while its stacked state is at
     most ``STEP_MAP_MAX_WIDTH`` wide.  Every other pair evaluates ``rhs`` at
-    each stage, which can overflow one step before R s does.
+    each stage, through ``op.unchecked()``, which can overflow one step
+    before R s does.
     """
     z = as_state(z0, op.dim)
     aux = np.zeros(0) if isinstance(kind, LowResolutionFlow) else as_state(aux0, op.dim)
@@ -254,7 +255,7 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     elif op.affine and len(z) + len(aux) + 1 <= STEP_MAP_MAX_WIDTH:
         step = _step_maps(kind, op, cfg, t0, recorder.n_steps)
     else:
-        step = _rhs_step(kind, op, cfg, t0)
+        step = _rhs_step(kind, op, cfg, t0, recorder.n_steps)
     return step_loop(recorder, step, z, aux, t0)
 
 
@@ -285,51 +286,41 @@ def _step_maps(kind, op, cfg, t0, n_steps):
 
     S(kappa) = S0 + kappa S1 is read off ``_optimistic_derivative``: S0 at
     kappa = 0, S1 through a zero field, so that its entries are 0 and -1 and
-    kappa S1 is exact.  When a step leaves the current block of maps, the
-    next block is built: kappa is read once per distinct stage time of each
-    step (t, t + dt/2 and t + dt for RK4, t for Euler), at the arguments the
-    ``rhs`` path passes, for as many steps as fit in BLOCK_BYTES and remain
-    in the budget.  A kappa that is not positive ends the block before its
-    step, which then raises as the ``rhs`` path does; any other exception
-    of the schedule propagates while the block is built, up to a block of
-    steps early.
+    kappa S1 is exact.  The maps are built a block of steps at a time, as
+    many as fit in BLOCK_BYTES and remain in the budget, from one read of
+    kappa at the block's stage times (``_stage_kappas``).  A kappa that is
+    not positive ends the block before its step, which then raises as the
+    ``rhs`` path does; any other exception of the schedule propagates while
+    the block is read, up to a block of steps early.
     """
     dim, dt, queries = op.dim, cfg.dt, SCHEMES[cfg.scheme]
     s0 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(cols, z, w, 0.0), 0.0)
     s1 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(
         _NO_FIELD, z, w, 1.0), 0.0)
-    rows = max(1, BLOCK_BYTES // s0.nbytes)
-    offsets = (0.5 * dt, dt) if cfg.scheme == "rk4" else ()  # the later stage times
-
-    def build(n, t):
-        # (maps of steps n, n + 1, ..., the ValueError that ended them or None)
-        kappas, error = [], None
-        for k in range(n, min(n + rows, n_steps)):
-            tk = t if k == n else t0 + k * dt
-            try:
-                kappas.append([kind.kappa(tau) for tau in (tk, *[tk + o for o in offsets])])
-            except ValueError as exc:
-                error = exc
-                break
-        kappas = np.array(kappas, dtype=float).reshape(-1, 1 + len(offsets))
-        return _block_maps(s0, s1, kappas, dt), error
-
-    maps, first, error = s0[:0], 0, None
+    maps = per_step_blocks(_stage_kappas(kind, cfg, t0), lambda kappas: _block_maps(
+        s0, s1, kappas, dt), n_steps, max(1, BLOCK_BYTES // s0.nbytes))
 
     def step(n, s, out, t):
-        nonlocal maps, first, error
-        if n - first == len(maps):
-            if error is None:
-                first, (maps, error) = n, build(n, t)
-            if n - first == len(maps):
-                raise error
-        try:
-            np.matmul(maps[n - first], s, out=out)
-        except FloatingPointError:
-            pass  # raised after the whole product is written into out
+        np.matmul(maps(n, t), s, out=out)
         return t0 + (n + 1) * dt, queries
 
     return step
+
+
+def _stage_kappas(kind, cfg, t0):
+    """``read`` of ``per_step_blocks``: kappa at the distinct stage times of
+    steps n .. n + count - 1 in one call, one row per step (t, t + dt/2 and
+    t + dt for RK4; t for Euler), each the time of that ``rhs`` stage, bit
+    for bit."""
+    dt = cfg.dt
+
+    def read(n, t, count):
+        ts = t0 + np.arange(n, n + count) * dt
+        ts[0] = t
+        stages = [ts, ts + 0.5 * dt, ts + dt] if cfg.scheme == "rk4" else [ts]
+        return read_positive(kind.kappa_fn, np.stack(stages, axis=1), "kappa(t)", "t")
+
+    return read
 
 
 def _block_maps(s0, s1, kappas, h):
@@ -337,42 +328,50 @@ def _block_maps(s0, s1, kappas, h):
     times: I + h S_a for Euler; for RK4 I + h/6 (S_a + 2 Q1 + 2 Q2 + Q3) with
     Q1 = S_b (I + h/2 S_a), Q2 = S_b (I + h/2 Q1) and Q3 = S_c (I + h Q2),
     S_x = S0 + kappa_x S1, in three batched products."""
+    # Built inside the step loop, whose errstate makes an overflowing R_n a
+    # divergence to record.
     eye = np.eye(len(s0))
-    # An overflowing R_n is a divergence for the step loop to record.
-    with np.errstate(all="ignore"):
-        s_a, *s_bc = (s0 + kappa[:, None, None] * s1 for kappa in kappas.T)
-        if not s_bc:
-            return eye + h * s_a
-        s_b, s_c = s_bc
-        q1 = np.matmul(s_b, eye + (0.5 * h) * s_a)
-        q2 = np.matmul(s_b, eye + (0.5 * h) * q1)
-        q3 = np.matmul(s_c, eye + h * q2)
-        return eye + (h / 6.0) * (s_a + 2.0 * q1 + 2.0 * q2 + q3)
+    s_a, *s_bc = (s0 + kappa[:, None, None] * s1 for kappa in kappas.T)
+    if not s_bc:
+        return eye + h * s_a
+    s_b, s_c = s_bc
+    q1 = np.matmul(s_b, eye + (0.5 * h) * s_a)
+    q2 = np.matmul(s_b, eye + (0.5 * h) * q1)
+    q3 = np.matmul(s_c, eye + h * q2)
+    return eye + (h / 6.0) * (s_a + 2.0 * q1 + 2.0 * q2 + q3)
 
 
-def _rhs_step(kind, op, cfg, t0):
-    # The field without validation: the loop handles non-finite states itself.
-    unchecked = SimpleNamespace(field=op.field_unchecked, jacobian=op.jacobian)
-    dim, queries = op.dim, SCHEMES[cfg.scheme]
+def _rhs_step(kind, op, cfg, t0, n_steps):
+    """Step of ``step_loop`` that calls ``rhs`` at each stage, through
+    ``op.unchecked()``, and advances the stacked y = (z, aux) in one
+    combination of the stages.  A VariableStepFlow's stages are the
+    ConstantKappaFlow at their kappa, read a block of steps at a time."""
+    view, dim, dt = op.unchecked(), op.dim, cfg.dt
+    half, queries = 0.5 * dt, SCHEMES[cfg.scheme]
+    if getattr(kind, "reads_t", False):
+        stage_kinds = per_step_blocks(_stage_kappas(kind, cfg, t0), lambda kappas: [
+            [ConstantKappaFlow(k) for k in row] for row in kappas.tolist()], n_steps, BLOCK_ROWS)
+    else:
+        fixed = [kind] * (3 if cfg.scheme == "rk4" else 1)  # one per distinct stage time
+        stage_kinds = lambda n, t: fixed  # noqa: E731
+
+    def f(stage_kind, y, t):
+        return np.concatenate(rhs(stage_kind, view, y[:dim], y[dim:], t))
 
     def step(n, s, out, t):
-        out[:dim], out[dim:-1] = _advance(kind, unchecked, s[:dim], s[dim:-1], t, cfg.dt,
-                                          cfg.scheme)
-        return t0 + (n + 1) * cfg.dt, queries
+        y, (kind_a, *kinds_bc) = s[:-1], stage_kinds(n, t)
+        k1 = f(kind_a, y, t)
+        if not kinds_bc:
+            out[:-1] = y + dt * k1
+        else:
+            kind_b, kind_c = kinds_bc
+            k2 = f(kind_b, y + half * k1, t + half)
+            k3 = f(kind_b, y + half * k2, t + half)
+            k4 = f(kind_c, y + dt * k3, t + dt)
+            out[:-1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return t0 + (n + 1) * dt, queries
 
     return step
-
-
-def _advance(kind, op, z, aux, t, dt, scheme):
-    dz1, da1 = rhs(kind, op, z, aux, t)
-    if scheme == "euler":
-        return z + dt * dz1, aux + dt * da1
-    dz2, da2 = rhs(kind, op, z + 0.5 * dt * dz1, aux + 0.5 * dt * da1, t + 0.5 * dt)
-    dz3, da3 = rhs(kind, op, z + 0.5 * dt * dz2, aux + 0.5 * dt * da2, t + 0.5 * dt)
-    dz4, da4 = rhs(kind, op, z + dt * dz3, aux + dt * da3, t + dt)
-    z_next = z + (dt / 6.0) * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
-    aux_next = aux + (dt / 6.0) * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
-    return z_next, aux_next
 
 
 #: Flow id -> (its aux variable, builder); a builder's parameters are the

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .optimizers import ogda_s_w0, row_dots, step_ogda_s
+from .optimizers import row_dots
 from .problems import Operator, as_state
 
 Array = np.ndarray
@@ -243,40 +243,6 @@ def analytic_decrease_rate(kind, op: Operator, z, aux, beta=None, kappa=None) ->
     name, scale = ("beta", beta) if row.aux_var == "omega" else ("kappa", kappa)
     scale = _require(scale, name, kind)
     return float(row.rate(op, z[None], aux[None], scale, _checked_field(op))[0, 0])
-
-
-def discrete_l5_difference(op: Operator, z, w, v_prev, gamma):
-    """One-step change of the two-variable functional and its certified bound.
-
-    Returns ``(delta, bound)`` with bound = -2 gamma^2 |v_prev|^2 where
-    ``v_prev`` is the field at the previous iterate (at the first step, with
-    the z_1 = z_0 initialization, pass V(z_0)).  Under gamma <= 1/(16 L) the
-    scheme guarantees delta <= bound.
-    """
-    z = as_state(z, op.dim)
-    w = as_state(w, op.dim)
-    v_prev = as_state(v_prev, op.dim)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    before = evaluate("ogda_l5", op, z, w, gamma=gamma)
-    z_next, w_next = step_ogda_s(op, z, w, gamma)
-    after = evaluate("ogda_l5", op, z_next, w_next, gamma=gamma)
-    bound = -2.0 * gamma ** 2 * float(v_prev @ v_prev)
-    return after - before, bound
-
-
-def l5_decrease_sweep(op: Operator, z0, gamma, steps):
-    """Run the two-variable scheme from z0 and return (deltas, bounds) arrays."""
-    z = as_state(z0, op.dim)
-    w = ogda_s_w0(op, z, gamma)
-    v_prev = op.field(z)  # z_1 = z_0 convention
-    deltas = np.zeros(steps)
-    bounds = np.zeros(steps)
-    for n in range(steps):
-        deltas[n], bounds[n] = discrete_l5_difference(op, z, w, v_prev, gamma)
-        v_prev = op.field(z)
-        z, w = step_ogda_s(op, z, w, gamma)
-    return deltas, bounds
 
 
 def discrete_implicit_decrease(op: Operator, state, next_state, gamma):

@@ -4,7 +4,9 @@ Steppers are pure functions; the stepping loop threads method memory, counts
 gradient queries, and records the selected steps into a Trajectory, whose
 metrics are computed once, over all records, when the loop ends.  Divergence
 (non-finite state or norm above the guard) is recorded, not raised: a blowing
-up run is an expected, reportable outcome.
+up run is an expected, reportable outcome.  Inside the loop V and J are
+evaluated unchecked and the arithmetic runs under np.errstate(all="ignore"),
+so the per-step finiteness test is the one stop rule under any errstate.
 
 On an affine field V(z) = J z + q every constant-step method is the linear
 recurrence (z, aux)' = M (z, aux) + m.  ``one_step_map`` reads it off the
@@ -19,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .problems import NonFiniteError, Operator, as_state
+from .problems import Operator, as_state
 
 Array = np.ndarray
 
@@ -89,17 +91,18 @@ class OGDAVariableStep:
     """Optimistic method with a per-step schedule n -> gamma_n.
 
     The default power-law schedule gamma_n = gamma0 / (n+1)^power with
-    power = 0.6 keeps the squared steps summable.
+    power = 0.6 keeps the squared steps summable.  ``run`` reads gamma_n a
+    block of steps at a time, so a ``schedule`` is array in, array out.
     """
 
     gamma0: float = 0.1
     power: float = 0.6
-    schedule: Optional[Callable[[int], float]] = None
+    schedule: Optional[Callable[[Array], Array]] = None
     name = "ogda-varstep"
 
-    def step_size(self, n: int) -> float:
+    def step_size(self, n):
         if self.schedule is not None:
-            return float(self.schedule(n))
+            return self.schedule(n)
         return self.gamma0 / (n + 1) ** self.power
 
 
@@ -192,7 +195,9 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
     g(z') = z' + (3 gamma / 4) V(z') - c = 0 with c = z + (gamma/2) omega
     + (gamma/4) V(z).  Newton's method solves it from z' = z until
     max |g(z')| <= fp_tol, at most ``fp_max_iter`` iterations; omega' is
-    built from the V(z') of that stopping test.
+    built from the V(z') of that stopping test.  A residual that is not
+    finite ends the solve at once with the current z' and its omega', which
+    a non-finite field makes non-finite: a state for the run loop to record.
 
     Returns ``(z_next, omega_next, queries)`` with ``queries`` the number of
     field evaluations consumed: V(z) plus one per Newton iteration, so 2 on
@@ -204,10 +209,10 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
     scale = 0.75 * gamma
     z_next, v_next, queries = z, v_z, 1
     residual = z_next + scale * v_next - c
-    while not np.max(np.abs(residual)) <= fp_tol:
+    while not (error := np.max(np.abs(residual))) <= fp_tol and np.isfinite(error):
         if queries > fp_max_iter:
             raise NoConvergenceError(
-                f"implicit step residual {np.max(np.abs(residual)):.3e} > fp_tol "
+                f"implicit step residual {error:.3e} > fp_tol "
                 f"{fp_tol:.1e} after {fp_max_iter} Newton iterations"
             )
         jac = np.eye(op.dim) + scale * op.jacobian(z_next)
@@ -509,12 +514,12 @@ def step_loop(recorder: Recorder, step, z, aux, t) -> Trajectory:
     ``step(n, s, out, t) -> (t, queries)`` writes the state after step n
     into ``out``.  The states fill a block of at most BLOCK_ROWS rows and
     BLOCK_BYTES bytes; the guard and the record rule then act on the whole
-    block.  A step raising
-    NonFiniteError, FloatingPointError or NoConvergenceError ends the run as
-    diverged; other exceptions are caller errors and propagate.  A non-finite
-    state (z or aux) or a norm of z above DIVERGENCE_GUARD flags divergence;
-    the loop takes no step after the first non-finite state, which it
-    records.  ``queries`` counts the queries of completed steps only.
+    block.  A block's steps run under np.errstate(all="ignore"), so the one
+    stop rule, under any errstate, is the finiteness test after each step:
+    the loop records the first non-finite state (z or aux) and stops.  It,
+    a norm of z above DIVERGENCE_GUARD or a NoConvergenceError (the records
+    left NaN-padded) flags divergence; other exceptions propagate.
+    ``queries`` counts the queries of completed steps only.
     """
     dim, n_steps = len(z), recorder.n_steps
     s = np.concatenate((z, () if aux is None else aux, (1.0,)))
@@ -535,25 +540,23 @@ def step_loop(recorder: Recorder, step, z, aux, t) -> Trajectory:
     diverged = stopped = False
     while n < n_steps and not stopped:
         filled = 0
-        for i in range(1, min(rows, n_steps - n) + 1):
-            try:
-                t, step_queries = step(n, states[i - 1], states[i], t)
-            except (NonFiniteError, FloatingPointError, NoConvergenceError):
-                # Overflow / non-finite evaluation: the remaining records
-                # stay NaN-padded.
-                stopped = True
-                break
-            n += 1
-            queries += step_queries
-            times[i], counts[i], filled = t, queries, i
-            # count_nonzero: the test of isfinite(...).all() without the
-            # reduction's overhead, about 1 us of each step at small d.
-            if np.count_nonzero(np.isfinite(states[i])) < width:
-                stopped = True
-                break
+        with np.errstate(all="ignore"):
+            for i in range(1, min(rows, n_steps - n) + 1):
+                try:
+                    t, step_queries = step(n, states[i - 1], states[i], t)
+                except NoConvergenceError:
+                    stopped = True
+                    break
+                n += 1
+                queries += step_queries
+                times[i], counts[i], filled = t, queries, i
+                # count_nonzero: the test of isfinite(...).all() without the
+                # reduction's overhead, about 1 us of each step at small d.
+                if np.count_nonzero(np.isfinite(states[i])) < width:
+                    stopped = True
+                    break
+            z_norms = _row_norms(block[1:filled + 1, :dim])  # inf > DIVERGENCE_GUARD
         record(n - filled + 1, slice(1, filled + 1))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf > DIVERGENCE_GUARD
-            z_norms = _row_norms(block[1:filled + 1, :dim])
         diverged = diverged or stopped or bool((z_norms > DIVERGENCE_GUARD).any())
         block[0] = block[filled]
     return recorder.finish(t, queries, diverged)
@@ -567,14 +570,16 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     called once per run with the finite records (see ``Recorder``): auxs
     holds the method memory (previous field for the one-variable optimistic
     method, w for the two-variable form, omega for the implicit scheme), or
-    is None for a method without one.  Records follow the ``Recorder`` rule for ``record_every``; see
-    ``step_loop`` for divergence.  A step size ``kind.step_size(n)`` that is
-    not positive raises ValueError.
+    is None for a method without one.  Records follow the ``Recorder`` rule
+    for ``record_every``; see ``step_loop`` for divergence.
 
     On an affine operator a ``fixed_map`` method (gda, eg, ogda, ogda-s,
     la-gda) calls its stepper once, for ``one_step_map``, and is stepped as
     that recurrence (``matmul_step``), with the nominal query count per
-    step; the others call their stepper at every step.
+    step.  The others call their stepper at every step, through
+    ``op.unchecked()`` as does ``init_aux``, and read ``kind.step_size`` once
+    per block, on an array of step indices; a gamma_n that is not positive
+    (or NaN) raises ValueError at step n.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -582,21 +587,25 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     z = as_state(z0, op.dim)
     recorder = Recorder(op, kind.name, problem_label or op.label, steps, record_every,
                         extra_metrics)
+    view = op.unchecked()
     if op.affine and method.fixed_map:
         step = matmul_step(one_step_map(op, kind), method.queries(kind),
                            lambda n, t: t + kind.gamma)
     else:
-        step = _stepper_step(method, op, kind)
-    return step_loop(recorder, step, z, method.init_aux(op, z, kind), 0.0)
+        step = _stepper_step(method, view, kind, steps)
+    with np.errstate(all="ignore"):
+        aux = method.init_aux(view, z, kind)
+    return step_loop(recorder, step, z, aux, 0.0)
 
 
-def _stepper_step(method, op, kind):
+def _stepper_step(method, op, kind, n_steps):
     dim = op.dim
+    gammas = per_step_blocks(lambda n, t, count: read_positive(
+        kind.step_size, np.arange(n, n + count), "step size gamma_n", "n"),
+        np.ndarray.tolist, n_steps, BLOCK_ROWS)
 
     def step(n, s, out, t):
-        gamma_n = kind.step_size(n)
-        if not gamma_n > 0:
-            raise ValueError(f"step size gamma_n must be positive, got {gamma_n} at n={n}")
+        gamma_n = gammas(n, t)
         # A memoryless method's aux is the empty slice, which its step ignores.
         z, aux, queries = method.step(op, s[:dim], s[dim:-1], gamma_n, kind)
         out[:dim], out[dim:-1] = z, aux
@@ -605,21 +614,55 @@ def _stepper_step(method, op, kind):
     return step
 
 
+def read_positive(fn, args, label, name):
+    """``fn(args)``, array in and array out (a scalar is broadcast), on
+    arguments with one row per step, cut before the first row holding a
+    value that is not positive (or NaN); and the ValueError naming that
+    value, or None."""
+    values = np.broadcast_to(np.asarray(fn(args), dtype=float), args.shape)
+    bad = np.flatnonzero(~(values > 0))
+    if not bad.size:
+        return values, None
+    i = bad[0]
+    return values[:i // (values.size // len(values))], ValueError(
+        f"{label} must be positive, got {values.flat[i]} at {name}={args.flat[i]}")
+
+
+def per_step_blocks(read, build, n_steps, rows):
+    """``at(n, t)``: the item of step n.  Past the current block,
+    ``read(n, t, count) -> (values, error)`` reads the next ``count`` <=
+    ``rows`` steps (never past ``n_steps``) at once, under the np.errstate
+    where this was called (the caller's, for schedules), as
+    ``read_positive`` does; ``build(values)`` makes their items, and ``at``
+    raises ``error`` at its step."""
+    caller = np.geterr()
+    items, first, error = (), 0, None
+
+    def at(n, t):
+        nonlocal items, first, error
+        if n - first == len(items):
+            if error is not None:
+                raise error
+            with np.errstate(**caller):
+                values, error = read(n, t, min(rows, n_steps - n))
+            items, first = build(values) if len(values) else (), n
+            if not len(items):
+                raise error
+        return items[n - first]
+
+    return at
+
+
 def matmul_step(system, queries, next_time):
     """Step of ``step_loop`` by s' = ``system`` s: one matrix-vector product
     per step, written into the loop's block.
 
     ``system`` is a one-step map [[M, m], [0, 1]]: a method's recurrence, or
     the one-step map of a fixed-step scheme on a linear flow.  Each step
-    reports ``queries`` and the time ``next_time(n, t)`` after step n.  An
-    overflowing product is a state for the loop to record as divergence,
-    under any np.errstate.
+    reports ``queries`` and the time ``next_time(n, t)`` after step n.
     """
     def step(n, s, out, t):
-        try:
-            np.matmul(system, s, out=out)
-        except FloatingPointError:
-            pass  # raised after the whole product is written into out
+        np.matmul(system, s, out=out)
         return next_time(n, t), queries
 
     return step

@@ -8,6 +8,8 @@ generator, which together back the library's self-checks.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 Array = np.ndarray
@@ -25,8 +27,8 @@ FULL_RANK_THRESHOLD = 0.05
 class NonFiniteError(ValueError):
     """A state, field value or Jacobian with a NaN or infinite entry.
 
-    The run loops record it as divergence; every other ``ValueError`` is a
-    caller error and propagates.
+    Raised at the checked boundaries (``as_state``, ``field``, ``jacobian``);
+    inside the run loops, which evaluate unchecked, a non-finite value is a state.
     """
 
 
@@ -52,7 +54,8 @@ class Operator:
 
     Subclasses implement ``_field`` and ``_jacobian``.  ``field``/``jacobian``
     validate dimensions and finiteness at the boundary; the solution point is
-    checked against ``SOLUTION_TOL`` at construction time.
+    checked against ``SOLUTION_TOL`` at construction time.  The run loops
+    evaluate through ``unchecked()``, where a non-finite value is a state.
 
     ``affine`` is True on classes whose field is affine in z, so that J is
     one constant matrix: ``jacobian`` then builds and checks it on the first
@@ -110,15 +113,26 @@ class Operator:
         return j
 
     def field_unchecked(self, z) -> Array:
-        """V(z) without finiteness validation; used by run loops after divergence."""
+        """V(z) without validation."""
         return np.asarray(self._field(np.asarray(z, dtype=float)), dtype=float)
+
+    def jacobian_unchecked(self, z) -> Array:
+        """J(z) without validation (an affine operator's J, checked once)."""
+        if self.affine:
+            return self.jacobian(self.solution)
+        return np.asarray(self._jacobian(np.asarray(z, dtype=float)), dtype=float)
+
+    def unchecked(self) -> SimpleNamespace:
+        """``field``/``jacobian`` as ``field_unchecked``/``jacobian_unchecked``."""
+        return SimpleNamespace(field=self.field_unchecked, jacobian=self.jacobian_unchecked,
+                               dim=self.dim)
 
     def fields_unchecked(self, zs) -> Array:
         """V at each row of the (n, dim) matrix ``zs``, without validation.
 
         Row i equals ``field_unchecked(zs[i])`` bit for bit; this default
-        evaluates the rows one by one, and affine subclasses override it with
-        one stacked product.
+        evaluates the rows one by one, and the catalog problems override it
+        with one stacked evaluation.
         """
         return np.array([self.field_unchecked(z) for z in zs]).reshape(len(zs), self.dim)
 
@@ -194,10 +208,13 @@ class QuarticCounterexample(Operator):
         super().__init__(1, 1)
 
     def _field(self, z):
-        return np.array([4.0 * z[0] ** 3, 4.0 * z[1] ** 3])
+        return 4.0 * (z * z * z)
+
+    def fields_unchecked(self, zs):
+        return 4.0 * (zs * zs * zs)  # _field's formula, elementwise: the same bits per row
 
     def _jacobian(self, z):
-        return np.diag([12.0 * z[0] ** 2, 12.0 * z[1] ** 2])
+        return np.diag(12.0 * (z * z))
 
 
 class ScaledIdentity(Operator):

@@ -128,7 +128,8 @@ def apt_window_check(taus, states, op: Operator, gamma_of_t, T=1.0, windows=8,
     """Windowed sup-distance between the interpolated iterates and the flow.
 
     ``taus``/``states`` sample the discrete run on its effective-time axis,
-    ``gamma_of_t`` is the continuous step-size schedule on that axis.  For
+    ``gamma_of_t`` is the continuous step-size schedule on that axis, array
+    in and array out, as ``VariableStepFlow`` reads it.  For
     each of ``windows`` geometrically spaced anchors t the variable-step flow
     is integrated from the interpolant over the horizon [0, T] and the
     sup-norm difference to the interpolant is returned.  A vanishing
@@ -148,7 +149,7 @@ def apt_window_check(taus, states, op: Operator, gamma_of_t, T=1.0, windows=8,
     if not t_start < t_end:
         raise ValueError("trajectory too short for the requested horizon")
 
-    kappa_fn = lambda t: 1.0 / float(gamma_of_t(t))  # noqa: E731
+    kappa_fn = lambda t: 1.0 / gamma_of_t(t)  # noqa: E731
     flow = VariableStepFlow(kappa_fn)
 
     def interp(t):

@@ -210,38 +210,6 @@ def _check_beta_kappa(beta, kappa):
         raise ValueError("kappa must be negative (eigenvalue of -A A^T, full-rank A)")
 
 
-def routh_first_column(coeffs, eps=MARGINAL_EPS) -> Array:
-    """First column of the Routh array of a real polynomial (descending
-    coefficients), with the standard epsilon substitution for zero pivots.
-
-    Cross-check utility; the published quartic columns above are authoritative
-    for the two pinned cases.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size < 2:
-        raise ValueError("need a polynomial of degree >= 1")
-    n = coeffs.size - 1
-    width = (n + 2) // 2
-    rows = np.zeros((n + 1, width))
-    top = coeffs[0::2]
-    second = coeffs[1::2]
-    rows[0, : top.size] = top
-    rows[1, : second.size] = second
-    for i in range(2, n + 1):
-        if np.all(np.abs(rows[i - 1]) <= eps):
-            # Zero row: differentiate the auxiliary (even) polynomial above.
-            degree = n - (i - 2)
-            aux = rows[i - 2]
-            powers = degree - 2 * np.arange(width)
-            rows[i - 1] = aux * np.maximum(powers, 0)
-        pivot = rows[i - 1, 0]
-        if abs(pivot) <= eps:
-            pivot = eps
-        for j in range(width - 1):
-            rows[i, j] = (pivot * rows[i - 2, j + 1] - rows[i - 2, 0] * rows[i - 1, j + 1]) / pivot
-    return rows[:, 0]
-
-
 def complex_quadratic_stable(beta, mu) -> ComplexEigenTest:
     """Stability of lambda*(beta + lambda) - mu = 0 for complex mu.
 

@@ -1,6 +1,10 @@
 """Tests for config parsing, CLI commands, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,6 +524,35 @@ class TestReportCommands:
         rows = (tmp_path / "run.csv").read_text().splitlines()
         header, record0 = rows[0].split(","), rows[1].split(",")
         assert not np.isfinite(float(record0[header.index("lyap_ogda_l1")]))
+
+    @pytest.mark.parametrize("method", ["ogda", "ogda-s", "ogda-varstep"])
+    def test_run_records_an_overflowing_start(self, method, tmp_path):
+        # z0 is finite but V(z0) overflows: the method memory starts
+        # non-finite (2 V(z0), or w0 = -z0 - 4 gamma V(z0)), which the run
+        # records as a divergence at its first step instead of exiting 1.
+        gamma = [] if method == "ogda-varstep" else ["--set", "method.gamma=0.5"]
+        code = run_main(["run", "--set", "problem.id=quartic", "--set", f"method.id={method}",
+                         *gamma, "--set", "budget.steps=10", "--set", "init.z0=[1e150,0.5]",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "run.json").read_text(), parse_constant=_reject)
+        assert payload["diverged"] is True and payload["queries"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["lyapunov", "--set", "mode=hrde", "--set", "method.id=ogda-hrde",
+         "--set", "method.gamma=0.5", "--set", "budget.t_end=0.01", "--set", "budget.dt=0.001",
+         "--set", "init.z0=[1e150,0.5]", "--set", 'lyapunov=["ogda_l1"]'],
+        ["run", "--set", "method.id=gda", "--set", "method.gamma=0.5",
+         "--set", "budget.steps=10", "--set", "init.z0=[3,0.5]"],
+    ], ids=["lyapunov-overflow", "run-gda"])
+    def test_diverging_quartic_runs_keep_stderr_empty(self, argv, tmp_path, capfd):
+        # A child process, so that any numpy RuntimeWarning would reach fd 2.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "saddleflow", *argv,
+                               "--set", "problem.id=quartic", "--out", str(tmp_path)], env=env)
+        assert proc.returncode == 0
+        assert capfd.readouterr().err == ""
+        assert json.loads((tmp_path / "run.json").read_text(), parse_constant=_reject)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lyapunov_report_is_strict_json(self, tmp_path):

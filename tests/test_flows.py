@@ -195,19 +195,24 @@ class TestIntegration:
         assert traj.diverged
 
     def test_bad_kappa_schedule_raises(self):
-        # A bad schedule is a caller error, never a recorded divergence.
+        # A bad schedule is a caller error, never a recorded divergence, on
+        # the maps (SI) and on the rhs path (the twin) alike.
         cfg = flows.IntegratorConfig("rk4", 0.1, 1.0)
         z0, w0 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+        twin = NonAffineTwin(np.eye(2), np.zeros(2))
         for bad in (-1.0, 0.0, float("nan")):
-            kind = flows.VariableStepFlow(lambda t, bad=bad: 1.0 if t < 0.3 else bad)
-            with pytest.raises(ValueError, match=r"kappa\(t\) must be positive, got .* at t=0\.3"):
-                flows.integrate(kind, SI, z0, w0, cfg)
+            kind = flows.VariableStepFlow(lambda t, bad=bad: np.where(t < 0.3, 1.0, bad))
+            for op in (SI, twin):
+                with pytest.raises(ValueError,
+                                   match=r"kappa\(t\) must be positive, got .* at t=0\.3"):
+                    flows.integrate(kind, op, z0, w0, cfg)
 
         def failing(t):
             raise ZeroDivisionError("schedule failed")
 
-        with pytest.raises(ZeroDivisionError, match="schedule failed"):
-            flows.integrate(flows.VariableStepFlow(failing), SI, z0, w0, cfg)
+        for op in (SI, twin):
+            with pytest.raises(ZeroDivisionError, match="schedule failed"):
+                flows.integrate(flows.VariableStepFlow(failing), op, z0, w0, cfg)
 
     def test_record_every(self):
         cfg = flows.IntegratorConfig("euler", 0.1, 1.0, record_every=2)
@@ -401,10 +406,16 @@ class TestAffinePropagator:
 @st.composite
 def positive_schedules(draw):
     """kappa(t) = a (1 + b t)^p: positive, rising or falling, at most 14 on
-    the horizons below."""
+    the horizons below; vectorized (array in, array out), as
+    ``VariableStepFlow`` requires, and it checks that it is given arrays."""
     a, b = draw(st.floats(0.1, 4.0)), draw(st.floats(0.0, 1.0))
     p = draw(st.floats(-1.0, 1.0))
-    return lambda t: a * (1.0 + b * t) ** p
+
+    def kappa(t):
+        assert isinstance(t, np.ndarray)
+        return a * np.power(1.0 + b * t, p)
+
+    return kappa
 
 
 class TestVariableStepMaps:
@@ -426,25 +437,49 @@ class TestVariableStepMaps:
                                            atol=1e-12 * max(1.0, np.abs(ref.metric(name)).max()))
 
     @pytest.mark.parametrize("scheme", ["rk4", "euler"])
-    @pytest.mark.parametrize("n_steps", [5, 700])  # 700 steps span three blocks of maps at d = 2
-    def test_kappa_read_at_rhs_stage_times(self, scheme, n_steps):
-        # The rhs path reads kappa at t, t + dt/2, t + dt/2 and t + dt of each
-        # RK4 step; the maps read each distinct time once, with the same
-        # argument bit for bit, and nothing past the budget.
+    @pytest.mark.parametrize("n_steps", [5, 700])  # 700 steps span three blocks at d = 2
+    def test_kappa_read_at_rhs_stage_times(self, scheme, n_steps, monkeypatch):
+        # The rhs path evaluates its stages at t, t + dt/2, t + dt/2 and
+        # t + dt of each RK4 step.  Both paths read kappa once per block of
+        # steps, as an array with one row per step and one column per
+        # distinct stage time; read in order, the arrays hold exactly the
+        # stage times, bit for bit, and nothing past the budget.
         dt, t0 = 0.01, 0.3
         cfg = flows.IntegratorConfig(scheme, dt, n_steps * dt)
         m, z_star = np.array([[0.5, 1.0], [-1.0, 0.0]]), np.zeros(2)
-        seen = {}
-        for op in (AffineField, NonAffineTwin):
-            times = seen[op] = []
-            kind = flows.VariableStepFlow(lambda t, times=times: times.append(t) or 1.0 + t)
+        stage_times = []
+        real_rhs = flows.rhs
+        monkeypatch.setattr(flows, "rhs", lambda kind, op, z, aux, t: (
+            stage_times.append(t) or real_rhs(kind, op, z, aux, t)))
+        columns = {"rk4": 3, "euler": 1}[scheme]
+        for op, rows in ((NonAffineTwin, opt.BLOCK_ROWS),
+                         (AffineField, opt.BLOCK_BYTES // (8 * 5 * 5))):  # maps of (z, w, 1)
+            reads = []
+            kind = flows.VariableStepFlow(lambda t, reads=reads: reads.append(t.copy()) or 1.0 + t)
             flows.integrate(kind, op(m, z_star), np.array([1.0, 0.0]), np.zeros(2), cfg, t0=t0)
-        rhs_times = seen[NonAffineTwin]
-        assert len(rhs_times) == flows.SCHEMES[scheme] * n_steps
-        want = rhs_times if scheme == "euler" else [
-            t for i, t in enumerate(rhs_times) if i % 4 != 2]
-        assert len(want) == {"rk4": 3, "euler": 1}[scheme] * n_steps
-        assert seen[AffineField] == want
+            assert [r.shape for r in reads] == [
+                (min(rows, n_steps - first), columns) for first in range(0, n_steps, rows)]
+            if op is NonAffineTwin:
+                assert len(stage_times) == flows.SCHEMES[scheme] * n_steps
+                want = np.array(stage_times if scheme == "euler" else [
+                    t for i, t in enumerate(stage_times) if i % 4 != 2])
+            assert np.concatenate(reads).tobytes() == want.tobytes()
+
+    def test_schedule_runs_under_the_callers_errstate(self):
+        # The loop's arithmetic ignores overflow, but a schedule is the
+        # caller's code: under the caller's "raise" its overflow raises, on
+        # the maps and the rhs path alike, and ogda-varstep's schedule too.
+        cfg = flows.IntegratorConfig("rk4", 0.1, 1.0)
+        kind = flows.VariableStepFlow(lambda t: np.exp(800.0 + t))
+        m, z_star = np.array([[0.5, 1.0], [-1.0, 0.0]]), np.zeros(2)
+        varstep = opt.OGDAVariableStep(schedule=lambda n: 1.0 / np.exp(800.0 + n))
+        for go in (lambda: flows.integrate(kind, AffineField(m, z_star), np.ones(2),
+                                           np.zeros(2), cfg),
+                   lambda: flows.integrate(kind, NonAffineTwin(m, z_star), np.ones(2),
+                                           np.zeros(2), cfg),
+                   lambda: opt.run(NonAffineTwin(m, z_star), varstep, np.ones(2), 5)):
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+                go()
 
     def test_maps_up_to_the_width_bound(self, monkeypatch):
         calls = []

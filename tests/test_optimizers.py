@@ -1,6 +1,7 @@
 """Tests for the discrete steppers and the run loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from saddleflow import flows
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
-    NonFiniteError,
     Operator,
     QuarticCounterexample,
     ScaledIdentity,
@@ -208,10 +208,25 @@ class TestRunLoop:
 
     def test_nonpositive_schedule_step_raises(self):
         # A bad step size is a caller error, never a recorded divergence.
+        # The schedule is read once per block, on an array of step indices.
         for bad in (-0.1, 0.0, float("nan")):
-            kind = opt.OGDAVariableStep(schedule=lambda n, bad=bad: 0.1 if n < 3 else bad)
-            with pytest.raises(ValueError, match=r"at n=3"):
+            reads = []
+            kind = opt.OGDAVariableStep(schedule=lambda n, bad=bad, reads=reads: (
+                reads.append(n.copy()) or np.where(n < 3, 0.1, bad)))
+            with pytest.raises(ValueError, match=r"gamma_n must be positive, got .* at n=3"):
                 opt.run(SI, kind, [1.0, 0.0], 5)
+            assert len(reads) == 1 and reads[0].tolist() == [0, 1, 2, 3, 4]
+
+    def test_schedule_read_once_per_block(self):
+        reads = []
+        kind = opt.OGDAVariableStep(schedule=lambda n: reads.append(n.copy()) or 0.01 + 0 * n)
+        traj = opt.run(SI, kind, [1.0, 0.0], 600)
+        assert [(r[0], len(r)) for r in reads] == [(0, 256), (256, 256), (512, 88)]
+        assert traj.times[-1] == pytest.approx(6.0)
+        # The default power law, read as an array, is the scalar formula.
+        kind = opt.OGDAVariableStep(gamma0=0.1, power=0.6)
+        np.testing.assert_allclose(kind.step_size(np.arange(50)),
+                                   [0.1 / (n + 1) ** 0.6 for n in range(50)], rtol=1e-15)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -449,11 +464,7 @@ def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
     z, aux, t, q = np.asarray(z0, dtype=float), aux0, 0.0, 0
     record(t, q, z, aux)
     for n in range(1, steps + 1):
-        try:
-            z, aux = advance(z, aux)
-        except (NonFiniteError, FloatingPointError):
-            traj.diverged = True
-            break
+        z, aux = advance(z, aux)
         t, q = t + gamma, q + queries
         finite = np.isfinite(z).all() and (aux is None or np.isfinite(aux).all())
         if not finite or math.sqrt(z.dot(z)) > opt.DIVERGENCE_GUARD:
@@ -492,16 +503,19 @@ def assert_same_records(fast, ref):
 
 
 class Tripwire(NonAffineTwin):
-    """The same field, except that its ``trip``-th checked evaluation
-    overflows (a FloatingPointError under np.errstate(all="raise"))."""
+    """The same field, except that its ``trip``-th evaluation after
+    construction overflows (a FloatingPointError under
+    np.errstate(all="raise") outside the run loop)."""
+
+    trip, calls = 0, 0
 
     def __init__(self, m, z_star, trip):
         super().__init__(m, z_star)
         self.trip, self.calls = trip, 0
 
-    def field(self, z):
+    def _field(self, z):
         self.calls += 1
-        v = super().field(z)
+        v = super()._field(z)
         return v * 1e300 * 1e300 if self.calls == self.trip else v
 
 
@@ -574,19 +588,24 @@ class TestBlockLoop:
 
     @pytest.mark.parametrize("trip", [1, 255, 256, 257, 513])
     def test_floating_point_error_at_block_edges(self, trip):
-        # Under np.errstate(all="raise") the trip-th field evaluation raises
-        # FloatingPointError: step trip is never taken and the run diverged.
+        # The trip-th field evaluation (step trip) overflows inside _field.
+        # In the loop that is a value under any errstate: step trip is taken,
+        # its non-finite state recorded and the run diverged, with the same
+        # records under "warn" and "raise".
         m, z_star, z0 = np.array([[0.1, 1.0], [-1.0, 0.1]]), np.zeros(2), np.array([1.0, 0.0])
         steps, gamma = 600, 0.01
-        with np.errstate(all="raise"):
-            fast = opt.run(Tripwire(m, z_star, trip), opt.GDA(gamma), z0, steps)
-            op = Tripwire(m, z_star, trip)
-            ref = reference_run(op, lambda z, aux: (opt.step_gda(op, z, gamma), aux), z0, None,
-                                steps, gamma, 1)
-        assert_same_records(fast, ref)
-        assert fast.diverged
-        assert np.isfinite(fast.states[:trip]).all() and np.isnan(fast.states[trip:]).all()
-        assert fast.queries[-1] == trip - 1 and fast.times[-1] == ref.times[trip - 1]
+        stepper = Tripwire(m, z_star, trip).unchecked()
+        with np.errstate(all="ignore"):
+            ref = reference_run(NonAffineTwin(m, z_star), lambda z, aux: (
+                opt.step_gda(stepper, z, gamma), aux), z0, None, steps, gamma, 1)
+        for mode in ("warn", "raise"):
+            with np.errstate(all=mode):
+                fast = opt.run(Tripwire(m, z_star, trip), opt.GDA(gamma), z0, steps)
+            assert_same_records(fast, ref)
+            assert fast.diverged
+            assert np.isfinite(fast.states[:trip]).all() and np.isinf(fast.states[trip]).all()
+            assert np.isnan(fast.states[trip + 1:]).all()
+            assert fast.queries[-1] == trip and fast.times[-1] == ref.times[trip]
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("kind", [opt.GDA(8.0), opt.OGDA(8.0), "gda-hrde"])
@@ -640,6 +659,61 @@ class TestBlockLoop:
         assert (auxs is None) == (auxs_ref is None) == (kind.name == "eg")
         if auxs is not None:
             np.testing.assert_array_equal(auxs, auxs_ref)
+
+
+_TWIN = NonAffineTwin(np.array([[0.0, 1.5], [-1.5, 0.0]]), np.zeros(2))
+#: name -> (the run, its last recorded step, its query count): each stops
+#: at its first non-finite state (z or aux), which it records.
+STOP_RULE_RUNS = {
+    # 3 -> -51 -> 265251 -> ... -> about 2e150, whose field overflows: the
+    # state of step 6 is inf.
+    "quartic-gda": (lambda: opt.run(QuarticCounterexample(), opt.GDA(0.5), [3.0, 0.5], 10),
+                    6, 6),
+    "twin-gda": (lambda: opt.run(_TWIN, opt.GDA(8.0), [1.0, 0.0], 600), 286, 286),
+    "twin-ogda": (lambda: opt.run(_TWIN, opt.OGDA(8.0), [1.0, 0.0], 600), 225, 225),
+    # dt * beta = 20: the RK4 stages blow up; omega overflows at step 82.
+    "gda-hrde-rk4": (lambda: flows.integrate(
+        flows.make_flow("gda-hrde", gamma=0.01),
+        NonAffineTwin(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2)),
+        np.array([1.0, 0.0]), np.zeros(2), flows.IntegratorConfig("rk4", 0.1, 20.0)), 82, 328),
+    # V(z0) overflows: the Newton residual is non-finite at once, so the
+    # step returns after its one query, with a non-finite omega.
+    "implicit-residual": (lambda: opt.run(QuarticCounterexample(), opt.ImplicitOGDA(0.1),
+                                          [1e103, 0.5], 5), 1, 1),
+}
+
+
+class TestOneStopRule:
+    """Every evaluation path stops at the same step, and records the same
+    non-finite state, under numpy's default errstate and under "raise",
+    and prints no warning."""
+
+    @pytest.mark.parametrize("name", STOP_RULE_RUNS)
+    def test_same_stop_under_any_errstate(self, name):
+        go, stop, queries = STOP_RULE_RUNS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warned = go()
+        with np.errstate(all="raise"):
+            raised = go()
+        assert_same_records(raised, warned)
+        reached = np.flatnonzero(~np.isnan(warned.states).all(axis=1))
+        assert warned.diverged and warned.steps[reached[-1]] == stop
+        assert reached.tolist() == list(range(len(reached)))
+        assert warned.queries[-1] == queries
+        if name in ("quartic-gda", "twin-gda", "twin-ogda"):
+            assert np.isinf(warned.states[reached[-1]]).any()
+
+    def test_implicit_step_returns_at_a_non_finite_residual(self):
+        # It must not spin to fp_max_iter on NaN residuals.
+        op, calls = QuarticCounterexample(), []
+        view = op.unchecked()
+        view.field = lambda z: calls.append(1) or op.field_unchecked(z)
+        with np.errstate(all="ignore"):
+            z, omega, queries = opt.step_ogda_implicit(view, np.array([1e103, 0.5]),
+                                                       np.zeros(2), 0.1)
+        assert queries == len(calls) == 1
+        assert z.tolist() == [1e103, 0.5] and not np.isfinite(omega).all()
 
 
 def _spectral_radius(mat):

@@ -94,6 +94,24 @@ class TestFieldEvaluation:
             with pytest.raises(ValueError, match="read-only"):
                 j1[0, 0] = 7.0
 
+    def test_unchecked_view(self):
+        # The view the run loops step through: the same values bit for bit
+        # where the checked calls pass, and values instead of errors where
+        # they raise.
+        for op in (*CATALOG, BilinearGame([[1.0, 2.0]])):
+            view = op.unchecked()
+            assert view.dim == op.dim
+            for z in (np.full(op.dim, 0.5), np.arange(1.0, op.dim + 1.0)):
+                assert view.field(z).tobytes() == op.field(z).tobytes()
+                assert view.jacobian(z).tobytes() == op.jacobian(z).tobytes()
+            if op.affine:
+                assert view.jacobian(np.full(op.dim, np.nan)) is op.jacobian(op.solution)
+        q = QuarticCounterexample().unchecked()
+        with np.errstate(over="ignore"):
+            assert np.isinf(q.field(np.array([1e150, 0.5]))[0])
+            assert np.isinf(q.jacobian(np.array([1e160, 0.5]))[0, 0])
+        assert np.isnan(q.jacobian(np.array([np.nan, 0.5]))[0, 0])
+
     def test_caller_arrays_are_copied(self):
         A, b, c = np.array([[2.0]]), np.array([1.0]), np.array([-4.0])
         game = BilinearGame(A, b, c)

@@ -246,17 +246,49 @@ class TestRouthArrays:
         # recursion, but the sign pattern (hence verdict) must agree.
         for beta, kappa in [(2.0, -1.0), (1.0, -4.0), (8.0, -0.3)]:
             gda_poly = [1.0, 2 * beta, beta ** 2, 0.0, -kappa * beta ** 2]
-            col = st.routh_first_column(gda_poly)
+            col = routh_first_column(gda_poly)
             assert st._sign_changes(col) == st.routh_quartic_gda(beta, kappa).sign_changes
             ogda_poly = [1.0, 2 * beta, beta ** 2 - 4 * kappa, -4 * beta * kappa,
                          -kappa * beta ** 2]
-            col = st.routh_first_column(ogda_poly)
+            col = routh_first_column(ogda_poly)
             assert st._sign_changes(col) == 0
 
     def test_recursion_on_stable_cubic(self):
         # (s+1)(s+2)(s+3) = s^3 + 6s^2 + 11s + 6: no sign changes.
-        col = st.routh_first_column([1.0, 6.0, 11.0, 6.0])
+        col = routh_first_column([1.0, 6.0, 11.0, 6.0])
         assert np.all(col > 0)
+
+
+def routh_first_column(coeffs, eps=st.MARGINAL_EPS):
+    """First column of the Routh array of a real polynomial (descending
+    coefficients), with the standard epsilon substitution for zero pivots.
+
+    The general recursion, a cross-check of the published quartic columns,
+    which are authoritative for the two pinned cases.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1 or coeffs.size < 2:
+        raise ValueError("need a polynomial of degree >= 1")
+    n = coeffs.size - 1
+    width = (n + 2) // 2
+    rows = np.zeros((n + 1, width))
+    top = coeffs[0::2]
+    second = coeffs[1::2]
+    rows[0, : top.size] = top
+    rows[1, : second.size] = second
+    for i in range(2, n + 1):
+        if np.all(np.abs(rows[i - 1]) <= eps):
+            # Zero row: differentiate the auxiliary (even) polynomial above.
+            degree = n - (i - 2)
+            aux = rows[i - 2]
+            powers = degree - 2 * np.arange(width)
+            rows[i - 1] = aux * np.maximum(powers, 0)
+        pivot = rows[i - 1, 0]
+        if abs(pivot) <= eps:
+            pivot = eps
+        for j in range(width - 1):
+            rows[i, j] = (pivot * rows[i - 2, j + 1] - rows[i - 2, 0] * rows[i - 1, j + 1]) / pivot
+    return rows[:, 0]
 
 
 class TestComplexQuadratic:
