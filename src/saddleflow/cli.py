@@ -18,6 +18,7 @@ under --strict, 1 other runtime failure.  All failures print a single
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -217,11 +218,6 @@ def _parse_json_object(text: str) -> dict:
     return raw
 
 
-def parse_config(text: str) -> SimpleNamespace:
-    """Parse and validate a UTF-8 JSON config, filling defaults."""
-    return validate_config(_parse_json_object(text))
-
-
 def validate_config(raw: dict, command="run") -> SimpleNamespace:
     """Check ``raw`` against CONFIG_KEYS for the CLI ``command`` that reads
     it; returns one attribute per key."""
@@ -329,10 +325,10 @@ def execute_run(cfg: SimpleNamespace):
     kind = flows.make_flow(cfg.method_id, gamma=cfg.gamma, alpha=cfg.alpha, kappa_fn=kappa_fn)
     aux0 = np.zeros(op.dim) if cfg.aux0 is None else cfg.aux0
     if cfg.aux0 is None and aux_var == "w":
-        # A constant-kappa flow starts from the configured gamma itself:
-        # 1/kappa(0) = 1/(1/gamma) can differ from gamma in the last bit.
+        # w0 from the configured gamma itself (1/(1/gamma) can differ in the last
+        # bit), derived inside integrate: a V(z0) that overflows is a divergence.
         gamma_start = cfg.gamma if kappa_fn is None else 1.0 / kappa_fn(0.0)
-        aux0 = flows.ogda2_w_from_omega(op, z0, aux0, gamma_start)
+        aux0 = functools.partial(flows.ogda2_w_from_omega, omega0=aux0, gamma=gamma_start)
     icfg = flows.IntegratorConfig(cfg.scheme, cfg.dt, cfg.t_end, cfg.record_every)
     traj = flows.integrate(kind, op, z0, aux0, icfg, extra_metrics=monitors)
     return op, traj
@@ -604,9 +600,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:  # built on main's first call, then reused
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "catalog":
             sys.stdout.write(cmd_catalog())

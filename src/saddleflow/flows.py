@@ -244,9 +244,19 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     most ``STEP_MAP_MAX_WIDTH`` wide.  Every other pair evaluates ``rhs`` at
     each stage, through ``op.unchecked()``, which can overflow one step
     before R s does.
+
+    A non-finite ``aux0`` raises.  A callable ``aux0(view, z)`` derives the
+    start from the checked z0, as ``run`` derives ``init_aux``: through
+    ``op.unchecked()`` under np.errstate(all="ignore"), so an overflow is a state.
     """
     z = as_state(z0, op.dim)
-    aux = np.zeros(0) if isinstance(kind, LowResolutionFlow) else as_state(aux0, op.dim)
+    if isinstance(kind, LowResolutionFlow):
+        aux = np.zeros(0)
+    elif callable(aux0):
+        with np.errstate(all="ignore"):
+            aux = np.asarray(aux0(op.unchecked(), z), dtype=float).reshape(op.dim)
+    else:
+        aux = as_state(aux0, op.dim)
     recorder = Recorder(op, kind.name, problem_label or op.label,
                         int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
     if op.affine and not getattr(kind, "reads_t", False):

@@ -288,21 +288,6 @@ def monotonicity_probe(op: Operator, seed=0, samples=1000, radius=1.0):
     return pairwise_min, solution_min
 
 
-def jacobian_psd_probe(op: Operator, seed=0, samples=100, radius=1.0) -> float:
-    """Minimum eigenvalue of the symmetrized Jacobian over sampled points.
-
-    Nonnegative (up to roundoff) for monotone operators: J(z) >= 0.
-    """
-    rng = np.random.default_rng(seed)
-    zs = _sample_ball(rng, op.dim, radius, samples) + op.solution
-    smallest = np.inf
-    for z in zs:
-        j = op.jacobian(z)
-        eigs = np.linalg.eigvalsh(0.5 * (j + j.T))
-        smallest = min(smallest, float(eigs[0]))
-    return smallest
-
-
 def random_bilinear(seed, d1, d2, sigma_min=0.1, max_redraws=100) -> BilinearGame:
     """Seeded standard-normal bilinear game, redrawn until sigma_min(A) >= sigma_min.
 

@@ -101,7 +101,7 @@ def _reject(token):
 
 class TestConfigParsing:
     def test_minimal_fills_defaults(self):
-        cfg = cli.parse_config(json.dumps(MINIMAL))
+        cfg = cli.validate_config(json.loads(json.dumps(MINIMAL)))
         assert cfg.method_id == "ogda"
         assert cfg.gamma == 0.0625
         assert cfg.steps == 1000
@@ -225,12 +225,13 @@ class TestConfigParsing:
                          "--set", "budget.record_every=null", "--out", str(tmp_path)]) == 0
         assert len((tmp_path / "run.csv").read_text().splitlines()) == 7  # record_every=1
 
-    def test_invalid_json(self):
-        with pytest.raises(cli.ConfigError, match="not valid JSON"):
-            cli.parse_config("{nope")
+    def test_invalid_json(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("{nope")
+        assert run_main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config is not valid JSON")
 
     def test_malformed_config_file_is_a_config_error(self, tmp_path, capsys):
-        # A --config file goes through the same parse as parse_config.
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text('{"problem": ')
         assert run_main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
@@ -554,6 +555,21 @@ class TestReportCommands:
         assert capfd.readouterr().err == ""
         assert json.loads((tmp_path / "run.json").read_text(), parse_constant=_reject)
 
+    @pytest.mark.parametrize("flow", ["ogda-hrde2", "ogda-hrde2-varstep"])
+    def test_w_flow_records_an_overflowing_start(self, flow, tmp_path, capfd):
+        # V(z0) overflows at a finite z0, so the derived w0 = -2 gamma V(z0) - z0
+        # is not finite: the run records a divergence at its first step.
+        gamma = ["--set", "method.gamma=0.5"] if flow == "ogda-hrde2" else []
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "saddleflow", "run", "--set", "mode=hrde",
+                               "--set", "problem.id=quartic", "--set", f"method.id={flow}",
+                               *gamma, "--set", "budget.t_end=0.01", "--set", "budget.dt=0.001",
+                               "--set", "init.z0=[1e150,0.5]", "--out", str(tmp_path)], env=env)
+        assert proc.returncode == 0
+        assert capfd.readouterr().err == ""
+        payload = json.loads((tmp_path / "run.json").read_text(), parse_constant=_reject)
+        assert payload["diverged"] is True and payload["queries"] == 4
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lyapunov_report_is_strict_json(self, tmp_path):
         # gamma = 3 diverges: the final value is NaN and the largest increase
@@ -624,3 +640,63 @@ class TestReportCommands:
         out = capsys.readouterr().out
         for token in ("bilinear", "quartic", "ogda-implicit", "ogda-hrde2-varstep"):
             assert token in out
+
+
+class TestParserReuse:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def _calls(tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**MINIMAL, "budget": {"steps": 30}}))
+        return [
+            ["run", "--config", str(cfg_path), "--set", "method.gamma=0.1",
+             "--set", "budget.steps=20", "--set", "budget.record_every=3"],
+            ["run", "--config", str(cfg_path)],
+            ["stability", "--set", "problem.id=bilinear-random", "--seed", "3",
+             "--set", "stability.gammas=[0.1]"],
+            ["run", "--config", str(cfg_path), "--bogus"],
+            ["run", "--config", str(cfg_path), "--strict"],
+        ]
+
+    @staticmethod
+    def _call(argv, out, capsys):
+        """(exit code, stdout, stderr, name -> bytes of every written file)."""
+        try:
+            rc = cli.main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            rc = exc.code
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()} if out.exists() else {}
+        return rc, *capsys.readouterr(), files
+
+    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        for i, argv in enumerate(self._calls(tmp_path)):
+            self._call(argv, tmp_path / str(i), capsys)
+        assert cli.main(["catalog"]) == 0
+        assert len(built) == 1
+        assert real() is not real()  # the builder itself stays uncached
+
+    def test_calls_in_one_process_stay_independent(self, tmp_path, capsys):
+        calls = self._calls(tmp_path)
+        alone = []
+        for i, argv in enumerate(calls):
+            cli._parser.cache_clear()
+            alone.append(self._call(argv, tmp_path / "alone" / str(i), capsys))
+        cli._parser.cache_clear()
+        together = [self._call(argv, tmp_path / "together" / str(i), capsys)
+                    for i, argv in enumerate(calls)]
+        assert together == alone
+        assert [rc for rc, *_ in together] == [0, 0, 0, 2, 0]
+        # No --set value carries over: the second run takes the config's budget.
+        assert json.loads(together[1][3]["run.json"])["queries"] == 30
+        parser = cli._parser()
+        assert parser.parse_args(["run", "--set", "a=1"]).set == ["a=1"]
+        assert parser.parse_args(["run"]).set is None

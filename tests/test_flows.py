@@ -12,6 +12,7 @@ from saddleflow import flows
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
+    NonFiniteError,
     QuarticCounterexample,
     ScaledIdentity,
     random_bilinear,
@@ -116,6 +117,30 @@ class TestWInitialization:
         a = flows.integrate(flows.ogda_flow(2.0 / gamma), BG, z0, omega0, cfg)
         b = flows.integrate(flows.make_flow("ogda-hrde2", gamma=gamma), BG, z0, w0, cfg)
         assert np.max(np.abs(a.states - b.states)) <= 1e-6
+
+    def test_derived_start_matches_the_given_one(self):
+        gamma, z0, omega0 = 0.3, np.array([0.8, -0.5]), np.array([0.2, 0.1])
+        kind = flows.make_flow("ogda-hrde2", gamma=gamma)
+        cfg = flows.IntegratorConfig("rk4", 0.01, 0.5)
+        given = flows.integrate(kind, BG, z0, flows.ogda2_w_from_omega(BG, z0, omega0, gamma), cfg)
+        derived = flows.integrate(kind, BG, z0, lambda view, z: flows.ogda2_w_from_omega(
+            view, z, omega0, gamma), cfg)
+        np.testing.assert_array_equal(derived.states, given.states)
+
+    def test_overflowing_derived_start_is_a_divergence(self):
+        # V(z0) overflows at a finite z0: a start derived from it is a state
+        # that the run records as a divergence, a given non-finite one an error.
+        kind = flows.make_flow("ogda-hrde2", gamma=0.5)
+        cfg = flows.IntegratorConfig("rk4", 0.001, 0.01)
+        z0, op = np.array([1e150, 0.5]), QuarticCounterexample()
+        with np.errstate(all="raise"):
+            traj = flows.integrate(kind, op, z0, lambda view, z: flows.ogda2_w_from_omega(
+                view, z, np.zeros(2), 0.5), cfg)
+        assert traj.diverged and traj.queries[-1] == 4
+        with pytest.raises(NonFiniteError):
+            flows.integrate(kind, op, z0, [np.inf, 0.0], cfg)
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            flows.ogda2_w_from_omega(op, z0, np.zeros(2), 0.5)
 
 
 def euler_step_ogda2(op, z, w, gamma):

@@ -14,8 +14,8 @@ from saddleflow.problems import (
     Operator,
     QuarticCounterexample,
     ScaledIdentity,
+    _sample_ball,
     fd_jacobian,
-    jacobian_psd_probe,
     make_problem,
     monotonicity_probe,
     random_bilinear,
@@ -27,6 +27,21 @@ CATALOG = [
     QuarticCounterexample(),
     ScaledIdentity(1.0, 2),
 ]
+
+
+def jacobian_psd_probe(op: Operator, seed=0, samples=100, radius=1.0) -> float:
+    """Minimum eigenvalue of the symmetrized Jacobian over sampled points.
+
+    Nonnegative (up to roundoff) for monotone operators: J(z) >= 0.
+    """
+    rng = np.random.default_rng(seed)
+    zs = _sample_ball(rng, op.dim, radius, samples) + op.solution
+    smallest = np.inf
+    for z in zs:
+        j = op.jacobian(z)
+        eigs = np.linalg.eigvalsh(0.5 * (j + j.T))
+        smallest = min(smallest, float(eigs[0]))
+    return smallest
 
 
 class TestFieldEvaluation:
