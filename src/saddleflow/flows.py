@@ -40,7 +40,8 @@ from typing import Callable
 import numpy as np
 
 from .optimizers import (BLOCK_BYTES, BLOCK_ROWS, STEP_MAP_MAX_WIDTH, Recorder, Trajectory,
-                         affine_system, matmul_step, per_step_blocks, read_positive, step_loop)
+                         affine_system, each_step, matmul_step, per_step_blocks, read_positive,
+                         step_loop)
 from .problems import Operator, as_state
 
 Array = np.ndarray
@@ -260,8 +261,9 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     recorder = Recorder(op, kind.name, problem_label or op.label,
                         int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
     if op.affine and not getattr(kind, "reads_t", False):
-        step = matmul_step(_scheme_map(kind, op, cfg), SCHEMES[cfg.scheme],
-                           lambda n, t: t0 + (n + 1) * cfg.dt)
+        system = _scheme_map(kind, op, cfg)
+        step = matmul_step(lambda n, t, count: [system] * count, SCHEMES[cfg.scheme],
+                           _grid_times(t0, cfg.dt))
     elif op.affine and len(z) + len(aux) + 1 <= STEP_MAP_MAX_WIDTH:
         step = _step_maps(kind, op, cfg, t0, recorder.n_steps)
     else:
@@ -291,30 +293,31 @@ def _scheme_map(kind, op, cfg):
 
 
 def _step_maps(kind, op, cfg, t0, n_steps):
-    """Step of ``step_loop`` for a VariableStepFlow on an affine field: s' =
-    R_n s, the scheme's exact map for step n, one matrix-vector product.
+    """``advance`` of ``step_loop`` for a VariableStepFlow on an affine
+    field: s' = R_n s, the scheme's exact map for step n (``matmul_step``).
 
     S(kappa) = S0 + kappa S1 is read off ``_optimistic_derivative``: S0 at
     kappa = 0, S1 through a zero field, so that its entries are 0 and -1 and
     kappa S1 is exact.  The maps are built a block of steps at a time, as
     many as fit in BLOCK_BYTES and remain in the budget, from one read of
-    kappa at the block's stage times (``_stage_kappas``).  A kappa that is
-    not positive ends the block before its step, which then raises as the
-    ``rhs`` path does; any other exception of the schedule propagates while
-    the block is read, up to a block of steps early.
+    kappa at the block's stage times (``_stage_kappas``); a block of the
+    loop ends where one of maps does.  A kappa that is not positive ends the
+    block before its step, which then raises as the ``rhs`` path does unless
+    an earlier state went non-finite; any other exception of the schedule
+    propagates while the block is read, up to a block of steps early.
     """
-    dim, dt, queries = op.dim, cfg.dt, SCHEMES[cfg.scheme]
+    dim, dt = op.dim, cfg.dt
     s0 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(cols, z, w, 0.0), 0.0)
     s1 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(
         _NO_FIELD, z, w, 1.0), 0.0)
     maps = per_step_blocks(_stage_kappas(kind, cfg, t0), lambda kappas: _block_maps(
         s0, s1, kappas, dt), n_steps, max(1, BLOCK_BYTES // s0.nbytes))
+    return matmul_step(maps, SCHEMES[cfg.scheme], _grid_times(t0, dt))
 
-    def step(n, s, out, t):
-        np.matmul(maps(n, t), s, out=out)
-        return t0 + (n + 1) * dt, queries
 
-    return step
+def _grid_times(t0, dt):
+    """``times_after`` of ``matmul_step``: t0 + (n + 1) dt after step n, as on ``rhs``."""
+    return lambda n, t, count: t0 + np.arange(n + 1, n + count + 1) * dt
 
 
 def _stage_kappas(kind, cfg, t0):
@@ -352,7 +355,7 @@ def _block_maps(s0, s1, kappas, h):
 
 
 def _rhs_step(kind, op, cfg, t0, n_steps):
-    """Step of ``step_loop`` that calls ``rhs`` at each stage, through
+    """``each_step`` advance that calls ``rhs`` at each stage, through
     ``op.unchecked()``, and advances the stacked y = (z, aux) in one
     combination of the stages.  A VariableStepFlow's stages are the
     ConstantKappaFlow at their kappa, read a block of steps at a time."""
@@ -362,14 +365,14 @@ def _rhs_step(kind, op, cfg, t0, n_steps):
         stage_kinds = per_step_blocks(_stage_kappas(kind, cfg, t0), lambda kappas: [
             [ConstantKappaFlow(k) for k in row] for row in kappas.tolist()], n_steps, BLOCK_ROWS)
     else:
-        fixed = [kind] * (3 if cfg.scheme == "rk4" else 1)  # one per distinct stage time
-        stage_kinds = lambda n, t: fixed  # noqa: E731
+        fixed = [[kind] * (3 if cfg.scheme == "rk4" else 1)]  # one per distinct stage time
+        stage_kinds = lambda n, t, count: fixed  # noqa: E731
 
     def f(stage_kind, y, t):
         return np.concatenate(rhs(stage_kind, view, y[:dim], y[dim:], t))
 
     def step(n, s, out, t):
-        y, (kind_a, *kinds_bc) = s[:-1], stage_kinds(n, t)
+        y, ((kind_a, *kinds_bc),) = s[:-1], stage_kinds(n, t, 1)
         k1 = f(kind_a, y, t)
         if not kinds_bc:
             out[:-1] = y + dt * k1
@@ -381,7 +384,7 @@ def _rhs_step(kind, op, cfg, t0, n_steps):
             out[:-1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return t0 + (n + 1) * dt, queries
 
-    return step
+    return each_step(step)
 
 
 #: Flow id -> (its aux variable, builder); a builder's parameters are the

@@ -245,21 +245,6 @@ def analytic_decrease_rate(kind, op: Operator, z, aux, beta=None, kappa=None) ->
     return float(row.rate(op, z[None], aux[None], scale, _checked_field(op))[0, 0])
 
 
-def discrete_implicit_decrease(op: Operator, state, next_state, gamma):
-    """Differences of the two implicit-scheme functionals between consecutive
-    states ((z, omega) tuples); both are <= 0 along the scheme."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    beta = 2.0 / gamma
-    z, omega = state
-    z_next, omega_next = next_state
-    d1 = (evaluate("ogda_i_l1", op, z_next, omega_next, beta=beta)
-          - evaluate("ogda_i_l1", op, z, omega, beta=beta))
-    d2 = (evaluate("ogda_i_l2", op, z_next, omega_next)
-          - evaluate("ogda_i_l2", op, z, omega))
-    return d1, d2
-
-
 def varstep_precondition(beta_fn, mu, t_range, samples=256) -> bool:
     """Check beta(t) * beta'(t) < 2 mu on a sampled grid of t_range.
 

@@ -6,12 +6,13 @@ metrics are computed once, over all records, when the loop ends.  Divergence
 (non-finite state or norm above the guard) is recorded, not raised: a blowing
 up run is an expected, reportable outcome.  Inside the loop V and J are
 evaluated unchecked and the arithmetic runs under np.errstate(all="ignore"),
-so the per-step finiteness test is the one stop rule under any errstate.
+so the finiteness test (once per block of steps on the map paths) is the
+one stop rule under any errstate.
 
 On an affine field V(z) = J z + q every constant-step method is the linear
 recurrence (z, aux)' = M (z, aux) + m.  ``one_step_map`` reads it off the
 method's own stepper (``affine_system``), and ``run`` then steps that
-recurrence directly.
+recurrence a block at a time (``matmul_step``).
 """
 from __future__ import annotations
 
@@ -506,27 +507,29 @@ BLOCK_ROWS, BLOCK_BYTES = 256, 1 << 16
 STEP_MAP_MAX_WIDTH = 33
 
 
-def step_loop(recorder: Recorder, step, z, aux, t) -> Trajectory:
+def step_loop(recorder: Recorder, advance, z, aux, t) -> Trajectory:
     """The stepping loop shared by ``run`` and ``integrate``.
 
     Takes ``recorder.n_steps`` steps of the stacked state s = (z, aux, 1),
-    or (z, 1) when ``aux`` is None, from the recorded start at time ``t``.
-    ``step(n, s, out, t) -> (t, queries)`` writes the state after step n
-    into ``out``.  The states fill a block of at most BLOCK_ROWS rows and
-    BLOCK_BYTES bytes; the guard and the record rule then act on the whole
-    block.  A block's steps run under np.errstate(all="ignore"), so the one
-    stop rule, under any errstate, is the finiteness test after each step:
-    the loop records the first non-finite state (z or aux) and stops.  It,
-    a norm of z above DIVERGENCE_GUARD or a NoConvergenceError (the records
+    or (z, 1) when ``aux`` is None, from the recorded start at time ``t``,
+    a block of at most BLOCK_ROWS states and BLOCK_BYTES bytes at a time:
+    ``advance(n, count, states, times, counts) -> (taken, stopped)`` takes
+    up to ``count`` steps from row 0 (the state, time and query count after
+    step n), writes row i after step n + i, and says how many it took and
+    whether the run ends there.  A block runs under np.errstate(all="ignore"),
+    so the one stop rule, under any errstate, is the finiteness test, made
+    once per block: the loop records the first non-finite state (z or aux),
+    discards the states after it and stops.  It, a norm of z above
+    DIVERGENCE_GUARD or a NoConvergenceError (``each_step``; the records
     left NaN-padded) flags divergence; other exceptions propagate.
     ``queries`` counts the queries of completed steps only.
     """
     dim, n_steps = len(z), recorder.n_steps
     s = np.concatenate((z, () if aux is None else aux, (1.0,)))
-    width, rows = len(s), max(1, min(BLOCK_ROWS, BLOCK_BYTES // s.nbytes, n_steps))
+    rows = max(1, min(BLOCK_ROWS, BLOCK_BYTES // s.nbytes, n_steps))
     # Row 0 holds the state before the block; the last column stays 1 on
     # the paths that write only z and aux.
-    block = np.empty((rows + 1, width))
+    block = np.empty((rows + 1, len(s)))
     block[:] = s
     times, counts = np.full(rows + 1, t), np.zeros(rows + 1, dtype=np.int64)
     states = list(block)
@@ -536,30 +539,42 @@ def step_loop(recorder: Recorder, step, z, aux, t) -> Trajectory:
                         None if aux is None else block[done, dim:-1])
 
     record(0, slice(0, 1))
-    n = queries = 0
-    diverged = stopped = False
+    n, diverged, stopped = 0, False, False
     while n < n_steps and not stopped:
-        filled = 0
         with np.errstate(all="ignore"):
-            for i in range(1, min(rows, n_steps - n) + 1):
-                try:
-                    t, step_queries = step(n, states[i - 1], states[i], t)
-                except NoConvergenceError:
-                    stopped = True
-                    break
-                n += 1
-                queries += step_queries
-                times[i], counts[i], filled = t, queries, i
-                # count_nonzero: the test of isfinite(...).all() without the
-                # reduction's overhead, about 1 us of each step at small d.
-                if np.count_nonzero(np.isfinite(states[i])) < width:
-                    stopped = True
-                    break
-            z_norms = _row_norms(block[1:filled + 1, :dim])  # inf > DIVERGENCE_GUARD
-        record(n - filled + 1, slice(1, filled + 1))
+            taken, stopped = advance(n, min(rows, n_steps - n), states, times, counts)
+            finite = np.isfinite(block[1:taken + 1]).all(axis=1)
+            if not finite.all():
+                taken, stopped = int(finite.argmin()) + 1, True
+            z_norms = _row_norms(block[1:taken + 1, :dim])  # inf > DIVERGENCE_GUARD
+        record(n + 1, slice(1, taken + 1))
         diverged = diverged or stopped or bool((z_norms > DIVERGENCE_GUARD).any())
-        block[0] = block[filled]
-    return recorder.finish(t, queries, diverged)
+        n += taken
+        block[0], times[0], counts[0] = block[taken], times[taken], counts[taken]
+    return recorder.finish(times[0], counts[0], diverged)
+
+
+def each_step(step):
+    """``advance`` of ``step_loop`` that calls ``step(n, s, out, t) -> (t,
+    queries)``, which writes the state after step n into ``out``, once per
+    step, and tests each state for non-finite entries as it is taken: it
+    stops after the first non-finite state or at a NoConvergenceError."""
+    def advance(n, count, states, times, counts):
+        t, queries, width = float(times[0]), int(counts[0]), len(states[0])
+        for i in range(1, count + 1):
+            try:
+                t, step_queries = step(n + i - 1, states[i - 1], states[i], t)
+            except NoConvergenceError:
+                return i - 1, True
+            queries += step_queries
+            times[i], counts[i] = t, queries
+            # count_nonzero: the test of isfinite(...).all() without the
+            # reduction's overhead, about 1 us of each step at small d.
+            if np.count_nonzero(np.isfinite(states[i])) < width:
+                return i, True
+        return count, False
+
+    return advance
 
 
 def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
@@ -589,8 +604,10 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
                         extra_metrics)
     view = op.unchecked()
     if op.affine and method.fixed_map:
-        step = matmul_step(one_step_map(op, kind), method.queries(kind),
-                           lambda n, t: t + kind.gamma)
+        system, gamma = one_step_map(op, kind), kind.gamma
+        step = matmul_step(lambda n, t, count: [system] * count, method.queries(kind),
+                           lambda n, t, count: np.add.accumulate(
+                               np.append(t, np.full(count, gamma)))[1:])
     else:
         step = _stepper_step(method, view, kind, steps)
     with np.errstate(all="ignore"):
@@ -605,13 +622,13 @@ def _stepper_step(method, op, kind, n_steps):
         np.ndarray.tolist, n_steps, BLOCK_ROWS)
 
     def step(n, s, out, t):
-        gamma_n = gammas(n, t)
+        (gamma_n,) = gammas(n, t, 1)
         # A memoryless method's aux is the empty slice, which its step ignores.
         z, aux, queries = method.step(op, s[:dim], s[dim:-1], gamma_n, kind)
         out[:dim], out[dim:-1] = z, aux
         return t + gamma_n, queries
 
-    return step
+    return each_step(step)
 
 
 def read_positive(fn, args, label, name):
@@ -629,16 +646,17 @@ def read_positive(fn, args, label, name):
 
 
 def per_step_blocks(read, build, n_steps, rows):
-    """``at(n, t)``: the item of step n.  Past the current block,
+    """``take(n, t, count)``: the items of steps n, n + 1, ..., at least one
+    and at most ``count``, up to the end of the current block.  Past it,
     ``read(n, t, count) -> (values, error)`` reads the next ``count`` <=
     ``rows`` steps (never past ``n_steps``) at once, under the np.errstate
     where this was called (the caller's, for schedules), as
-    ``read_positive`` does; ``build(values)`` makes their items, and ``at``
-    raises ``error`` at its step."""
+    ``read_positive`` does; ``build(values)`` makes their items, and
+    ``take`` raises ``error`` at its step."""
     caller = np.geterr()
     items, first, error = (), 0, None
 
-    def at(n, t):
+    def take(n, t, count):
         nonlocal items, first, error
         if n - first == len(items):
             if error is not None:
@@ -648,21 +666,29 @@ def per_step_blocks(read, build, n_steps, rows):
             items, first = build(values) if len(values) else (), n
             if not len(items):
                 raise error
-        return items[n - first]
+        return items[n - first:n - first + count]
 
-    return at
+    return take
 
 
-def matmul_step(system, queries, next_time):
-    """Step of ``step_loop`` by s' = ``system`` s: one matrix-vector product
-    per step, written into the loop's block.
+def matmul_step(maps, queries, times_after):
+    """``advance`` of ``step_loop`` by s' = R s, one matrix-vector product
+    per step and nothing else; the steps after a non-finite state are taken
+    too, and ``step_loop`` discards them.
 
-    ``system`` is a one-step map [[M, m], [0, 1]]: a method's recurrence, or
-    the one-step map of a fixed-step scheme on a linear flow.  Each step
-    reports ``queries`` and the time ``next_time(n, t)`` after step n.
+    ``maps(n, t, count)`` gives R = [[M, m], [0, 1]] for steps n, n + 1,
+    ..., at least one and at most ``count``: a method's recurrence or a
+    scheme's map of a linear flow, repeated, or one map per step.  Once per
+    block, ``times_after(n, t, taken)`` gives the times after steps n .. n +
+    taken - 1 from the time t before step n; each step reports ``queries``.
     """
-    def step(n, s, out, t):
-        np.matmul(system, s, out=out)
-        return next_time(n, t), queries
+    def advance(n, count, states, times, counts):
+        rs = maps(n, times[0], count)
+        taken = len(rs)
+        for r, s, out in zip(rs, states, states[1:taken + 1]):
+            r.dot(s, out)
+        times[1:taken + 1] = times_after(n, times[0], taken)
+        counts[1:taken + 1] = counts[0] + queries * np.arange(1, taken + 1)
+        return taken, False
 
-    return step
+    return advance

@@ -91,19 +91,23 @@ class Operator:
         return self.d1 + self.d2
 
     def field(self, z) -> Array:
-        """Evaluate V(z)."""
+        """Evaluate V(z).  An overflow is no warning: the non-finite value
+        it gives raises NonFiniteError, under any np.errstate."""
         z = as_state(z, self.dim)
-        v = np.asarray(self._field(z), dtype=float)
+        with np.errstate(all="ignore"):
+            v = np.asarray(self._field(z), dtype=float)
         if not np.isfinite(v).all():
             raise NonFiniteError("field evaluation produced non-finite entries")
         return v
 
     def jacobian(self, z) -> Array:
-        """Evaluate the analytic Jacobian J(z) (shared and read-only if affine)."""
+        """Evaluate the analytic Jacobian J(z) (shared and read-only if affine),
+        with the same overflow rule as ``field``."""
         z = as_state(z, self.dim)
         if self._constant_jacobian is not None:
             return self._constant_jacobian
-        j = np.asarray(self._jacobian(z), dtype=float)
+        with np.errstate(all="ignore"):
+            j = np.asarray(self._jacobian(z), dtype=float)
         if j.shape != (self.dim, self.dim):
             raise ValueError(f"jacobian has shape {j.shape}, expected {(self.dim, self.dim)}")
         if not np.isfinite(j).all():

@@ -1,5 +1,6 @@
 """Tests for the flow right-hand sides and the fixed-step integrators."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -139,8 +140,10 @@ class TestWInitialization:
         assert traj.diverged and traj.queries[-1] == 4
         with pytest.raises(NonFiniteError):
             flows.integrate(kind, op, z0, [np.inf, 0.0], cfg)
-        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
-            flows.ogda2_w_from_omega(op, z0, np.zeros(2), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                flows.ogda2_w_from_omega(op, z0, np.zeros(2), 0.5)
 
 
 def euler_step_ogda2(op, z, w, gamma):

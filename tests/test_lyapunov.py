@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lyapunov_helpers import discrete_implicit_decrease
 from saddleflow import flows, lyapunov as lyap, optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
@@ -363,18 +364,18 @@ class TestDiscreteDecrease:
             z, om = np.array([1.0, 0.0]), np.zeros(2)
             for _ in range(steps):
                 zn, on, _ = opt.step_ogda_implicit(op, z, om, gamma)
-                d1, d2 = lyap.discrete_implicit_decrease(op, (z, om), (zn, on), gamma)
+                d1, d2 = discrete_implicit_decrease(op, (z, om), (zn, on), gamma)
                 assert d1 <= 1e-10 and d2 <= 1e-10
                 z, om = zn, on
 
     def test_implicit_nan_gamma_rejected(self):
         state = (np.array([1.0, 0.0]), np.zeros(2))
         with pytest.raises(ValueError, match="gamma must be positive"):
-            lyap.discrete_implicit_decrease(SI, state, state, np.nan)
+            discrete_implicit_decrease(SI, state, state, np.nan)
 
     def test_implicit_solution_state(self):
-        d1, d2 = lyap.discrete_implicit_decrease(SI, (np.zeros(2), np.zeros(2)),
-                                                 (np.zeros(2), np.zeros(2)), 0.5)
+        d1, d2 = discrete_implicit_decrease(SI, (np.zeros(2), np.zeros(2)),
+                                            (np.zeros(2), np.zeros(2)), 0.5)
         assert d1 == 0.0 and d2 == 0.0
 
 

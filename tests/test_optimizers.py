@@ -1,5 +1,6 @@
 """Tests for the discrete steppers and the run loop."""
 
+import itertools
 import math
 import warnings
 
@@ -483,11 +484,14 @@ def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
 
 def mapped_advance(op, kind):
     """One step of the method's affine map, on (z, aux) split out of s."""
-    system = opt.one_step_map(op, kind)
-    dim = op.dim
+    return maps_advance(itertools.repeat(opt.one_step_map(op, kind)), op.dim)
 
+
+def maps_advance(maps, dim):
+    """One step s' = R @ s per call, R the next of ``maps``, on (z, aux)
+    split out of s = (z, aux, 1)."""
     def advance(z, aux):
-        s = system @ np.concatenate((z, () if aux is None else aux, (1.0,)))
+        s = next(maps) @ np.concatenate((z, () if aux is None else aux, (1.0,)))
         return s[:dim], None if aux is None else s[dim:-1]
 
     return advance
@@ -523,33 +527,121 @@ def _block_rows(width):
     return min(opt.BLOCK_ROWS, opt.BLOCK_BYTES // (8 * width))
 
 
+def block_starts(loop_rows, map_rows, count):
+    """The first steps of the loop's first ``count`` blocks, when each
+    block also ends where a block of ``map_rows`` maps does."""
+    starts, n = [], 0
+    while len(starts) < count:
+        starts.append(n + 1)
+        n += min(loop_rows, map_rows - n % map_rows)
+    return starts
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 class TestBlockLoop:
     """The block loop against the per-step reference loop, at its edges."""
 
-    @pytest.mark.parametrize("dim", [1, 60])
+    @pytest.mark.parametrize("dim, path", [(1, "run"), (60, "run"), (1, "integrate"),
+                                           (60, "integrate")],
+                             ids=["1", "60", "1-integrate", "60-integrate"])
     @pytest.mark.parametrize("at", [(0, 0), (0, -2), (0, -1), (1, 0), (1, -1), (2, 0)],
                              ids=["row0", "row-2", "row-1", "block2-row0", "block2-row-1",
                                   "block3-row0"])
-    def test_first_non_finite_state_at_block_edges(self, dim, at):
-        # GDA with gamma = 3 on V(z) = z doubles |z| each step with exact
-        # arithmetic, so z0 = 2^(1024 - k) overflows at step k exactly.  Row
-        # i of block b holds step b * rows + i + 1 (rows = 256 at dim 1, and
-        # fewer at dim 60, where the byte cap binds).
+    def test_first_non_finite_state_at_block_edges(self, dim, path, at):
+        # GDA with gamma = 3 on V(z) = z, and Euler with dt = 1 on gda-ode
+        # for V(z) = -z, double |z| each step with exact arithmetic, so z0 =
+        # 2^(1024 - k) overflows at step k exactly.  Row i of block b holds
+        # step b * rows + i + 1 (rows = 256 at dim 1, and fewer at dim 60,
+        # where the byte cap binds); the steps after k in its block are
+        # computed and discarded.
         rows = _block_rows(dim + 1)
         block, row = at
         k = block * rows + row % rows + 1
-        op, kind = ScaledIdentity(1.0, dim), opt.GDA(3.0)
         z0 = np.full(dim, math.ldexp(1.0, 1024 - k))
         steps = k + 20
-        fast = opt.run(op, kind, z0, steps)
-        ref = reference_run(op, mapped_advance(op, kind), z0, None, steps, 3.0, 1)
+        if path == "run":
+            op, kind = ScaledIdentity(1.0, dim), opt.GDA(3.0)
+            fast = opt.run(op, kind, z0, steps)
+            advance, dt = mapped_advance(op, kind), 3.0
+        else:
+            op, kind = AffineField(-np.eye(dim), np.zeros(dim)), flows.make_flow("gda-ode")
+            cfg = flows.IntegratorConfig("euler", 1.0, float(steps))
+            system = np.diag(np.append(np.full(dim, 2.0), 1.0))
+            np.testing.assert_array_equal(flows._scheme_map(kind, op, cfg), system)
+            fast = flows.integrate(kind, op, z0, None, cfg)
+            advance, dt = maps_advance(itertools.repeat(system), dim), 1.0
+        ref = reference_run(op, advance, z0, None, steps, dt, 1)
         assert_same_records(fast, ref)
         assert fast.diverged
         last = np.flatnonzero(~np.isnan(fast.states).all(axis=1))[-1]
         assert fast.steps[last] == k and np.isinf(fast.states[last]).all()
         assert np.isfinite(fast.states[:last]).all()
-        assert fast.times[-1] == 3.0 * k and fast.queries[-1] == k
+        assert fast.times[-1] == dt * k and fast.queries[-1] == k
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    @pytest.mark.parametrize("at", ["row0", "row-1", "block2-row0", "block3-row0"])
+    def test_first_non_finite_state_at_map_block_edges(self, dim, at, monkeypatch):
+        # ogda-hrde2-varstep by its per-step maps R_n against R_n @ s one
+        # step at a time, with the maps the run built.  kappa = inf at the
+        # later stage times of step k makes R_k, and so the state of step
+        # k, non-finite.  A block of the loop also ends where a block of
+        # maps does: at d = 2 (width 5) the loop's blocks hold 256 steps and
+        # the maps' 327; at d = 16 (width 33) the byte cap binds on both,
+        # at 248 and 7.
+        width = 2 * dim + 1
+        starts = block_starts(_block_rows(width), opt.BLOCK_BYTES // (8 * width * width), 3)
+        k = {"row0": 1, "row-1": starts[1] - 1, "block2-row0": starts[1],
+             "block3-row0": starts[2]}[at]
+        built = []
+        real = flows._block_maps
+        monkeypatch.setattr(flows, "_block_maps", lambda *a: built.append(real(*a)) or built[-1])
+        dt, steps = 0.125, k + 20
+        kind = flows.VariableStepFlow(lambda t: np.where(t > (k - 1) * dt, np.inf, 1.0))
+        rng = np.random.default_rng(dim)
+        op = AffineField(0.1 * np.eye(dim) + rng.standard_normal((dim, dim)) * 0.3, np.zeros(dim))
+        z0, w0 = rng.standard_normal(dim), rng.standard_normal(dim)
+        fast = flows.integrate(kind, op, z0, w0, flows.IntegratorConfig("rk4", dt, steps * dt))
+        ref = reference_run(op, maps_advance(iter(np.concatenate(built)), dim), z0, w0, steps,
+                            dt, 4)
+        assert_same_records(fast, ref)
+        # The non-finite state of step k is NaN, like the records after it;
+        # the forward-filled time and query columns name the step.
+        assert fast.diverged and fast.times[-1] == k * dt and fast.queries[-1] == 4 * k
+        assert np.isfinite(fast.states[:k]).all() and np.isnan(fast.states[k:]).all()
+
+    @pytest.mark.parametrize("op_type", [AffineField, NonAffineTwin])
+    def test_nonpositive_kappa_after_a_non_finite_state(self, op_type):
+        # kappa = inf makes the state of step 5 non-finite and kappa = -1
+        # is read in the same block of maps, at step 7: the run records the
+        # divergence and stops before it.  In the reverse order step 5
+        # raises, with the same ValueError on the maps and the rhs path.
+        dt, k = 0.125, 5
+        cfg = flows.IntegratorConfig("rk4", dt, 40 * dt)
+        m, z_star = np.array([[0.5, 1.0], [-1.0, 0.0]]), np.zeros(2)
+        z0, w0 = np.array([1.0, 0.0]), np.zeros(2)
+
+        def schedule(first, then):
+            return lambda t: np.where(t > (k + 1) * dt, then, np.where(
+                t > (k - 1) * dt, first, 1.0))
+
+        traj = flows.integrate(flows.VariableStepFlow(schedule(np.inf, -1.0)),
+                               op_type(m, z_star), z0, w0, cfg)
+        assert traj.diverged and traj.queries[-1] == 4 * k
+        assert np.isfinite(traj.states[:k]).all() and not np.isfinite(traj.states[k]).all()
+        with pytest.raises(ValueError, match="kappa") as raised:
+            flows.integrate(flows.VariableStepFlow(schedule(-1.0, np.inf)),
+                            op_type(m, z_star), z0, w0, cfg)
+        assert str(raised.value) == f"kappa(t) must be positive, got -1.0 at t={(k - 0.5) * dt}"
+
+    def test_run_times_are_the_sequential_sum(self):
+        # 10,000 steps span 40 blocks; each block's times are accumulated
+        # from the last time of the block before it.
+        traj = opt.run(ScaledIdentity(1.0, 2), opt.GDA(0.1), np.array([1.0, 0.5]), 10_000)
+        t, want = 0.0, [0.0]
+        for _ in range(10_000):
+            t += 0.1
+            want.append(t)
+        assert traj.times.tobytes() == np.array(want).tobytes()
 
     def test_guard_trip_without_non_finite_state(self):
         # |z_n| = 2^n passes the 1e12 guard at n = 40 and stays finite.  On

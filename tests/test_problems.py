@@ -97,6 +97,19 @@ class TestFieldEvaluation:
                     with pytest.raises(NonFiniteError, match="non-finite"):
                         evaluate(z)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["warn", "raise"])
+    def test_overflowing_evaluation_raises_without_warning(self, mode):
+        # A finite z whose field or Jacobian overflows: the checked calls
+        # raise NonFiniteError alone, under any errstate, and print nothing.
+        op = QuarticCounterexample()
+        for evaluate, z in ((op.field, [1e150, 0.5]), (op.jacobian, [1e200, 0.5])):
+            with np.errstate(all=mode), pytest.raises(NonFiniteError, match="evaluation"):
+                evaluate(np.array(z))
+        # The unchecked view keeps the caller's errstate.
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            op.field_unchecked(np.array([1e150, 0.5]))
+
     def test_affine_jacobian_is_built_once(self):
         for op in CATALOG:
             z1, z2 = np.full(op.dim, 0.5), np.arange(1.0, op.dim + 1.0)
