@@ -11,9 +11,9 @@ catalog    list problem, method, and flow identifiers
 
 Shared flags: --config PATH, --out DIR, --seed N, --set key=value (dotted
 paths into the config, JSON-parsed values), --strict (exit 3 when the
-divergence guard trips).  Exit codes: 0 success, 2 config error, 3 divergence
-under --strict, 1 other runtime failure.  All failures print a single
-"error: ..." line to stderr.
+divergence guard trips); figure-bg takes only --out and --seed of them.
+Exit codes: 0 success, 2 config error, 3 divergence under --strict, 1 other
+runtime failure.  All failures print a single "error: ..." line to stderr.
 """
 from __future__ import annotations
 
@@ -577,19 +577,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON config path")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--seed", type=int, default=None, help="override problem.seed")
+        return p
+
+    for name in ("run", "stability", "lyapunov", "rates"):
+        p = common(sub.add_parser(name))
+        p.add_argument("--config", help="JSON config path")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry (dotted path, JSON value)")
         p.add_argument("--strict", action="store_true",
                        help="exit 3 when the divergence guard trips")
 
-    for name in ("run", "stability", "lyapunov", "rates"):
-        common(sub.add_parser(name))
-
-    fig = sub.add_parser("figure-bg")
-    common(fig)
+    fig = common(sub.add_parser("figure-bg"))
     fig.add_argument("--gamma", type=float, default=0.05)
     fig.add_argument("--steps", type=int, default=2000)
     fig.add_argument("--alpha", type=float, default=0.25)

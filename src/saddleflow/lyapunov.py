@@ -57,21 +57,23 @@ def _sq(x) -> Array:
 
 
 def _jac_quad(op: Operator, zs, xs) -> Array:
-    return np.array([[x @ (op.jacobian(z) @ x)] for z, x in zip(zs, xs)])
+    """x.J(z)x for each pair of rows, as an (n, 1) column."""
+    quads = [x @ (op.jacobian_unchecked(z) @ x) for z, x in zip(zs, xs)]
+    return np.array(quads).reshape(len(zs), 1)
 
 
 def _with_field(formula):
-    """A row function ``(op, z, aux, s, fields)`` that evaluates V at the rows
-    of z once, with ``fields``, and passes it to ``formula(op, z, aux, s, v)``."""
-    return lambda op, z, aux, s, fields: formula(op, z, aux, s, fields(z))
+    """A row function ``(op, z, aux, s)`` that evaluates V at the rows of z
+    once and passes it to ``formula(op, z, aux, s, v)``."""
+    return lambda op, z, aux, s: formula(op, z, aux, s, op.fields_unchecked(z))
 
 
 class _Kind(NamedTuple):
     aux_var: str                     # the state's auxiliary variable: "omega" or "w"
     scale: Optional[str]             # "beta", "kappa", "gamma", "beta(t)" or None
     discrete: bool                   # whether discrete schemes may use it
-    value: Callable                  # (op, z, aux, scale, fields) -> value of the functional
-    rate: Optional[Callable] = None  # (op, z, aux, flow scale, fields) -> closed-form d/dt
+    value: Callable                  # (op, z, aux, scale) -> value of the functional
+    rate: Optional[Callable] = None  # (op, z, aux, flow scale) -> closed-form d/dt
 
 
 #: kind -> row, in catalog order.  A rate's scale is its flow's: beta on
@@ -95,7 +97,7 @@ KINDS = {
         k ** 2 * _sq(z + w) + k ** 2 * _sq(z - w) + _sq(k * (z + w) + v) + _sq(v)))),
     "ogda2_l3": _Kind(
         "w", None, True,
-        lambda op, z, w, s, fields: 0.5 * (_sq(z + w) + _sq(z - w)),
+        lambda op, z, w, s: 0.5 * (_sq(z + w) + _sq(z - w)),
         _with_field(lambda op, z, w, k, v: -2.0 * k * _sq(z + w) - 4.0 * _dot(z, v))),
     "ogda2_l4": _Kind(
         "w", "kappa", True,
@@ -108,76 +110,60 @@ KINDS = {
         _sq(b * z + w) + _sq(w) + 2.0 * b * _dot(z, v)))),
     "ogda_i_l2": _Kind("omega", None, True, _with_field(lambda op, z, w, s, v: (
         _sq(v + w) + _sq(v)))),
-    "varstep_l": _Kind("w", "beta(t)", False, lambda op, z, w, b, fields: (
+    "varstep_l": _Kind("w", "beta(t)", False, lambda op, z, w, b: (
         0.5 * (_sq(b * z + w) + _sq(w - b * z)))),
 }
 
 
 def evaluate(kind, op: Operator, z, aux, beta=None, kappa=None, gamma=None):
-    """Value of the named functional at state (z, aux).
+    """Value of the named functional at state (z, aux): a float at one state
+    (1-d z and aux), an (n,) array at (n, d) stacks of states and auxes, row
+    i the value at row i alone, bit for bit.
 
     The kind's scale (``KINDS``) names the argument it requires: ``beta``
-    (also for a beta(t) scale, at the current t), ``kappa`` or ``gamma``.
-
-    For one state (1-d z and aux) the state is validated, V is the checked
-    ``op.field`` and the value is a float.  For an (n, d) stack of states and
-    auxes the value is an (n,) array, row i equal to the one-state value of
-    row i bit for bit; the scale may then also be an (n,) array (a beta(t)
-    read at each row's time).  V comes from ``op.fields_unchecked``, so a
-    finite state whose field or value overflows gives inf or NaN, under any
-    np.errstate.
+    (also for a beta(t) scale, at the current t), ``kappa`` or ``gamma``, a
+    positive number or, with stacks, an (n,) array of them (a beta(t) read
+    at each row's time).  One state is validated by ``as_state``, so that a
+    non-finite one raises NonFiniteError, and evaluated as a one-row stack.
+    V comes from ``op.fields_unchecked`` (J from ``op.jacobian_unchecked``),
+    so a finite state whose field or value overflows gives inf or NaN, under
+    any np.errstate.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown lyapunov kind {kind!r}; known: {', '.join(KINDS)}")
     row = KINDS[kind]
     scale = {None: None, "beta": beta, "beta(t)": beta, "kappa": kappa, "gamma": gamma}[row.scale]
-    if np.ndim(z) == 2:
-        zs, auxs = _as_stack(z, op.dim), _as_stack(aux, op.dim)
+    return _on_rows(row.value, kind, op, z, aux, row.scale, scale)
+
+
+def _on_rows(formula, kind, op: Operator, z, aux, name, scale):
+    """``evaluate`` by ``formula(op, zs, auxs, scale)``, with the scale that
+    the kind names ``name`` (None: it takes none) as a number or an (n, 1)
+    column."""
+    one = np.ndim(z) != 2
+    if one:
+        zs, auxs = as_state(z, op.dim)[None], as_state(aux, op.dim)[None]
+    else:
+        zs, auxs = np.asarray(z, dtype=float), np.asarray(aux, dtype=float)
+        for stack in (zs, auxs):
+            if stack.ndim != 2 or stack.shape[1] != op.dim:
+                raise ValueError(
+                    f"expected an (n, {op.dim}) stack of states, got shape {stack.shape}")
         if len(auxs) != len(zs):
             raise ValueError(f"aux has {len(auxs)} rows, expected {len(zs)}")
-        if row.scale is not None:
-            scale = _require_stack(scale, row.scale, kind, len(zs))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return row.value(op, zs, auxs, scale, op.fields_unchecked)[:, 0]
-    z = as_state(z, op.dim)
-    aux = as_state(aux, op.dim)
-    if row.scale is not None:
-        scale = _require(scale, row.scale, kind)
-    return float(row.value(op, z[None], aux[None], scale, _checked_field(op))[0, 0])
-
-
-def _checked_field(op: Operator):
-    """``fields`` for a one-row stack: the validated ``op.field``."""
-    return lambda zs: op.field(zs[0])[None]
-
-
-def _as_stack(zs, dim) -> Array:
-    zs = np.asarray(zs, dtype=float)
-    if zs.ndim != 2 or zs.shape[1] != dim:
-        raise ValueError(f"expected an (n, {dim}) stack of states, got shape {zs.shape}")
-    return zs
-
-
-def _require(value, name, kind):
-    if value is None:
-        raise ValueError(f"lyapunov kind {kind!r} requires {name}")
-    value = float(value)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive")
-    return value
-
-
-def _require_stack(value, name, kind, n):
-    """A scale for n rows: a positive number, or an (n,) array of them as an
-    (n, 1) column."""
-    if np.ndim(value) == 0:
-        return _require(value, name, kind)
-    value = np.asarray(value, dtype=float)
-    if value.shape != (n,):
-        raise ValueError(f"{name} must be a number or an array of {n} values")
-    if not (value > 0).all():
-        raise ValueError(f"{name} must be positive")
-    return value[:, None]
+    if name is not None:
+        if scale is None:
+            raise ValueError(f"lyapunov kind {kind!r} requires {name}")
+        scale = np.asarray(scale, dtype=float)
+        if scale.ndim and scale.shape != (len(zs),):
+            raise ValueError(f"{name} must be a number or an array of {len(zs)} values")
+        if not (scale > 0).all():
+            raise ValueError(f"{name} must be positive")
+        # A number stays a Python float: its powers are Python's, not numpy's.
+        scale = scale[:, None] if scale.ndim else float(scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = formula(op, zs, auxs, scale)[:, 0]
+    return float(values[0]) if one else values
 
 
 def make_monitor(kind, op: Operator, beta=None, kappa=None, gamma=None, beta_fn=None):
@@ -189,12 +175,11 @@ def make_monitor(kind, op: Operator, beta=None, kappa=None, gamma=None, beta_fn=
     given, called once per record time; the others take their scale as a
     constant.
     """
-    if beta_fn is not None and kind in KINDS and KINDS[kind].scale == "beta(t)":
-        return lambda ts, zs, auxs: evaluate(
-            kind, op, zs, auxs, beta=np.array([float(beta_fn(t)) for t in ts.tolist()]))
+    timed = beta_fn is not None and kind in KINDS and KINDS[kind].scale == "beta(t)"
 
     def monitor(ts, zs, auxs):
-        return evaluate(kind, op, zs, auxs, beta=beta, kappa=kappa, gamma=gamma)
+        scale = np.array([float(beta_fn(t)) for t in ts.tolist()]) if timed else beta
+        return evaluate(kind, op, zs, auxs, beta=scale, kappa=kappa, gamma=gamma)
 
     return monitor
 
@@ -229,20 +214,18 @@ def continuous_decrease_check(values, tol_abs=1e-7, tol_rel=1e-9) -> DecreaseRep
     return DecreaseReport(violations.tolist(), float(max_increase))
 
 
-def analytic_decrease_rate(kind, op: Operator, z, aux, beta=None, kappa=None) -> float:
+def analytic_decrease_rate(kind, op: Operator, z, aux, beta=None, kappa=None):
     """Closed-form time derivative of a functional along its flow (the kinds
     with a rate in ``KINDS``; see module docstring), nonpositive for monotone
-    operators.  It takes the flow's scale: ``beta`` on (z, omega) states,
-    ``kappa`` on (z, w) states."""
-    z = as_state(z, op.dim)
-    aux = as_state(aux, op.dim)
+    operators, at one state or (n, d) stacks as in ``evaluate``.  It takes
+    the flow's scale: ``beta`` on (z, omega) states, ``kappa`` on (z, w)
+    states."""
     row = KINDS.get(kind)
     if row is None or row.rate is None:
         available = ", ".join(name for name, r in KINDS.items() if r.rate is not None)
         raise ValueError(f"no closed-form rate for kind {kind!r}; available: {available}")
     name, scale = ("beta", beta) if row.aux_var == "omega" else ("kappa", kappa)
-    scale = _require(scale, name, kind)
-    return float(row.rate(op, z[None], aux[None], scale, _checked_field(op))[0, 0])
+    return _on_rows(row.rate, kind, op, z, aux, name, scale)
 
 
 def varstep_precondition(beta_fn, mu, t_range, samples=256) -> bool:

@@ -254,25 +254,6 @@ def classify_method(method, game: BilinearGame, gamma, alpha=None) -> StabilityV
         eigen_tests=eigen_tests)
 
 
-def stability_scan(method, game: BilinearGame, gamma_grid, alpha=None):
-    """Classify one method across a step-size grid.
-
-    Raises if the Routh/complex verdict ever disagrees with the sign of the
-    spectral abscissa (that would signal an implementation bug, not a
-    property of the game).
-    """
-    verdicts = []
-    for gamma in gamma_grid:
-        v = classify_method(method, game, gamma, alpha)
-        if not v.agrees:
-            raise RuntimeError(
-                f"stability tests disagree for {method} at gamma={gamma}: "
-                f"criterion says {v.verdict}, abscissa {v.spectral_abscissa:.3e}"
-            )
-        verdicts.append(v)
-    return verdicts
-
-
 def eg_hrde_spurious_fixed_point(beta, bracket=None) -> Array:
     """Nonzero diagonal point (r, r) where the eg-flow freezes on x^4 - y^4.
 

@@ -22,7 +22,6 @@ import time
 import numpy as np
 import pytest
 
-from lyapunov_helpers import discrete_implicit_decrease
 from saddleflow import cli, flows, lyapunov as lyap, optimizers as opt, rates
 from saddleflow import stability as st
 from saddleflow.problems import (
@@ -281,16 +280,13 @@ def test_criterion_09_strongly_monotone_rate():
 
 
 def test_criterion_10_implicit_scheme():
-    gamma = 0.5
-    z, om = np.array([1.0, 0.0]), np.zeros(2)
-    sup_scaled = 0.0
-    max_d1 = max_d2 = -np.inf
-    for n in range(1, 10_001):
-        zn, on, _ = opt.step_ogda_implicit(SI, z, om, gamma)
-        d1, d2 = discrete_implicit_decrease(SI, (z, om), (zn, on), gamma)
-        max_d1, max_d2 = max(max_d1, d1), max(max_d2, d2)
-        z, om = zn, on
-        sup_scaled = max(sup_scaled, float(np.linalg.norm(SI.field(z))) * np.sqrt(n))
+    gamma, steps = 0.5, 10_000
+    monitors = {"l1": lyap.make_monitor("ogda_i_l1", SI, beta=2.0 / gamma),
+                "l2": lyap.make_monitor("ogda_i_l2", SI)}
+    traj = opt.run(SI, opt.ImplicitOGDA(gamma), np.array([1.0, 0.0]), steps,
+                   extra_metrics=monitors)
+    sup_scaled = float(np.max(traj.metric("v_norm")[1:] * np.sqrt(np.arange(1, steps + 1))))
+    max_d1, max_d2 = (float(np.diff(traj.metric(name)).max()) for name in monitors)
     ok = sup_scaled <= 2.0 and max_d1 <= 1e-10 and max_d2 <= 1e-10
     report(10, ok, f"implicit run: sup |V| sqrt(n) = {sup_scaled:.3f} <= 2.0, "
                    f"max lyapunov diffs ({max_d1:.1e}, {max_d2:.1e})")

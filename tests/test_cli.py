@@ -427,6 +427,17 @@ class TestFigureCommand:
         assert capsys.readouterr().err.startswith("error: figure-bg: alpha must lie in (0, 1]")
         assert not (tmp_path / "figure_bg.svg").exists()
 
+    @pytest.mark.parametrize("flag", [["--config", "/nonexistent.json"],
+                                      ["--set", "nonsense.key=1"], ["--strict"]],
+                             ids=["config", "set", "strict"])
+    def test_config_flags_are_rejected(self, tmp_path, capsys, flag):
+        # figure-bg reads no config: a flag it would ignore is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            run_main(["figure-bg", *flag, "--steps", "10", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not tmp_path.joinpath("figure_bg.svg").exists()
+
     def test_single_step_curves(self, tmp_path):
         series = cli.cmd_figure_bg(0.05, 1, 0, tmp_path / "f.svg", tmp_path / "f.csv")
         for _, queries, dist in series:

@@ -480,8 +480,9 @@ class TestVariableStepMaps:
         monkeypatch.setattr(flows, "rhs", lambda kind, op, z, aux, t: (
             stage_times.append(t) or real_rhs(kind, op, z, aux, t)))
         columns = {"rk4": 3, "euler": 1}[scheme]
-        for op, rows in ((NonAffineTwin, opt.BLOCK_ROWS),
-                         (AffineField, opt.BLOCK_BYTES // (8 * 5 * 5))):  # maps of (z, w, 1)
+        # The maps of (z, w, 1) take 200 bytes each, so BLOCK_ROWS caps them.
+        map_rows = min(opt.BLOCK_ROWS, opt.BLOCK_BYTES // (8 * 5 * 5))
+        for op, rows in ((NonAffineTwin, opt.BLOCK_ROWS), (AffineField, map_rows)):
             reads = []
             kind = flows.VariableStepFlow(lambda t, reads=reads: reads.append(t.copy()) or 1.0 + t)
             flows.integrate(kind, op(m, z_star), np.array([1.0, 0.0]), np.zeros(2), cfg, t0=t0)

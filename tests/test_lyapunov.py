@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyapunov_helpers import discrete_implicit_decrease
 from saddleflow import flows, lyapunov as lyap, optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
     NonFiniteError,
     QuarticCounterexample,
     ScaledIdentity,
-    as_state,
     random_bilinear,
 )
 
@@ -116,18 +114,27 @@ class TestStackedEvaluation:
             rows = [lyap.evaluate(kind, op, z, a, beta=b) for z, a, b in zip(zs, auxs, betas)]
             assert stacked.tobytes() == np.array(rows).tobytes(), kind
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_field_gives_inf(self):
-        # V(z) = 4 z^3 overflows at z = 1e150: one state raises, a stack
-        # records inf under any errstate.
+        # V(z) = 4 z^3 overflows at z = 1e150: one finite state gives inf
+        # as a stack row does, with no warning, under any errstate.
         op, z, aux = QuarticCounterexample(), np.array([1e150, 0.5]), np.zeros(2)
-        with pytest.raises(NonFiniteError):
-            lyap.evaluate("ogda_l1", op, z, aux, beta=4.0)
         with np.errstate(all="raise"):
+            one = lyap.evaluate("ogda_l1", op, z, aux, beta=4.0)
+            rate = lyap.analytic_decrease_rate("ogda_l1", op, z, aux, beta=4.0)
             values = lyap.evaluate("ogda_l1", op, np.array([z, [0.5, 0.5]]),
                                    np.zeros((2, 2)), beta=4.0)
-        assert np.isinf(values[0]) and values[1] == lyap.evaluate(
-            "ogda_l1", op, [0.5, 0.5], aux, beta=4.0)
+        assert type(one) is float and np.isinf(one) and np.isinf(values[0])
+        assert not np.isfinite(rate)
+        assert values[1] == lyap.evaluate("ogda_l1", op, [0.5, 0.5], aux, beta=4.0)
+
+    @pytest.mark.parametrize("z, aux", [([np.nan, 0.5], [0.0, 0.0]), ([0.5, 0.5], [np.inf, 0.0])],
+                             ids=["z", "aux"])
+    def test_non_finite_state_raises(self, z, aux):
+        # The input state, unlike what is computed from it, must be finite.
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            lyap.evaluate("ogda_l1", QuarticCounterexample(), z, aux, beta=4.0)
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            lyap.analytic_decrease_rate("ogda_l1", QuarticCounterexample(), z, aux, beta=4.0)
 
     @pytest.mark.parametrize("zs, auxs, beta, match", [
         (np.zeros((3, 3)), np.zeros((3, 3)), 2.0, r"\(n, 2\) stack"),
@@ -179,6 +186,22 @@ class TestStackedEvaluation:
 
 
 class TestAnalyticRates:
+    @pytest.mark.parametrize("op", STACK_PROBLEMS, ids=lambda op: f"{op.label}-{op.dim}")
+    @pytest.mark.parametrize("kind", [k for k, row in lyap.KINDS.items() if row.rate])
+    def test_stack_matches_rows_bit_for_bit(self, op, kind):
+        # The flow's scale, one value per row: beta on (z, omega), kappa on (z, w).
+        name = "beta" if lyap.KINDS[kind].aux_var == "omega" else "kappa"
+        rng = np.random.default_rng(op.dim + 1)
+        zs, auxs = rng.standard_normal((2, 9, op.dim))
+        scales = rng.uniform(0.1, 5.0, 9)
+        stacked = lyap.analytic_decrease_rate(kind, op, zs, auxs, **{name: scales})
+        rows = [lyap.analytic_decrease_rate(kind, op, z, a, **{name: s})
+                for z, a, s in zip(zs, auxs, scales)]
+        assert stacked.shape == (9,)
+        assert stacked.tobytes() == np.array(rows).tobytes()
+        empty = lyap.analytic_decrease_rate(kind, op, zs[:0], auxs[:0], **{name: 1.0})
+        assert empty.shape == (0,)
+
     def test_bilinear_rate_is_minus_beta_omega_sq(self):
         rate = lyap.analytic_decrease_rate("ogda_l1", BG, [1.0, 0.0], [1.0, 1.0], beta=2.0)
         assert rate == pytest.approx(-4.0)
@@ -309,38 +332,29 @@ def loop_decrease_check(values, tol_abs, tol_rel):
     return violations, float(max_increase)
 
 
-def discrete_l5_difference(op, z, w, v_prev, gamma):
-    """One-step change of the two-variable functional and its certified bound.
-
-    Returns ``(delta, bound)`` with bound = -2 gamma^2 |v_prev|^2 where
-    ``v_prev`` is the field at the previous iterate (at the first step, with
-    the z_1 = z_0 initialization, pass V(z_0)).  Under gamma <= 1/(16 L) the
-    scheme guarantees delta <= bound.
-    """
-    z = as_state(z, op.dim)
-    w = as_state(w, op.dim)
-    v_prev = as_state(v_prev, op.dim)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    before = lyap.evaluate("ogda_l5", op, z, w, gamma=gamma)
-    z_next, w_next = opt.step_ogda_s(op, z, w, gamma)
-    after = lyap.evaluate("ogda_l5", op, z_next, w_next, gamma=gamma)
-    bound = -2.0 * gamma ** 2 * float(v_prev @ v_prev)
-    return after - before, bound
-
-
 def l5_decrease_sweep(op, z0, gamma, steps):
-    """Run the two-variable scheme from z0 and return (deltas, bounds) arrays."""
-    z = as_state(z0, op.dim)
-    w = opt.ogda_s_w0(op, z, gamma)
-    v_prev = op.field(z)  # z_1 = z_0 convention
-    deltas = np.zeros(steps)
-    bounds = np.zeros(steps)
-    for n in range(steps):
-        deltas[n], bounds[n] = discrete_l5_difference(op, z, w, v_prev, gamma)
-        v_prev = op.field(z)
-        z, w = opt.step_ogda_s(op, z, w, gamma)
-    return deltas, bounds
+    """Run the two-variable scheme from z0 with an ogda_l5 monitor and return
+    (deltas, bounds) arrays: the one-step changes of the functional and their
+    certified bounds -2 gamma^2 |V(z_{n-1})|^2, read off the previous
+    record's v_norm (V(z_0) at the first step, by the z_1 = z_0
+    initialization).  Under gamma <= 1/(16 L) the scheme guarantees delta <=
+    bound."""
+    monitor = lyap.make_monitor("ogda_l5", op, gamma=gamma)
+    traj = opt.run(op, opt.OGDAStateSpace(gamma), z0, steps, extra_metrics={"l5": monitor})
+    v_norm = traj.metric("v_norm")
+    v_prev = np.concatenate((v_norm[:1], v_norm[:-2]))
+    return np.diff(traj.metric("l5")), -2.0 * gamma ** 2 * v_prev ** 2
+
+
+def implicit_decrease_sweep(op, z0, gamma, steps):
+    """Run the implicit scheme from (z0, omega = 0) with ogda_i_l1 and
+    ogda_i_l2 monitors and return the one-step changes of both, which are
+    <= 0 along the scheme."""
+    method = opt.ImplicitOGDA(gamma)  # before beta: it rejects a gamma that is not positive
+    monitors = {"l1": lyap.make_monitor("ogda_i_l1", op, beta=2.0 / gamma),
+                "l2": lyap.make_monitor("ogda_i_l2", op)}
+    traj = opt.run(op, method, z0, steps, extra_metrics=monitors)
+    return np.diff(traj.metric("l1")), np.diff(traj.metric("l2"))
 
 
 class TestDiscreteDecrease:
@@ -351,8 +365,8 @@ class TestDiscreteDecrease:
         assert deltas[0] <= bounds[0] + 1e-12
 
     def test_l5_solution_state(self):
-        delta, bound = discrete_l5_difference(SI, np.zeros(2), np.zeros(2), np.zeros(2), 0.1)
-        assert delta == 0.0 and bound == 0.0
+        deltas, bounds = l5_decrease_sweep(SI, np.zeros(2), 0.1, 1)
+        assert deltas[0] == 0.0 and bounds[0] == 0.0
 
     def test_l5_sweep_500_steps(self):
         for op in (BG, SI):
@@ -361,22 +375,16 @@ class TestDiscreteDecrease:
 
     def test_implicit_functionals_decrease(self):
         for op, gamma, steps in ((SI, 0.5, 50), (BG, 0.2, 200)):
-            z, om = np.array([1.0, 0.0]), np.zeros(2)
-            for _ in range(steps):
-                zn, on, _ = opt.step_ogda_implicit(op, z, om, gamma)
-                d1, d2 = discrete_implicit_decrease(op, (z, om), (zn, on), gamma)
-                assert d1 <= 1e-10 and d2 <= 1e-10
-                z, om = zn, on
+            d1, d2 = implicit_decrease_sweep(op, np.array([1.0, 0.0]), gamma, steps)
+            assert len(d1) == steps and np.all(d1 <= 1e-10) and np.all(d2 <= 1e-10)
 
     def test_implicit_nan_gamma_rejected(self):
-        state = (np.array([1.0, 0.0]), np.zeros(2))
         with pytest.raises(ValueError, match="gamma must be positive"):
-            discrete_implicit_decrease(SI, state, state, np.nan)
+            implicit_decrease_sweep(SI, np.array([1.0, 0.0]), np.nan, 1)
 
     def test_implicit_solution_state(self):
-        d1, d2 = discrete_implicit_decrease(SI, (np.zeros(2), np.zeros(2)),
-                                            (np.zeros(2), np.zeros(2)), 0.5)
-        assert d1 == 0.0 and d2 == 0.0
+        d1, d2 = implicit_decrease_sweep(SI, np.zeros(2), 0.5, 1)
+        assert d1[0] == 0.0 and d2[0] == 0.0
 
 
 class TestVarstep:

@@ -527,16 +527,6 @@ def _block_rows(width):
     return min(opt.BLOCK_ROWS, opt.BLOCK_BYTES // (8 * width))
 
 
-def block_starts(loop_rows, map_rows, count):
-    """The first steps of the loop's first ``count`` blocks, when each
-    block also ends where a block of ``map_rows`` maps does."""
-    starts, n = [], 0
-    while len(starts) < count:
-        starts.append(n + 1)
-        n += min(loop_rows, map_rows - n % map_rows)
-    return starts
-
-
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 class TestBlockLoop:
     """The block loop against the per-step reference loop, at its edges."""
@@ -584,17 +574,20 @@ class TestBlockLoop:
         # ogda-hrde2-varstep by its per-step maps R_n against R_n @ s one
         # step at a time, with the maps the run built.  kappa = inf at the
         # later stage times of step k makes R_k, and so the state of step
-        # k, non-finite.  A block of the loop also ends where a block of
-        # maps does: at d = 2 (width 5) the loop's blocks hold 256 steps and
-        # the maps' 327; at d = 16 (width 33) the byte cap binds on both,
-        # at 248 and 7.
+        # k, non-finite.  A block of maps holds at most as many steps as a
+        # block of the loop, so the loop's blocks are the maps' blocks: 256
+        # steps at d = 2 (width 5), where BLOCK_ROWS caps both, and 7 at
+        # d = 16 (width 33), where the byte cap binds (the loop's is 248).
         width = 2 * dim + 1
-        starts = block_starts(_block_rows(width), opt.BLOCK_BYTES // (8 * width * width), 3)
-        k = {"row0": 1, "row-1": starts[1] - 1, "block2-row0": starts[1],
-             "block3-row0": starts[2]}[at]
-        built = []
-        real = flows._block_maps
+        rows = min(opt.BLOCK_ROWS, opt.BLOCK_BYTES // (8 * width * width))
+        assert rows == {2: 256, 16: 7}[dim] and rows <= _block_rows(width)
+        k = {"row0": 1, "row-1": rows, "block2-row0": rows + 1,
+             "block3-row0": 2 * rows + 1}[at]
+        built, firsts = [], []
+        real, record = flows._block_maps, opt.Recorder.record
         monkeypatch.setattr(flows, "_block_maps", lambda *a: built.append(real(*a)) or built[-1])
+        monkeypatch.setattr(opt.Recorder, "record", lambda self, first, *a: (
+            firsts.append(first) or record(self, first, *a)))
         dt, steps = 0.125, k + 20
         kind = flows.VariableStepFlow(lambda t: np.where(t > (k - 1) * dt, np.inf, 1.0))
         rng = np.random.default_rng(dim)
@@ -604,6 +597,10 @@ class TestBlockLoop:
         ref = reference_run(op, maps_advance(iter(np.concatenate(built)), dim), z0, w0, steps,
                             dt, 4)
         assert_same_records(fast, ref)
+        # The loop's blocks (one record call each, after the start's) are
+        # the maps' blocks, each full up to the budget.
+        assert firsts == [0, *range(1, k + 1, rows)]
+        assert [len(maps) for maps in built] == [min(rows, steps + 1 - f) for f in firsts[1:]]
         # The non-finite state of step k is NaN, like the records after it;
         # the forward-filled time and query columns name the step.
         assert fast.diverged and fast.times[-1] == k * dt and fast.queries[-1] == 4 * k

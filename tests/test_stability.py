@@ -36,6 +36,15 @@ def mode_eigenvalues(modes):
     return np.concatenate([modes.roots.ravel(), modes.roots.conj().ravel(), zero])
 
 
+def classify_grid(method, game, gamma_grid, alpha=None):
+    """``classify_method`` at each step size of the grid; every verdict must
+    agree with the sign of its spectral abscissa."""
+    verdicts = [st.classify_method(method, game, gamma, alpha) for gamma in gamma_grid]
+    for v in verdicts:
+        assert v.agrees, (method, v.gamma, v.verdict, v.spectral_abscissa)
+    return verdicts
+
+
 class TestSystemMatrices:
     def test_gda_matrix(self):
         c = st.assemble_system_matrix("gda", BG, 1.0).matrix
@@ -177,7 +186,7 @@ class TestNonSquare:
 
     @pytest.mark.parametrize("method, alpha, want", EXPECTED)
     def test_scan_classes(self, method, alpha, want):
-        for v in st.stability_scan(method, NON_SQUARE, self.GRID, alpha=alpha):
+        for v in classify_grid(method, NON_SQUARE, self.GRID, alpha=alpha):
             assert (v.verdict, v.abscissa_verdict, v.agrees) == (want, want, True)
 
     @pytest.mark.parametrize("method, alpha, want", EXPECTED)
@@ -342,41 +351,41 @@ class TestScan:
 
     def test_gda_unstable_everywhere(self):
         game = random_bilinear(3, 3, 3, 0.1)
-        assert all(v.verdict == st.UNSTABLE for v in st.stability_scan("gda", game, self.GRID))
+        assert all(v.verdict == st.UNSTABLE for v in classify_grid("gda", game, self.GRID))
 
     def test_eg_ogda_stable_everywhere(self):
         game = random_bilinear(3, 3, 3, 0.1)
         for method in ("eg", "ogda"):
             assert all(v.verdict == st.STABLE
-                       for v in st.stability_scan(method, game, self.GRID))
+                       for v in classify_grid(method, game, self.GRID))
 
     def test_la_stable_below_threshold(self):
         game = random_bilinear(3, 2, 2, 0.1)
         assert all(v.verdict == st.STABLE
-                   for v in st.stability_scan("la2-gda", game, self.GRID, alpha=0.25))
+                   for v in classify_grid("la2-gda", game, self.GRID, alpha=0.25))
         for alpha in (0.25, 0.5):
             assert all(v.verdict == st.STABLE
-                       for v in st.stability_scan("la3-gda", game, self.GRID, alpha=alpha))
+                       for v in classify_grid("la3-gda", game, self.GRID, alpha=alpha))
 
     def test_la_thresholds_pinned(self):
         # The alpha-stability thresholds on bilinear games are 1/2 (la2) and
         # 2/3 (la3): marginal at the threshold, unstable above.
         game = random_bilinear(3, 2, 2, 0.1)
         assert all(v.verdict == st.MARGINAL
-                   for v in st.stability_scan("la2-gda", game, self.GRID, alpha=0.5))
+                   for v in classify_grid("la2-gda", game, self.GRID, alpha=0.5))
         assert all(v.verdict == st.UNSTABLE
-                   for v in st.stability_scan("la2-gda", game, self.GRID, alpha=0.75))
+                   for v in classify_grid("la2-gda", game, self.GRID, alpha=0.75))
         assert all(v.verdict == st.MARGINAL
-                   for v in st.stability_scan("la3-gda", game, self.GRID, alpha=2.0 / 3.0))
+                   for v in classify_grid("la3-gda", game, self.GRID, alpha=2.0 / 3.0))
         assert all(v.verdict == st.UNSTABLE
-                   for v in st.stability_scan("la3-gda", game, self.GRID, alpha=0.75))
+                   for v in classify_grid("la3-gda", game, self.GRID, alpha=0.75))
 
     def test_agreement_over_seeded_games(self):
         for seed in range(10):
             game = random_bilinear(seed, 1 + seed % 3, 1 + seed % 3, 0.1)
             for method in st.STABILITY_METHODS:
                 alpha = 0.25 if method.startswith("la") else None
-                for v in st.stability_scan(method, game, self.GRID, alpha=alpha):
+                for v in classify_grid(method, game, self.GRID, alpha=alpha):
                     assert v.agrees
 
 
