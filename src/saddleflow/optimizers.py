@@ -9,10 +9,11 @@ evaluated unchecked and the arithmetic runs under np.errstate(all="ignore"),
 so the finiteness test (once per block of steps on the map paths) is the
 one stop rule under any errstate.
 
-On an affine field V(z) = J z + q every constant-step method is the linear
-recurrence (z, aux)' = M (z, aux) + m.  ``one_step_map`` reads it off the
-method's own stepper (``affine_system``), and ``run`` then steps that
-recurrence a block at a time (``matmul_step``).
+On an affine field V(z) = J z + q every constant-step method, the implicit
+one included, is the linear recurrence (z, aux)' = M (z, aux) + m, and the
+variable-step one is the recurrence of M0 + gamma_n M1 at step n.
+``one_step_map`` reads them off the method's own stepper (``affine_system``),
+and ``run`` then steps the recurrence a block at a time (``matmul_step``).
 """
 from __future__ import annotations
 
@@ -40,7 +41,8 @@ class NoConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class _FixedStep:
-    """Base of the constant-step descriptors: gamma_n = gamma at every step."""
+    """Base of the constant-step descriptors: gamma_n = gamma at every step,
+    so that on an affine field each step is one fixed affine map."""
 
     gamma: float
 
@@ -199,10 +201,14 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
     built from the V(z') of that stopping test.  A residual that is not
     finite ends the solve at once with the current z' and its omega', which
     a non-finite field makes non-finite: a state for the run loop to record.
+    On an operator that declares itself ``affine`` one iteration solves g
+    exactly, and the step takes exactly one, whatever ``fp_tol`` says: an
+    absolute tolerance can stop the solve at z' = z, or fail it on a
+    residual of rounding size.
 
     Returns ``(z_next, omega_next, queries)`` with ``queries`` the number of
     field evaluations consumed: V(z) plus one per Newton iteration, so 2 on
-    affine operators, where one iteration solves g exactly.
+    affine operators.
     """
     _check_gamma(gamma)
     v_z = op.field(z)
@@ -210,7 +216,8 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
     scale = 0.75 * gamma
     z_next, v_next, queries = z, v_z, 1
     residual = z_next + scale * v_next - c
-    while not (error := np.max(np.abs(residual))) <= fp_tol and np.isfinite(error):
+    while (queries == 1) if getattr(op, "affine", False) else (
+            not (error := np.max(np.abs(residual))) <= fp_tol and np.isfinite(error)):
         if queries > fp_max_iter:
             raise NoConvergenceError(
                 f"implicit step residual {error:.3e} > fp_tol "
@@ -241,8 +248,11 @@ def affine_system(op: Operator, n_aux, advance, corner) -> Array:
     One call on the columns of the identity of size n + 1, n = dim + n_aux,
     through the column operator V(Z) = J Z with q added to the last
     (homogeneous) column only, returns column j of S for every j at once.
-    ``corner`` is 1 for a one-step map, so that s' = S s on the stacked
-    state s = (z, aux, 1), and 0 for a flow, so that ds/dt = S s.
+    The column operator declares itself ``affine``.  ``corner`` is 1 for a
+    one-step map, so that s' = S s on the stacked state s = (z, aux, 1), and
+    0 for a flow, so that ds/dt = S s.  The call runs under
+    np.errstate(all="ignore"): an S that overflows is a divergence for the
+    step loop to record, not an error.
     """
     if not op.affine:
         raise ValueError(f"an affine system requires an affine operator, not {op.label!r}")
@@ -254,11 +264,12 @@ def affine_system(op: Operator, n_aux, advance, corner) -> Array:
         v[:, -1] += q
         return v
 
+    columns = SimpleNamespace(field=field, jacobian=lambda zs: jac, dim=dim, affine=True)
     system = np.eye(dim + n_aux + 1)
     # The identity becomes S in place: advance returns new arrays (or the
     # empty aux it was given), all computed before the first row is written.
-    system[:dim], system[dim:-1] = advance(SimpleNamespace(field=field, jacobian=lambda zs: jac),
-                                           system[:dim], system[dim:-1])
+    with np.errstate(all="ignore"):
+        system[:dim], system[dim:-1] = advance(columns, system[:dim], system[dim:-1])
     system[-1, -1] = corner
     return system
 
@@ -273,9 +284,6 @@ class _Method(NamedTuple):
     step: Callable                # (op, z, aux, gamma_n, kind) -> (z, aux, queries)
     queries: Optional[Callable]   # kind -> queries per step; None if it varies
     aux_var: Optional[str] = None  # "w" or "omega" when the memory is that state
-    # True where the step is one fixed affine map on an affine field: not
-    # where gamma_n varies or the step is solved iteratively.
-    fixed_map: bool = False
     # True where rates.explicit_bound caps the iterates: the explicit
     # constant-step optimistic sequence with z_1 = z_0.
     explicit_bound: bool = False
@@ -305,19 +313,18 @@ def _ogda_step(op, z, aux, gamma, kind):
 #: stepper is the one that runs.
 _METHODS = {
     "gda": _Method(GDA, _no_aux, lambda op, z, aux, gamma, kind: (step_gda(op, z, gamma), aux, 1),
-                   lambda kind: 1, fixed_map=True),
+                   lambda kind: 1),
     "eg": _Method(EG, _no_aux, lambda op, z, aux, gamma, kind: (step_eg(op, z, gamma), aux, 2),
-                  lambda kind: 2, fixed_map=True),
-    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1, fixed_map=True,
-                    explicit_bound=True),
+                  lambda kind: 2),
+    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1, explicit_bound=True),
     "ogda-s": _Method(OGDAStateSpace, lambda op, z, kind: ogda_s_w0(op, z, kind.gamma),
                       lambda op, z, aux, gamma, kind: (*step_ogda_s(op, z, aux, gamma), 1),
-                      lambda kind: 1, "w", True, True),
+                      lambda kind: 1, "w", explicit_bound=True),
     "la-gda": _Method(
         LookaheadGDA, _no_aux,
         lambda op, z, aux, gamma, kind: (
             step_la_gda(op, z, gamma, kind.k, kind.alpha), aux, kind.k),
-        lambda kind: kind.k, fixed_map=True,
+        lambda kind: kind.k,
     ),
     "ogda-varstep": _Method(OGDAVariableStep, _ogda_aux, _ogda_step, lambda kind: 1),
     "ogda-implicit": _Method(
@@ -351,14 +358,27 @@ def gradient_queries(kind) -> int:
 
 def one_step_map(op: Operator, kind) -> Array:
     """S = [[M, m], [0, 1]] with (z, aux, 1)' = S (z, aux, 1): one step of a
-    ``fixed_map`` method on an affine field, read off its stepper."""
+    constant-step method on an affine field, read off its stepper.  A
+    singular implicit step raises NoConvergenceError."""
     method = _method_of(kind)
-    if not method.fixed_map:
+    if not isinstance(kind, _FixedStep):
         raise ValueError(f"method {kind.name!r} has no fixed one-step map")
+    return _stepper_map(op, method, kind, kind.gamma)[0]
+
+
+def _stepper_map(op, method, kind, gamma):
+    """(S, queries): the map of one step at ``gamma`` on an affine field,
+    read off the stepper, and the query count that call reports."""
+    queries = []
+
+    def advance(columns, z, aux):
+        z, aux, step_queries = method.step(columns, z, aux, gamma, kind)
+        queries.append(step_queries)
+        return z, aux
+
     # Every method memory is one d-vector: a field, w or omega.
     n_aux = 0 if method.init_aux is _no_aux else op.dim
-    return affine_system(op, n_aux, lambda columns, z, aux: method.step(
-        columns, z, aux, kind.gamma, kind)[:2], 1.0)
+    return affine_system(op, n_aux, advance, 1.0), queries[0]
 
 
 def make_method(method_id, gamma=None, alpha=0.5, k=2, gamma0=0.1, power=0.6,
@@ -424,7 +444,8 @@ class Recorder:
     The record rule: the start (step 0), every ``record_every``-th step and
     the final step.  ``record`` keeps the time, query count and state of the
     selected steps, and the method memory too when ``extra_metrics`` are
-    attached; ``finish`` computes the metric columns once, over all records:
+    attached; ``finish`` computes the metric columns once, over all records
+    and under np.errstate(all="ignore"):
     z_norm, dist_to_solution, v_norm, then one per ``extra_metrics``
     callable ``f(ts, zs, auxs) -> values``, called once with the (n,) times,
     the (n, d) finite states and their memory rows (None for a method
@@ -481,18 +502,20 @@ class Recorder:
         ok = np.flatnonzero(np.isfinite(traj.states[:n]).all(axis=1))
         zs = traj.states[ok]
         cols = traj.metrics
-        # A finite state far past the guard may have an infinite norm or field.
-        with np.errstate(over="ignore", invalid="ignore"):
+        ts, auxs = traj.times[ok], None if self.memory is None else self.memory[ok]
+        # A finite state far past the guard may have an infinite norm or
+        # field, and one near the solution a norm that underflows: values
+        # to record under any errstate, as in the step loop.
+        with np.errstate(all="ignore"):
             cols["z_norm"][ok] = _row_norms(zs)
             cols["dist_to_solution"][ok] = _row_norms(zs - self.op.solution)
             cols["v_norm"][ok] = _row_norms(self.op.fields_unchecked(zs))
-        ts, auxs = traj.times[ok], None if self.memory is None else self.memory[ok]
-        for name, fn in self.extra_metrics.items():
-            values = np.asarray(fn(ts, zs, auxs), dtype=float)
-            if values.shape != ok.shape:
-                raise ValueError(f"metric {name!r} gave shape {values.shape} "
-                                 f"for {len(ok)} records")
-            cols[name][ok] = values
+            for name, fn in self.extra_metrics.items():
+                values = np.asarray(fn(ts, zs, auxs), dtype=float)
+                if values.shape != ok.shape:
+                    raise ValueError(f"metric {name!r} gave shape {values.shape} "
+                                     f"for {len(ok)} records")
+                cols[name][ok] = values
         return traj
 
 
@@ -500,11 +523,19 @@ class Recorder:
 #: byte cap keeps wide states small (40 rows for a d = 100 flow with omega).
 BLOCK_ROWS, BLOCK_BYTES = 256, 1 << 16
 
-#: Widest stacked state (z, aux, 1) that ``flows.integrate`` steps by a map
-#: built for each step (d = 16 for the optimistic flow).  Building one costs
-#: O(width^3); measured per RK4 step, it overtakes the four stage
-#: evaluations it replaces between widths 37 and 49 (README).
+#: Widest stacked state (z, aux, 1) that ``flows.integrate`` and ``run``
+#: step by a map built for each step (d = 16 for the optimistic flow and
+#: ogda-varstep).  Building one for RK4 costs O(width^3); measured per step,
+#: it overtakes the four stage evaluations it replaces between widths 37 and
+#: 49 (README).  At width 33 a block of maps holds 7 steps.
 STEP_MAP_MAX_WIDTH = 33
+
+
+def map_block_rows(width):
+    """Steps in one block of maps of a ``width``-wide stacked state: at most
+    BLOCK_ROWS, and as many as fit in BLOCK_BYTES, so never more than a
+    block of the loop."""
+    return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * width * width)))
 
 
 def step_loop(recorder: Recorder, advance, z, aux, t) -> Trajectory:
@@ -588,11 +619,15 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     is None for a method without one.  Records follow the ``Recorder`` rule
     for ``record_every``; see ``step_loop`` for divergence.
 
-    On an affine operator a ``fixed_map`` method (gda, eg, ogda, ogda-s,
-    la-gda) calls its stepper once, for ``one_step_map``, and is stepped as
-    that recurrence (``matmul_step``), with the nominal query count per
-    step.  The others call their stepper at every step, through
-    ``op.unchecked()`` as does ``init_aux``, and read ``kind.step_size`` once
+    On an affine operator a constant-step method (all but ogda-varstep)
+    calls its stepper once, for ``one_step_map``, and is stepped as that
+    recurrence (``matmul_step``), with the query count that call reports
+    (2 for the implicit scheme, whose ``fp_tol`` and ``fp_max_iter`` are
+    then not read); a singular implicit step is a divergence at step 1.
+    ogda-varstep is stepped there by one map per step (``_varstep_maps``)
+    while its stacked state is at most ``STEP_MAP_MAX_WIDTH`` wide.  Every
+    other run calls its stepper at every step, through ``op.unchecked()`` as
+    does ``init_aux``.  Both varying-step paths read ``kind.step_size`` once
     per block, on an array of step indices; a gamma_n that is not positive
     (or NaN) raises ValueError at step n.
     """
@@ -603,11 +638,10 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     recorder = Recorder(op, kind.name, problem_label or op.label, steps, record_every,
                         extra_metrics)
     view = op.unchecked()
-    if op.affine and method.fixed_map:
-        system, gamma = one_step_map(op, kind), kind.gamma
-        step = matmul_step(lambda n, t, count: [system] * count, method.queries(kind),
-                           lambda n, t, count: np.add.accumulate(
-                               np.append(t, np.full(count, gamma)))[1:])
+    if op.affine and isinstance(kind, _FixedStep):
+        step = _fixed_map_step(op, method, kind)
+    elif op.affine and 2 * op.dim + 1 <= STEP_MAP_MAX_WIDTH:  # ogda-varstep
+        step = _varstep_maps(op, method, kind, steps)
     else:
         step = _stepper_step(method, view, kind, steps)
     with np.errstate(all="ignore"):
@@ -615,11 +649,49 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     return step_loop(recorder, step, z, aux, 0.0)
 
 
+def _step_sizes(kind):
+    """``read`` of ``per_step_blocks``: gamma_n of steps n .. n + count - 1."""
+    return lambda n, t, count: read_positive(kind.step_size, np.arange(n, n + count),
+                                             "step size gamma_n", "n")
+
+
+def _accumulated(t, gammas):
+    """The times after steps of sizes ``gammas`` from t: t + gamma_n in
+    turn, bit for bit."""
+    return np.add.accumulate(np.append(t, gammas))[1:]
+
+
+def _fixed_map_step(op, method, kind):
+    """``advance`` of ``step_loop`` by a constant-step method's one-step map."""
+    gamma = kind.gamma
+    try:
+        system, queries = _stepper_map(op, method, kind, gamma)
+    except NoConvergenceError:  # every step would fail: a divergence at step 1
+        return lambda n, count, states, times, counts: (0, True)
+    return matmul_step(lambda n, t, count: [system] * count, queries,
+                       lambda n, t, count: _accumulated(t, np.full(count, gamma)))
+
+
+def _varstep_maps(op, method, kind, n_steps):
+    """``advance`` of ``step_loop`` for ogda-varstep on an affine field:
+    s' = R_n s with R_n = S0 + gamma_n S1, built a block of steps at a time
+    (``map_block_rows``) from one read of gamma_n.  S(gamma) is read off the
+    stepper at gamma = 1 and 2, which keeps its gamma > 0 check: S1 = S(2) -
+    S(1) and S0 = S(1) - S1."""
+    s_one, queries = _stepper_map(op, method, kind, 1.0)
+    s1 = _stepper_map(op, method, kind, 2.0)[0] - s_one
+    s0 = s_one - s1
+    gammas = per_step_blocks(_step_sizes(kind), lambda values: values, n_steps,
+                             map_block_rows(len(s0)))
+    # Built inside the step loop, whose errstate makes an overflowing R_n a
+    # divergence to record.
+    return matmul_step(lambda n, t, count: s0 + gammas(n, t, count)[:, None, None] * s1,
+                       queries, lambda n, t, count: _accumulated(t, gammas(n, t, count)))
+
+
 def _stepper_step(method, op, kind, n_steps):
     dim = op.dim
-    gammas = per_step_blocks(lambda n, t, count: read_positive(
-        kind.step_size, np.arange(n, n + count), "step size gamma_n", "n"),
-        np.ndarray.tolist, n_steps, BLOCK_ROWS)
+    gammas = per_step_blocks(_step_sizes(kind), np.ndarray.tolist, n_steps, BLOCK_ROWS)
 
     def step(n, s, out, t):
         (gamma_n,) = gammas(n, t, 1)

@@ -127,9 +127,10 @@ class Operator:
         return np.asarray(self._jacobian(np.asarray(z, dtype=float)), dtype=float)
 
     def unchecked(self) -> SimpleNamespace:
-        """``field``/``jacobian`` as ``field_unchecked``/``jacobian_unchecked``."""
+        """``field``/``jacobian`` as ``field_unchecked``/``jacobian_unchecked``,
+        with ``dim`` and ``affine``."""
         return SimpleNamespace(field=self.field_unchecked, jacobian=self.jacobian_unchecked,
-                               dim=self.dim)
+                               dim=self.dim, affine=self.affine)
 
     def fields_unchecked(self, zs) -> Array:
         """V at each row of the (n, dim) matrix ``zs``, without validation.

@@ -398,7 +398,9 @@ class TestAffinePropagator:
             assert np.isnan(traj.metric("z_norm")[stop[0]:]).all()
 
     def test_selected_by_operator_and_method(self, monkeypatch):
-        # A mapped run calls its stepper once, for one_step_map, never per step.
+        # No affine run calls a stepper per step: a constant-step run calls it
+        # once, for one_step_map, and ogda-varstep twice, for S(1) and S(2).
+        # Non-affine runs call it at every step.
         calls = {name: 0 for name in STEPPERS}
         for name in STEPPERS:
             real = getattr(opt, name)
@@ -410,29 +412,176 @@ class TestAffinePropagator:
             monkeypatch.setattr(opt, name, counted)
         m, z_star = np.array([[0.5, 1.0], [-1.0, 0.0]]), np.zeros(2)
         z0 = np.array([1.0, 0.0])
-        for make in MAPPED_KINDS:
+        kinds = [*MAPPED_KINDS, lambda gamma: opt.OGDAVariableStep(gamma0=gamma),
+                 lambda gamma: opt.ImplicitOGDA(gamma)]
+        for make in kinds:
             for op in (AffineField(m, z_star), BG, SI):
                 opt.run(op, make(0.1), z0, 10)
-        assert calls == {"step_gda": 3, "step_eg": 3, "step_ogda": 3, "step_ogda_s": 3,
-                         "step_la_gda": 9, "step_ogda_implicit": 0}
-        opt.run(AffineField(m, z_star), opt.OGDAVariableStep(), z0, 10)
-        opt.run(AffineField(m, z_star), opt.ImplicitOGDA(0.1), z0, 10)
-        assert calls["step_ogda"] == 13 and calls["step_ogda_implicit"] == 10
-        for make in MAPPED_KINDS:
+        assert calls == {"step_gda": 3, "step_eg": 3, "step_ogda": 9, "step_ogda_s": 3,
+                         "step_la_gda": 9, "step_ogda_implicit": 3}
+        for make in kinds:
             opt.run(NonAffineTwin(m, z_star), make(0.1), z0, 10)
             opt.run(QuarticCounterexample(), make(0.01), z0, 10)
-        assert calls == {"step_gda": 23, "step_eg": 23, "step_ogda": 33, "step_ogda_s": 23,
-                         "step_la_gda": 69, "step_ogda_implicit": 10}
+        assert calls == {"step_gda": 23, "step_eg": 23, "step_ogda": 49, "step_ogda_s": 23,
+                         "step_la_gda": 69, "step_ogda_implicit": 23}
 
     def test_one_step_map_requires_an_affine_operator(self):
-        for method_id in ("gda", "eg", "ogda", "ogda-s", "la-gda"):
+        for method_id in ("gda", "eg", "ogda", "ogda-s", "la-gda", "ogda-implicit"):
             kind = opt.make_method(method_id, gamma=0.1)
             with pytest.raises(ValueError, match="affine"):
                 opt.one_step_map(QuarticCounterexample(), kind)
-        for kind in (opt.OGDAVariableStep(), opt.ImplicitOGDA(0.1)):
-            assert not opt._METHODS[kind.name].fixed_map
-            with pytest.raises(ValueError, match="no fixed one-step map"):
-                opt.one_step_map(BG, kind)
+        with pytest.raises(ValueError, match="no fixed one-step map"):
+            opt.one_step_map(BG, opt.OGDAVariableStep())
+
+
+def varying_stepper_loop(op, kind, z0, steps):
+    """ogda-varstep or ogda-implicit one stepper call at a time on ``op``:
+    the (steps + 1, d) states, the times t + gamma_n in turn, and the query
+    count of each step."""
+    gammas = np.broadcast_to(kind.step_size(np.arange(steps)), steps).tolist()
+    z = np.asarray(z0, dtype=float)
+    aux = 2.0 * op.field(z) if kind.name == "ogda-varstep" else np.zeros(op.dim)
+    states, times, queries = [z], [0.0], []
+    for gamma_n in gammas:
+        if kind.name == "ogda-varstep":
+            z, aux, step_queries = (*opt.step_ogda(op, z, aux, gamma_n), 1)
+        else:
+            z, aux, step_queries = opt.step_ogda_implicit(op, z, aux, gamma_n)
+        states.append(z)
+        times.append(times[-1] + gamma_n)
+        queries.append(step_queries)
+    return np.array(states), np.array(times), queries
+
+
+class TestVaryingAndImplicitMaps:
+    """ogda-varstep and ogda-implicit on affine fields, stepped by maps."""
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(case=monotone_affine_cases(), gamma=st.floats(0.05, 1.0),
+           record_every=st.integers(2, 4))
+    def test_match_the_stepper_loop(self, case, gamma, record_every):
+        m, z_star, z0, _ = case
+        op, steps = AffineField(m, z_star), 40
+        for kind in (opt.OGDAVariableStep(gamma0=gamma), opt.ImplicitOGDA(gamma)):
+            full = opt.run(op, kind, z0, steps)
+            states, times, queries = varying_stepper_loop(op, kind, z0, steps)
+            # The implicit step takes one Newton iteration on an affine field.
+            assert set(queries) == {1 if kind.name == "ogda-varstep" else 2}
+            np.testing.assert_array_equal(full.queries, queries[0] * np.arange(steps + 1))
+            assert full.times.tobytes() == times.tobytes()
+            gap = np.abs(full.states - states).max(axis=1)
+            assert np.all(gap <= 1e-12 * np.linalg.norm(states, axis=1))
+            norms = np.linalg.norm(states, axis=1)
+            assert full.diverged == bool((norms > opt.DIVERGENCE_GUARD).any())
+            thin = opt.run(op, kind, z0, steps, record_every=record_every)
+            np.testing.assert_array_equal(thin.steps, np.union1d(
+                np.arange(0, steps, record_every), [steps]))
+            np.testing.assert_array_equal(thin.times, full.times[thin.steps])
+            np.testing.assert_array_equal(thin.queries, full.queries[thin.steps])
+            np.testing.assert_array_equal(thin.states, full.states[thin.steps])
+            for name in full.metrics:
+                np.testing.assert_array_equal(thin.metric(name), full.metric(name)[thin.steps])
+
+    def test_varstep_times_are_the_sequential_sum(self):
+        # 1,000 steps span four blocks of maps at d = 2; each block's times
+        # are accumulated from the last time of the block before it.
+        kind = opt.OGDAVariableStep()
+        traj = opt.run(ScaledIdentity(1.0, 2), kind, [1.0, 0.5], 1000)
+        t, want = 0.0, [0.0]
+        for gamma_n in kind.step_size(np.arange(1000)).tolist():
+            t += gamma_n
+            want.append(t)
+        assert traj.times.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("op", [ScaledIdentity(1.0, 2), NonAffineTwin(np.eye(2), np.zeros(2))],
+                             ids=["maps", "stepper"])
+    @pytest.mark.parametrize("bad", [-0.1, 0.0, float("nan")])
+    def test_nonpositive_gamma_raises_at_its_step(self, op, bad):
+        # Step 300 lies in the second block of maps (256 steps at d = 2).
+        kind = opt.OGDAVariableStep(schedule=lambda n: np.where(n < 300, 0.01, bad))
+        with pytest.raises(ValueError, match=rf"gamma_n must be positive, got {bad} at n=300$"):
+            opt.run(op, kind, [1.0, 0.0], 400)
+
+    @pytest.mark.parametrize("dim, per_step", [(16, False), (17, True)])
+    def test_wide_varstep_steps_by_the_stepper(self, dim, per_step, monkeypatch):
+        # Width 2 d + 1 above STEP_MAP_MAX_WIDTH: one stepper call per step,
+        # and the same run as the maps to 1e-12 of each state's norm.
+        calls, real = [], opt.step_ogda
+        monkeypatch.setattr(opt, "step_ogda", lambda *a: calls.append(1) or real(*a))
+        rng = np.random.default_rng(dim)
+        k = rng.standard_normal((dim, dim))
+        op, z0 = AffineField(0.1 * np.eye(dim) + k - k.T, rng.standard_normal(dim)), np.ones(dim)
+        traj = opt.run(op, opt.OGDAVariableStep(), z0, 10)
+        assert len(calls) == (10 if per_step else 2)
+        states = varying_stepper_loop(op, opt.OGDAVariableStep(), z0, 10)[0]
+        gap = np.abs(traj.states - states).max(axis=1)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(states, axis=1))
+
+    def test_implicit_at_a_huge_step(self):
+        # gamma = 1e5: a Newton loop held to the absolute fp_tol failed on a
+        # residual of 2.8e-12 and recorded a divergence with NaN states.
+        op = random_bilinear(0, 2, 2)
+        traj = opt.run(op, opt.ImplicitOGDA(1e5), [1.0, 0.5, -0.3, 0.2], 20)
+        assert not traj.diverged and np.isfinite(traj.states).all()
+        np.testing.assert_array_equal(traj.queries, 2 * np.arange(21))
+        dist = traj.metric("dist_to_solution")
+        assert dist[-1] < 1e-4 * dist[0]
+
+    def test_implicit_from_a_far_start(self):
+        # z0 of norm 1e6: the residual's rounding floor lay above fp_tol and
+        # the run diverged after 3 steps.  The step is linear (q = 0), so the
+        # run is 1e6 times the run from z0 / 1e6.
+        op, z0 = random_bilinear(0, 2, 2), np.array([1e6, 1.0, 2.0, 3.0])
+        far, near = (opt.run(op, opt.ImplicitOGDA(0.05), z, 20) for z in (z0, z0 / 1e6))
+        assert not far.diverged and np.isfinite(far.states).all()
+        np.testing.assert_array_equal(far.queries, 2 * np.arange(21))
+        gap = np.abs(far.states - 1e6 * near.states).max(axis=1)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(far.states, axis=1))
+
+    def test_implicit_does_not_freeze_near_the_solution(self):
+        # gamma = 1.3 on V(z) = z: once the state reached about 1e-12 the
+        # residual at z' = z passed fp_tol, the step returned z unmoved after
+        # one query, and the run ended at 441 queries and |z| = 7.5e-13.
+        traj = opt.run(ScaledIdentity(1.0, 2), opt.ImplicitOGDA(1.3), np.ones(2), 400)
+        np.testing.assert_array_equal(traj.queries, 2 * np.arange(401))
+        z_norm = traj.metric("z_norm")
+        assert np.all(np.diff(z_norm) < 0) and z_norm[-1] < 1e-100
+
+    def test_singular_implicit_map_is_a_divergence(self):
+        # V(z) = -z at gamma = 4/3 makes I + (3 gamma / 4) J zero: the map
+        # cannot be read, and run records a divergence at step 1.
+        op, kind = AffineField(-np.eye(2), np.zeros(2)), opt.ImplicitOGDA(4.0 / 3.0)
+        with pytest.raises(opt.NoConvergenceError, match="Newton system"):
+            opt.one_step_map(op, kind)
+        traj = opt.run(op, kind, [1.0, 0.0], 5)
+        assert traj.diverged and traj.queries[-1] == 0 and traj.times[-1] == 0.0
+        assert np.isnan(traj.states[1:]).all()
+
+    @pytest.mark.parametrize("kind", [opt.OGDA(1e308), opt.EG(1e200)])
+    def test_overflowing_map_is_a_divergence_under_any_errstate(self, kind):
+        # Reading the map overflows: a divergence at step 1, with no warning
+        # and no FloatingPointError.
+        op, z0 = random_bilinear(0, 2, 2), [1.0, 0.5, -0.3, 0.2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warned = opt.run(op, kind, z0, 5)
+        with np.errstate(all="raise"):
+            raised = opt.run(op, kind, z0, 5)
+        assert_same_records(raised, warned)
+        assert warned.diverged and not np.isfinite(warned.states[1]).all()
+
+    def test_underflowing_records_under_any_errstate(self):
+        # Criterion 7's run ends near 1e-263, where the recorder's norms and
+        # a monitor's squares underflow: values, not errors.
+        def go():
+            return opt.run(ScaledIdentity(1.0, 2), opt.OGDA(1 / 16), [1.0, 0.0], 10_000,
+                           extra_metrics={"sq": lambda ts, zs, auxs: (zs * zs).sum(axis=1)})
+
+        ref = go()
+        with np.errstate(all="raise"):
+            raised = go()
+        assert_same_records(raised, ref)
+        assert ref.metric("sq")[-1] == ref.metric("z_norm")[-1] == 0.0 < ref.states[-1, 0]
 
 
 def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
