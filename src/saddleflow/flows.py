@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizers import (BLOCK_ROWS, STEP_MAP_MAX_WIDTH, Recorder, Trajectory, affine_system,
-                         each_step, map_block_rows, matmul_step, per_step_blocks, read_positive,
+from .optimizers import (BLOCK_BYTES, BLOCK_ROWS, STEP_MAP_MAX_WIDTH, Recorder, Trajectory,
+                         affine_system, each_step, matmul_step, per_step_blocks, read_positive,
                          step_loop)
 from .problems import Operator, as_state
 
@@ -298,20 +298,20 @@ def _step_maps(kind, op, cfg, t0, n_steps):
 
     S(kappa) = S0 + kappa S1 is read off ``_optimistic_derivative``: S0 at
     kappa = 0, S1 through a zero field, so that its entries are 0 and -1 and
-    kappa S1 is exact.  The maps are built a block of steps at a time
-    (``map_block_rows``, and never past the budget), from one read of kappa
-    at the block's stage times (``_stage_kappas``): one block of the loop.
-    A kappa that is not positive ends the block before its step, which then
-    raises as the ``rhs`` path does unless an earlier state went non-finite;
-    any other exception of the schedule propagates while the block is read,
-    up to a block of steps early.
+    kappa S1 is exact.  The maps are built a block of steps at a time, at
+    most BLOCK_ROWS and as many as fit in BLOCK_BYTES and the budget, from
+    one read of kappa at the block's stage times (``_stage_kappas``): one
+    block of the loop.  A kappa that is not positive ends the block before
+    its step, which then raises as the ``rhs`` path does unless an earlier
+    state went non-finite; any other exception of the schedule propagates
+    while the block is read, up to a block of steps early.
     """
     dim, dt = op.dim, cfg.dt
     s0 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(cols, z, w, 0.0), 0.0)
     s1 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(
         _NO_FIELD, z, w, 1.0), 0.0)
     maps = per_step_blocks(_stage_kappas(kind, cfg, t0), lambda kappas: _block_maps(
-        s0, s1, kappas, dt), n_steps, map_block_rows(len(s0)))
+        s0, s1, kappas, dt), n_steps, max(1, min(BLOCK_ROWS, BLOCK_BYTES // s0.nbytes)))
     return matmul_step(maps, SCHEMES[cfg.scheme], _grid_times(t0, dt))
 
 

@@ -216,9 +216,10 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
     scale = 0.75 * gamma
     z_next, v_next, queries = z, v_z, 1
     residual = z_next + scale * v_next - c
-    while (queries == 1) if getattr(op, "affine", False) else (
+    affine = getattr(op, "affine", False)
+    while (queries == 1) if affine else (
             not (error := np.max(np.abs(residual))) <= fp_tol and np.isfinite(error)):
-        if queries > fp_max_iter:
+        if not affine and queries > fp_max_iter:
             raise NoConvergenceError(
                 f"implicit step residual {error:.3e} > fp_tol "
                 f"{fp_tol:.1e} after {fp_max_iter} Newton iterations"
@@ -523,19 +524,11 @@ class Recorder:
 #: byte cap keeps wide states small (40 rows for a d = 100 flow with omega).
 BLOCK_ROWS, BLOCK_BYTES = 256, 1 << 16
 
-#: Widest stacked state (z, aux, 1) that ``flows.integrate`` and ``run``
-#: step by a map built for each step (d = 16 for the optimistic flow and
-#: ogda-varstep).  Building one for RK4 costs O(width^3); measured per step,
-#: it overtakes the four stage evaluations it replaces between widths 37 and
-#: 49 (README).  At width 33 a block of maps holds 7 steps.
+#: Widest stacked state (z, aux, 1) that ``flows.integrate`` steps by a map
+#: built for each step (d = 16 for the optimistic flow).  Building one costs
+#: O(width^3); measured per RK4 step, it overtakes the four stage
+#: evaluations it replaces between widths 37 and 49 (README).
 STEP_MAP_MAX_WIDTH = 33
-
-
-def map_block_rows(width):
-    """Steps in one block of maps of a ``width``-wide stacked state: at most
-    BLOCK_ROWS, and as many as fit in BLOCK_BYTES, so never more than a
-    block of the loop."""
-    return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * width * width)))
 
 
 def step_loop(recorder: Recorder, advance, z, aux, t) -> Trajectory:
@@ -624,12 +617,12 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     recurrence (``matmul_step``), with the query count that call reports
     (2 for the implicit scheme, whose ``fp_tol`` and ``fp_max_iter`` are
     then not read); a singular implicit step is a divergence at step 1.
-    ogda-varstep is stepped there by one map per step (``_varstep_maps``)
-    while its stacked state is at most ``STEP_MAP_MAX_WIDTH`` wide.  Every
-    other run calls its stepper at every step, through ``op.unchecked()`` as
-    does ``init_aux``.  Both varying-step paths read ``kind.step_size`` once
-    per block, on an array of step indices; a gamma_n that is not positive
-    (or NaN) raises ValueError at step n.
+    ogda-varstep is stepped there by S0 s + gamma_n (S1 s)
+    (``_varstep_step``), at any width.  A run on a non-affine operator
+    calls its stepper at every step, through ``op.unchecked()`` as does
+    ``init_aux``.  Both varying-step paths read ``kind.step_size`` once per
+    block of the loop, on an array of step indices; a gamma_n that is not
+    positive (or NaN) raises ValueError at step n.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -640,8 +633,8 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     view = op.unchecked()
     if op.affine and isinstance(kind, _FixedStep):
         step = _fixed_map_step(op, method, kind)
-    elif op.affine and 2 * op.dim + 1 <= STEP_MAP_MAX_WIDTH:  # ogda-varstep
-        step = _varstep_maps(op, method, kind, steps)
+    elif op.affine:  # ogda-varstep
+        step = _varstep_step(op, method, kind, steps)
     else:
         step = _stepper_step(method, view, kind, steps)
     with np.errstate(all="ignore"):
@@ -672,21 +665,27 @@ def _fixed_map_step(op, method, kind):
                        lambda n, t, count: _accumulated(t, np.full(count, gamma)))
 
 
-def _varstep_maps(op, method, kind, n_steps):
+def _varstep_step(op, method, kind, n_steps):
     """``advance`` of ``step_loop`` for ogda-varstep on an affine field:
-    s' = R_n s with R_n = S0 + gamma_n S1, built a block of steps at a time
-    (``map_block_rows``) from one read of gamma_n.  S(gamma) is read off the
-    stepper at gamma = 1 and 2, which keeps its gamma > 0 check: S1 = S(2) -
-    S(1) and S0 = S(1) - S1."""
+    s' = R_n s with R_n = S0 + gamma_n S1, taken as S0 s + gamma_n (S1 s),
+    one product with the stacked (S0, S1) per step, so that no R_n is built.
+    S(gamma) is read off the stepper at gamma = 1 and 2, which keeps its
+    gamma > 0 check: S1 = S(2) - S(1) and S0 = S(1) - S1.  gamma_n is read
+    a block of the loop at a time."""
     s_one, queries = _stepper_map(op, method, kind, 1.0)
     s1 = _stepper_map(op, method, kind, 2.0)[0] - s_one
-    s0 = s_one - s1
-    gammas = per_step_blocks(_step_sizes(kind), lambda values: values, n_steps,
-                             map_block_rows(len(s0)))
-    # Built inside the step loop, whose errstate makes an overflowing R_n a
-    # divergence to record.
-    return matmul_step(lambda n, t, count: s0 + gammas(n, t, count)[:, None, None] * s1,
-                       queries, lambda n, t, count: _accumulated(t, gammas(n, t, count)))
+    width = len(s1)
+    pencil, products = np.vstack((s_one - s1, s1)), np.empty(2 * width)
+    at_zero, slope = products[:width], products[width:]
+
+    def product(gamma_n, s, out):
+        pencil.dot(s, products)
+        np.multiply(slope, gamma_n, out)
+        out += at_zero
+
+    gammas = per_step_blocks(_step_sizes(kind), np.ndarray.tolist, n_steps, BLOCK_ROWS)
+    return matmul_step(gammas, queries,
+                       lambda n, t, count: _accumulated(t, gammas(n, t, count)), product)
 
 
 def _stepper_step(method, op, kind, n_steps):
@@ -743,22 +742,24 @@ def per_step_blocks(read, build, n_steps, rows):
     return take
 
 
-def matmul_step(maps, queries, times_after):
-    """``advance`` of ``step_loop`` by s' = R s, one matrix-vector product
-    per step and nothing else; the steps after a non-finite state are taken
-    too, and ``step_loop`` discards them.
+def matmul_step(maps, queries, times_after, product=np.ndarray.dot):
+    """``advance`` of ``step_loop`` by s' = R s, one ``product`` per step (a
+    matrix-vector product) and nothing else; the steps after a non-finite
+    state are taken too, and ``step_loop`` discards them.
 
     ``maps(n, t, count)`` gives R = [[M, m], [0, 1]] for steps n, n + 1,
     ..., at least one and at most ``count``: a method's recurrence or a
-    scheme's map of a linear flow, repeated, or one map per step.  Once per
-    block, ``times_after(n, t, taken)`` gives the times after steps n .. n +
-    taken - 1 from the time t before step n; each step reports ``queries``.
+    scheme's map of a linear flow, repeated, or one map per step; or the
+    items r of those steps from which ``product(r, s, out)`` writes R s.
+    Once per block, ``times_after(n, t, taken)`` gives the times after
+    steps n .. n + taken - 1 from the time t before step n; each step
+    reports ``queries``.
     """
     def advance(n, count, states, times, counts):
         rs = maps(n, times[0], count)
         taken = len(rs)
         for r, s, out in zip(rs, states, states[1:taken + 1]):
-            r.dot(s, out)
+            product(r, s, out)
         times[1:taken + 1] = times_after(n, times[0], taken)
         counts[1:taken + 1] = counts[0] + queries * np.arange(1, taken + 1)
         return taken, False

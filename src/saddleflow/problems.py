@@ -127,10 +127,9 @@ class Operator:
         return np.asarray(self._jacobian(np.asarray(z, dtype=float)), dtype=float)
 
     def unchecked(self) -> SimpleNamespace:
-        """``field``/``jacobian`` as ``field_unchecked``/``jacobian_unchecked``,
-        with ``dim`` and ``affine``."""
+        """``field``/``jacobian`` as ``field_unchecked``/``jacobian_unchecked``."""
         return SimpleNamespace(field=self.field_unchecked, jacobian=self.jacobian_unchecked,
-                               dim=self.dim, affine=self.affine)
+                               dim=self.dim)
 
     def fields_unchecked(self, zs) -> Array:
         """V at each row of the (n, dim) matrix ``zs``, without validation.

@@ -502,20 +502,33 @@ class TestVaryingAndImplicitMaps:
         with pytest.raises(ValueError, match=rf"gamma_n must be positive, got {bad} at n=300$"):
             opt.run(op, kind, [1.0, 0.0], 400)
 
-    @pytest.mark.parametrize("dim, per_step", [(16, False), (17, True)])
-    def test_wide_varstep_steps_by_the_stepper(self, dim, per_step, monkeypatch):
-        # Width 2 d + 1 above STEP_MAP_MAX_WIDTH: one stepper call per step,
-        # and the same run as the maps to 1e-12 of each state's norm.
+    @pytest.mark.parametrize("dim", [16, 17, 50])
+    def test_varstep_maps_at_any_width(self, dim, monkeypatch):
+        # No width selects the stepper: S(1) and S(2) are read off it, and
+        # the run matches it to 1e-12 of each state's norm.
         calls, real = [], opt.step_ogda
         monkeypatch.setattr(opt, "step_ogda", lambda *a: calls.append(1) or real(*a))
         rng = np.random.default_rng(dim)
         k = rng.standard_normal((dim, dim))
         op, z0 = AffineField(0.1 * np.eye(dim) + k - k.T, rng.standard_normal(dim)), np.ones(dim)
         traj = opt.run(op, opt.OGDAVariableStep(), z0, 10)
-        assert len(calls) == (10 if per_step else 2)
+        assert len(calls) == 2
         states = varying_stepper_loop(op, opt.OGDAVariableStep(), z0, 10)[0]
         gap = np.abs(traj.states - states).max(axis=1)
         assert np.all(gap <= 1e-12 * np.linalg.norm(states, axis=1))
+
+    def test_implicit_step_on_an_affine_operator_takes_one_iteration(self):
+        # fp_tol and fp_max_iter are not read: a loose tolerance would stop
+        # at z' = z, and fp_max_iter = 0 would end the loop before its one
+        # iteration.
+        op, z, omega = random_bilinear(0, 2, 2), np.array([1.0, 0.5, -0.3, 0.2]), np.ones(4)
+        want = opt.step_ogda_implicit(op, z, omega, 0.1)
+        assert want[2] == 2
+        for fp_tol, fp_max_iter in ((10.0, 200), (1e-12, 0)):
+            got = opt.step_ogda_implicit(op, z, omega, 0.1, fp_tol, fp_max_iter)
+            assert got[2] == 2
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
     def test_implicit_at_a_huge_step(self):
         # gamma = 1e5: a Newton loop held to the absolute fp_tol failed on a

@@ -128,7 +128,7 @@ class TestFieldEvaluation:
         # they raise.
         for op in (*CATALOG, BilinearGame([[1.0, 2.0]])):
             view = op.unchecked()
-            assert view.dim == op.dim and view.affine == op.affine
+            assert view.dim == op.dim
             for z in (np.full(op.dim, 0.5), np.arange(1.0, op.dim + 1.0)):
                 assert view.field(z).tobytes() == op.field(z).tobytes()
                 assert view.jacobian(z).tobytes() == op.jacobian(z).tobytes()
