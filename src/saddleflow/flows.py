@@ -39,9 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizers import (BLOCK_BYTES, BLOCK_ROWS, STEP_MAP_MAX_WIDTH, Recorder, Trajectory,
-                         affine_system, each_step, matmul_step, per_step_blocks, read_positive,
-                         step_loop)
+from .optimizers import (BLOCK_BYTES, Recorder, Trajectory, affine_system, each_step,
+                         matmul_step, read_positive, step_loop)
 from .problems import Operator, as_state
 
 Array = np.ndarray
@@ -202,6 +201,12 @@ def ogda2_w_from_omega(op: Operator, z0, omega0, gamma) -> Array:
 #: flow, which is also its field evaluations per step.
 SCHEMES = {"rk4": 4, "euler": 1}
 
+#: Widest stacked state (z, aux, 1) that ``integrate`` steps by a map
+#: built for each step (d = 16 for the optimistic flow).  Building one costs
+#: O(width^3); measured per RK4 step, it overtakes the four stage
+#: evaluations it replaces between widths 37 and 49 (README).
+STEP_MAP_MAX_WIDTH = 33
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -233,9 +238,11 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     ``extra_metrics`` callables receive (ts, zs, auxs) once, for all finite
     records, as in ``Recorder``.  The query column counts
     the field evaluations of the scheme (``SCHEMES``): 4 per RK4 step and 1
-    per Euler step.  Divergence is recorded as in ``optimizers.step_loop``;
-    caller errors, such as a schedule with kappa(t) <= 0, raise.  A
-    ``VariableStepFlow`` schedule is read a block of steps at a time.
+    per Euler step, and the time after step n is t0 + (n + 1) dt.
+    Divergence is recorded as in ``optimizers.step_loop``; caller errors,
+    such as a schedule with kappa(t) <= 0, raise.  ``step_loop`` reads a
+    ``VariableStepFlow``'s kappa once per block, at the stage times of its
+    steps (``_stage_kappas``).
 
     Every path steps the stacked state (z, aux, 1) in ``optimizers.step_loop``.
     On an affine operator a flow whose derivative does not read t is stepped
@@ -262,13 +269,16 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
                         int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
     if op.affine and not getattr(kind, "reads_t", False):
         system = _scheme_map(kind, op, cfg)
-        step = matmul_step(lambda n, t, count: [system] * count, SCHEMES[cfg.scheme],
-                           _grid_times(t0, cfg.dt))
+        read, advance = _repeat(system), matmul_step(lambda maps: maps, SCHEMES[cfg.scheme])
     elif op.affine and len(z) + len(aux) + 1 <= STEP_MAP_MAX_WIDTH:
-        step = _step_maps(kind, op, cfg, t0, recorder.n_steps)
+        read, advance = _step_maps(kind, op, cfg, t0)
     else:
-        step = _rhs_step(kind, op, cfg, t0, recorder.n_steps)
-    return step_loop(recorder, step, z, aux, t0)
+        read, advance = _rhs_step(kind, op, cfg, t0)
+
+    def times_after(n, t, values):
+        return t0 + np.arange(n + 1, n + len(values) + 1) * cfg.dt
+
+    return step_loop(recorder, read, times_after, advance, z, aux, t0)
 
 
 def _scheme_map(kind, op, cfg):
@@ -292,36 +302,33 @@ def _scheme_map(kind, op, cfg):
     return r
 
 
-def _step_maps(kind, op, cfg, t0, n_steps):
-    """``advance`` of ``step_loop`` for a VariableStepFlow on an affine
-    field: s' = R_n s, the scheme's exact map for step n (``matmul_step``).
+def _step_maps(kind, op, cfg, t0):
+    """``read`` and ``advance`` of ``step_loop`` for a VariableStepFlow on
+    an affine field: s' = R_n s, the scheme's exact map for step n
+    (``matmul_step``).
 
     S(kappa) = S0 + kappa S1 is read off ``_optimistic_derivative``: S0 at
     kappa = 0, S1 through a zero field, so that its entries are 0 and -1 and
-    kappa S1 is exact.  The maps are built a block of steps at a time, at
-    most BLOCK_ROWS and as many as fit in BLOCK_BYTES and the budget, from
-    one read of kappa at the block's stage times (``_stage_kappas``): one
-    block of the loop.  A kappa that is not positive ends the block before
-    its step, which then raises as the ``rhs`` path does unless an earlier
-    state went non-finite; any other exception of the schedule propagates
-    while the block is read, up to a block of steps early.
+    kappa S1 is exact.  A block of the loop reads kappa at its stage times
+    (``_stage_kappas``) for at most as many steps as their maps fit in
+    BLOCK_BYTES, and builds those maps.
     """
     dim, dt = op.dim, cfg.dt
     s0 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(cols, z, w, 0.0), 0.0)
     s1 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(
         _NO_FIELD, z, w, 1.0), 0.0)
-    maps = per_step_blocks(_stage_kappas(kind, cfg, t0), lambda kappas: _block_maps(
-        s0, s1, kappas, dt), n_steps, max(1, min(BLOCK_ROWS, BLOCK_BYTES // s0.nbytes)))
-    return matmul_step(maps, SCHEMES[cfg.scheme], _grid_times(t0, dt))
+    kappas, rows = _stage_kappas(kind, cfg, t0), max(1, BLOCK_BYTES // s0.nbytes)
+    return (lambda n, t, count: kappas(n, t, min(rows, count)), matmul_step(
+        lambda values: _block_maps(s0, s1, values, dt), SCHEMES[cfg.scheme]))
 
 
-def _grid_times(t0, dt):
-    """``times_after`` of ``matmul_step``: t0 + (n + 1) dt after step n, as on ``rhs``."""
-    return lambda n, t, count: t0 + np.arange(n + 1, n + count + 1) * dt
+def _repeat(value):
+    """``read`` of ``step_loop`` for a value shared by every step."""
+    return lambda n, t, count: ([value] * count, None)
 
 
 def _stage_kappas(kind, cfg, t0):
-    """``read`` of ``per_step_blocks``: kappa at the distinct stage times of
+    """``read`` of ``step_loop``: kappa at the distinct stage times of
     steps n .. n + count - 1 in one call, one row per step (t, t + dt/2 and
     t + dt for RK4; t for Euler), each the time of that ``rhs`` stage, bit
     for bit."""
@@ -354,25 +361,28 @@ def _block_maps(s0, s1, kappas, h):
     return eye + (h / 6.0) * (s_a + 2.0 * q1 + 2.0 * q2 + q3)
 
 
-def _rhs_step(kind, op, cfg, t0, n_steps):
-    """``each_step`` advance that calls ``rhs`` at each stage, through
-    ``op.unchecked()``, and advances the stacked y = (z, aux) in one
-    combination of the stages.  A VariableStepFlow's stages are the
-    ConstantKappaFlow at their kappa, read a block of steps at a time."""
+def _rhs_step(kind, op, cfg, t0):
+    """``read`` and ``each_step`` advance of ``step_loop`` that call ``rhs``
+    at each stage, through ``op.unchecked()``, and advance the stacked y =
+    (z, aux) in one combination of the stages.  A step's value is its
+    stage kinds, one per distinct stage time: the flow itself, or for a
+    VariableStepFlow the ConstantKappaFlow at each stage's kappa."""
     view, dim, dt = op.unchecked(), op.dim, cfg.dt
     half, queries = 0.5 * dt, SCHEMES[cfg.scheme]
     if getattr(kind, "reads_t", False):
-        stage_kinds = per_step_blocks(_stage_kappas(kind, cfg, t0), lambda kappas: [
-            [ConstantKappaFlow(k) for k in row] for row in kappas.tolist()], n_steps, BLOCK_ROWS)
+        kappas = _stage_kappas(kind, cfg, t0)
+
+        def read(n, t, count):
+            values, error = kappas(n, t, count)
+            return [[ConstantKappaFlow(k) for k in row] for row in values.tolist()], error
     else:
-        fixed = [[kind] * (3 if cfg.scheme == "rk4" else 1)]  # one per distinct stage time
-        stage_kinds = lambda n, t, count: fixed  # noqa: E731
+        read = _repeat([kind] * (3 if cfg.scheme == "rk4" else 1))
 
     def f(stage_kind, y, t):
         return np.concatenate(rhs(stage_kind, view, y[:dim], y[dim:], t))
 
-    def step(n, s, out, t):
-        y, ((kind_a, *kinds_bc),) = s[:-1], stage_kinds(n, t, 1)
+    def step(stage_kinds, s, out, t):
+        y, (kind_a, *kinds_bc) = s[:-1], stage_kinds
         k1 = f(kind_a, y, t)
         if not kinds_bc:
             out[:-1] = y + dt * k1
@@ -382,9 +392,9 @@ def _rhs_step(kind, op, cfg, t0, n_steps):
             k3 = f(kind_b, y + half * k2, t + half)
             k4 = f(kind_c, y + dt * k3, t + dt)
             out[:-1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return t0 + (n + 1) * dt, queries
+        return queries
 
-    return each_step(step)
+    return read, each_step(step)
 
 
 #: Flow id -> (its aux variable, builder); a builder's parameters are the

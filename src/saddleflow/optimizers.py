@@ -524,23 +524,24 @@ class Recorder:
 #: byte cap keeps wide states small (40 rows for a d = 100 flow with omega).
 BLOCK_ROWS, BLOCK_BYTES = 256, 1 << 16
 
-#: Widest stacked state (z, aux, 1) that ``flows.integrate`` steps by a map
-#: built for each step (d = 16 for the optimistic flow).  Building one costs
-#: O(width^3); measured per RK4 step, it overtakes the four stage
-#: evaluations it replaces between widths 37 and 49 (README).
-STEP_MAP_MAX_WIDTH = 33
 
-
-def step_loop(recorder: Recorder, advance, z, aux, t) -> Trajectory:
+def step_loop(recorder: Recorder, read, times_after, advance, z, aux, t) -> Trajectory:
     """The stepping loop shared by ``run`` and ``integrate``.
 
     Takes ``recorder.n_steps`` steps of the stacked state s = (z, aux, 1),
     or (z, 1) when ``aux`` is None, from the recorded start at time ``t``,
-    a block of at most BLOCK_ROWS states and BLOCK_BYTES bytes at a time:
-    ``advance(n, count, states, times, counts) -> (taken, stopped)`` takes
-    up to ``count`` steps from row 0 (the state, time and query count after
-    step n), writes row i after step n + i, and says how many it took and
-    whether the run ends there.  A block runs under np.errstate(all="ignore"),
+    a block of at most BLOCK_ROWS states and BLOCK_BYTES bytes at a time.
+    A block starts with one call ``read(n, t, count) -> (values, error)``,
+    under the caller's np.errstate, for the values of steps n, n + 1, ...,
+    at most ``count`` of them: gamma_n, kappa at the stage times, or one
+    value shared by every step.  ``error`` is None, or the exception to
+    raise at the step after the last value unless the run stops first.
+    ``times_after(n, t, values)`` then gives the times after those steps
+    from the time t before step n, and ``advance(values, states, times,
+    counts) -> (taken, stopped)`` takes up to one step per value from row 0
+    (the state, time and query count before step n), writes the state and
+    query count of row i after step n + i - 1, and says how many it took
+    and whether the run ends there.  Both run under np.errstate(all="ignore"),
     so the one stop rule, under any errstate, is the finiteness test, made
     once per block: the loop records the first non-finite state (z or aux),
     discards the states after it and stops.  It, a norm of z above
@@ -565,38 +566,42 @@ def step_loop(recorder: Recorder, advance, z, aux, t) -> Trajectory:
     record(0, slice(0, 1))
     n, diverged, stopped = 0, False, False
     while n < n_steps and not stopped:
+        values, error = read(n, times[0], min(rows, n_steps - n))
         with np.errstate(all="ignore"):
-            taken, stopped = advance(n, min(rows, n_steps - n), states, times, counts)
+            times[1:len(values) + 1] = times_after(n, times[0], values)
+            taken, stopped = advance(values, states, times, counts)
             finite = np.isfinite(block[1:taken + 1]).all(axis=1)
             if not finite.all():
                 taken, stopped = int(finite.argmin()) + 1, True
             z_norms = _row_norms(block[1:taken + 1, :dim])  # inf > DIVERGENCE_GUARD
         record(n + 1, slice(1, taken + 1))
         diverged = diverged or stopped or bool((z_norms > DIVERGENCE_GUARD).any())
+        if error is not None and not stopped:
+            raise error
         n += taken
         block[0], times[0], counts[0] = block[taken], times[taken], counts[taken]
     return recorder.finish(times[0], counts[0], diverged)
 
 
 def each_step(step):
-    """``advance`` of ``step_loop`` that calls ``step(n, s, out, t) -> (t,
-    queries)``, which writes the state after step n into ``out``, once per
-    step, and tests each state for non-finite entries as it is taken: it
-    stops after the first non-finite state or at a NoConvergenceError."""
-    def advance(n, count, states, times, counts):
-        t, queries, width = float(times[0]), int(counts[0]), len(states[0])
-        for i in range(1, count + 1):
+    """``advance`` of ``step_loop`` that calls ``step(value, s, out, t) ->
+    queries``, which writes the state after the step of ``value`` from s at
+    time t into ``out``, once per step, and tests each state for non-finite
+    entries as it is taken: it stops after the first non-finite state or
+    at a NoConvergenceError."""
+    def advance(values, states, times, counts):
+        queries, width = int(counts[0]), len(states[0])
+        for i, (value, t) in enumerate(zip(values, times.tolist()), 1):
             try:
-                t, step_queries = step(n + i - 1, states[i - 1], states[i], t)
+                queries += step(value, states[i - 1], states[i], t)
             except NoConvergenceError:
                 return i - 1, True
-            queries += step_queries
-            times[i], counts[i] = t, queries
+            counts[i] = queries
             # count_nonzero: the test of isfinite(...).all() without the
             # reduction's overhead, about 1 us of each step at small d.
             if np.count_nonzero(np.isfinite(states[i])) < width:
                 return i, True
-        return count, False
+        return len(values), False
 
     return advance
 
@@ -620,9 +625,10 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     ogda-varstep is stepped there by S0 s + gamma_n (S1 s)
     (``_varstep_step``), at any width.  A run on a non-affine operator
     calls its stepper at every step, through ``op.unchecked()`` as does
-    ``init_aux``.  Both varying-step paths read ``kind.step_size`` once per
-    block of the loop, on an array of step indices; a gamma_n that is not
-    positive (or NaN) raises ValueError at step n.
+    ``init_aux``.  ``step_loop`` reads gamma_n once per block: the constant
+    gamma, or ogda-varstep's ``kind.step_size`` on an array of step
+    indices, where a gamma_n that is not positive (or NaN) raises
+    ValueError at step n.  The times are the running sums of gamma_n.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -631,47 +637,49 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     recorder = Recorder(op, kind.name, problem_label or op.label, steps, record_every,
                         extra_metrics)
     view = op.unchecked()
-    if op.affine and isinstance(kind, _FixedStep):
-        step = _fixed_map_step(op, method, kind)
-    elif op.affine:  # ogda-varstep
-        step = _varstep_step(op, method, kind, steps)
+    if isinstance(kind, _FixedStep):
+        gamma = kind.gamma
+        read = lambda n, t, count: (np.full(count, gamma), None)  # noqa: E731
+    else:  # ogda-varstep
+        read = _step_sizes(kind)
+    if not op.affine:
+        advance = _stepper_step(method, view, kind)
+    elif isinstance(kind, _FixedStep):
+        advance = _fixed_map_step(op, method, kind)
     else:
-        step = _stepper_step(method, view, kind, steps)
+        advance = _varstep_step(op, method, kind)
     with np.errstate(all="ignore"):
         aux = method.init_aux(view, z, kind)
-    return step_loop(recorder, step, z, aux, 0.0)
+    return step_loop(recorder, read, _accumulated, advance, z, aux, 0.0)
 
 
 def _step_sizes(kind):
-    """``read`` of ``per_step_blocks``: gamma_n of steps n .. n + count - 1."""
+    """``read`` of ``step_loop``: gamma_n of steps n .. n + count - 1."""
     return lambda n, t, count: read_positive(kind.step_size, np.arange(n, n + count),
                                              "step size gamma_n", "n")
 
 
-def _accumulated(t, gammas):
-    """The times after steps of sizes ``gammas`` from t: t + gamma_n in
-    turn, bit for bit."""
+def _accumulated(n, t, gammas):
+    """``times_after`` of ``step_loop`` for ``run``: the times after steps
+    of sizes ``gammas`` from t, t + gamma_n in turn, bit for bit."""
     return np.add.accumulate(np.append(t, gammas))[1:]
 
 
 def _fixed_map_step(op, method, kind):
     """``advance`` of ``step_loop`` by a constant-step method's one-step map."""
-    gamma = kind.gamma
     try:
-        system, queries = _stepper_map(op, method, kind, gamma)
+        system, queries = _stepper_map(op, method, kind, kind.gamma)
     except NoConvergenceError:  # every step would fail: a divergence at step 1
-        return lambda n, count, states, times, counts: (0, True)
-    return matmul_step(lambda n, t, count: [system] * count, queries,
-                       lambda n, t, count: _accumulated(t, np.full(count, gamma)))
+        return lambda values, states, times, counts: (0, True)
+    return matmul_step(lambda gammas: [system] * len(gammas), queries)
 
 
-def _varstep_step(op, method, kind, n_steps):
+def _varstep_step(op, method, kind):
     """``advance`` of ``step_loop`` for ogda-varstep on an affine field:
     s' = R_n s with R_n = S0 + gamma_n S1, taken as S0 s + gamma_n (S1 s),
     one product with the stacked (S0, S1) per step, so that no R_n is built.
     S(gamma) is read off the stepper at gamma = 1 and 2, which keeps its
-    gamma > 0 check: S1 = S(2) - S(1) and S0 = S(1) - S1.  gamma_n is read
-    a block of the loop at a time."""
+    gamma > 0 check: S1 = S(2) - S(1) and S0 = S(1) - S1."""
     s_one, queries = _stepper_map(op, method, kind, 1.0)
     s1 = _stepper_map(op, method, kind, 2.0)[0] - s_one
     width = len(s1)
@@ -683,21 +691,17 @@ def _varstep_step(op, method, kind, n_steps):
         np.multiply(slope, gamma_n, out)
         out += at_zero
 
-    gammas = per_step_blocks(_step_sizes(kind), np.ndarray.tolist, n_steps, BLOCK_ROWS)
-    return matmul_step(gammas, queries,
-                       lambda n, t, count: _accumulated(t, gammas(n, t, count)), product)
+    return matmul_step(np.ndarray.tolist, queries, product)
 
 
-def _stepper_step(method, op, kind, n_steps):
+def _stepper_step(method, op, kind):
     dim = op.dim
-    gammas = per_step_blocks(_step_sizes(kind), np.ndarray.tolist, n_steps, BLOCK_ROWS)
 
-    def step(n, s, out, t):
-        (gamma_n,) = gammas(n, t, 1)
+    def step(gamma_n, s, out, t):
         # A memoryless method's aux is the empty slice, which its step ignores.
         z, aux, queries = method.step(op, s[:dim], s[dim:-1], gamma_n, kind)
         out[:dim], out[dim:-1] = z, aux
-        return t + gamma_n, queries
+        return queries
 
     return each_step(step)
 
@@ -716,51 +720,21 @@ def read_positive(fn, args, label, name):
         f"{label} must be positive, got {values.flat[i]} at {name}={args.flat[i]}")
 
 
-def per_step_blocks(read, build, n_steps, rows):
-    """``take(n, t, count)``: the items of steps n, n + 1, ..., at least one
-    and at most ``count``, up to the end of the current block.  Past it,
-    ``read(n, t, count) -> (values, error)`` reads the next ``count`` <=
-    ``rows`` steps (never past ``n_steps``) at once, under the np.errstate
-    where this was called (the caller's, for schedules), as
-    ``read_positive`` does; ``build(values)`` makes their items, and
-    ``take`` raises ``error`` at its step."""
-    caller = np.geterr()
-    items, first, error = (), 0, None
-
-    def take(n, t, count):
-        nonlocal items, first, error
-        if n - first == len(items):
-            if error is not None:
-                raise error
-            with np.errstate(**caller):
-                values, error = read(n, t, min(rows, n_steps - n))
-            items, first = build(values) if len(values) else (), n
-            if not len(items):
-                raise error
-        return items[n - first:n - first + count]
-
-    return take
-
-
-def matmul_step(maps, queries, times_after, product=np.ndarray.dot):
+def matmul_step(maps, queries, product=np.ndarray.dot):
     """``advance`` of ``step_loop`` by s' = R s, one ``product`` per step (a
     matrix-vector product) and nothing else; the steps after a non-finite
     state are taken too, and ``step_loop`` discards them.
 
-    ``maps(n, t, count)`` gives R = [[M, m], [0, 1]] for steps n, n + 1,
-    ..., at least one and at most ``count``: a method's recurrence or a
-    scheme's map of a linear flow, repeated, or one map per step; or the
-    items r of those steps from which ``product(r, s, out)`` writes R s.
-    Once per block, ``times_after(n, t, taken)`` gives the times after
-    steps n .. n + taken - 1 from the time t before step n; each step
-    reports ``queries``.
+    ``maps(values)`` gives R = [[M, m], [0, 1]] for the steps of the
+    block's values: a method's recurrence or a scheme's map of a linear
+    flow, repeated, or one map per step; or the items r of those steps
+    from which ``product(r, s, out)`` writes R s.  Each step reports
+    ``queries``.
     """
-    def advance(n, count, states, times, counts):
-        rs = maps(n, times[0], count)
-        taken = len(rs)
-        for r, s, out in zip(rs, states, states[1:taken + 1]):
+    def advance(values, states, times, counts):
+        taken = len(values)
+        for r, s, out in zip(maps(values), states, states[1:taken + 1]):
             product(r, s, out)
-        times[1:taken + 1] = times_after(n, times[0], taken)
         counts[1:taken + 1] = counts[0] + queries * np.arange(1, taken + 1)
         return taken, False
 

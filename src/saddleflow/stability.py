@@ -23,7 +23,7 @@ The two quartic Routh arrays are pinned to their published closed forms:
                          (-2bk)(3b^2-4k)(-kb^2)/(b^2-2k)]  (all positive)
 
 with b = 2/gamma > 0 and k = -sigma^2 < 0 for each singular value sigma.
-A general Routh recursion is provided separately for cross-checks.
+The tests cross-check both columns against a general Routh recursion.
 """
 from __future__ import annotations
 
@@ -47,14 +47,6 @@ MARGINAL = "marginal"
 #: Methods with a stability analysis on the bilinear game; method m is
 #: analysed through the flow ``make_flow(f"{m}-hrde")``.
 STABILITY_METHODS = ("gda", "eg", "ogda", "la2-gda", "la3-gda")
-
-
-@dataclass
-class SystemMatrix:
-    matrix: Array
-    method: str
-    beta: float
-    alpha: Optional[float] = None
 
 
 @dataclass
@@ -83,7 +75,6 @@ class StabilityVerdict:
     abscissa_verdict: str             # sign classification of the abscissa
     agrees: bool
     routh: Optional[list] = None      # RouthResult per singular value
-    eigen_tests: Optional[list] = None  # ComplexEigenTest per mode mu = +-i*sigma
 
 
 @dataclass
@@ -114,7 +105,7 @@ def _phase_flow(method, game: BilinearGame, gamma, alpha):
     return make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha), alpha if lookahead else None
 
 
-def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> SystemMatrix:
+def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> Array:
     """Block matrix C of the method's flow on a pure bilinear game.
 
     C is the flow's ``linear_system`` without its homogeneous row and
@@ -123,9 +114,8 @@ def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> Sys
     is the method's flow row.
     Requires b = c = 0 and a full-rank A.
     """
-    flow, alpha = _phase_flow(method, game, gamma, alpha)
-    c = linear_system(flow, game)[:-1, :-1]
-    return SystemMatrix(c, method, flow.beta, alpha)
+    flow, _ = _phase_flow(method, game, gamma, alpha)
+    return linear_system(flow, game)[:-1, :-1]
 
 
 def modes(method, game: BilinearGame, gamma, alpha=None) -> Modes:
@@ -230,7 +220,7 @@ def classify_method(method, game: BilinearGame, gamma, alpha=None) -> StabilityV
     beta = m.flow.beta
     # A zero mode has the root lambda = 0: marginal under every method.
     verdicts = {MARGINAL} if m.zero_modes else set()
-    routh = eigen_tests = None
+    routh = None
     if method in ("gda", "ogda"):
         test = routh_quartic_gda if method == "gda" else routh_quartic_ogda
         routh = [test(beta, k) for k in (-(m.sigma * m.sigma)).tolist()]
@@ -250,34 +240,19 @@ def classify_method(method, game: BilinearGame, gamma, alpha=None) -> StabilityV
     abscissa_verdict = _classify(abscissa, 1e-8)
     return StabilityVerdict(
         method=method, gamma=gamma, alpha=m.alpha, spectral_abscissa=abscissa, verdict=verdict,
-        abscissa_verdict=abscissa_verdict, agrees=verdict == abscissa_verdict, routh=routh,
-        eigen_tests=eigen_tests)
+        abscissa_verdict=abscissa_verdict, agrees=verdict == abscissa_verdict, routh=routh)
 
 
-def eg_hrde_spurious_fixed_point(beta, bracket=None) -> Array:
+def eg_hrde_spurious_fixed_point(beta) -> Array:
     """Nonzero diagonal point (r, r) where the eg-flow freezes on x^4 - y^4.
 
-    Solves 2 J(r, r) V(r, r) = beta V(r, r), i.e. 24 r^2 = beta, by bisection,
-    and verifies that the full flow right-hand side vanishes at ((r, r), 0).
+    Solves 2 J(r, r) V(r, r) = beta V(r, r), i.e. 24 r^2 = beta, as
+    r = sqrt(beta / 24), and verifies that the full flow right-hand side
+    vanishes at ((r, r), 0).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    lo, hi = bracket if bracket is not None else (0.0, max(1.0, beta))
-
-    def residual(r):
-        return 24.0 * r * r - beta
-
-    if residual(lo) > 0 or residual(hi) < 0:
-        raise ValueError(f"no root in bracket ({lo}, {hi}) for beta={beta}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * max(1.0, hi):
-            break
-    r = 0.5 * (lo + hi)
+    r = np.sqrt(beta / 24.0)
     point = np.array([r, r])
 
     quartic = QuarticCounterexample()

@@ -95,7 +95,7 @@ def test_criterion_01_bilinear_stability_split():
                 # The verdict's abscissa is closed-form; the dense eigensolve
                 # of the assembled C is the independent leg.
                 dense = st.spectral_abscissa(
-                    st.assemble_system_matrix(method, game, gamma, alpha).matrix)
+                    st.assemble_system_matrix(method, game, gamma, alpha))
                 if (abscissa_class(v.spectral_abscissa) != want or v.verdict != want
                         or abscissa_class(dense) != want):
                     failures.append((method, alpha, want, v.verdict))

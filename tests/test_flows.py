@@ -514,8 +514,8 @@ class TestVariableStepMaps:
         calls = []
         real_rhs = flows.rhs
         monkeypatch.setattr(flows, "rhs", lambda *a, **k: calls.append(1) or real_rhs(*a, **k))
-        dim = (opt.STEP_MAP_MAX_WIDTH - 1) // 2
-        assert 2 * dim + 1 == opt.STEP_MAP_MAX_WIDTH  # (z, w, 1) is exactly at the bound
+        dim = (flows.STEP_MAP_MAX_WIDTH - 1) // 2
+        assert 2 * dim + 1 == flows.STEP_MAP_MAX_WIDTH  # (z, w, 1) is exactly at the bound
         cfg = flows.IntegratorConfig("rk4", 0.1, 0.3)
         kind = flows.VariableStepFlow(lambda t: 2.0)
         for d in (dim, dim + 1):

@@ -219,11 +219,14 @@ class TestRunLoop:
             assert len(reads) == 1 and reads[0].tolist() == [0, 1, 2, 3, 4]
 
     def test_schedule_read_once_per_block(self):
-        reads = []
-        kind = opt.OGDAVariableStep(schedule=lambda n: reads.append(n.copy()) or 0.01 + 0 * n)
-        traj = opt.run(SI, kind, [1.0, 0.0], 600)
-        assert [(r[0], len(r)) for r in reads] == [(0, 256), (256, 256), (512, 88)]
-        assert traj.times[-1] == pytest.approx(6.0)
+        # On the affine map path and the non-affine stepper path alike.
+        for op in (SI, NonAffineTwin(np.eye(2), np.zeros(2))):
+            reads = []
+            kind = opt.OGDAVariableStep(schedule=lambda n, reads=reads: (
+                reads.append(n.copy()) or 0.01 + 0 * n))
+            traj = opt.run(op, kind, [1.0, 0.0], 600)
+            assert [(r[0], len(r)) for r in reads] == [(0, 256), (256, 256), (512, 88)]
+            assert traj.times[-1] == pytest.approx(6.0)
         # The default power law, read as an array, is the scalar formula.
         kind = opt.OGDAVariableStep(gamma0=0.1, power=0.6)
         np.testing.assert_allclose(kind.step_size(np.arange(50)),

@@ -47,7 +47,7 @@ def classify_grid(method, game, gamma_grid, alpha=None):
 
 class TestSystemMatrices:
     def test_gda_matrix(self):
-        c = st.assemble_system_matrix("gda", BG, 1.0).matrix
+        c = st.assemble_system_matrix("gda", BG, 1.0)
         expected = np.array([
             [0.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 0.0, 1.0],
@@ -57,7 +57,7 @@ class TestSystemMatrices:
         np.testing.assert_array_equal(c, expected)
 
     def test_ogda_matrix(self):
-        c = st.assemble_system_matrix("ogda", BG, 1.0).matrix
+        c = st.assemble_system_matrix("ogda", BG, 1.0)
         expected = np.array([
             [0.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 0.0, 1.0],
@@ -70,16 +70,16 @@ class TestSystemMatrices:
         game = random_bilinear(2, 2, 3, 0.1)
         a = game.A
         beta = 2.0 / 0.5
-        c = st.assemble_system_matrix("eg", game, 0.5).matrix
+        c = st.assemble_system_matrix("eg", game, 0.5)
         np.testing.assert_allclose(c[5:7, 0:2], -2.0 * a @ a.T)
         np.testing.assert_allclose(c[5:7, 2:5], -beta * a)
         np.testing.assert_allclose(c[7:10, 0:2], beta * a.T)
         np.testing.assert_allclose(c[7:10, 2:5], -2.0 * a.T @ a)
         alpha = 0.3
-        c2 = st.assemble_system_matrix("la2-gda", game, 0.5, alpha).matrix
+        c2 = st.assemble_system_matrix("la2-gda", game, 0.5, alpha)
         np.testing.assert_allclose(c2[5:7, 0:2], -2.0 * alpha * a @ a.T)
         np.testing.assert_allclose(c2[5:7, 2:5], -(4.0 * alpha / 0.5) * a)
-        c3 = st.assemble_system_matrix("la3-gda", game, 0.5, alpha).matrix
+        c3 = st.assemble_system_matrix("la3-gda", game, 0.5, alpha)
         np.testing.assert_allclose(c3[5:7, 0:2], -6.0 * alpha * a @ a.T)
         np.testing.assert_allclose(c3[5:7, 2:5], -(6.0 * alpha / 0.5) * a)
 
@@ -96,7 +96,7 @@ class TestSystemMatrices:
         }
         for method, kind in kinds.items():
             alpha = 0.3 if method.startswith("la") else None
-            c = st.assemble_system_matrix(method, game, 0.5, alpha).matrix
+            c = st.assemble_system_matrix(method, game, 0.5, alpha)
             for _ in range(10):
                 z, om = rng.standard_normal(game.dim), rng.standard_normal(game.dim)
                 dz, dom = flows.rhs(kind, game, z, om)
@@ -134,7 +134,7 @@ class TestModes:
         # sigma = beta/2) and to about eps * |C|_2 elsewhere.
         game = random_bilinear(seed, d1, d2, 0.1)
         alpha = alpha if method.startswith("la") else None
-        c = st.assemble_system_matrix(method, game, gamma, alpha).matrix
+        c = st.assemble_system_matrix(method, game, gamma, alpha)
         dense = list(np.linalg.eigvals(c))
         closed = mode_eigenvalues(st.modes(method, game, gamma, alpha))
         assert closed.size == len(dense) == 2 * game.dim
@@ -192,7 +192,7 @@ class TestNonSquare:
     @pytest.mark.parametrize("method, alpha, want", EXPECTED)
     def test_dense_abscissa_class(self, method, alpha, want):
         for gamma in self.GRID:
-            c = st.assemble_system_matrix(method, NON_SQUARE, gamma, alpha).matrix
+            c = st.assemble_system_matrix(method, NON_SQUARE, gamma, alpha)
             assert st._classify(st.spectral_abscissa(c), 1e-8) == want
 
     def test_wide_and_tall_games(self):
@@ -210,8 +210,8 @@ class TestSpectralAbscissa:
         assert st.spectral_abscissa(np.diag([-1.0, -2.0])) == pytest.approx(-1.0)
 
     def test_gda_positive_ogda_negative(self):
-        assert st.spectral_abscissa(st.assemble_system_matrix("gda", BG, 1.0).matrix) > 0
-        assert st.spectral_abscissa(st.assemble_system_matrix("ogda", BG, 1.0).matrix) < 0
+        assert st.spectral_abscissa(st.assemble_system_matrix("gda", BG, 1.0)) > 0
+        assert st.spectral_abscissa(st.assemble_system_matrix("ogda", BG, 1.0)) < 0
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -315,13 +315,13 @@ class TestComplexQuadratic:
 
 class TestCharPoly:
     def test_gda_closed_form(self):
-        c = st.assemble_system_matrix("gda", BG, 1.0).matrix
+        c = st.assemble_system_matrix("gda", BG, 1.0)
         beta, kappa = 2.0, -1.0
         expected = [1.0, 2 * beta, beta ** 2, 0.0, -kappa * beta ** 2]
         np.testing.assert_allclose(char_poly_coeffs(c), expected, atol=1e-10)
 
     def test_ogda_closed_form(self):
-        c = st.assemble_system_matrix("ogda", BG, 1.0).matrix
+        c = st.assemble_system_matrix("ogda", BG, 1.0)
         beta, kappa = 2.0, -1.0
         expected = [1.0, 2 * beta, beta ** 2 - 4 * kappa, -4 * beta * kappa,
                     -kappa * beta ** 2]
@@ -331,7 +331,7 @@ class TestCharPoly:
         # det(C_EG - l I) = prod over D-eigenvalues mu of (l^2 + beta l - mu).
         a = 1.7
         game = BilinearGame([[a]])
-        c = st.assemble_system_matrix("eg", game, 1.0).matrix
+        c = st.assemble_system_matrix("eg", game, 1.0)
         beta = 2.0
         mus = np.linalg.eigvals(c[game.dim:, :game.dim])
         product = np.array([1.0 + 0.0j])
