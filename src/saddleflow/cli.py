@@ -338,17 +338,37 @@ def execute_run(cfg: SimpleNamespace):
 # Emitters
 # ---------------------------------------------------------------------------
 
+#: Rows per %-format call of the CSV emitters: bounds the argument tuple and
+#: the text of one call.
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_rows(row, columns) -> str:
+    """``row % (columns[0][i], columns[1][i], ...)`` for every i, joined: one
+    %-format of ``row`` repeated over each block of ``CSV_BLOCK_ROWS`` rows.
+    ``columns`` are equal-length lists of Python numbers (``tolist()``) or
+    labels, which "%d", "%.17g" and "%s" render as ``str`` and
+    ``format(x, ".17g")`` do."""
+    width, n = len(columns), len(columns[0])
+    blocks = []
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        count = min(CSV_BLOCK_ROWS, n - start)
+        cells = [None] * (count * width)
+        for j, col in enumerate(columns):
+            cells[j::width] = col[start:start + count]
+        blocks.append((row * count) % tuple(cells))
+    return "".join(blocks)
+
+
 def trajectory_csv(traj) -> str:
     """Fixed-schema CSV: step,time,queries,z_norm,dist_to_solution,v_norm
     plus one lyap_<kind> column per attached monitor."""
     lyap_cols = [name for name in traj.metrics if name.startswith("lyap_")]
-    header = ",".join(CSV_BASE_COLUMNS + tuple(lyap_cols))
-    # Formatted column by column from Python numbers (tolist): the same text
-    # as formatting each numpy scalar, in fewer calls.
-    floats = [traj.times, *(traj.metric(c) for c in (*CSV_BASE_COLUMNS[3:], *lyap_cols))]
-    times, *metrics = [[format(x, ".17g") for x in col.tolist()] for col in floats]
-    rows = zip(map(str, traj.steps.tolist()), times, map(str, traj.queries.tolist()), *metrics)
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
+    floats = [traj.metric(c) for c in (*CSV_BASE_COLUMNS[3:], *lyap_cols)]
+    columns = [traj.steps, traj.times, traj.queries, *floats]
+    row = "%d,%.17g,%d" + ",%.17g" * len(floats) + "\n"
+    return (",".join(CSV_BASE_COLUMNS + tuple(lyap_cols)) + "\n"
+            + _csv_rows(row, [col.tolist() for col in columns]))
 
 
 def _finite_or_none(x):
@@ -409,7 +429,7 @@ def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
     z0 = np.array([1.0, 0.0])
 
     series = []
-    rows = []
+    csv = ["method,step,queries,dist_to_solution\n"]
     for label in stability.STABILITY_METHODS:
         if label.startswith("la"):
             kind = optimizers.LookaheadGDA(gamma, k=int(label[2]), alpha=alpha)
@@ -418,12 +438,11 @@ def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
         traj = optimizers.run(game, kind, z0, steps, problem_label="bilinear-figure")
         dist = traj.metric("dist_to_solution")
         series.append((label, traj.queries, dist))
-        rows += [f"{label},{s},{q},{d:.17g}" for s, q, d in
-                 zip(traj.steps.tolist(), traj.queries.tolist(), dist.tolist())]
+        csv.append(_csv_rows("%s,%d,%d,%.17g\n", [[label] * len(traj), traj.steps.tolist(),
+                                                   traj.queries.tolist(), dist.tolist()]))
 
-    csv_lines = ["method,step,queries,dist_to_solution", *rows]
     if out_csv is not None:
-        _write(out_csv, "\n".join(csv_lines) + "\n")
+        _write(out_csv, "".join(csv))
     svg = line_plot(
         series,
         title=f"bilinear game: distance to optimum (gamma={gamma:g}, alpha={alpha:g})",

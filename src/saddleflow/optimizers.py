@@ -197,10 +197,13 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
     by substituting omega' into the z-equation, which gives
     g(z') = z' + (3 gamma / 4) V(z') - c = 0 with c = z + (gamma/2) omega
     + (gamma/4) V(z).  Newton's method solves it from z' = z until
-    max |g(z')| <= fp_tol, at most ``fp_max_iter`` iterations; omega' is
-    built from the V(z') of that stopping test.  A residual that is not
-    finite ends the solve at once with the current z' and its omega', which
-    a non-finite field makes non-finite: a state for the run loop to record.
+    max |g(z')| <= fp_tol * max(1, max |c|), at most ``fp_max_iter``
+    iterations; omega' is built from the V(z') of that stopping test.  The
+    tolerance is relative to c once max |c| > 1, because the rounding floor
+    of g grows with c: an absolute one fails far from the origin.  A
+    residual that is not finite ends the solve at once with the current z'
+    and its omega', which a non-finite field makes non-finite: a state for
+    the run loop to record.
     On an operator that declares itself ``affine`` one iteration solves g
     exactly, and the step takes exactly one, whatever ``fp_tol`` says: an
     absolute tolerance can stop the solve at z' = z, or fail it on a
@@ -217,12 +220,13 @@ def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=
     z_next, v_next, queries = z, v_z, 1
     residual = z_next + scale * v_next - c
     affine = getattr(op, "affine", False)
+    tol = fp_tol * max(1.0, np.max(np.abs(c)))
     while (queries == 1) if affine else (
-            not (error := np.max(np.abs(residual))) <= fp_tol and np.isfinite(error)):
+            not (error := np.max(np.abs(residual))) <= tol and np.isfinite(error)):
         if not affine and queries > fp_max_iter:
             raise NoConvergenceError(
-                f"implicit step residual {error:.3e} > fp_tol "
-                f"{fp_tol:.1e} after {fp_max_iter} Newton iterations"
+                f"implicit step residual {error:.3e} > tolerance "
+                f"{tol:.1e} after {fp_max_iter} Newton iterations"
             )
         jac = np.eye(op.dim) + scale * op.jacobian(z_next)
         try:

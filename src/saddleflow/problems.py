@@ -305,9 +305,10 @@ def random_bilinear(seed, d1, d2, sigma_min=0.1, max_redraws=100) -> BilinearGam
         raise ValueError("sigma_min must be finite")
     rng = np.random.default_rng(seed)
     for _ in range(max_redraws):
-        A = rng.standard_normal((d1, d2))
-        if np.linalg.svd(A, compute_uv=False).min() >= sigma_min:
-            return BilinearGame(A, rank_threshold=sigma_min)
+        # One game per draw: its singular values decide the redraw.
+        game = BilinearGame(rng.standard_normal((d1, d2)), rank_threshold=sigma_min)
+        if game.full_rank:
+            return game
     raise RuntimeError(
         f"no full-rank draw with sigma_min >= {sigma_min} within {max_redraws} redraws"
     )

@@ -1,5 +1,11 @@
 """Quantitative rate verification: best-iterate bounds, rate fits, and the
-windowed pseudotrajectory diagnostic."""
+windowed pseudotrajectory diagnostic.
+
+The public checks and fits evaluate under np.errstate(all="ignore"), as
+``Recorder.finish`` does: the tiny norms of a converging run square to an
+underflow, and an overflow is an inf in the result, never a
+``FloatingPointError`` or a warning, under any errstate of the caller.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -26,6 +32,7 @@ def explicit_bound(gamma, lipschitz, z0_norm, n) -> float:
     return (8.0 + 36.0 * gamma ** 2 * lipschitz ** 2) * z0_norm ** 2 / (2.0 * gamma ** 2 * n)
 
 
+@np.errstate(all="ignore")
 def best_iterate_bound_check(v_norms, gamma, lipschitz, z0_norm):
     """Margins bound_n - min_{i <= n} |V(z_i)|^2 for every recorded n >= 1.
 
@@ -64,6 +71,7 @@ def _tail_window(n, tail_fraction):
     return min(start, n - 2), n
 
 
+@np.errstate(all="ignore")
 def fit_power_law(times, values, tail_fraction=0.5) -> RateFit:
     """Slope of log(value) vs log(time) over the last tail_fraction of samples."""
     times = np.asarray(times, dtype=float)
@@ -87,6 +95,7 @@ def fit_power_law(times, values, tail_fraction=0.5) -> RateFit:
     )
 
 
+@np.errstate(all="ignore")
 def fit_geometric(times, values, tail_fraction=0.5, mu=None, beta=None) -> RateFit:
     """Slope of log(value) vs time; rho_hat = -slope.
 
@@ -123,6 +132,7 @@ def effective_times(step_sizes) -> Array:
     return np.concatenate([[0.0], np.cumsum(step_sizes)])
 
 
+@np.errstate(all="ignore")
 def apt_window_check(taus, states, op: Operator, gamma_of_t, T=1.0, windows=8,
                      dt=None, t_start=None) -> Array:
     """Windowed sup-distance between the interpolated iterates and the flow.

@@ -128,6 +128,20 @@ class TestSteppers:
         traj = opt.run(op, opt.ImplicitOGDA(0.1, fp_max_iter=1), z0, 5)
         assert traj.diverged and traj.queries[-1] == 0
 
+    def test_implicit_far_from_the_origin(self):
+        # From (1e3, 0.5) c is about 5e7, and the rounding floor of the
+        # Newton residual lay above the absolute fp_tol: the run recorded a
+        # divergence at step 1 with 0 queries and NaN states.  The solve now
+        # stops at max |g| <= fp_tol * max(1, max |c|).
+        op, z0, gamma = QuarticCounterexample(), np.array([1e3, 0.5]), 0.05
+        traj = opt.run(op, opt.ImplicitOGDA(gamma), z0, 20)
+        assert not traj.diverged and np.isfinite(traj.states).all()
+        assert np.all(np.diff(traj.queries) >= 2)
+        omega = -op.field(z0)
+        z, _, _ = opt.step_ogda_implicit(op, z0, omega, gamma)
+        c = z0 + 0.5 * gamma * omega + 0.25 * gamma * op.field(z0)
+        assert np.max(np.abs(z + 0.75 * gamma * op.field(z) - c)) <= 1e-12 * np.max(np.abs(c))
+
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             opt.step_gda(BG, np.zeros(2), 0.0)

@@ -300,6 +300,24 @@ class TestRandomBilinear:
         b = random_bilinear(9, 2, 2, 0.1).A
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("seed, d, sigma_min", [(0, 4, 0.1), (1, 4, 0.5), (2, 3, 0.6),
+                                                    (5, 4, 0.4), (7, 2, 0.8)])
+    def test_one_svd_per_draw(self, seed, d, sigma_min, monkeypatch):
+        # The redraw loop as it was: one svd to test a draw, then the game.
+        rng, draws = np.random.default_rng(seed), 0
+        while True:
+            A, draws = rng.standard_normal((d, d)), draws + 1
+            if np.linalg.svd(A, compute_uv=False).min() >= sigma_min:
+                want = BilinearGame(A, rank_threshold=sigma_min)
+                break
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        game = random_bilinear(seed, d, d, sigma_min)
+        assert len(calls) == draws
+        assert game.A.tobytes() == want.A.tobytes()
+        assert game.singular_values.tobytes() == want.singular_values.tobytes()
+        assert game.full_rank and game.sigma_min == want.sigma_min
+
     def test_redraw_budget_exhausted(self):
         with pytest.raises(RuntimeError, match="redraws"):
             random_bilinear(0, 4, 4, sigma_min=100.0, max_redraws=3)

@@ -56,6 +56,38 @@ class TestExplicitBound:
             rates.best_iterate_bound_check(np.ones(10), 0.5, 1.0, 1.0)
 
 
+class TestFloatingPointPolicy:
+    """The checks and fits return under np.errstate(all="raise") the same
+    numbers as under numpy's default errstate."""
+
+    def test_bound_check_on_an_underflowing_run(self):
+        # Criterion 7's run: the last field norms square to an underflow,
+        # which raised FloatingPointError from v_norms ** 2.
+        traj = opt.run(SI, opt.OGDA(1 / 16), np.array([1.0, 0.0]), 10_000)
+        v_norms = traj.metric("v_norm")
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            v_norms ** 2
+        want = rates.best_iterate_bound_check(v_norms, 1 / 16, 1.0, 1.0)
+        with np.errstate(all="raise"):
+            got = rates.best_iterate_bound_check(v_norms, 1 / 16, 1.0, 1.0)
+        assert got.tobytes() == want.tobytes()
+
+    def test_fits_and_windows(self):
+        kind = opt.OGDAVariableStep(gamma0=0.1, power=0.6)
+        traj = opt.run(SI, kind, np.array([1.0, 0.0]), 2000)
+        gammas = kind.step_size(np.arange(2000))
+        taus = rates.effective_times(gammas)
+        gamma_of_t = lambda t: np.interp(t, taus[:-1], gammas)  # noqa: E731
+        t, v = traj.times[1:], traj.metric("v_norm")[1:]
+        calls = (lambda: rates.fit_power_law(t, v), lambda: rates.fit_geometric(t, v, 0.5, 1.0, 2.0),
+                 lambda: rates.apt_window_check(traj.times, traj.states, SI, gamma_of_t,
+                                                T=0.5, windows=3).tobytes())
+        for call in calls:
+            want = call()
+            with np.errstate(all="raise"):
+                assert call() == want
+
+
 class TestFits:
     def test_power_law_exact(self):
         t = np.linspace(1.0, 100.0, 400)
