@@ -472,7 +472,7 @@ def cmd_stability(cfg: SimpleNamespace, out_dir: Path):
                     "agrees": v.agrees,
                 }
                 if v.routh is not None:
-                    entry["routh_first_columns"] = [r.first_column.tolist() for r in v.routh]
+                    entry["routh_first_columns"] = v.routh.tolist()
                 entries.append(entry)
     payload = {"problem": op.label, "entries": entries}
     _write(out_dir / cfg.json_path, _dump_json(payload))

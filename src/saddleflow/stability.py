@@ -6,12 +6,14 @@ J = [[0, A], [-A^T, 0]], with eigenvalues mu = +-i*sigma per singular value
 sigma of A and |d1 - d2| zero modes mu = 0.  So each eigenvalue of C is a
 root of lambda^2 + (beta - a_jw mu) lambda - (a_v mu + a_jv mu^2) = 0 for
 the method's flow row.  ``modes`` solves these in closed form, and
-``classify_method`` checks the sign of their spectral abscissa against the
-Routh-style sign tests and the complex-coefficient quadratic condition.  A
-zero mode has the roots 0 and -beta, so on a non-square game EG, OGDA and
-LA-k at or below its threshold are marginal.  The dense C
-(``assemble_system_matrix``) and its eigensolver (``spectral_abscissa``)
-are a cross-check for the tests.
+``classify_method`` turns each mode into one signed value with a tolerance:
+minus the least entry of its Routh first column (gda, ogda), its
+complex-quadratic margin (eg, LA-k), or 0 for a zero mode, whose roots are
+0 and -beta.  One rule, ``_classify``, reduces the values and, as a
+cross-check, the spectral abscissa: unstable if any is above its tolerance,
+else marginal if any is within it, else stable.  So on a non-square game
+EG, OGDA and LA-k at or below its threshold are marginal.  The dense C
+(``assemble_system_matrix``) and ``spectral_abscissa`` are the tests' cross-check.
 
 The two quartic Routh arrays are pinned to their published closed forms:
 
@@ -50,22 +52,6 @@ STABILITY_METHODS = ("gda", "eg", "ogda", "la2-gda", "la3-gda")
 
 
 @dataclass
-class RouthResult:
-    first_column: Array
-    sign_changes: int
-    verdict: str
-
-
-@dataclass
-class ComplexEigenTest:
-    mu_real: float
-    mu_imag: float
-    beta: float
-    stable: bool     # the literal strict test mu_real < -mu_imag^2 / beta^2
-    margin: float    # mu_real + mu_imag^2 / beta^2 (negative = stable side)
-
-
-@dataclass
 class StabilityVerdict:
     method: str
     gamma: float
@@ -74,7 +60,7 @@ class StabilityVerdict:
     verdict: str                      # from the Routh / complex-quadratic test
     abscissa_verdict: str             # sign classification of the abscissa
     agrees: bool
-    routh: Optional[list] = None      # RouthResult per singular value
+    routh: Optional[Array] = None     # (n_sigma, 5) Routh first columns
 
 
 @dataclass
@@ -93,8 +79,8 @@ def _phase_flow(method, game: BilinearGame, gamma, alpha):
     # The checks shared by every analysis; alpha is kept for lookahead only.
     if method not in STABILITY_METHODS:
         raise ValueError(f"unknown method {method!r}; known: {', '.join(STABILITY_METHODS)}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (gamma > 0 and 0.0 < (2.0 / gamma) * (2.0 / gamma) < np.inf):
+        raise ValueError(f"gamma must be positive, with (2/gamma)^2 finite and > 0: {gamma!r}")
     if game.b.any() or game.c.any():
         raise ValueError("stability analysis requires b = c = 0")
     if not game.full_rank:
@@ -105,6 +91,12 @@ def _phase_flow(method, game: BilinearGame, gamma, alpha):
     return make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha), alpha if lookahead else None
 
 
+def _finite(values, gamma, game: BilinearGame):
+    if not np.isfinite(values).all():
+        raise ValueError(f"overflow at gamma = {gamma!r}, sigma_max = {game.sigma_max!r}")
+    return values
+
+
 def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> Array:
     """Block matrix C of the method's flow on a pure bilinear game.
 
@@ -112,24 +104,26 @@ def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> Arr
     column: [[0, I], [a_v*Jg + a_jv*Jg^2, -beta*I + a_jw*Jg]] where Jg is
     the constant game Jacobian [[0, A], [-A^T, 0]] and the coefficient row
     is the method's flow row.
-    Requires b = c = 0 and a full-rank A.
+    Requires b = c = 0 and a full-rank A, and rejects a C that overflows.
     """
     flow, _ = _phase_flow(method, game, gamma, alpha)
-    return linear_system(flow, game)[:-1, :-1]
+    return _finite(linear_system(flow, game)[:-1, :-1], gamma, game)
 
 
 def modes(method, game: BilinearGame, gamma, alpha=None) -> Modes:
     """Closed-form eigenvalues of C.  Solves lambda^2 + p lambda + q = 0 at
     mu = i*sigma for every singular value at once, without cancellation: the
     larger root -(p + s*sqrt(p^2 - 4q))/2 (s = +-1 maximizing its modulus),
-    then the other as q over it."""
+    then the other as q over it.  Rejects roots that overflow."""
     flow, alpha = _phase_flow(method, game, gamma, alpha)
     mu = 1j * game.singular_values
-    p = flow.beta - flow.a_jw * mu
-    q = -(flow.a_v * mu + flow.a_jv * mu * mu)
-    disc = np.sqrt(p * p - 4.0 * q)
-    big = -0.5 * (p + np.where((p.conj() * disc).real >= 0.0, disc, -disc))
-    roots, zero_modes = np.array([big, q / big]).T, abs(game.d1 - game.d2)
+    with np.errstate(all="ignore"):
+        p = flow.beta - flow.a_jw * mu
+        q = -(flow.a_v * mu + flow.a_jv * mu * mu)
+        disc = np.sqrt(p * p - 4.0 * q)
+        big = -0.5 * (p + np.where((p.conj() * disc).real >= 0.0, disc, -disc))
+        roots = _finite(np.array([big, q / big]).T, gamma, game)
+    zero_modes = abs(game.d1 - game.d2)
     abscissa = float(max(roots.real.max(), 0.0 if zero_modes else -np.inf))
     return Modes(game.singular_values, roots, zero_modes, flow, alpha, abscissa)
 
@@ -144,53 +138,25 @@ def spectral_abscissa(matrix) -> float:
     return float(np.linalg.eigvals(matrix).real.max())
 
 
-def _classify(value, eps=MARGINAL_EPS):
-    if abs(value) <= eps:
-        return MARGINAL
-    return UNSTABLE if value > 0 else STABLE
+def _classify(values, tols):
+    """UNSTABLE > MARGINAL > STABLE: the order of a max over the modes' abscissae."""
+    if any(v > t for v, t in zip(values, tols)):
+        return UNSTABLE
+    return MARGINAL if any(abs(v) <= t for v, t in zip(values, tols)) else STABLE
 
 
-def _sign_changes(column, eps=MARGINAL_EPS):
-    signs = [1 if e > 0 else -1 for e in column if abs(e) > eps]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _routh_verdict(column) -> RouthResult:
-    column = np.asarray(column, dtype=float)
-    changes = _sign_changes(column)
-    if np.any(np.abs(column) <= MARGINAL_EPS):
-        verdict = MARGINAL
-    else:
-        verdict = UNSTABLE if changes > 0 else STABLE
-    return RouthResult(column, changes, verdict)
-
-
-def routh_quartic_gda(beta, kappa) -> RouthResult:
+def routh_quartic_gda(beta, kappa) -> list:
     """Routh first column of the gda-flow quartic; always 2 sign changes."""
     _check_beta_kappa(beta, kappa)
-    column = np.array([
-        1.0,
-        2.0 * beta,
-        beta ** 2,
-        2.0 * kappa * beta,
-        -kappa * beta ** 2,
-    ])
-    return _routh_verdict(column)
+    return [1.0, 2.0 * beta, beta ** 2, 2.0 * kappa * beta, -kappa * beta ** 2]
 
 
-def routh_quartic_ogda(beta, kappa) -> RouthResult:
+def routh_quartic_ogda(beta, kappa) -> list:
     """Routh first column of the ogda-flow quartic; all entries positive."""
     _check_beta_kappa(beta, kappa)
     pivot = beta ** 2 - 2.0 * kappa
     fourth = (-2.0 * beta * kappa) * (3.0 * beta ** 2 - 4.0 * kappa) / pivot
-    column = np.array([
-        1.0,
-        2.0 * beta,
-        pivot,
-        fourth,
-        fourth * (-kappa * beta ** 2),
-    ])
-    return _routh_verdict(column)
+    return [1.0, 2.0 * beta, pivot, fourth, fourth * (-kappa * beta ** 2)]
 
 
 def _check_beta_kappa(beta, kappa):
@@ -200,44 +166,38 @@ def _check_beta_kappa(beta, kappa):
         raise ValueError("kappa must be negative (eigenvalue of -A A^T, full-rank A)")
 
 
-def complex_quadratic_stable(beta, mu) -> ComplexEigenTest:
-    """Stability of lambda*(beta + lambda) - mu = 0 for complex mu.
-
-    Stable iff Re(mu) < -Im(mu)^2 / beta^2 (generalized Hurwitz test for the
-    degree-2 complex polynomial).
-    """
+def complex_quadratic_margin(beta, mu) -> float:
+    """Re(mu) + Im(mu)^2 / beta^2: lambda*(beta + lambda) - mu = 0 is stable iff this
+    margin is negative (generalized Hurwitz test for a complex quadratic)."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    mu = complex(mu)
-    margin = mu.real + (mu.imag ** 2) / beta ** 2
-    return ComplexEigenTest(mu.real, mu.imag, beta, margin < 0.0, float(margin))
+    return mu.real + (mu.imag / beta) ** 2
 
 
 def classify_method(method, game: BilinearGame, gamma, alpha=None) -> StabilityVerdict:
     """Routh / complex-quadratic verdict, cross-checked against the sign of
     the spectral abscissa of the closed-form ``modes``."""
     m = modes(method, game, gamma, alpha)
-    beta = m.flow.beta
-    # A zero mode has the root lambda = 0: marginal under every method.
-    verdicts = {MARGINAL} if m.zero_modes else set()
-    routh = None
+    beta, sigma = m.flow.beta, m.sigma.tolist()
+    # Each zero mode has the root lambda = 0: marginal under every method.
+    routh, values, tols = None, [0.0] * m.zero_modes, [MARGINAL_EPS] * m.zero_modes
     if method in ("gda", "ogda"):
-        test = routh_quartic_gda if method == "gda" else routh_quartic_ogda
-        routh = [test(beta, k) for k in (-(m.sigma * m.sigma)).tolist()]
-        verdicts.update(r.verdict for r in routh)
+        column = routh_quartic_gda if method == "gda" else routh_quartic_ogda
+        routh = [column(beta, -s * s) for s in sigma]
+        # Entry 0 is 1: the least entry is negative iff the column changes sign.
+        values += [0.0 if min(map(abs, c)) <= MARGINAL_EPS else -min(c) for c in routh]
+        tols += [MARGINAL_EPS] * len(routh)
+        routh = np.array(routh)
     else:
-        # a_v mu + a_jv mu^2 at mu = i*sigma, then at mu = -i*sigma.
+        # The quadratic's a_v mu + a_jv mu^2 at mu = i*sigma (-i*sigma gives
+        # the same margin); the margin scales like |mu|, so its eps is relative.
         a_v, a_jv = m.flow.a_v, m.flow.a_jv
-        eigen_tests = [complex_quadratic_stable(beta, complex(-a_jv * s * s, a_v * s))
-                       for s in (*m.sigma.tolist(), *(-m.sigma).tolist())]
-        # Margin scale ~ |mu|, so use a relative epsilon for marginality.
-        for t in eigen_tests:
-            scale = max(1.0, abs(t.mu_real), t.mu_imag ** 2 / t.beta ** 2)
-            verdicts.add(_classify(t.margin, MARGINAL_EPS * scale))
-    # UNSTABLE > MARGINAL > STABLE: the order of a max over the modes' abscissae.
-    verdict = UNSTABLE if UNSTABLE in verdicts else MARGINAL if MARGINAL in verdicts else STABLE
+        for s in sigma:
+            mu = complex(-a_jv * s * s, a_v * s)
+            values.append(complex_quadratic_margin(beta, mu))
+            tols.append(MARGINAL_EPS * max(1.0, abs(mu.real), (mu.imag / beta) ** 2))
     abscissa = m.spectral_abscissa
-    abscissa_verdict = _classify(abscissa, 1e-8)
+    verdict, abscissa_verdict = _classify(values, tols), _classify((abscissa,), (1e-8,))
     return StabilityVerdict(
         method=method, gamma=gamma, alpha=m.alpha, spectral_abscissa=abscissa, verdict=verdict,
         abscissa_verdict=abscissa_verdict, agrees=verdict == abscissa_verdict, routh=routh)

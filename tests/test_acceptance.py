@@ -121,12 +121,13 @@ def test_criterion_01_bilinear_stability_split():
 def test_criterion_02_routh_fixtures():
     gda = st.routh_quartic_gda(2.0, -1.0)
     ogda = st.routh_quartic_ogda(2.0, -1.0)
-    err_gda = np.max(np.abs(gda.first_column - np.array([1.0, 4.0, 4.0, -4.0, 4.0])))
+    err_gda = np.max(np.abs(np.array(gda) - np.array([1.0, 4.0, 4.0, -4.0, 4.0])))
     err_ogda = np.max(np.abs(
-        ogda.first_column - np.array([1.0, 4.0, 6.0, 32.0 / 3.0, 128.0 / 3.0])
+        np.array(ogda) - np.array([1.0, 4.0, 6.0, 32.0 / 3.0, 128.0 / 3.0])
     ))
-    ok = (err_gda <= 1e-12 and gda.sign_changes == 2
-          and err_ogda <= 1e-12 and np.all(ogda.first_column > 0))
+    gda_changes = np.count_nonzero(np.diff(np.sign(gda)))
+    ok = (err_gda <= 1e-12 and gda_changes == 2
+          and err_ogda <= 1e-12 and np.all(np.array(ogda) > 0))
     report(2, ok, f"routh fixtures exact (errors {err_gda:.1e}, {err_ogda:.1e})")
     assert ok
 

@@ -5,7 +5,8 @@ compares the exit code and the SHA-256 of every written file (and of the
 catalog text) with ``tests/golden_cli.json``.  The runs cover the README CLI
 commands, every discrete method and every flow (under rk4 and euler) on
 three problems with ``record_every`` > 1, every method and flow with its
-admissible Lyapunov kinds, and the designed GDA guard trip under ``--strict``.
+admissible Lyapunov kinds, the designed GDA guard trip under ``--strict``,
+and two bilinear stability reports.
 
 Float output depends on the numpy build, so the digests are tied to the
 numpy version that recorded them.  After an intended output change, record
@@ -128,8 +129,23 @@ def _guard_runs():
     ])]}
 
 
+# Bilinear stability reports over both lookahead thresholds alpha*_k and
+# six decades of step size: a non-square game (one zero mode: EG, OGDA and
+# LA-k at or below alpha*_k marginal) and a square one (stable below).
+_STABILITY_GAMES = (("2x3-seed3", {"d1": 2, "d2": 3}, 3), ("4x4-seed11", {"d1": 4, "d2": 4}, 11))
+
+
+def _stability_runs():
+    return {f"stability/{name}": ["stability", "--seed", str(seed), *_sets([
+        ("problem.id", "bilinear-random"), ("problem.params", params),
+        ("stability.alphas", [0.25, 0.5, 2.0 / 3.0, 0.75]),
+        ("stability.gammas", [0.001, 0.01, 0.1, 1, 10, 100]),
+    ])] for name, params, seed in _STABILITY_GAMES}
+
+
 def all_runs():
-    return {**_readme_runs(), **_method_runs(), **_lyapunov_runs(), **_guard_runs()}
+    return {**_readme_runs(), **_method_runs(), **_lyapunov_runs(), **_guard_runs(),
+            **_stability_runs()}
 
 
 def _sha(data: bytes) -> str:

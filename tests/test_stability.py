@@ -119,6 +119,11 @@ MISUSE = [
     (("gda", BilinearGame([[1.0]], b=[0.5]), 1.0, None), "b = c = 0"),
     (("gda", BilinearGame([[1e-4]]), 1.0, None), "full-rank"),
     (("la2-gda", BG, 1.0, None), "requires alpha"),
+    # (2/gamma)^2 overflows, or underflows to 0.
+    (("gda", BG, 1e-160, None), r"gamma must be positive, with \(2/gamma\)\^2 finite"),
+    (("eg", BG, 1e300, None), r"gamma must be positive, with \(2/gamma\)\^2 finite"),
+    # a_jv sigma^2 overflows in the modes and in C.
+    (("eg", BilinearGame([[1e200]]), 0.1, None), r"overflow at gamma = 0.1, sigma_max = 1e\+200"),
 ]
 
 
@@ -193,7 +198,7 @@ class TestNonSquare:
     def test_dense_abscissa_class(self, method, alpha, want):
         for gamma in self.GRID:
             c = st.assemble_system_matrix(method, NON_SQUARE, gamma, alpha)
-            assert st._classify(st.spectral_abscissa(c), 1e-8) == want
+            assert st._classify([st.spectral_abscissa(c)], [1e-8]) == want
 
     def test_wide_and_tall_games(self):
         for d1, d2 in [(1, 4), (4, 1), (3, 2)]:
@@ -221,28 +226,23 @@ class TestSpectralAbscissa:
 class TestRouthArrays:
     def test_gda_fixture(self):
         r = st.routh_quartic_gda(2.0, -1.0)
-        np.testing.assert_allclose(r.first_column, [1.0, 4.0, 4.0, -4.0, 4.0], atol=1e-12)
-        assert r.sign_changes == 2
-        assert r.verdict == st.UNSTABLE
+        np.testing.assert_allclose(r, [1.0, 4.0, 4.0, -4.0, 4.0], atol=1e-12)
+        assert sign_changes(r) == 2
 
     def test_gda_second_point(self):
         r = st.routh_quartic_gda(10.0, -0.25)
-        np.testing.assert_allclose(r.first_column, [1.0, 20.0, 100.0, -5.0, 25.0], atol=1e-12)
-        assert r.verdict == st.UNSTABLE
+        np.testing.assert_allclose(r, [1.0, 20.0, 100.0, -5.0, 25.0], atol=1e-12)
+        assert sign_changes(r) == 2
 
     def test_ogda_fixture(self):
         r = st.routh_quartic_ogda(2.0, -1.0)
-        np.testing.assert_allclose(
-            r.first_column, [1.0, 4.0, 6.0, 32.0 / 3.0, 128.0 / 3.0], atol=1e-12
-        )
-        assert r.sign_changes == 0
-        assert r.verdict == st.STABLE
+        np.testing.assert_allclose(r, [1.0, 4.0, 6.0, 32.0 / 3.0, 128.0 / 3.0], atol=1e-12)
+        assert sign_changes(r) == 0
 
     def test_ogda_second_point(self):
         r = st.routh_quartic_ogda(1.0, -4.0)
-        np.testing.assert_allclose(r.first_column[:4], [1.0, 2.0, 9.0, 8.0 * 19.0 / 9.0])
-        assert np.all(r.first_column > 0)
-        assert r.verdict == st.STABLE
+        np.testing.assert_allclose(r[:4], [1.0, 2.0, 9.0, 8.0 * 19.0 / 9.0])
+        assert np.all(np.array(r) > 0)
 
     def test_kappa_sign_rejected(self):
         with pytest.raises(ValueError):
@@ -256,16 +256,22 @@ class TestRouthArrays:
         for beta, kappa in [(2.0, -1.0), (1.0, -4.0), (8.0, -0.3)]:
             gda_poly = [1.0, 2 * beta, beta ** 2, 0.0, -kappa * beta ** 2]
             col = routh_first_column(gda_poly)
-            assert st._sign_changes(col) == st.routh_quartic_gda(beta, kappa).sign_changes
+            assert sign_changes(col) == sign_changes(st.routh_quartic_gda(beta, kappa))
             ogda_poly = [1.0, 2 * beta, beta ** 2 - 4 * kappa, -4 * beta * kappa,
                          -kappa * beta ** 2]
             col = routh_first_column(ogda_poly)
-            assert st._sign_changes(col) == 0
+            assert sign_changes(col) == 0
 
     def test_recursion_on_stable_cubic(self):
         # (s+1)(s+2)(s+3) = s^3 + 6s^2 + 11s + 6: no sign changes.
         col = routh_first_column([1.0, 6.0, 11.0, 6.0])
         assert np.all(col > 0)
+
+
+def sign_changes(column, eps=st.MARGINAL_EPS):
+    """Sign changes down a Routh first column, skipping entries within eps of zero."""
+    signs = [e > 0 for e in column if abs(e) > eps]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def routh_first_column(coeffs, eps=st.MARGINAL_EPS):
@@ -302,15 +308,14 @@ def routh_first_column(coeffs, eps=st.MARGINAL_EPS):
 
 class TestComplexQuadratic:
     def test_real_negative(self):
-        assert st.complex_quadratic_stable(2.0, -1.0).stable
+        assert st.complex_quadratic_margin(2.0, -1.0) < 0.0
 
     def test_boundary_cases(self):
-        assert not st.complex_quadratic_stable(2.0, complex(-0.1, 1.0)).stable
-        assert st.complex_quadratic_stable(2.0, complex(-0.5, 1.0)).stable
+        assert not st.complex_quadratic_margin(2.0, complex(-0.1, 1.0)) < 0.0
+        assert st.complex_quadratic_margin(2.0, complex(-0.5, 1.0)) < 0.0
 
     def test_margin_value(self):
-        t = st.complex_quadratic_stable(2.0, complex(-0.1, 1.0))
-        assert t.margin == pytest.approx(-0.1 + 0.25)
+        assert st.complex_quadratic_margin(2.0, complex(-0.1, 1.0)) == pytest.approx(-0.1 + 0.25)
 
 
 class TestCharPoly:
@@ -346,8 +351,58 @@ class TestCharPoly:
         np.testing.assert_allclose(char_poly_coeffs(m), np.poly(m), atol=1e-8)
 
 
+def per_sigma_verdict(method, game, gamma, alpha):
+    """The per-sigma rule, written out as the oracle of ``classify_method``.
+
+    Each singular value gives a Routh first column (gda, ogda: the published
+    closed forms), marginal with an entry within MARGINAL_EPS of zero, else
+    unstable iff it changes sign; or the complex quadratic at +sigma and at
+    -sigma (eg, LA-k), marginal with its margin within a relative epsilon,
+    else unstable iff the margin is positive.  A zero mode is marginal, and
+    the verdict is the worst: UNSTABLE > MARGINAL > STABLE.
+    """
+    eps, beta = st.MARGINAL_EPS, 2.0 / gamma
+    flow = flows.make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha)
+    verdicts = {st.MARGINAL} if game.d1 != game.d2 else set()
+    for s in game.singular_values.tolist():
+        k = -s * s
+        if method in ("gda", "ogda"):
+            if method == "gda":
+                col = [1.0, 2 * beta, beta ** 2, 2 * k * beta, -k * beta ** 2]
+            else:
+                pivot = beta ** 2 - 2 * k
+                fourth = (-2 * beta * k) * (3 * beta ** 2 - 4 * k) / pivot
+                col = [1.0, 2 * beta, pivot, fourth, fourth * (-k * beta ** 2)]
+            marginal = any(abs(e) <= eps for e in col)
+            verdicts.add(st.MARGINAL if marginal else
+                         st.UNSTABLE if sign_changes(col) else st.STABLE)
+            continue
+        for t in (s, -s):
+            mu = complex(-flow.a_jv * t * t, flow.a_v * t)
+            drift = mu.imag ** 2 / beta ** 2
+            margin, tol = mu.real + drift, eps * max(1.0, abs(mu.real), drift)
+            verdicts.add(st.MARGINAL if abs(margin) <= tol else
+                         st.UNSTABLE if margin > 0 else st.STABLE)
+    return next(v for v in (st.UNSTABLE, st.MARGINAL, st.STABLE) if v in verdicts)
+
+
 class TestScan:
     GRID = [0.01, 0.1, 1.0, 10.0]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(d1=hst.integers(1, 4), d2=hst.integers(1, 4), seed=hst.integers(0, 10 ** 6),
+           method=hst.sampled_from(st.STABILITY_METHODS),
+           alpha=hst.sampled_from([0.25, 0.5, 2.0 / 3.0, 0.75, 1.0]),
+           log10_gamma=hst.floats(-3.0, 2.0))
+    def test_verdict_on_generated_games(self, d1, d2, seed, method, alpha, log10_gamma):
+        # The verdict is the per-sigma rule's, and the sign class of the dense
+        # eigensolver's abscissa, on every generated game, step and alpha.
+        game, gamma = random_bilinear(seed, d1, d2, 0.1), 10.0 ** log10_gamma
+        alpha = alpha if method.startswith("la") else None
+        verdict = st.classify_method(method, game, gamma, alpha).verdict
+        assert verdict == per_sigma_verdict(method, game, gamma, alpha)
+        c = st.assemble_system_matrix(method, game, gamma, alpha)
+        assert verdict == st._classify([st.spectral_abscissa(c)], [1e-8])
 
     def test_gda_unstable_everywhere(self):
         game = random_bilinear(3, 3, 3, 0.1)
