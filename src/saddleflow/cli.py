@@ -524,7 +524,7 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
         payload["rho_hat"] = None
         payload["rho_theory"] = None
     if (cfg.mode == "discrete" and optimizers._METHODS[cfg.method_id].explicit_bound
-            and op.lipschitz and cfg.gamma <= 1.0 / (16.0 * op.lipschitz) + 1e-15):
+            and op.lipschitz and rates.within_step_cap(cfg.gamma, op.lipschitz)):
         z0_norm = float(zn[0])
         margins = rates.best_iterate_bound_check(vn, cfg.gamma, op.lipschitz, z0_norm)
         payload["bound_margins"] = {

@@ -49,9 +49,6 @@ class _FixedStep:
     def __post_init__(self):
         _check_gamma(self.gamma)
 
-    def step_size(self, n: int) -> float:
-        return self.gamma
-
 
 @dataclass(frozen=True)
 class GDA(_FixedStep):

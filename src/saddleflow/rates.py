@@ -32,16 +32,22 @@ def explicit_bound(gamma, lipschitz, z0_norm, n) -> float:
     return (8.0 + 36.0 * gamma ** 2 * lipschitz ** 2) * z0_norm ** 2 / (2.0 * gamma ** 2 * n)
 
 
+def within_step_cap(gamma, lipschitz) -> bool:
+    """gamma <= 1/(16 L), the cap of ``explicit_bound``, up to 1e-15 so that
+    a gamma written as 1/(16 L) is within it."""
+    return gamma <= 1.0 / (16.0 * lipschitz) + 1e-15
+
+
 @np.errstate(all="ignore")
 def best_iterate_bound_check(v_norms, gamma, lipschitz, z0_norm):
     """Margins bound_n - min_{i <= n} |V(z_i)|^2 for every recorded n >= 1.
 
     ``v_norms`` must start with the initial iterate (index 0).  All margins
-    are nonnegative when the step-size cap gamma <= 1/(16 L) holds.
+    are nonnegative when the step-size cap ``within_step_cap`` holds.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if gamma > 1.0 / (16.0 * lipschitz) + 1e-15:
+    if not within_step_cap(gamma, lipschitz):
         raise ValueError("explicit bound requires gamma <= 1/(16 L)")
     v_norms = np.asarray(v_norms, dtype=float)
     if v_norms.ndim != 1 or v_norms.size < 2:
@@ -71,9 +77,9 @@ def _tail_window(n, tail_fraction):
     return min(start, n - 2), n
 
 
-@np.errstate(all="ignore")
-def fit_power_law(times, values, tail_fraction=0.5) -> RateFit:
-    """Slope of log(value) vs log(time) over the last tail_fraction of samples."""
+def _tail_fit(times, values, tail_fraction, kind, abscissa):
+    """Least-squares line through (abscissa(t), log v) over the tail window:
+    its slope, intercept, residual RMS and window."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1 or times.size < 2:
@@ -81,18 +87,26 @@ def fit_power_law(times, values, tail_fraction=0.5) -> RateFit:
     start, end = _tail_window(times.size, tail_fraction)
     t, v = times[start:end], values[start:end]
     if np.any(v <= 0):
-        raise ValueError("power-law fit requires positive values in the window")
+        raise ValueError(f"{kind} fit requires positive values in the window")
+    x, log_v = abscissa(t), np.log(v)
+    slope, intercept = np.polyfit(x, log_v, 1)
+    resid = log_v - (slope * x + intercept)
+    return float(slope), float(intercept), float(np.sqrt(np.mean(resid ** 2))), (start, end)
+
+
+def _log_times(t):
     if np.any(t <= 0):
         raise ValueError("power-law fit requires positive times in the window")
-    slope, intercept = np.polyfit(np.log(t), np.log(v), 1)
-    resid = np.log(v) - (slope * np.log(t) + intercept)
-    return RateFit(
-        exponent=float(slope),
-        rho_hat=None,
-        intercept=float(intercept),
-        residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-        window=(start, end),
-    )
+    return np.log(t)
+
+
+@np.errstate(all="ignore")
+def fit_power_law(times, values, tail_fraction=0.5) -> RateFit:
+    """Slope of log(value) vs log(time) over the last tail_fraction of samples."""
+    slope, intercept, rms, window = _tail_fit(times, values, tail_fraction, "power-law",
+                                              _log_times)
+    return RateFit(exponent=slope, rho_hat=None, intercept=intercept, residual_rms=rms,
+                   window=window)
 
 
 @np.errstate(all="ignore")
@@ -103,27 +117,13 @@ def fit_geometric(times, values, tail_fraction=0.5, mu=None, beta=None) -> RateF
     rho = 1 / (1/mu + 9/(2 beta)) is attached for comparison (the certified
     rate is a lower bound on the observed decay).
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.ndim != 1 or times.size < 2:
-        raise ValueError("times and values must be equal-length 1-d arrays")
-    start, end = _tail_window(times.size, tail_fraction)
-    t, v = times[start:end], values[start:end]
-    if np.any(v <= 0):
-        raise ValueError("geometric fit requires positive values in the window")
-    slope, intercept = np.polyfit(t, np.log(v), 1)
-    resid = np.log(v) - (slope * t + intercept)
+    slope, intercept, rms, window = _tail_fit(times, values, tail_fraction, "geometric",
+                                              lambda t: t)
     rho_theory = None
     if mu is not None and beta is not None:
         rho_theory = 1.0 / (1.0 / mu + 9.0 / (2.0 * beta))
-    return RateFit(
-        exponent=None,
-        rho_hat=float(-slope),
-        intercept=float(intercept),
-        residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-        window=(start, end),
-        rho_theory=rho_theory,
-    )
+    return RateFit(exponent=None, rho_hat=-slope, intercept=intercept, residual_rms=rms,
+                   window=window, rho_theory=rho_theory)
 
 
 def effective_times(step_sizes) -> Array:

@@ -5,15 +5,18 @@ d/dt (z, omega) = C (z, omega) whose blocks are polynomials in the Jacobian
 J = [[0, A], [-A^T, 0]], with eigenvalues mu = +-i*sigma per singular value
 sigma of A and |d1 - d2| zero modes mu = 0.  So each eigenvalue of C is a
 root of lambda^2 + (beta - a_jw mu) lambda - (a_v mu + a_jv mu^2) = 0 for
-the method's flow row.  ``modes`` solves these in closed form, and
-``classify_method`` turns each mode into one signed value with a tolerance:
-minus the least entry of its Routh first column (gda, ogda), its
-complex-quadratic margin (eg, LA-k), or 0 for a zero mode, whose roots are
-0 and -beta.  One rule, ``_classify``, reduces the values and, as a
-cross-check, the spectral abscissa: unstable if any is above its tolerance,
-else marginal if any is within it, else stable.  So on a non-square game
-EG, OGDA and LA-k at or below its threshold are marginal.  The dense C
-(``assemble_system_matrix``) and ``spectral_abscissa`` are the tests' cross-check.
+the method's flow row.  ``modes`` solves these in closed form.
+
+Every verdict reduces signed values by one rule, ``_classify``: a value v
+of scale s (the largest magnitude among the terms that v sums) is marginal
+if |v| <= EPS*s = 1e-13*s and unstable if v > EPS*s; the worst mode wins.
+Per sigma ``classify_method`` reads minus the least entry of the Routh first
+column (gda, ogda) at scale 0, as for beta > 0 > kappa every entry is a
+product or a sum of same-signed terms, or the complex-quadratic margin
+Re mu + (Im mu/beta)^2 (eg, LA-k) at scale max(|Re mu|, (Im mu/beta)^2).
+Its cross-check reads each root lambda of ``modes`` as Re lambda at scale
+|lambda|, through the largest Re lambda/|lambda| at scale 1.  A zero mode
+gives 0 at scale 0, so no flow is stable on a non-square game.
 
 The two quartic Routh arrays are pinned to their published closed forms:
 
@@ -39,8 +42,8 @@ from .problems import BilinearGame, QuarticCounterexample
 
 Array = np.ndarray
 
-#: Entries of a Routh first column within this of zero are "marginal".
-MARGINAL_EPS = 1e-10
+#: A value v of scale s is zero (marginal) when |v| <= EPS*s.
+EPS = 1e-13
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -81,7 +84,7 @@ def _phase_flow(method, game: BilinearGame, gamma, alpha):
         raise ValueError(f"unknown method {method!r}; known: {', '.join(STABILITY_METHODS)}")
     if not (gamma > 0 and 0.0 < (2.0 / gamma) * (2.0 / gamma) < np.inf):
         raise ValueError(f"gamma must be positive, with (2/gamma)^2 finite and > 0: {gamma!r}")
-    if game.b.any() or game.c.any():
+    if np.count_nonzero(game.b) or np.count_nonzero(game.c):
         raise ValueError("stability analysis requires b = c = 0")
     if not game.full_rank:
         raise ValueError("stability analysis requires a full-rank A")
@@ -175,32 +178,29 @@ def complex_quadratic_margin(beta, mu) -> float:
 
 
 def classify_method(method, game: BilinearGame, gamma, alpha=None) -> StabilityVerdict:
-    """Routh / complex-quadratic verdict, cross-checked against the sign of
-    the spectral abscissa of the closed-form ``modes``."""
+    """Routh / complex-quadratic verdict, cross-checked by the roots of ``modes``."""
     m = modes(method, game, gamma, alpha)
-    beta, sigma = m.flow.beta, m.sigma.tolist()
-    # Each zero mode has the root lambda = 0: marginal under every method.
-    routh, values, tols = None, [0.0] * m.zero_modes, [MARGINAL_EPS] * m.zero_modes
+    beta, zeros, routh = m.flow.beta, [0.0] * m.zero_modes, None
     if method in ("gda", "ogda"):
         column = routh_quartic_gda if method == "gda" else routh_quartic_ogda
-        routh = [column(beta, -s * s) for s in sigma]
+        columns = [column(beta, -s * s) for s in m.sigma.tolist()]
+        routh = _finite(np.array(columns), gamma, game)
         # Entry 0 is 1: the least entry is negative iff the column changes sign.
-        values += [0.0 if min(map(abs, c)) <= MARGINAL_EPS else -min(c) for c in routh]
-        tols += [MARGINAL_EPS] * len(routh)
-        routh = np.array(routh)
+        values, tols = [-min(c) for c in columns], [0.0] * len(columns)
     else:
         # The quadratic's a_v mu + a_jv mu^2 at mu = i*sigma (-i*sigma gives
-        # the same margin); the margin scales like |mu|, so its eps is relative.
-        a_v, a_jv = m.flow.a_v, m.flow.a_jv
-        for s in sigma:
+        # the same margin): its two terms set the margin's scale.
+        a_v, a_jv, values, tols = m.flow.a_v, m.flow.a_jv, [], []
+        for s in m.sigma.tolist():
             mu = complex(-a_jv * s * s, a_v * s)
             values.append(complex_quadratic_margin(beta, mu))
-            tols.append(MARGINAL_EPS * max(1.0, abs(mu.real), (mu.imag / beta) ** 2))
-    abscissa = m.spectral_abscissa
-    verdict, abscissa_verdict = _classify(values, tols), _classify((abscissa,), (1e-8,))
-    return StabilityVerdict(
-        method=method, gamma=gamma, alpha=m.alpha, spectral_abscissa=abscissa, verdict=verdict,
-        abscissa_verdict=abscissa_verdict, agrees=verdict == abscissa_verdict, routh=routh)
+            tols.append(EPS * max(abs(mu.real), (mu.imag / beta) ** 2))
+    # Each root's value over its scale, Re lambda / |lambda|: the largest decides.
+    ratio = float((m.roots.real / abs(m.roots)).max())
+    verdict = _classify(values + zeros, tols + zeros)
+    abscissa_verdict = _classify([ratio] + zeros, [EPS] + zeros)
+    return StabilityVerdict(method, gamma, m.alpha, m.spectral_abscissa, verdict,
+                            abscissa_verdict, verdict == abscissa_verdict, routh)
 
 
 def eg_hrde_spurious_fixed_point(beta) -> Array:

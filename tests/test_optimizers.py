@@ -455,12 +455,14 @@ def varying_stepper_loop(op, kind, z0, steps):
     """ogda-varstep or ogda-implicit one stepper call at a time on ``op``:
     the (steps + 1, d) states, the times t + gamma_n in turn, and the query
     count of each step."""
-    gammas = np.broadcast_to(kind.step_size(np.arange(steps)), steps).tolist()
+    varstep = kind.name == "ogda-varstep"
+    gamma = kind.step_size(np.arange(steps)) if varstep else kind.gamma
+    gammas = np.broadcast_to(gamma, steps).tolist()
     z = np.asarray(z0, dtype=float)
-    aux = 2.0 * op.field(z) if kind.name == "ogda-varstep" else np.zeros(op.dim)
+    aux = 2.0 * op.field(z) if varstep else np.zeros(op.dim)
     states, times, queries = [z], [0.0], []
     for gamma_n in gammas:
-        if kind.name == "ogda-varstep":
+        if varstep:
             z, aux, step_queries = (*opt.step_ogda(op, z, aux, gamma_n), 1)
         else:
             z, aux, step_queries = opt.step_ogda_implicit(op, z, aux, gamma_n)

@@ -163,6 +163,15 @@ class TestModes:
             with pytest.raises(ValueError, match=message):
                 analysis(*args)
 
+    def test_routh_column_that_overflows_rejected(self):
+        # At sigma = 1e200 GDA's roots and C stay finite, but its Routh
+        # entries 2*kappa*beta and -kappa*beta^2 (kappa = -sigma^2) overflow.
+        game = BilinearGame([[1e200]])
+        assert np.isfinite(st.modes("gda", game, 0.1).roots).all()
+        assert np.isfinite(st.assemble_system_matrix("gda", game, 0.1)).all()
+        with pytest.raises(ValueError, match=r"overflow at gamma = 0.1, sigma_max = 1e\+200"):
+            st.classify_method("gda", game, 0.1)
+
     def test_classify_makes_no_dense_eigensolve(self, monkeypatch):
         games = [random_bilinear(5, 3, 3, 0.1), NON_SQUARE]
 
@@ -268,13 +277,13 @@ class TestRouthArrays:
         assert np.all(col > 0)
 
 
-def sign_changes(column, eps=st.MARGINAL_EPS):
+def sign_changes(column, eps=1e-10):
     """Sign changes down a Routh first column, skipping entries within eps of zero."""
     signs = [e > 0 for e in column if abs(e) > eps]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def routh_first_column(coeffs, eps=st.MARGINAL_EPS):
+def routh_first_column(coeffs, eps=1e-10):
     """First column of the Routh array of a real polynomial (descending
     coefficients), with the standard epsilon substitution for zero pivots.
 
@@ -355,13 +364,13 @@ def per_sigma_verdict(method, game, gamma, alpha):
     """The per-sigma rule, written out as the oracle of ``classify_method``.
 
     Each singular value gives a Routh first column (gda, ogda: the published
-    closed forms), marginal with an entry within MARGINAL_EPS of zero, else
+    closed forms), marginal with an entry within 1e-10 of zero, else
     unstable iff it changes sign; or the complex quadratic at +sigma and at
     -sigma (eg, LA-k), marginal with its margin within a relative epsilon,
     else unstable iff the margin is positive.  A zero mode is marginal, and
     the verdict is the worst: UNSTABLE > MARGINAL > STABLE.
     """
-    eps, beta = st.MARGINAL_EPS, 2.0 / gamma
+    eps, beta = 1e-10, 2.0 / gamma
     flow = flows.make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha)
     verdicts = {st.MARGINAL} if game.d1 != game.d2 else set()
     for s in game.singular_values.tolist():
@@ -403,6 +412,20 @@ class TestScan:
         assert verdict == per_sigma_verdict(method, game, gamma, alpha)
         c = st.assemble_system_matrix(method, game, gamma, alpha)
         assert verdict == st._classify([st.spectral_abscissa(c)], [1e-8])
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(d1=hst.integers(1, 4), d2=hst.integers(1, 4), seed=hst.integers(0, 10 ** 6),
+           method=hst.sampled_from(st.STABILITY_METHODS),
+           alpha=hst.sampled_from([0.25, 0.5, 2.0 / 3.0, 0.75, 1.0]),
+           log10_gamma=hst.floats(-10.0, 10.0))
+    def test_agrees_at_every_step_size(self, d1, d2, seed, method, alpha, log10_gamma):
+        # The Routh / margin verdict and the verdict of the roots agree over
+        # twenty decades of step size, where a tolerance of fixed absolute
+        # size would read a small stable or unstable abscissa as marginal.
+        game, gamma = random_bilinear(seed, d1, d2, 0.1), 10.0 ** log10_gamma
+        alpha = alpha if method.startswith("la") else None
+        v = st.classify_method(method, game, gamma, alpha)
+        assert v.agrees, (v.verdict, v.abscissa_verdict, v.spectral_abscissa)
 
     def test_gda_unstable_everywhere(self):
         game = random_bilinear(3, 3, 3, 0.1)
