@@ -372,6 +372,10 @@ def trajectory_csv(traj) -> str:
 
 
 def _finite_or_none(x):
+    """x as a float, or None where it is None, NaN or infinite: the JSON
+    outputs are strict."""
+    if x is None:
+        return None
     x = float(x)
     return x if np.isfinite(x) else None
 
@@ -391,7 +395,7 @@ def run_summary(traj) -> dict:
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write(path: Path, text: str):
@@ -510,7 +514,7 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
     positive = vn[1:] > 0
     if np.all(positive) and times[-1] > 0:
         fit = rates.fit_power_law(np.maximum(times[1:], times[1]), vn[1:], tail_fraction)
-        payload["exponent"] = fit.exponent
+        payload["exponent"] = _finite_or_none(fit.exponent)
     else:
         payload["exponent"] = None
     mu = op.strong_mu if op.strong_mu else None
@@ -518,8 +522,8 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
     beta = 2.0 / cfg.gamma if "gamma" in _row(cfg.mode, cfg.method_id)[1] else None
     if np.all(zn[1:] > 0):
         gfit = rates.fit_geometric(times[1:], zn[1:], tail_fraction, mu=mu, beta=beta)
-        payload["rho_hat"] = gfit.rho_hat
-        payload["rho_theory"] = gfit.rho_theory
+        payload["rho_hat"] = _finite_or_none(gfit.rho_hat)
+        payload["rho_theory"] = _finite_or_none(gfit.rho_theory)
     else:
         payload["rho_hat"] = None
         payload["rho_theory"] = None
@@ -528,7 +532,7 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
         z0_norm = float(zn[0])
         margins = rates.best_iterate_bound_check(vn, cfg.gamma, op.lipschitz, z0_norm)
         payload["bound_margins"] = {
-            "min": float(margins.min()),
+            "min": _finite_or_none(margins.min()),
             "all_nonnegative": bool(np.all(margins >= 0)),
         }
     else:

@@ -52,7 +52,8 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class PhaseFlow:
-    """(z, omega) flow carrying one row of the coefficient table above."""
+    """(z, omega) flow carrying one row of the coefficient table above; its
+    J V and J omega terms are Jacobian-vector products (``op.jvp``)."""
 
     beta: float
     a_v: float
@@ -67,12 +68,10 @@ class PhaseFlow:
     def derivative(self, op, z, omega, t):
         v = op.field(z)
         domega = self.a_v * v - self.beta * omega
-        if self.a_jv != 0.0 or self.a_jw != 0.0:
-            jac = op.jacobian(z)
-            if self.a_jv != 0.0:
-                domega = domega + self.a_jv * (jac @ v)
-            if self.a_jw != 0.0:
-                domega = domega + self.a_jw * (jac @ omega)
+        if self.a_jv != 0.0:
+            domega += self.a_jv * op.jvp(z, v)
+        if self.a_jw != 0.0:
+            domega += self.a_jw * op.jvp(z, omega)
         return omega.copy(), domega
 
 
@@ -161,7 +160,10 @@ def rhs(kind, op: Operator, z, aux, t=0.0):
 
     Returns ``(dz, daux)``.  ``aux`` is omega for phase-space kinds, w for the
     Jacobian-free kinds, and ignored (may be None) for the low-resolution ODE,
-    whose daux is empty.
+    whose daux is empty.  ``op`` supplies ``field`` and, for the J terms,
+    ``jvp``: an ``Operator`` (checked) or its ``unchecked()`` view, through
+    which ``integrate`` calls this function at every stage of its ``rhs``
+    path.
     """
     z = np.asarray(z, dtype=float)
     if aux is not None:
@@ -273,7 +275,7 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     elif op.affine and len(z) + len(aux) + 1 <= STEP_MAP_MAX_WIDTH:
         read, advance = _step_maps(kind, op, cfg, t0)
     else:
-        read, advance = _rhs_step(kind, op, cfg, t0)
+        read, advance = _rhs_step(kind, op, cfg, t0, len(z) + len(aux))
 
     def times_after(n, t, values):
         return t0 + np.arange(n + 1, n + len(values) + 1) * cfg.dt
@@ -361,12 +363,15 @@ def _block_maps(s0, s1, kappas, h):
     return eye + (h / 6.0) * (s_a + 2.0 * q1 + 2.0 * q2 + q3)
 
 
-def _rhs_step(kind, op, cfg, t0):
+def _rhs_step(kind, op, cfg, t0, width):
     """``read`` and ``each_step`` advance of ``step_loop`` that call ``rhs``
     at each stage, through ``op.unchecked()``, and advance the stacked y =
-    (z, aux) in one combination of the stages.  A step's value is its
-    stage kinds, one per distinct stage time: the flow itself, or for a
-    VariableStepFlow the ConstantKappaFlow at each stage's kappa."""
+    (z, aux), ``width`` entries, in one combination of the stages.  Each
+    stage's (dz, daux) is written into its own preallocated row, and the
+    combination keeps the operation order of the textbook RK4 sum.  A
+    step's value is its stage kinds, one per distinct stage time: the flow
+    itself, or for a VariableStepFlow the ConstantKappaFlow at each stage's
+    kappa."""
     view, dim, dt = op.unchecked(), op.dim, cfg.dt
     half, queries = 0.5 * dt, SCHEMES[cfg.scheme]
     if getattr(kind, "reads_t", False):
@@ -378,19 +383,21 @@ def _rhs_step(kind, op, cfg, t0):
     else:
         read = _repeat([kind] * (3 if cfg.scheme == "rk4" else 1))
 
-    def f(stage_kind, y, t):
-        return np.concatenate(rhs(stage_kind, view, y[:dim], y[dim:], t))
+    k1, k2, k3, k4 = np.empty((4, width))  # one row per stage (Euler uses k1)
+
+    def f(stage_kind, y, t, row):
+        row[:dim], row[dim:] = rhs(stage_kind, view, y[:dim], y[dim:], t)
 
     def step(stage_kinds, s, out, t):
         y, (kind_a, *kinds_bc) = s[:-1], stage_kinds
-        k1 = f(kind_a, y, t)
+        f(kind_a, y, t, k1)
         if not kinds_bc:
             out[:-1] = y + dt * k1
         else:
             kind_b, kind_c = kinds_bc
-            k2 = f(kind_b, y + half * k1, t + half)
-            k3 = f(kind_b, y + half * k2, t + half)
-            k4 = f(kind_c, y + dt * k3, t + dt)
+            f(kind_b, y + half * k1, t + half, k2)
+            f(kind_b, y + half * k2, t + half, k3)
+            f(kind_c, y + dt * k3, t + dt, k4)
             out[:-1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return queries
 

@@ -245,7 +245,7 @@ def affine_system(op: Operator, n_aux, advance, corner) -> Array:
     """S = [[C, m], [0, corner]] of an update that is affine on V(z) = J z + q.
 
     ``advance(op, z, aux) -> (z', aux')``, a stepper or a flow derivative,
-    reads V only through ``op.field``, ``op.jacobian``, ``@`` and
+    reads V only through ``op.field``, ``op.jacobian``, ``op.jvp``, ``@`` and
     broadcasting, so on an affine field it is (z', aux') = C (z, aux) + m.
     One call on the columns of the identity of size n + 1, n = dim + n_aux,
     through the column operator V(Z) = J Z with q added to the last
@@ -266,7 +266,8 @@ def affine_system(op: Operator, n_aux, advance, corner) -> Array:
         v[:, -1] += q
         return v
 
-    columns = SimpleNamespace(field=field, jacobian=lambda zs: jac, dim=dim, affine=True)
+    columns = SimpleNamespace(field=field, jacobian=lambda zs: jac, jvp=lambda zs, x: jac @ x,
+                              dim=dim, affine=True)
     system = np.eye(dim + n_aux + 1)
     # The identity becomes S in place: advance returns new arrays (or the
     # empty aux it was given), all computed before the first row is written.

@@ -52,9 +52,13 @@ def _read_only(a) -> Array:
 class Operator:
     """A vector field V with analytic Jacobian J and problem metadata.
 
-    Subclasses implement ``_field`` and ``_jacobian``.  ``field``/``jacobian``
-    validate dimensions and finiteness at the boundary; the solution point is
-    checked against ``SOLUTION_TOL`` at construction time.  The run loops
+    Subclasses implement ``_field`` and ``_jacobian``, and may override
+    ``_jvp``, the Jacobian-vector product J(z) x, which defaults to
+    ``_jacobian(z) @ x``: the flows and the Lyapunov rates multiply J only
+    by vectors, so an override never forms J (a dense J's 0 * inf entries
+    are NaN where the product's are not).  ``field``/``jacobian``/``jvp``
+    validate dimensions and finiteness at the boundary; the solution point
+    is checked against ``SOLUTION_TOL`` at construction time.  The run loops
     evaluate through ``unchecked()``, where a non-finite value is a state.
 
     ``affine`` is True on classes whose field is affine in z, so that J is
@@ -116,6 +120,15 @@ class Operator:
             self._constant_jacobian = _read_only(j)
         return j
 
+    def jvp(self, z, x) -> Array:
+        """Evaluate J(z) x, with the same overflow rule as ``field``."""
+        z, x = as_state(z, self.dim), as_state(x, self.dim)
+        with np.errstate(all="ignore"):
+            jx = np.asarray(self._jvp(z, x), dtype=float)
+        if not np.isfinite(jx).all():
+            raise NonFiniteError("jacobian-vector product produced non-finite entries")
+        return jx
+
     def field_unchecked(self, z) -> Array:
         """V(z) without validation."""
         return np.asarray(self._field(np.asarray(z, dtype=float)), dtype=float)
@@ -126,10 +139,15 @@ class Operator:
             return self.jacobian(self.solution)
         return np.asarray(self._jacobian(np.asarray(z, dtype=float)), dtype=float)
 
+    def jvp_unchecked(self, z, x) -> Array:
+        """J(z) x without validation."""
+        return np.asarray(self._jvp(np.asarray(z, dtype=float), np.asarray(x, dtype=float)),
+                          dtype=float)
+
     def unchecked(self) -> SimpleNamespace:
-        """``field``/``jacobian`` as ``field_unchecked``/``jacobian_unchecked``."""
+        """``field``/``jacobian``/``jvp`` as their unchecked forms."""
         return SimpleNamespace(field=self.field_unchecked, jacobian=self.jacobian_unchecked,
-                               dim=self.dim)
+                               jvp=self.jvp_unchecked, dim=self.dim)
 
     def fields_unchecked(self, zs) -> Array:
         """V at each row of the (n, dim) matrix ``zs``, without validation.
@@ -140,11 +158,21 @@ class Operator:
         """
         return np.array([self.field_unchecked(z) for z in zs]).reshape(len(zs), self.dim)
 
+    def jvps_unchecked(self, zs, xs) -> Array:
+        """J(z) x at each pair of rows of the (n, dim) matrices ``zs`` and
+        ``xs``, without validation: row i equals ``jvp_unchecked(zs[i],
+        xs[i])`` bit for bit, as in ``fields_unchecked``."""
+        return np.array([self.jvp_unchecked(z, x) for z, x in zip(zs, xs)]).reshape(
+            len(zs), self.dim)
+
     def _field(self, z) -> Array:
         raise NotImplementedError
 
     def _jacobian(self, z) -> Array:
         raise NotImplementedError
+
+    def _jvp(self, z, x) -> Array:
+        return self._jacobian(z) @ x
 
 
 class BilinearGame(Operator):
@@ -201,6 +229,12 @@ class BilinearGame(Operator):
         j[self.d1 :, : self.d1] = -self.A.T
         return j
 
+    def _jvp(self, z, x):
+        return self.jacobian(self.solution) @ x  # the constant J, built once
+
+    def jvps_unchecked(self, zs, xs):
+        return np.matmul(self.jacobian(self.solution), xs[:, :, None])[..., 0]
+
 
 class QuarticCounterexample(Operator):
     """f(x, y) = x^4 - y^4: the strictly convex-concave game whose EG flow
@@ -219,6 +253,11 @@ class QuarticCounterexample(Operator):
 
     def _jacobian(self, z):
         return np.diag(12.0 * (z * z))
+
+    def _jvp(self, z, x):
+        return 12.0 * (z * z) * x
+
+    jvps_unchecked = _jvp  # elementwise: the same bits per row
 
 
 class ScaledIdentity(Operator):
@@ -244,6 +283,11 @@ class ScaledIdentity(Operator):
 
     def _jacobian(self, z):
         return self.mu * np.eye(self.dim)
+
+    def _jvp(self, z, x):
+        return self.mu * x
+
+    jvps_unchecked = _jvp  # elementwise: the same bits per row
 
 
 def fd_jacobian(op: Operator, z, h=FD_STEP) -> Array:

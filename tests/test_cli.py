@@ -595,6 +595,23 @@ class TestReportCommands:
         assert report["final"] is None and report["max_increase"] is None
         assert report["initial"] > 0 and report["violations"]
 
+    @pytest.mark.parametrize("sets, nulls", [
+        # The run overflows, so the fits see inf and NaN norms.
+        (["method.id=gda", "method.gamma=0.5", "budget.steps=300", "init.z0=[1e150, 0.5]"],
+         {"exponent": None, "rho_hat": None, "rho_theory": None}),
+        # Every margin is inf: V(z0) and gamma * L are tiny next to |z0|.
+        (['problem.params={"A": [[1e-200]]}', "method.id=ogda-s", "method.gamma=1e-9",
+          "budget.steps=300", "init.z0=[1e150, 1e-310]"],
+         {"bound_margins": {"all_nonnegative": True, "min": None}}),
+    ], ids=["non-finite-fit", "non-finite-margin"])
+    def test_rates_report_is_strict_json(self, sets, nulls, tmp_path):
+        argv = ["rates"]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        assert run_main([*argv, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "run.json").read_text(), parse_constant=_reject)
+        assert {key: payload[key] for key in nulls} == nulls
+
     def test_rates_report(self, tmp_path):
         raw = {
             "problem": {"id": "bilinear"},

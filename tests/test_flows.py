@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_cases import AffineField, NonAffineTwin, assert_same_run, monotone_affine_cases
-from saddleflow import flows
+from saddleflow import flows, lyapunov
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
@@ -221,6 +221,43 @@ class TestIntegration:
         cfg = flows.IntegratorConfig("rk4", 1e-2, 120.0, record_every=1000)
         traj = flows.integrate(flows.gda_flow(2.0), BG, np.array([1.0, 0.0]), np.zeros(2), cfg)
         assert traj.diverged
+
+    def test_overflowing_stage_keeps_its_finite_column(self):
+        # The stages multiply J by vectors and never form J.  At the first
+        # non-finite record of eg-hrde on the quartic, the dense product's
+        # 0 * inf makes every entry NaN, while z[0] stays finite; the records
+        # before it are the dense Jacobian's, bit for bit.
+        class DenseQuartic(QuarticCounterexample):
+            def _jvp(self, z, x):
+                return self._jacobian(z) @ x
+
+        cfg = flows.IntegratorConfig("rk4", 1e-3, 0.5)
+        kind = flows.make_flow("eg-hrde", gamma=0.7)
+        traj, dense = (flows.integrate(kind, op, [0.3, -0.7], np.zeros(2), cfg)
+                       for op in (QuarticCounterexample(), DenseQuartic()))
+        for run in (traj, dense):
+            finite = np.isfinite(run.states).all(axis=1)
+            assert run.diverged and finite[:299].all() and not finite[299]
+        assert traj.states[:299].tobytes() == dense.states[:299].tobytes()
+        assert np.isnan(dense.states[299]).all()
+        assert traj.states[299, 0] == pytest.approx(0.29740, abs=1e-5)
+        assert np.isnan(traj.states[299, 1])
+
+    def test_quartic_stages_never_form_the_jacobian(self, monkeypatch):
+        # Every J V and J omega of the stages, and every x.J x of the rates,
+        # is a Jacobian-vector product.
+        def formed(self, z):
+            raise AssertionError("a dense Jacobian was formed")
+
+        monkeypatch.setattr(QuarticCounterexample, "_jacobian", formed)
+        op, cfg = QuarticCounterexample(), flows.IntegratorConfig("rk4", 1e-3, 0.01)
+        for fid in ("eg-hrde", "ogda-hrde", "la2-gda-hrde", "la3-gda-hrde"):
+            traj = flows.integrate(flows.make_flow(fid, gamma=0.5), op, [0.3, -0.7],
+                                   np.zeros(2), cfg)
+            assert np.isfinite(traj.states).all()
+        zs = np.array([[0.3, -0.7], [0.1, 0.2]])
+        for kind, scale in (("ogda_l1", {"beta": 4.0}), ("ogda2_l4", {"kappa": 2.0})):
+            assert (lyapunov.analytic_decrease_rate(kind, op, zs, zs, **scale) <= 0).all()
 
     def test_bad_kappa_schedule_raises(self):
         # A bad schedule is a caller error, never a recorded divergence, on

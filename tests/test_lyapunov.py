@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine_cases import NonAffineTwin
 from saddleflow import flows, lyapunov as lyap, optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
@@ -185,6 +186,13 @@ class TestStackedEvaluation:
             assert raised.metric(name).tobytes() == ref.metric(name).tobytes(), name
 
 
+def _dense_jac_quad(op, zs, xs):
+    """x.J(z)x row by row through the dense Jacobian: the reference for the
+    library's stacked Jacobian-vector form."""
+    quads = [x @ (op.jacobian_unchecked(z) @ x) for z, x in zip(zs, xs)]
+    return np.array(quads).reshape(len(zs), 1)
+
+
 class TestAnalyticRates:
     @pytest.mark.parametrize("op", STACK_PROBLEMS, ids=lambda op: f"{op.label}-{op.dim}")
     @pytest.mark.parametrize("kind", [k for k, row in lyap.KINDS.items() if row.rate])
@@ -201,6 +209,25 @@ class TestAnalyticRates:
         assert stacked.tobytes() == np.array(rows).tobytes()
         empty = lyap.analytic_decrease_rate(kind, op, zs[:0], auxs[:0], **{name: 1.0})
         assert empty.shape == (0,)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(range(6)),
+           rows=st.integers(0, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_rates_match_the_dense_row_loop(self, seed, family, rows, scale):
+        # The stacked Jacobian-vector products give the rates of the dense
+        # x.J(z)x row loop bit for bit.
+        rng = np.random.default_rng(seed)
+        dim = 1 + seed % 4
+        op = [*MONOTONE_CATALOG, random_bilinear(seed % 7, 25, 25),
+              NonAffineTwin(rng.standard_normal((dim, dim)), np.zeros(dim))][family]
+        zs, auxs = scale * rng.standard_normal((2, rows, op.dim))
+        scales = rng.uniform(0.1, 5.0, rows)
+        for kind, name in (("ogda_l1", "beta"), ("ogda_l2", "beta"), ("ogda2_l4", "kappa")):
+            stacked = lyap.analytic_decrease_rate(kind, op, zs, auxs, **{name: scales})
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lyap, "_jac_quad", _dense_jac_quad)
+                dense = lyap.analytic_decrease_rate(kind, op, zs, auxs, **{name: scales})
+            assert stacked.tobytes() == dense.tobytes()
 
     def test_bilinear_rate_is_minus_beta_omega_sq(self):
         rate = lyap.analytic_decrease_rate("ogda_l1", BG, [1.0, 0.0], [1.0, 1.0], beta=2.0)

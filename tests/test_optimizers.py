@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -616,12 +617,16 @@ class TestVaryingAndImplicitMaps:
         assert ref.metric("sq")[-1] == ref.metric("z_norm")[-1] == 0.0 < ref.states[-1, 0]
 
 
+@np.errstate(all="ignore")
 def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
                   extra_metrics=None):
     """The loop one step at a time: ``advance(z, aux) -> (z, aux)``; each
     state is checked, guarded and recorded (base metrics included) as it is
     reached, and no step follows the first non-finite one.  Each of
-    ``extra_metrics`` is then called once with the finite records stacked."""
+    ``extra_metrics`` is then called once with the finite records stacked.
+    It evaluates under np.errstate(all="ignore"), as the library's step loop
+    and recorder do, so that an overflowing state is a record under any
+    caller errstate."""
     grid = np.append(np.arange(0, steps, record_every), steps)
     extra = extra_metrics or {}
     names = ["z_norm", "dist_to_solution", "v_norm", *extra]
@@ -1043,6 +1048,70 @@ class TestOneStepSpectra:
             expected = stepped()
             np.testing.assert_allclose((system @ state)[:-1], expected, rtol=1e-12,
                                        atol=1e-12 * np.abs(expected).max())
+
+
+def _la_sq(k, x, alpha):
+    """|m|^2 of LA-k at x on A = [[1]]: |1 + alpha ((1 - i x)^k - 1)|^2 expanded."""
+    if k == 2:
+        return 1 + (4 * alpha ** 2 - 2 * alpha) * x ** 2 + alpha ** 2 * x ** 4
+    return 1 + (9 * alpha ** 2 - 6 * alpha) * x ** 2 + 3 * alpha ** 2 * x ** 4 + alpha ** 2 * x ** 6
+
+
+def _unit_rho(method_id, x, **params):
+    """rho of the method's one-step map on A = [[1]] at gamma = x."""
+    kind = opt.make_method(method_id, gamma=x, **params)
+    return _spectral_radius(opt.one_step_map(BG, kind)[:-1, :-1])
+
+
+class TestDiscreteStabilityTable:
+    """The discrete multipliers on A = [[1]], where J = [[0, 1], [-1, 0]] has
+    the eigenvalues +-i, so that each map's multipliers are its polynomial
+    at -+i x, x = gamma.  The closed forms are written here, never read
+    from the program."""
+
+    @pytest.mark.parametrize("x", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("method, alpha", [
+        ("gda", None), ("eg", None),
+        *((f"la{k}", alpha) for k in (2, 3) for alpha in (0.25, 0.5, 0.75))])
+    def test_squared_modulus(self, x, method, alpha):
+        if alpha is None:
+            squared = {"gda": 1 + x ** 2, "eg": 1 - x ** 2 + x ** 4}[method]
+            rho = _unit_rho(method, x)
+        else:
+            k = int(method[2])
+            rho, squared = _unit_rho("la-gda", x, k=k, alpha=alpha), _la_sq(k, x, alpha)
+        assert abs(rho ** 2 - squared) <= 2e-15
+
+    def test_eg_boundary(self):
+        # 1 - x^2 + x^4 = 1 at x = 1 only: stable below, marginal at, unstable above.
+        assert _unit_rho("eg", 0.99) < 1.0 < _unit_rho("eg", 1.01)
+        assert abs(_unit_rho("eg", 1.0) - 1.0) <= 1e-15
+
+    def test_ogda_boundary(self):
+        # A multiplier e^{i t} solves l^2 - (1 - 2ix) l - ix = 0, that is
+        # l (l - 1) = -ix (2l - 1), only where the real part of
+        # l (l - 1)(2 conj(l) - 1) = 3l - l^2 - 2, which is -(2 cos t - 1)(cos t - 1),
+        # vanishes: cos t = 1/2 (l = 1 is no root).  Then |l - 1| = x |2l - 1|
+        # reads 1 = 3 x^2, so the boundary is x = 1/sqrt(3).
+        below, above = ((1.0 + sign * 1e-9) / math.sqrt(3.0) for sign in (-1.0, 1.0))
+        assert -1e-8 < _unit_rho("ogda", below) - 1.0 < 0.0 < _unit_rho("ogda", above) - 1.0 < 1e-8
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_x_squared_coefficient_vanishes_at_the_threshold(self, k):
+        # 4a^2 - 2a and 9a^2 - 6a vanish exactly at alpha*_k = (k - 1)/k and
+        # nowhere else in (0, 1]; there rho^2 - 1 is the rest of the row,
+        # O(x^4), so the discrete method is unstable where its flow is marginal.
+        coefficient = {2: lambda a: 4 * a * a - 2 * a, 3: lambda a: 9 * a * a - 6 * a}[k]
+        threshold = Fraction(k - 1, k)
+        assert coefficient(threshold) == 0
+        assert all(coefficient(Fraction(n, 12)) != 0 for n in range(1, 13)
+                   if Fraction(n, 12) != threshold)
+        alpha = float(threshold)
+        for x in (0.1, 0.3):
+            rest = _la_sq(k, x, alpha) - 1 - coefficient(alpha) * x ** 2
+            assert _unit_rho("la-gda", x, k=k, alpha=alpha) ** 2 - 1 == pytest.approx(
+                rest, rel=1e-9)
+            assert rest > 0
 
 
 def closed_form_map(op, kind):

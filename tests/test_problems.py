@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine_cases import NonAffineTwin
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
@@ -132,6 +133,7 @@ class TestFieldEvaluation:
             for z in (np.full(op.dim, 0.5), np.arange(1.0, op.dim + 1.0)):
                 assert view.field(z).tobytes() == op.field(z).tobytes()
                 assert view.jacobian(z).tobytes() == op.jacobian(z).tobytes()
+                assert view.jvp(z, z[::-1]).tobytes() == op.jvp(z, z[::-1]).tobytes()
             if op.affine:
                 assert view.jacobian(np.full(op.dim, np.nan)) is op.jacobian(op.solution)
         q = QuarticCounterexample().unchecked()
@@ -213,6 +215,82 @@ class TestBatchedField:
                 continue
             v, d = op.field_unchecked(z), z - op.solution
             assert metrics == [math.sqrt(z.dot(z)), math.sqrt(d.dot(d)), math.sqrt(v.dot(v))]
+
+
+@st.composite
+def jvp_cases(draw):
+    """(operator, zs, xs): a catalog problem or the test-side NonAffineTwin,
+    and up to 6 finite pairs of states and directions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["bilinear", "scaled-identity", "quartic", "twin"]))
+    if family == "bilinear":
+        op = BilinearGame(rng.standard_normal((draw(st.sampled_from([1, 2, 50])),
+                                               draw(st.sampled_from([1, 2, 50])))))
+    elif family == "scaled-identity":
+        op = ScaledIdentity(draw(st.floats(0.01, 100.0)), draw(st.sampled_from([1, 2, 50])))
+    elif family == "quartic":
+        op = QuarticCounterexample()
+    else:
+        dim = draw(st.integers(1, 4))
+        op = NonAffineTwin(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    zs, xs = scale * rng.standard_normal((2, draw(st.integers(0, 6)), op.dim))
+    return op, zs, xs
+
+
+class TestJacobianVectorProduct:
+    """``jvp_unchecked(z, x)`` is J(z) x without J: the dense product's bits
+    at finite inputs, finite differences' value, and one row of the stack."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=jvp_cases())
+    def test_equals_the_dense_product(self, case):
+        op, zs, xs = case
+        for z, x in zip(zs, xs):
+            assert op.jvp_unchecked(z, x).tobytes() == (op.jacobian_unchecked(z) @ x).tobytes()
+            assert op.jvp(z, x).tobytes() == op.jvp_unchecked(z, x).tobytes()
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(case=jvp_cases())
+    def test_agrees_with_finite_differences(self, case):
+        op, zs, xs = case
+        for z, x in zip(zs[:2], xs[:2]):
+            fd = fd_jacobian(op, z) @ x
+            # Central differences of 4 z^3 are off by 4 h^2 per entry of J,
+            # and round at about 1e-16 |V| / h.
+            tol = 1e-6 * (1.0 + np.linalg.norm(op.jacobian(z)) * np.linalg.norm(x))
+            assert np.linalg.norm(op.jvp_unchecked(z, x) - fd) <= tol
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=jvp_cases())
+    def test_stack_rows_match_single_states(self, case):
+        op, zs, xs = case
+        stacked = op.jvps_unchecked(zs, xs)
+        rows = np.array([op.jvp_unchecked(z, x) for z, x in zip(zs, xs)]).reshape(zs.shape)
+        assert stacked.shape == zs.shape
+        assert stacked.tobytes() == rows.tobytes()
+
+    def test_checked_product_rejects_non_finite_values(self):
+        op = QuarticCounterexample()
+        for z, x in (([np.nan, 0.5], [1.0, 1.0]), ([0.5, 0.5], [np.inf, 1.0])):
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                op.jvp(np.array(z), np.array(x))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op.jvp(np.ones(2), np.ones(3))
+        # A finite pair whose product overflows raises, under any errstate.
+        with np.errstate(all="raise"), pytest.raises(NonFiniteError, match="product"):
+            op.jvp(np.array([1e200, 0.5]), np.array([1.0, 1.0]))
+
+    def test_overflow_stays_in_its_entry(self):
+        # J V at a z whose V = 4 z^3 overflows in entry 0 only, as in eg-hrde's
+        # stages: the dense product's 0 * inf makes entry 1 NaN too, the
+        # Jacobian-vector product's entry 1 stays finite.
+        op, z = QuarticCounterexample(), np.array([1e103, 0.5])
+        with np.errstate(all="ignore"):
+            v = op.field_unchecked(z)
+            dense, jv = op.jacobian_unchecked(z) @ v, op.jvp_unchecked(z, v)
+        assert np.isinf(v[0]) and np.isinf(dense[0]) and np.isnan(dense[1])
+        assert np.isinf(jv[0]) and jv[1] == 12.0 * 0.25 * 0.5
 
 
 class TestFiniteDifferenceJacobian:
