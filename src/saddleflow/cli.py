@@ -321,7 +321,13 @@ def execute_run(cfg: SimpleNamespace):
         return op, optimizers.run(op, kind, z0, cfg.steps, extra_metrics=monitors,
                                   record_every=cfg.record_every)
 
-    kappa_fn = (lambda t: 1.0 / gamma_fn(t)) if "kappa_fn" in reads else None
+    def schedule(t):
+        # The flow reads kappa on arrays of stage times: a gamma(t) that
+        # underflows to 0 gives kappa = inf, a divergence to record, not a warning.
+        with np.errstate(all="ignore"):
+            return 1.0 / gamma_fn(t)
+
+    kappa_fn = schedule if "kappa_fn" in reads else None
     kind = flows.make_flow(cfg.method_id, gamma=cfg.gamma, alpha=cfg.alpha, kappa_fn=kappa_fn)
     aux0 = np.zeros(op.dim) if cfg.aux0 is None else cfg.aux0
     if cfg.aux0 is None and aux_var == "w":

@@ -33,6 +33,7 @@ R_n per step, built a block of steps at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from inspect import signature
 from types import SimpleNamespace
 from typing import Callable
@@ -41,7 +42,7 @@ import numpy as np
 
 from .optimizers import (BLOCK_BYTES, Recorder, Trajectory, affine_system, each_step,
                          matmul_step, read_positive, step_loop)
-from .problems import Operator, as_state
+from .problems import Operator, as_state, read_only_scalar
 
 Array = np.ndarray
 
@@ -53,7 +54,9 @@ Array = np.ndarray
 @dataclass(frozen=True)
 class PhaseFlow:
     """(z, omega) flow carrying one row of the coefficient table above; its
-    J V and J omega terms are Jacobian-vector products (``op.jvp``)."""
+    J V and J omega terms are Jacobian-vector products (``op.jvp``).
+    ``derivative`` multiplies by 0-d copies of the row (``read_only_scalar``)
+    that its first call builds: ``classify_method`` never evaluates its flows."""
 
     beta: float
     a_v: float
@@ -65,13 +68,18 @@ class PhaseFlow:
         if not self.beta > 0:
             raise ValueError("beta must be positive")
 
+    @cached_property
+    def _bound(self):
+        return tuple(map(read_only_scalar, (self.a_v, self.beta, self.a_jv, self.a_jw)))
+
     def derivative(self, op, z, omega, t):
+        a_v, beta, a_jv, a_jw = self._bound
         v = op.field(z)
-        domega = self.a_v * v - self.beta * omega
+        domega = a_v * v - beta * omega
         if self.a_jv != 0.0:
-            domega += self.a_jv * op.jvp(z, v)
+            domega += a_jv * op.jvp(z, v)
         if self.a_jw != 0.0:
-            domega += self.a_jw * op.jvp(z, omega)
+            domega += a_jw * op.jvp(z, omega)
         return omega.copy(), domega
 
 
@@ -102,9 +110,13 @@ def _check_alpha(alpha):
         raise ValueError("alpha must lie in (0, 1]")
 
 
-def _optimistic_derivative(op, z, w, kappa):
-    drift = -kappa * (z + w)
-    return drift - 2.0 * op.field(z), drift
+_TWO = read_only_scalar(2.0)
+
+
+def _optimistic_derivative(op, z, w, neg_kappa):
+    """(dz, dw) of the (z, w) flow, given -kappa."""
+    drift = neg_kappa * (z + w)
+    return drift - _TWO * op.field(z), drift
 
 
 #: A field that is zero everywhere: the optimistic derivative through it is
@@ -127,12 +139,13 @@ class VariableStepFlow:
         kappa, error = read_positive(self.kappa_fn, np.array([t], dtype=float), "kappa(t)", "t")
         if error is not None:
             raise error
-        return _optimistic_derivative(op, z, w, kappa[0])
+        return _optimistic_derivative(op, z, w, -kappa[0])
 
 
 @dataclass(frozen=True)
 class ConstantKappaFlow:
-    """(z, w) optimistic flow with a constant kappa = 1/gamma: ogda-hrde2."""
+    """(z, w) optimistic flow with a constant kappa = 1/gamma: ogda-hrde2.
+    ``derivative`` multiplies by a 0-d -kappa that its first call builds."""
 
     kappa: float
     name = "ogda-hrde2"
@@ -141,8 +154,26 @@ class ConstantKappaFlow:
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
 
+    @cached_property
+    def _neg_kappa(self):
+        return read_only_scalar(-self.kappa)
+
     def derivative(self, op, z, w, t):
-        return _optimistic_derivative(op, z, w, self.kappa)
+        return _optimistic_derivative(op, z, w, self._neg_kappa)
+
+
+def _constant_kappa_flows(kappas):
+    """The ConstantKappaFlow at each entry of a (steps, stages) block of
+    kappas.  Each evaluates at most two stages, fewer than would repay the
+    0-d -kappa its first derivative builds, so that is bound here instead:
+    a view of one read-only negated copy of the block."""
+    negated = -kappas
+    negated.flags.writeable = False
+    flows = [[ConstantKappaFlow(k) for k in row] for row in kappas.tolist()]
+    for i, row in enumerate(flows):
+        for j, flow in enumerate(row):
+            flow.__dict__["_neg_kappa"] = negated[i, j, ...]  # the cached_property's slot
+    return flows
 
 
 @dataclass(frozen=True)
@@ -161,13 +192,16 @@ def rhs(kind, op: Operator, z, aux, t=0.0):
     Returns ``(dz, daux)``.  ``aux`` is omega for phase-space kinds, w for the
     Jacobian-free kinds, and ignored (may be None) for the low-resolution ODE,
     whose daux is empty.  ``op`` supplies ``field`` and, for the J terms,
-    ``jvp``: an ``Operator`` (checked) or its ``unchecked()`` view, through
-    which ``integrate`` calls this function at every stage of its ``rhs``
-    path.
+    ``jvp``.  Through an ``Operator`` z and a given aux are checked
+    (``as_state``), so a non-finite one raises NonFiniteError whatever the
+    flow.  Through its ``unchecked()`` view, with which ``integrate`` calls
+    this function at every stage of its ``rhs`` path, nothing is checked:
+    z and aux must be float vectors, and a non-finite one is a state.
     """
-    z = np.asarray(z, dtype=float)
-    if aux is not None:
-        aux = np.asarray(aux, dtype=float)
+    if isinstance(op, Operator):
+        z = as_state(z, op.dim)
+        if aux is not None:
+            aux = as_state(aux, op.dim)
     return kind.derivative(op, z, aux, t)
 
 
@@ -316,9 +350,9 @@ def _step_maps(kind, op, cfg, t0):
     BLOCK_BYTES, and builds those maps.
     """
     dim, dt = op.dim, cfg.dt
-    s0 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(cols, z, w, 0.0), 0.0)
+    s0 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(cols, z, w, -0.0), 0.0)
     s1 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(
-        _NO_FIELD, z, w, 1.0), 0.0)
+        _NO_FIELD, z, w, -1.0), 0.0)
     kappas, rows = _stage_kappas(kind, cfg, t0), max(1, BLOCK_BYTES // s0.nbytes)
     return (lambda n, t, count: kappas(n, t, min(rows, count)), matmul_step(
         lambda values: _block_maps(s0, s1, values, dt), SCHEMES[cfg.scheme]))
@@ -368,18 +402,20 @@ def _rhs_step(kind, op, cfg, t0, width):
     at each stage, through ``op.unchecked()``, and advance the stacked y =
     (z, aux), ``width`` entries, in one combination of the stages.  Each
     stage's (dz, daux) is written into its own preallocated row, and the
-    combination keeps the operation order of the textbook RK4 sum.  A
-    step's value is its stage kinds, one per distinct stage time: the flow
-    itself, or for a VariableStepFlow the ConstantKappaFlow at each stage's
-    kappa."""
-    view, dim, dt = op.unchecked(), op.dim, cfg.dt
-    half, queries = 0.5 * dt, SCHEMES[cfg.scheme]
+    combination keeps the operation order of the textbook RK4 sum, with
+    dt/2, dt, dt/6 and 2 as 0-d arrays (``read_only_scalar``);
+    the stage times stay floats.  A step's value is its stage kinds, one
+    per distinct stage time: the flow itself, or for a VariableStepFlow the
+    ConstantKappaFlow at each stage's kappa."""
+    view, dim, t_half, t_dt = op.unchecked(), op.dim, 0.5 * cfg.dt, cfg.dt
+    half, dt, sixth = map(read_only_scalar, (t_half, t_dt, t_dt / 6.0))
+    queries = SCHEMES[cfg.scheme]
     if getattr(kind, "reads_t", False):
         kappas = _stage_kappas(kind, cfg, t0)
 
         def read(n, t, count):
             values, error = kappas(n, t, count)
-            return [[ConstantKappaFlow(k) for k in row] for row in values.tolist()], error
+            return _constant_kappa_flows(values), error
     else:
         read = _repeat([kind] * (3 if cfg.scheme == "rk4" else 1))
 
@@ -395,10 +431,10 @@ def _rhs_step(kind, op, cfg, t0, width):
             out[:-1] = y + dt * k1
         else:
             kind_b, kind_c = kinds_bc
-            f(kind_b, y + half * k1, t + half, k2)
-            f(kind_b, y + half * k2, t + half, k3)
-            f(kind_c, y + dt * k3, t + dt, k4)
-            out[:-1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            f(kind_b, y + half * k1, t + t_half, k2)
+            f(kind_b, y + half * k2, t + t_half, k3)
+            f(kind_c, y + dt * k3, t + t_dt, k4)
+            out[:-1] = y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4)
         return queries
 
     return read, each_step(step)

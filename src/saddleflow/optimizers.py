@@ -6,8 +6,8 @@ metrics are computed once, over all records, when the loop ends.  Divergence
 (non-finite state or norm above the guard) is recorded, not raised: a blowing
 up run is an expected, reportable outcome.  Inside the loop V and J are
 evaluated unchecked and the arithmetic runs under np.errstate(all="ignore"),
-so the finiteness test (once per block of steps on the map paths) is the
-one stop rule under any errstate.
+so the finiteness test, made once per block of steps on every path, is
+the one stop rule under any errstate.
 
 On an affine field V(z) = J z + q every constant-step method, the implicit
 one included, is the linear recurrence (z, aux)' = M (z, aux) + m, and the
@@ -91,8 +91,11 @@ class OGDAVariableStep:
     """Optimistic method with a per-step schedule n -> gamma_n.
 
     The default power-law schedule gamma_n = gamma0 / (n+1)^power with
-    power = 0.6 keeps the squared steps summable.  ``run`` reads gamma_n a
-    block of steps at a time, so a ``schedule`` is array in, array out.
+    power = 0.6 keeps the squared steps summable; on arrays it is evaluated
+    under np.errstate(all="ignore"), so a (n+1)^power that overflows gives
+    a gamma_n of 0, which ``run`` rejects with one ValueError and no warning.
+    ``run`` reads gamma_n a block of steps at a time, so a ``schedule`` is
+    array in, array out, and runs under the caller's errstate.
     """
 
     gamma0: float = 0.1
@@ -103,7 +106,10 @@ class OGDAVariableStep:
     def step_size(self, n):
         if self.schedule is not None:
             return self.schedule(n)
-        return self.gamma0 / (n + 1) ** self.power
+        if isinstance(n, int):  # Python arithmetic, which no errstate governs
+            return self.gamma0 / (n + 1) ** self.power
+        with np.errstate(all="ignore"):
+            return self.gamma0 / (n + 1) ** self.power
 
 
 @dataclass(frozen=True)
@@ -545,10 +551,12 @@ def step_loop(recorder: Recorder, read, times_after, advance, z, aux, t) -> Traj
     query count of row i after step n + i - 1, and says how many it took
     and whether the run ends there.  Both run under np.errstate(all="ignore"),
     so the one stop rule, under any errstate, is the finiteness test, made
-    once per block: the loop records the first non-finite state (z or aux),
-    discards the states after it and stops.  It, a norm of z above
-    DIVERGENCE_GUARD or a NoConvergenceError (``each_step``; the records
-    left NaN-padded) flags divergence; other exceptions propagate.
+    once per block on every path (neither ``each_step`` nor ``matmul_step``
+    tests a state): the loop records the first non-finite state (z or aux),
+    discards the states after it, which its block computed too, and stops.
+    It, a norm of z above DIVERGENCE_GUARD or a NoConvergenceError
+    (``each_step``; the records left NaN-padded) flags divergence; other
+    exceptions propagate.
     ``queries`` counts the queries of completed steps only.
     """
     dim, n_steps = len(z), recorder.n_steps
@@ -588,21 +596,18 @@ def step_loop(recorder: Recorder, read, times_after, advance, z, aux, t) -> Traj
 def each_step(step):
     """``advance`` of ``step_loop`` that calls ``step(value, s, out, t) ->
     queries``, which writes the state after the step of ``value`` from s at
-    time t into ``out``, once per step, and tests each state for non-finite
-    entries as it is taken: it stops after the first non-finite state or
-    at a NoConvergenceError."""
+    time t into ``out``, once per step.  It tests no state: as in
+    ``matmul_step``, the steps after a non-finite state are taken too (their
+    fields evaluated at non-finite states), and ``step_loop``'s block test
+    discards them.  It stops at a NoConvergenceError."""
     def advance(values, states, times, counts):
-        queries, width = int(counts[0]), len(states[0])
+        queries = int(counts[0])
         for i, (value, t) in enumerate(zip(values, times.tolist()), 1):
             try:
                 queries += step(value, states[i - 1], states[i], t)
             except NoConvergenceError:
                 return i - 1, True
             counts[i] = queries
-            # count_nonzero: the test of isfinite(...).all() without the
-            # reduction's overhead, about 1 us of each step at small d.
-            if np.count_nonzero(np.isfinite(states[i])) < width:
-                return i, True
         return len(values), False
 
     return advance

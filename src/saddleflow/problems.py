@@ -49,6 +49,13 @@ def _read_only(a) -> Array:
     return a
 
 
+def read_only_scalar(x) -> Array:
+    """``x`` as a read-only 0-d float64 array: a small vector times it rounds
+    as times a float, with less call overhead.  Fold a constant before
+    binding it; arithmetic on two of them gives a (slow) NumPy scalar."""
+    return _read_only(np.array(x, dtype=float))
+
+
 class Operator:
     """A vector field V with analytic Jacobian J and problem metadata.
 
@@ -59,7 +66,10 @@ class Operator:
     are NaN where the product's are not).  ``field``/``jacobian``/``jvp``
     validate dimensions and finiteness at the boundary; the solution point
     is checked against ``SOLUTION_TOL`` at construction time.  The run loops
-    evaluate through ``unchecked()``, where a non-finite value is a state.
+    evaluate through ``unchecked()``, where a non-finite value is a state:
+    they test states once per block of steps, so ``_field`` and ``_jvp``
+    may also be called at the non-finite states of a block's later steps,
+    whose results are discarded.
 
     ``affine`` is True on classes whose field is affine in z, so that J is
     one constant matrix: ``jacobian`` then builds and checks it on the first
@@ -136,7 +146,7 @@ class Operator:
     def jacobian_unchecked(self, z) -> Array:
         """J(z) without validation (an affine operator's J, checked once)."""
         if self.affine:
-            return self.jacobian(self.solution)
+            return self._affine_jacobian()
         return np.asarray(self._jacobian(np.asarray(z, dtype=float)), dtype=float)
 
     def jvp_unchecked(self, z, x) -> Array:
@@ -144,8 +154,14 @@ class Operator:
         return np.asarray(self._jvp(np.asarray(z, dtype=float), np.asarray(x, dtype=float)),
                           dtype=float)
 
+    def _affine_jacobian(self) -> Array:
+        """An affine operator's constant J, checked by the first call only."""
+        j = self._constant_jacobian
+        return self.jacobian(self.solution) if j is None else j
+
     def unchecked(self) -> SimpleNamespace:
-        """``field``/``jacobian``/``jvp`` as their unchecked forms."""
+        """``field``/``jacobian``/``jvp`` as their unchecked forms, through
+        which the steppers and ``flows.rhs`` evaluate non-finite states too."""
         return SimpleNamespace(field=self.field_unchecked, jacobian=self.jacobian_unchecked,
                                jvp=self.jvp_unchecked, dim=self.dim)
 
@@ -230,10 +246,14 @@ class BilinearGame(Operator):
         return j
 
     def _jvp(self, z, x):
-        return self.jacobian(self.solution) @ x  # the constant J, built once
+        return self._affine_jacobian() @ x
 
     def jvps_unchecked(self, zs, xs):
-        return np.matmul(self.jacobian(self.solution), xs[:, :, None])[..., 0]
+        return np.matmul(self._affine_jacobian(), xs[:, :, None])[..., 0]
+
+
+#: The quartic's coefficients, bound once (``read_only_scalar``).
+_FOUR, _TWELVE = read_only_scalar(4.0), read_only_scalar(12.0)
 
 
 class QuarticCounterexample(Operator):
@@ -246,16 +266,16 @@ class QuarticCounterexample(Operator):
         super().__init__(1, 1)
 
     def _field(self, z):
-        return 4.0 * (z * z * z)
+        return _FOUR * (z * z * z)
 
     def fields_unchecked(self, zs):
-        return 4.0 * (zs * zs * zs)  # _field's formula, elementwise: the same bits per row
+        return _FOUR * (zs * zs * zs)  # _field's formula, elementwise: the same bits per row
 
     def _jacobian(self, z):
-        return np.diag(12.0 * (z * z))
+        return np.diag(_TWELVE * (z * z))
 
     def _jvp(self, z, x):
-        return 12.0 * (z * z) * x
+        return _TWELVE * (z * z) * x
 
     jvps_unchecked = _jvp  # elementwise: the same bits per row
 

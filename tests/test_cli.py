@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -611,6 +612,28 @@ class TestReportCommands:
         assert run_main([*argv, "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "run.json").read_text(), parse_constant=_reject)
         assert {key: payload[key] for key in nulls} == nulls
+
+    @pytest.mark.parametrize("argv, code", [
+        # gamma_n = 0.5 / (n + 1)^1e9 overflows to 0 at n = 1: one ValueError.
+        (["run", "--set", "method.id=ogda-varstep", "--set", "method.schedule.gamma0=0.5",
+          "--set", "method.schedule.power=1e9", "--set", "budget.steps=300"], 1),
+        # gamma(t) = 3 (1 + t)^-1e9 underflows to 0 after t = 0: kappa = inf,
+        # a recorded divergence.
+        (["rates", "--set", "problem.id=scaled-identity", "--set", "mode=hrde",
+          "--set", "method.id=ogda-hrde2-varstep", "--set", "method.schedule.gamma0=3",
+          "--set", "method.schedule.power=1e9", "--set", "budget.t_end=1",
+          "--set", "budget.dt=0.001"], 0),
+    ], ids=["discrete-overflow", "flow-underflow"])
+    def test_library_schedules_warn_nothing(self, argv, code, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_main([*argv, "--out", str(tmp_path)]) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        if code:
+            assert err.count("\n") == 1 and err.startswith("error: ValueError: step size")
+        else:
+            assert err == ""
 
     def test_rates_report(self, tmp_path):
         raw = {

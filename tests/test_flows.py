@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_cases import AffineField, NonAffineTwin, assert_same_run, monotone_affine_cases
@@ -589,3 +589,133 @@ def closed_form_system(kind, op):
     c[d:, :d] = kind.a_v * jac + kind.a_jv * (jac @ jac)
     c[d:, d:] = -kind.beta * eye + kind.a_jw * jac
     return c, np.concatenate([zero, kind.a_v * q + kind.a_jv * (jac @ q)])
+
+
+def stepwise_integrate(kind, op, z0, aux0, cfg, t0=0.0):
+    """``integrate``'s rhs path one step at a time, as the textbook loop:
+    RK4 (or Euler) on ``flows.rhs`` through ``op.unchecked()``, with
+    plain-float dt, coefficients and stage times t0 + n dt (+ dt/2, + dt),
+    and no step after the first non-finite state.  Returns the stacked
+    states (z, aux) of steps 0, 1, ... that it reached."""
+    view, dim, dt = op.unchecked(), op.dim, cfg.dt
+    y = np.concatenate((z0, aux0))
+    states = [y]
+
+    def f(y, t):
+        return np.concatenate(flows.rhs(kind, view, y[:dim], y[dim:], t))
+
+    with np.errstate(all="ignore"):
+        for n in range(int(round(cfg.t_end / dt))):
+            t = t0 + n * dt
+            k1 = f(y, t)
+            if cfg.scheme == "euler":
+                y = y + dt * k1
+            else:
+                k2 = f(y + (0.5 * dt) * k1, t + 0.5 * dt)
+                k3 = f(y + (0.5 * dt) * k2, t + 0.5 * dt)
+                k4 = f(y + dt * k3, t + dt)
+                y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(y)
+            if not np.isfinite(y).all():
+                break
+    return np.array(states)
+
+
+def assert_integrate_is_stepwise(kind, op, z0, aux0, cfg, t0):
+    """``integrate`` records the states, memory, times and query counts of
+    ``stepwise_integrate`` bit for bit, stops at the same first non-finite
+    state and NaN-pads the records after it."""
+    dim = op.dim
+    if isinstance(kind, flows.LowResolutionFlow):
+        aux0 = np.zeros(0)
+    seen = []
+    traj = flows.integrate(kind, op, z0, aux0, cfg, t0=t0, extra_metrics={
+        "aux": lambda ts, zs, auxs: seen.append(auxs) or np.zeros(len(ts))})
+    states = stepwise_integrate(kind, op, z0, aux0, cfg, t0)
+    reached = len(states)
+    assert traj.states[:reached].tobytes() == states[:, :dim].tobytes()
+    assert np.isnan(traj.states[reached:]).all()
+    # The monitors see the memory of every record whose z is finite.
+    assert seen[0].tobytes() == states[np.isfinite(states[:, :dim]).all(axis=1), dim:].tobytes()
+    finite = np.isfinite(states).all(axis=1)
+    done = np.minimum(traj.steps, reached - 1)
+    np.testing.assert_array_equal(traj.queries, flows.SCHEMES[cfg.scheme] * done)
+    np.testing.assert_array_equal(traj.times, t0 + done * cfg.dt)
+    with np.errstate(all="ignore"):
+        norms = np.sqrt((states[:, :dim] ** 2).sum(axis=1))
+    assert traj.diverged == (not finite[-1] or bool((norms > opt.DIVERGENCE_GUARD).any()))
+    return traj, reached
+
+
+def _power_law_kappa(gamma):
+    return lambda t: np.power(1.0 + t, 0.3) / gamma
+
+
+class TestRhsPathIsStepwise:
+    """The rhs path of ``integrate`` (preallocated stage rows, 0-d RK4
+    constants, one finiteness test per block) against the per-step loop,
+    for every flow on the two non-affine fields."""
+
+    @pytest.mark.parametrize("flow_id", flows.FLOW_IDS)
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(z0=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+           aux0=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+           gamma=st.floats(0.2, 2.0), dt=st.sampled_from([0.001, 0.01, 0.05]),
+           scheme=st.sampled_from(sorted(flows.SCHEMES)), t0=st.sampled_from([0.0, 0.7]))
+    # V(z0) = 4 z0^3 is finite, and every flow's first non-finite state is
+    # one of steps 2 to 11: inside the first block of 256 steps, whose later
+    # steps the rhs path computes too and discards.
+    @example(z0=[100.0, 0.5], aux0=[0.0, 0.0], gamma=0.5, dt=0.01, scheme="rk4", t0=0.0)
+    @example(z0=[100.0, 0.5], aux0=[0.0, 0.0], gamma=0.5, dt=0.01, scheme="euler", t0=0.0)
+    def test_quartic(self, flow_id, z0, aux0, gamma, dt, scheme, t0):
+        kind = flows.make_flow(flow_id, gamma=gamma, kappa_fn=_power_law_kappa(gamma))
+        cfg = flows.IntegratorConfig(scheme, dt, 40 * dt)
+        traj, reached = assert_integrate_is_stepwise(
+            kind, QuarticCounterexample(), np.array(z0), np.array(aux0), cfg, t0)
+        if z0 == [100.0, 0.5]:
+            assert traj.diverged and 2 < reached < 41
+
+    @pytest.mark.parametrize("flow_id", flows.FLOW_IDS)
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(case=monotone_affine_cases(), gamma=st.floats(0.2, 2.0),
+           dt=st.sampled_from([0.001, 0.01, 0.05]), scheme=st.sampled_from(sorted(flows.SCHEMES)),
+           t0=st.sampled_from([0.0, 0.7]))
+    def test_non_affine_twin(self, flow_id, case, gamma, dt, scheme, t0):
+        m, z_star, z0, aux0 = case
+        kind = flows.make_flow(flow_id, gamma=gamma, kappa_fn=_power_law_kappa(gamma))
+        cfg = flows.IntegratorConfig(scheme, dt, 40 * dt)
+        assert_integrate_is_stepwise(kind, NonAffineTwin(m, z_star), z0, aux0, cfg, t0)
+
+
+#: Flow id -> the flow at gamma = 0.5, for every flow that carries an aux.
+AUX_FLOWS = {fid: flows.make_flow(fid, gamma=0.5, kappa_fn=lambda t: 2.0 + t)
+             for fid in flows.FLOW_IDS if fid != "gda-ode"}
+
+
+class TestRhsChecks:
+    """One rule for every flow: through an Operator, z and aux are checked;
+    through its unchecked view, nothing is."""
+
+    @pytest.mark.parametrize("flow_id", AUX_FLOWS)
+    def test_non_finite_aux_raises_through_the_operator(self, flow_id):
+        op = QuarticCounterexample()
+        for z, aux in (([0.3, 0.2], [np.inf, 0.0]), ([0.3, 0.2], [0.0, np.nan]),
+                       ([np.inf, 0.2], [0.0, 0.0])):
+            with pytest.raises(NonFiniteError, match="state contains non-finite"):
+                flows.rhs(AUX_FLOWS[flow_id], op, np.array(z), np.array(aux))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            flows.rhs(AUX_FLOWS[flow_id], op, np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("flow_id", AUX_FLOWS)
+    def test_view_checks_nothing(self, flow_id, monkeypatch):
+        op = QuarticCounterexample()
+        z, aux = np.array([0.3, 0.2]), np.array([np.inf, 0.0])
+
+        def no_check(*args):
+            raise AssertionError("as_state called through the unchecked view")
+
+        monkeypatch.setattr(flows, "as_state", no_check)
+        with np.errstate(all="ignore"):
+            dz, daux = flows.rhs(AUX_FLOWS[flow_id], op.unchecked(), z, aux)
+        assert dz.shape == daux.shape == (2,)
+        assert not np.isfinite(np.concatenate((dz, daux))).all()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_cases import AffineField, NonAffineTwin, assert_same_run, monotone_affine_cases
@@ -622,7 +622,8 @@ def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
                   extra_metrics=None):
     """The loop one step at a time: ``advance(z, aux) -> (z, aux)``; each
     state is checked, guarded and recorded (base metrics included) as it is
-    reached, and no step follows the first non-finite one.  Each of
+    reached, and no step follows the first non-finite one.  ``gamma`` is
+    the time each step adds: one value, or one per step.  Each of
     ``extra_metrics`` is then called once with the finite records stacked.
     It evaluates under np.errstate(all="ignore"), as the library's step loop
     and recorder do, so that an overflowing state is a record under any
@@ -649,10 +650,11 @@ def reference_run(op, advance, z0, aux0, steps, gamma, queries, record_every=1,
             kept.append((i, t, z.copy(), None if aux is None else aux.copy()))
 
     z, aux, t, q = np.asarray(z0, dtype=float), aux0, 0.0, 0
+    gammas = np.broadcast_to(np.asarray(gamma, dtype=float), (steps,)).tolist()
     record(t, q, z, aux)
     for n in range(1, steps + 1):
         z, aux = advance(z, aux)
-        t, q = t + gamma, q + queries
+        t, q = t + gammas[n - 1], q + queries
         finite = np.isfinite(z).all() and (aux is None or np.isfinite(aux).all())
         if not finite or math.sqrt(z.dot(z)) > opt.DIVERGENCE_GUARD:
             traj.diverged = True
@@ -956,6 +958,40 @@ STOP_RULE_RUNS = {
     "implicit-residual": (lambda: opt.run(QuarticCounterexample(), opt.ImplicitOGDA(0.1),
                                           [1e103, 0.5], 5), 1, 1),
 }
+
+
+class TestQuarticRunsAreStepwise:
+    """``run`` on the non-affine quartic (each_step, with one finiteness
+    test per block) against the per-step reference loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["eg", "ogda", "ogda-varstep", "la-gda", "ogda-s"])
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(z0=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+           gamma=st.floats(0.01, 0.3))
+    # V(z0) = 4 z0^3 is finite and every method's first non-finite state is
+    # one of steps 2 to 6, inside the first block: the loop takes the
+    # block's later steps and discards them.
+    @example(z0=[100.0, 0.5], gamma=0.05)
+    def test_matches_reference_run(self, name, z0, gamma):
+        op, steps = QuarticCounterexample(), 60
+        kind = opt.make_method(name, gamma=gamma, gamma0=gamma, k=3, alpha=0.4)
+        method, view = opt._METHODS[name], op.unchecked()
+        gammas = kind.step_size(np.arange(steps)) if name == "ogda-varstep" else gamma
+        with np.errstate(all="ignore"):
+            aux0 = method.init_aux(view, np.array(z0), kind)
+        per_step = iter(np.broadcast_to(gammas, (steps,)).tolist())
+
+        def advance(z, aux):
+            z, aux, _ = method.step(view, z, aux, next(per_step), kind)
+            return z, aux
+
+        ref = reference_run(op, advance, z0, aux0, steps, gammas, opt.gradient_queries(kind))
+        fast = opt.run(op, kind, z0, steps)
+        assert_same_records(fast, ref)
+        if z0 == [100.0, 0.5]:
+            reached = np.flatnonzero(~np.isnan(fast.states).all(axis=1))[-1]
+            assert fast.diverged and 2 <= reached < steps
+            assert not np.isfinite(fast.states[reached]).all()
 
 
 class TestOneStopRule:

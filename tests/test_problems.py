@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from affine_cases import NonAffineTwin
 from saddleflow import optimizers as opt
+from saddleflow import problems
 from saddleflow.problems import (
     BilinearGame,
     NonFiniteError,
@@ -291,6 +292,30 @@ class TestJacobianVectorProduct:
             dense, jv = op.jacobian_unchecked(z) @ v, op.jvp_unchecked(z, v)
         assert np.isinf(v[0]) and np.isinf(dense[0]) and np.isnan(dense[1])
         assert np.isinf(jv[0]) and jv[1] == 12.0 * 0.25 * 0.5
+
+
+class TestConstantJacobian:
+    """An affine operator builds and checks its constant J once; the
+    unchecked forms then read it with no validation."""
+
+    @pytest.mark.parametrize("make", [lambda: BilinearGame([[1.0, 2.0], [0.5, -1.0]]),
+                                      lambda: random_bilinear(3, 2, 3),
+                                      lambda: ScaledIdentity(2.0, 3)])
+    def test_no_validation_after_the_first_call(self, make, monkeypatch):
+        op, calls = make(), []
+        real = problems.as_state
+        monkeypatch.setattr(problems, "as_state", lambda *a: calls.append(1) or real(*a))
+        z, x = np.linspace(-1.0, 1.0, op.dim), np.linspace(0.5, 2.0, op.dim)
+        zs, xs = np.stack([z, 2.0 * z]), np.stack([x, -x])
+        first = op.jacobian_unchecked(z)
+        checked = len(calls)
+        for _ in range(3):
+            assert op.jacobian_unchecked(2.0 * z) is first
+            assert op.jvp_unchecked(z, x).tobytes() == (first @ x).tobytes()
+            rows = np.array([first @ x, first @ -x])
+            assert op.jvps_unchecked(zs, xs).tobytes() == rows.tobytes()
+        assert checked <= 1 and len(calls) == checked
+        assert not first.flags.writeable
 
 
 class TestFiniteDifferenceJacobian:

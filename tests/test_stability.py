@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from saddleflow import flows, stability as st
+from saddleflow import optimizers as opt
 from saddleflow.problems import (BilinearGame, QuarticCounterexample, make_problem,
                                  random_bilinear)
 
@@ -508,3 +509,61 @@ class TestSpuriousFixedPoint:
             point = st.eg_hrde_spurious_fixed_point(beta)
             dz, dom = flows.rhs(flows.ogda_flow(beta), quartic, point, np.zeros(2))
             assert np.linalg.norm(np.concatenate([dz, dom])) > 1e-3
+
+
+def _slope(xs, gaps):
+    """Least-squares slope of log gap against log x: the observed order."""
+    return np.polyfit(np.log(xs), np.log(gaps), 1)[0]
+
+
+class TestResolutionOrder:
+    """The paper's central claim, spectrally: on A = [[1]] each HRDE's slow
+    root tracks its method's one-step multiplier to O(x^3) per step, x =
+    gamma, while the low-resolution ODE dz/dt = -V(z) tracks it only to
+    O(x^2).  The orders are written here, never read from the program."""
+
+    XS = np.array([0.1, 0.05, 0.025, 0.0125])
+    # (stability method, alpha, the discrete method at gamma, the gda-ode
+    # time per step over gamma).  LA-k moves alpha of k GDA steps, so
+    # gda-ode needs time k alpha gamma per step; its HRDE needs gamma, since
+    # k alpha sits in a_v = -k alpha beta.
+    CASES = {
+        "gda": (None, lambda x: opt.GDA(x), 1.0),
+        "eg": (None, lambda x: opt.EG(x), 1.0),
+        "ogda": (None, lambda x: opt.OGDA(x), 1.0),
+        "la2-gda": (0.25, lambda x: opt.LookaheadGDA(x, k=2, alpha=0.25), 0.5),
+        "la3-gda": (0.5, lambda x: opt.LookaheadGDA(x, k=3, alpha=0.5), 1.5),
+    }
+
+    @staticmethod
+    def gaps(method, alpha, make, time_per_step, xs):
+        """|log m - x lambda| for the HRDE's slow root lambda, and |log m +
+        i tau| for gda-ode's root -i over time tau, each at the multiplier m
+        of the one-step map nearest the flow's e^(x lambda) (OGDA's second
+        multiplier is O(x), not the tracked mode)."""
+        game, hrde, low = BilinearGame([[1.0]]), [], []
+        for x in xs:
+            roots = st.modes(method, game, x, alpha).roots[0]
+            lam = roots[np.argmin(np.abs(roots))]
+            mults = np.linalg.eigvals(opt.one_step_map(game, make(x))[:-1, :-1])
+            m = mults[np.argmin(np.abs(mults - np.exp(x * lam)))]
+            hrde.append(abs(np.log(m) - x * lam))
+            tau = time_per_step * x
+            m = mults[np.argmin(np.abs(mults - np.exp(-1j * tau)))]
+            low.append(abs(np.log(m) + 1j * tau))
+        return np.array(hrde), np.array(low)
+
+    @pytest.mark.parametrize("method", CASES)
+    def test_hrde_is_one_order_finer_than_the_ode(self, method):
+        hrde, low = self.gaps(method, *self.CASES[method], self.XS)
+        assert _slope(self.XS, hrde) >= 2.8
+        assert 1.8 <= _slope(self.XS, low) <= 2.2
+        assert (hrde < low).all()
+
+    def test_la2_at_half_is_excluded(self):
+        # LA2 at alpha = 1/2 is 1 - i x - x^2/2 on A = [[1]], which matches
+        # e^(-ix) to second order: there gda-ode's gap is O(x^3) too, so the
+        # order cannot separate the HRDE from the ODE.
+        hrde, low = self.gaps("la2-gda", 0.5, lambda x: opt.LookaheadGDA(x, k=2, alpha=0.5),
+                              1.0, self.XS)
+        assert _slope(self.XS, hrde) >= 2.8 and _slope(self.XS, low) >= 2.8
