@@ -17,7 +17,6 @@ runtime failure.  All failures print a single "error: ..." line to stderr.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -28,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import flows, lyapunov, optimizers, rates, stability
+from . import flows, optimizers
 from .problems import PROBLEM_IDS, BilinearGame, Operator, make_problem, random_bilinear
 from .svgplot import line_plot
 
@@ -49,18 +48,23 @@ def _row(mode, method_id):
     return row.aux_var, tuple(f.name for f in fields(row.descriptor))
 
 
-#: Lyapunov kinds admissible per method/flow identifier: those on the row's
-#: aux variable, allowed in its mode, and needing no scale or one it supplies.
-LYAPUNOV_COMPAT = {
-    method_id: kinds
-    for mode, ids in (("hrde", flows.FLOW_IDS), ("discrete", optimizers.METHOD_IDS))
-    for method_id in ids
-    for aux_var, reads in [_row(mode, method_id)]
-    for scales in [[s for arg in reads for s in _SUPPLIED_SCALES.get(arg, ())]]
-    if (kinds := tuple(kind for kind, k in lyapunov.KINDS.items()
-                       if k.aux_var == aux_var and (k.discrete or mode == "hrde")
-                       and k.scale in (None, *scales)))
-}
+@functools.cache
+def _lyapunov_compat():
+    """Lyapunov kinds admissible per method/flow identifier: those on the
+    row's aux variable, allowed in its mode, and needing no scale or one it
+    supplies.  Built on first use, so only a config that lists kinds imports
+    lyapunov."""
+    from . import lyapunov
+    return {
+        method_id: kinds
+        for mode, ids in (("hrde", flows.FLOW_IDS), ("discrete", optimizers.METHOD_IDS))
+        for method_id in ids
+        for aux_var, reads in [_row(mode, method_id)]
+        for scales in [[s for arg in reads for s in _SUPPLIED_SCALES.get(arg, ())]]
+        if (kinds := tuple(kind for kind, k in lyapunov.KINDS.items()
+                           if k.aux_var == aux_var and (k.discrete or mode == "hrde")
+                           and k.scale in (None, *scales)))
+    }
 
 
 class ConfigError(ValueError):
@@ -122,6 +126,11 @@ def _list_of(check):
     return check_list
 
 
+def _lyapunov_kind(value, path):
+    from . import lyapunov  # only a config that lists kinds imports it
+    return _one_of(tuple(lyapunov.KINDS))(value, path)
+
+
 def _vector(value, path):
     """A list of numbers, returned as a finite float array."""
     if not (isinstance(value, list) and set(map(type, value)) <= {int, float}):
@@ -162,7 +171,7 @@ CONFIG_KEYS = {
         "record_every": ("record_every", _int_at_least(1), 1),
         "scheme": ("scheme", _one_of(tuple(flows.SCHEMES)), "rk4"),
     },
-    "lyapunov": ("lyapunov_kinds", _list_of(_one_of(tuple(lyapunov.KINDS))), ()),
+    "lyapunov": ("lyapunov_kinds", _list_of(_lyapunov_kind), ()),
     "init": {
         "z0": ("z0", _vector, None),
         "aux0": ("aux0", _vector, None),
@@ -172,8 +181,8 @@ CONFIG_KEYS = {
         "json": ("json_path", _is_str, "run.json"),
     },
     "stability": {
-        "methods": ("stability_methods", _list_of(_one_of(stability.STABILITY_METHODS)),
-                    stability.STABILITY_METHODS),
+        "methods": ("stability_methods", _list_of(_one_of(flows.STABILITY_METHODS)),
+                    flows.STABILITY_METHODS),
         "gammas": ("stability_gammas", _list_of(_positive), (0.01, 0.1, 1.0, 10.0)),
         "alphas": ("stability_alphas", _list_of(_unit_interval), (0.25,)),
     },
@@ -258,8 +267,8 @@ def validate_config(raw: dict, command="run") -> SimpleNamespace:
             raise ConfigError(f"budget.t_end: {cfg.t_end} is not a whole multiple "
                               f"of budget.dt {cfg.dt}")
 
-    allowed = LYAPUNOV_COMPAT.get(cfg.method_id, ())
     for kind in cfg.lyapunov_kinds:
+        allowed = _lyapunov_compat().get(cfg.method_id, ())
         if kind not in allowed:
             raise ConfigError(
                 f"lyapunov: kind {kind!r} is not defined for method {cfg.method_id!r}"
@@ -274,14 +283,16 @@ def validate_config(raw: dict, command="run") -> SimpleNamespace:
 
 def _monitors(cfg: SimpleNamespace, op: Operator, gamma_fn):
     """One monitor per kind on the run's t -> gamma.  Only constant-step rows
-    admit kinds with a constant scale, so those read it at t = 0."""
-    mons = {}
+    admit kinds with a constant scale, so those read it at t = 0.  A run
+    without kinds imports no lyapunov."""
+    if not cfg.lyapunov_kinds:
+        return {}
+    from . import lyapunov
     gamma = gamma_fn(0.0)
-    for kind in cfg.lyapunov_kinds:
-        mons[f"lyap_{kind}"] = lyapunov.make_monitor(
-            kind, op, beta=2.0 / gamma, kappa=1.0 / gamma, gamma=gamma,
-            beta_fn=lambda t: 2.0 / gamma_fn(t))
-    return mons
+    return {f"lyap_{kind}": lyapunov.make_monitor(
+                kind, op, beta=2.0 / gamma, kappa=1.0 / gamma, gamma=gamma,
+                beta_fn=lambda t: 2.0 / gamma_fn(t))
+            for kind in cfg.lyapunov_kinds}
 
 
 def _build_problem(cfg: SimpleNamespace) -> Operator:
@@ -440,7 +451,7 @@ def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
 
     series = []
     csv = ["method,step,queries,dist_to_solution\n"]
-    for label in stability.STABILITY_METHODS:
+    for label in flows.STABILITY_METHODS:
         if label.startswith("la"):
             kind = optimizers.LookaheadGDA(gamma, k=int(label[2]), alpha=alpha)
         else:
@@ -465,6 +476,7 @@ def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
 
 
 def cmd_stability(cfg: SimpleNamespace, out_dir: Path):
+    from . import stability
     op = _build_problem(cfg)
     if not isinstance(op, BilinearGame):
         raise ConfigError("stability: problem must be a bilinear game")
@@ -492,6 +504,7 @@ def cmd_stability(cfg: SimpleNamespace, out_dir: Path):
 def cmd_lyapunov(cfg: SimpleNamespace, out_dir: Path, tol_abs=1e-7, tol_rel=1e-9):
     if not cfg.lyapunov_kinds:
         raise ConfigError("lyapunov: config must list at least one kind")
+    from . import lyapunov
     op, traj = execute_run(cfg)
     report = {}
     for kind in cfg.lyapunov_kinds:
@@ -511,6 +524,7 @@ def cmd_lyapunov(cfg: SimpleNamespace, out_dir: Path, tol_abs=1e-7, tol_rel=1e-9
 
 
 def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
+    from . import rates
     op, traj = execute_run(cfg)
     vn = traj.metric("v_norm")
     zn = traj.metric("z_norm")
@@ -548,6 +562,7 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
 
 
 def cmd_catalog() -> str:
+    from . import lyapunov
     lines = ["problems:"]
     lines += [f"  {pid}" for pid in PROBLEM_IDS]
     lines.append("discrete methods:")
@@ -599,6 +614,7 @@ def _load_config(args) -> SimpleNamespace:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="saddleflow",
         description="saddle-point optimizer experiments: runs, stability, lyapunov, rates",

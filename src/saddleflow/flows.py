@@ -460,6 +460,11 @@ FLOW_IDS = tuple(_FLOWS)
 #: Flow id -> the arguments among gamma, alpha and kappa_fn that it reads.
 FLOW_READS = {fid: tuple(signature(build).parameters) for fid, (_, build) in _FLOWS.items()}
 
+#: The methods m whose HRDE f"{m}-hrde" is a (z, omega) phase flow: those
+#: that the bilinear stability analysis (``stability``) and figure-bg cover.
+STABILITY_METHODS = tuple(fid.removesuffix("-hrde") for fid, (aux_var, _) in _FLOWS.items()
+                          if aux_var == "omega")
+
 
 def make_flow(flow_id, gamma=None, alpha=0.5, kappa_fn=None):
     """Instantiate a flow descriptor from its CLI identifier.

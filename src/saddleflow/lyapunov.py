@@ -162,7 +162,7 @@ def _on_rows(formula, kind, op: Operator, z, aux, name, scale):
             raise ValueError(f"{name} must be positive")
         # A number stays a Python float: its powers are Python's, not numpy's.
         scale = scale[:, None] if scale.ndim else float(scale)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # as Recorder.finish evaluates the monitors
         values = formula(op, zs, auxs, scale)[:, 0]
     return float(values[0]) if one else values
 

@@ -93,7 +93,8 @@ class OGDAVariableStep:
     The default power-law schedule gamma_n = gamma0 / (n+1)^power with
     power = 0.6 keeps the squared steps summable; on arrays it is evaluated
     under np.errstate(all="ignore"), so a (n+1)^power that overflows gives
-    a gamma_n of 0, which ``run`` rejects with one ValueError and no warning.
+    a gamma_n of 0, which ``run`` rejects with one ValueError and no warning,
+    and a Python int n gives the same gamma_n.
     ``run`` reads gamma_n a block of steps at a time, so a ``schedule`` is
     array in, array out, and runs under the caller's errstate.
     """
@@ -107,7 +108,10 @@ class OGDAVariableStep:
         if self.schedule is not None:
             return self.schedule(n)
         if isinstance(n, int):  # Python arithmetic, which no errstate governs
-            return self.gamma0 / (n + 1) ** self.power
+            try:
+                return self.gamma0 / (n + 1) ** self.power
+            except ArithmeticError:  # (n+1)^power left the float range:
+                n = np.float64(n)    # the array rule gives gamma_n = 0 or inf
         with np.errstate(all="ignore"):
             return self.gamma0 / (n + 1) ** self.power
 

@@ -89,6 +89,13 @@ def _tail_fit(times, values, tail_fraction, kind, abscissa):
     if np.any(v <= 0):
         raise ValueError(f"{kind} fit requires positive values in the window")
     x, log_v = abscissa(t), np.log(v)
+    # np.polyfit divides x by its root-sum-square.  Where that is 0 (every
+    # |x| below about 1e-162, so any subnormal span) or x is not finite,
+    # LAPACK rejects the scaled column, and prints to stdout, before numpy
+    # raises; a zero span has no slope.
+    if not (np.isfinite(x).all() and np.ptp(x) > 0 and (x * x).sum() > 0):
+        raise ValueError(f"{kind} fit: degenerate abscissa {float(x[0])!r} .. {float(x[-1])!r} "
+                         "in the window (not finite, zero span or every |x| < 1e-162)")
     slope, intercept = np.polyfit(x, log_v, 1)
     resid = log_v - (slope * x + intercept)
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid ** 2))), (start, end)

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flows import PhaseFlow, eg_flow, linear_system, make_flow, rhs
+from .flows import STABILITY_METHODS, PhaseFlow, eg_flow, linear_system, make_flow, rhs
 from .problems import BilinearGame, QuarticCounterexample
 
 Array = np.ndarray
@@ -48,10 +48,6 @@ EPS = 1e-13
 STABLE = "stable"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
-
-#: Methods with a stability analysis on the bilinear game; method m is
-#: analysed through the flow ``make_flow(f"{m}-hrde")``.
-STABILITY_METHODS = ("gda", "eg", "ogda", "la2-gda", "la3-gda")
 
 
 @dataclass

@@ -635,6 +635,15 @@ class TestReportCommands:
         else:
             assert err == ""
 
+    def test_rates_degenerate_fit_prints_one_error_line(self, tmp_path, capfd):
+        # At gamma = 1e-320 the run's times have a subnormal span: the fit
+        # raises one ValueError before LAPACK can print to fd 1.
+        code = run_main(["rates", "--set", "method.id=eg", "--set", "method.gamma=1e-320",
+                         "--set", "budget.steps=5", "--out", str(tmp_path)])
+        out, err = capfd.readouterr()
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ValueError: geometric fit")
+
     def test_rates_report(self, tmp_path):
         raw = {
             "problem": {"id": "bilinear"},
@@ -751,3 +760,32 @@ class TestParserReuse:
         parser = cli._parser()
         assert parser.parse_args(["run", "--set", "a=1"]).set == ["a=1"]
         assert parser.parse_args(["run"]).set is None
+
+
+class TestStartup:
+    """Each command imports its own modules: a fresh interpreter that imports
+    the CLI and validates a config loads only what that config needs, and
+    every name that perfbench's tracer patches is bound at import."""
+
+    #: The names perfbench/layers.py patches through ``cli.__dict__``.
+    PATCHED = ("line_plot", "make_problem", "random_bilinear", "_write", "trajectory_csv",
+               "run_summary", "_dump_json", "main", "validate_config")
+    DEFERRED = ("saddleflow.stability", "saddleflow.rates", "saddleflow.lyapunov", "argparse")
+
+    @pytest.mark.parametrize("config, loaded", [
+        (MINIMAL, []),
+        # The stability keys are checked against the flow table alone.
+        ({"stability": {"methods": ["ogda"], "gammas": [0.1]}}, []),
+        ({"mode": "hrde", "method": {"id": "ogda-hrde", "gamma": 0.5}, "lyapunov": ["ogda_l1"]},
+         ["saddleflow.lyapunov"]),
+    ], ids=["run", "stability", "lyapunov"])
+    def test_validation_imports_only_what_the_config_needs(self, config, loaded):
+        code = ("import json, sys\n"
+                "from saddleflow import cli\n"
+                "cli.validate_config(json.loads(sys.argv[1]))\n"
+                "print(json.dumps([[m for m in sys.argv[2:] if m in sys.modules],\n"
+                "                  [n for n in sys.argv[2:] if n in vars(cli)]]))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(config), *self.DEFERRED,
+                               *self.PATCHED], env=env, capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == [loaded, list(self.PATCHED)]

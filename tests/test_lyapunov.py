@@ -128,6 +128,17 @@ class TestStackedEvaluation:
         assert not np.isfinite(rate)
         assert values[1] == lyap.evaluate("ogda_l1", op, [0.5, 0.5], aux, beta=4.0)
 
+    def test_underflowing_field_is_finite(self):
+        # V(z) = 4 z^3 underflows at z = (1e-100, 1e-200): evaluated under
+        # "ignore", as Recorder.finish evaluates the monitors, it is a tiny
+        # finite value, not a FloatingPointError.
+        op, z, aux = QuarticCounterexample(), np.array([1e-100, 1e-200]), np.zeros(2)
+        want = lyap.evaluate("ogda_l1", op, z, aux, beta=2.0)
+        with np.errstate(all="raise"):
+            one = lyap.evaluate("ogda_l1", op, z, aux, beta=2.0)
+            rate = lyap.analytic_decrease_rate("ogda_l1", op, z, aux, beta=2.0)
+        assert one == want and np.isfinite(one) and np.isfinite(rate)
+
     @pytest.mark.parametrize("z, aux", [([np.nan, 0.5], [0.0, 0.0]), ([0.5, 0.5], [np.inf, 0.0])],
                              ids=["z", "aux"])
     def test_non_finite_state_raises(self, z, aux):

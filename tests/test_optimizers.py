@@ -247,6 +247,14 @@ class TestRunLoop:
         np.testing.assert_allclose(kind.step_size(np.arange(50)),
                                    [0.1 / (n + 1) ** 0.6 for n in range(50)], rtol=1e-15)
 
+    def test_power_law_out_of_range_on_an_int(self):
+        # Python's float power raises where numpy's leaves the float range:
+        # an int n gives the gamma_n of the array rule, 0 or inf.
+        for power in (1e9, -1e9):
+            kind = opt.OGDAVariableStep(0.5, power)
+            assert kind.step_size(1) == kind.step_size(np.arange(3))[1]
+        assert opt.OGDAVariableStep(0.5, 1e9).step_size(1) == 0.0
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("k", [1, 3, 7])

@@ -114,6 +114,20 @@ class TestFits:
         with pytest.raises(ValueError, match="positive"):
             rates.fit_power_law(t, v)
 
+    @pytest.mark.parametrize("t", [
+        np.arange(1.0, 6.0) * 1e-320,    # a subnormal span, as from gamma = 1e-320
+        np.arange(1.0, 6.0) * 1e-200,    # every t^2 underflows to 0
+        np.array([1.0, 2.0, np.inf]),
+        np.full(5, 3.0),
+    ], ids=["subnormal", "underflowing-squares", "non-finite", "zero-span"])
+    def test_rejects_a_degenerate_abscissa(self, t, capfd):
+        # Before np.polyfit runs: LAPACK would print to fd 1 first.
+        with pytest.raises(ValueError, match="degenerate abscissa"):
+            rates.fit_geometric(t, np.exp(-np.arange(t.size)), tail_fraction=1.0)
+        assert capfd.readouterr() == ("", "")
+        fit = rates.fit_geometric(np.arange(1.0, 6.0) * 1e-160, np.exp(-np.arange(5.0)), 1.0)
+        assert fit.rho_hat == pytest.approx(1e160)
+
     def test_observed_flow_rate_beats_certified(self):
         # Strongly monotone run: fitted decay must be at least the certified
         # 1/(1/mu + 9/(2 beta)).

@@ -567,3 +567,57 @@ class TestResolutionOrder:
         hrde, low = self.gaps("la2-gda", 0.5, lambda x: opt.LookaheadGDA(x, k=2, alpha=0.5),
                               1.0, self.XS)
         assert _slope(self.XS, hrde) >= 2.8 and _slope(self.XS, low) >= 2.8
+
+
+class TestResolutionOrderOfTrajectories:
+    """The same claim along whole runs: on random_bilinear(7, 2, 2) from z0
+    over time T = 2, max_n |z_n - z(t_n)| falls as O(gamma^2) against each
+    HRDE and only as O(gamma) against gda-ode.  The flows are integrated by
+    RK4 at dt = gamma/40 from the consistent start omega0 = -V(z0), or
+    -k alpha V(z0) for LA-k (zero instead drops every HRDE to order 1).  The
+    orders are written here, never read from the program."""
+
+    GAME = random_bilinear(7, 2, 2)
+    Z0 = np.array([1.0, -0.5, 0.3, 0.8])
+    T = 2.0
+    GAMMAS = np.array([0.1, 0.05, 0.025, 0.0125])
+    # (discrete method at gamma, its HRDE, alpha, the time per step of
+    # gda-ode over gamma, the lag in steps).  OGDA keeps z1 = z0, so its
+    # z_n is compared with the flow at (n - 1) gamma; LA-k moves alpha of k
+    # GDA steps, so gda-ode needs time k alpha gamma per step.
+    CASES = {
+        "gda": (lambda g: opt.GDA(g), "gda-hrde", None, 1.0, 0),
+        "eg": (lambda g: opt.EG(g), "eg-hrde", None, 1.0, 0),
+        "ogda": (lambda g: opt.OGDA(g), "ogda-hrde", None, 1.0, 1),
+        "la2-gda": (lambda g: opt.LookaheadGDA(g, k=2, alpha=0.25), "la2-gda-hrde", 0.25, 0.5, 0),
+    }
+
+    def flow_states(self, flow_id, aux0, gamma, alpha=None, time_per_step=1.0):
+        """The flow's z at every time_per_step * gamma up to time_per_step * T."""
+        dt = time_per_step * gamma / 40
+        cfg = flows.IntegratorConfig("rk4", dt, time_per_step * self.T, record_every=40)
+        kind = flows.make_flow(flow_id, gamma=gamma, alpha=alpha)
+        return flows.integrate(kind, self.GAME, self.Z0, aux0, cfg).states
+
+    def gaps(self, method):
+        make, flow_id, alpha, time_per_step, lag = self.CASES[method]
+        omega0 = -time_per_step * self.GAME.field(self.Z0)
+        hrde, low = [], []
+        for gamma in self.GAMMAS:
+            zs = opt.run(self.GAME, make(gamma), self.Z0, int(round(self.T / gamma))).states
+            flow = self.flow_states(flow_id, omega0, gamma, alpha)
+            hrde.append(np.linalg.norm(zs[lag:] - flow[:len(zs) - lag], axis=1).max())
+            ode = self.flow_states("gda-ode", np.zeros(4), gamma, time_per_step=time_per_step)
+            low.append(np.linalg.norm(zs - ode, axis=1).max())
+        return np.array(hrde), np.array(low)
+
+    @pytest.mark.parametrize("method", CASES)
+    def test_hrde_tracks_to_second_order(self, method):
+        hrde, low = self.gaps(method)
+        assert _slope(self.GAMMAS, hrde) >= 1.8
+        assert (hrde < low).all()
+
+    @pytest.mark.parametrize("method", ["gda", "la2-gda"])
+    def test_low_resolution_ode_tracks_to_first_order(self, method):
+        _, low = self.gaps(method)
+        assert _slope(self.GAMMAS, low) <= 1.2
