@@ -33,7 +33,6 @@ R_n per step, built a block of steps at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from inspect import signature
 from types import SimpleNamespace
 from typing import Callable
@@ -51,12 +50,33 @@ Array = np.ndarray
 # Flow descriptors
 # ---------------------------------------------------------------------------
 
+class _Flow:
+    """Base of the flow descriptors.  ``kernel(field, jvp)`` binds the flow's
+    one formula, ``write(z, aux, dz, daux, value)`` into arrays aliasing
+    neither z nor aux, with ``value`` the stage's -kappa of a (z, w) flow
+    (``stage_value``).  ``derivative``, and through it ``rhs`` and the
+    ``linear_system`` read-off, and ``integrate``'s stages evaluate it."""
+
+    reads_t = False  # True for the one flow whose derivative reads t
+    has_aux = True   # False for the low-resolution ODE, whose aux is empty
+
+    def stage_value(self, t):
+        return None
+
+    def derivative(self, op, z, aux, t, value=None):
+        """The formula at (z, aux) and time t through ``op``, into new arrays
+        (an empty aux keeps z's columns), at stage value ``value`` if given."""
+        dz, daux = np.empty((2, *np.shape(z)))
+        self.kernel(op.field, op.jvp)(z, aux, dz, daux,
+                                      self.stage_value(t) if value is None else value)
+        return dz, daux if self.has_aux else daux[:0]
+
+
 @dataclass(frozen=True)
-class PhaseFlow:
+class PhaseFlow(_Flow):
     """(z, omega) flow carrying one row of the coefficient table above; its
-    J V and J omega terms are Jacobian-vector products (``op.jvp``).
-    ``derivative`` multiplies by 0-d copies of the row (``read_only_scalar``)
-    that its first call builds: ``classify_method`` never evaluates its flows."""
+    J V and J omega terms are Jacobian-vector products.  ``kernel`` binds
+    the row as 0-d arrays (``read_only_scalar``)."""
 
     beta: float
     a_v: float
@@ -68,19 +88,20 @@ class PhaseFlow:
         if not self.beta > 0:
             raise ValueError("beta must be positive")
 
-    @cached_property
-    def _bound(self):
-        return tuple(map(read_only_scalar, (self.a_v, self.beta, self.a_jv, self.a_jw)))
+    def kernel(self, field, jvp):
+        a_v, beta, a_jv, a_jw = map(read_only_scalar, (self.a_v, self.beta, self.a_jv, self.a_jw))
+        jv, jw = self.a_jv != 0.0, self.a_jw != 0.0
 
-    def derivative(self, op, z, omega, t):
-        a_v, beta, a_jv, a_jw = self._bound
-        v = op.field(z)
-        domega = a_v * v - beta * omega
-        if self.a_jv != 0.0:
-            domega += a_jv * op.jvp(z, v)
-        if self.a_jw != 0.0:
-            domega += a_jw * op.jvp(z, omega)
-        return omega.copy(), domega
+        def write(z, omega, dz, domega, value):
+            v = field(z)  # dz is scratch until it takes omega
+            np.subtract(np.multiply(a_v, v, domega), np.multiply(beta, omega, dz), domega)
+            if jv:
+                np.add(domega, np.multiply(a_jv, jvp(z, v), dz), domega)
+            if jw:
+                np.add(domega, np.multiply(a_jw, jvp(z, omega), dz), domega)
+            np.copyto(dz, omega)
+
+        return write
 
 
 def gda_flow(beta) -> PhaseFlow:
@@ -113,19 +134,24 @@ def _check_alpha(alpha):
 _TWO = read_only_scalar(2.0)
 
 
-def _optimistic_derivative(op, z, w, neg_kappa):
-    """(dz, dw) of the (z, w) flow, given -kappa."""
-    drift = neg_kappa * (z + w)
-    return drift - _TWO * op.field(z), drift
+class _OptimisticFlow(_Flow):
+    """dz = -kappa (z + w) - 2 V(z), dw = -kappa (z + w), -kappa its stage value."""
+
+    def kernel(self, field, jvp):
+        def write(z, w, dz, dw, neg_kappa):
+            np.multiply(neg_kappa, np.add(z, w, dw), dw)
+            np.subtract(dw, np.multiply(_TWO, field(z), dz), dz)
+
+        return write
 
 
-#: A field that is zero everywhere: the optimistic derivative through it is
+#: A field that is zero everywhere: the optimistic formula through it is
 #: the kappa-drift alone.
-_NO_FIELD = SimpleNamespace(field=np.zeros_like)
+_NO_FIELD = SimpleNamespace(field=np.zeros_like, jvp=None)
 
 
 @dataclass(frozen=True)
-class VariableStepFlow:
+class VariableStepFlow(_OptimisticFlow):
     """(z, w) optimistic flow with kappa(t) = 1/gamma(t); ``integrate``
     reads ``kappa_fn`` at the stage times of a block of steps at once, so it
     is array in, array out.  A kappa that is not positive raises ValueError.
@@ -133,19 +159,19 @@ class VariableStepFlow:
 
     kappa_fn: Callable[[Array], Array]
     name: str = "ogda-hrde2-varstep"
-    reads_t = True  # the only flow whose derivative reads t
+    reads_t = True
 
-    def derivative(self, op, z, w, t):
+    def stage_value(self, t):
         kappa, error = read_positive(self.kappa_fn, np.array([t], dtype=float), "kappa(t)", "t")
         if error is not None:
             raise error
-        return _optimistic_derivative(op, z, w, -kappa[0])
+        return -kappa[0]
 
 
 @dataclass(frozen=True)
-class ConstantKappaFlow:
-    """(z, w) optimistic flow with a constant kappa = 1/gamma: ogda-hrde2.
-    ``derivative`` multiplies by a 0-d -kappa that its first call builds."""
+class ConstantKappaFlow(_OptimisticFlow):
+    """(z, w) optimistic flow with a constant kappa = 1/gamma: ogda-hrde2,
+    whose stage value is -kappa as a 0-d array."""
 
     kappa: float
     name = "ogda-hrde2"
@@ -154,36 +180,19 @@ class ConstantKappaFlow:
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
 
-    @cached_property
-    def _neg_kappa(self):
+    def stage_value(self, t):
         return read_only_scalar(-self.kappa)
-
-    def derivative(self, op, z, w, t):
-        return _optimistic_derivative(op, z, w, self._neg_kappa)
-
-
-def _constant_kappa_flows(kappas):
-    """The ConstantKappaFlow at each entry of a (steps, stages) block of
-    kappas.  Each evaluates at most two stages, fewer than would repay the
-    0-d -kappa its first derivative builds, so that is bound here instead:
-    a view of one read-only negated copy of the block."""
-    negated = -kappas
-    negated.flags.writeable = False
-    flows = [[ConstantKappaFlow(k) for k in row] for row in kappas.tolist()]
-    for i, row in enumerate(flows):
-        for j, flow in enumerate(row):
-            flow.__dict__["_neg_kappa"] = negated[i, j, ...]  # the cached_property's slot
-    return flows
 
 
 @dataclass(frozen=True)
-class LowResolutionFlow:
+class LowResolutionFlow(_Flow):
     """dz/dt = -V(z): the step-size-free baseline shared by all methods."""
 
     name = "gda-ode"
+    has_aux = False
 
-    def derivative(self, op, z, aux, t):
-        return -op.field(z), np.zeros_like(z[:0])  # an empty aux, column for column
+    def kernel(self, field, jvp):
+        return lambda z, aux, dz, daux, value: np.negative(field(z), dz)
 
 
 def rhs(kind, op: Operator, z, aux, t=0.0):
@@ -192,11 +201,12 @@ def rhs(kind, op: Operator, z, aux, t=0.0):
     Returns ``(dz, daux)``.  ``aux`` is omega for phase-space kinds, w for the
     Jacobian-free kinds, and ignored (may be None) for the low-resolution ODE,
     whose daux is empty.  ``op`` supplies ``field`` and, for the J terms,
-    ``jvp``.  Through an ``Operator`` z and a given aux are checked
-    (``as_state``), so a non-finite one raises NonFiniteError whatever the
-    flow.  Through its ``unchecked()`` view, with which ``integrate`` calls
-    this function at every stage of its ``rhs`` path, nothing is checked:
-    z and aux must be float vectors, and a non-finite one is a state.
+    ``jvp``, through which the flow's one formula (``kernel``) is evaluated.
+    Through an ``Operator`` z and a given aux are checked (``as_state``), so
+    a non-finite one raises NonFiniteError whatever the flow.  Through its
+    ``unchecked()`` view nothing is checked: z and aux must be float vectors,
+    and a non-finite one is a state.  ``integrate`` binds the same formula
+    once per run instead (``_rhs_step``).
     """
     if isinstance(op, Operator):
         z = as_state(z, op.dim)
@@ -211,7 +221,7 @@ def linear_system(kind, op: Operator) -> Array:
     derivative."""
     if getattr(kind, "reads_t", False):
         raise ValueError(f"flow {kind.name!r} reads t and has no constant linear system")
-    n_aux = 0 if isinstance(kind, LowResolutionFlow) else op.dim
+    n_aux = op.dim if kind.has_aux else 0
     return affine_system(op, n_aux, lambda columns, z, aux: kind.derivative(
         columns, z, aux, 0.0), 0.0)
 
@@ -285,16 +295,16 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     by its scheme's one-step map R of ``linear_system`` (``_scheme_map``),
     one matrix-vector product per step, and the time-varying optimistic flow
     by one map R_n per step (``_step_maps``) while its stacked state is at
-    most ``STEP_MAP_MAX_WIDTH`` wide.  Every other pair evaluates ``rhs`` at
-    each stage, through ``op.unchecked()``, which can overflow one step
-    before R s does.
+    most ``STEP_MAP_MAX_WIDTH`` wide.  Every other pair evaluates the flow's
+    formula at each stage through ``op.unchecked()`` (``_rhs_step``), which
+    can overflow one step before R s does.
 
     A non-finite ``aux0`` raises.  A callable ``aux0(view, z)`` derives the
     start from the checked z0, as ``run`` derives ``init_aux``: through
     ``op.unchecked()`` under np.errstate(all="ignore"), so an overflow is a state.
     """
     z = as_state(z0, op.dim)
-    if isinstance(kind, LowResolutionFlow):
+    if not kind.has_aux:
         aux = np.zeros(0)
     elif callable(aux0):
         with np.errstate(all="ignore"):
@@ -343,16 +353,15 @@ def _step_maps(kind, op, cfg, t0):
     an affine field: s' = R_n s, the scheme's exact map for step n
     (``matmul_step``).
 
-    S(kappa) = S0 + kappa S1 is read off ``_optimistic_derivative``: S0 at
+    S(kappa) = S0 + kappa S1 is read off the flow's formula: S0 at
     kappa = 0, S1 through a zero field, so that its entries are 0 and -1 and
     kappa S1 is exact.  A block of the loop reads kappa at its stage times
     (``_stage_kappas``) for at most as many steps as their maps fit in
     BLOCK_BYTES, and builds those maps.
     """
     dim, dt = op.dim, cfg.dt
-    s0 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(cols, z, w, -0.0), 0.0)
-    s1 = affine_system(op, dim, lambda cols, z, w: _optimistic_derivative(
-        _NO_FIELD, z, w, -1.0), 0.0)
+    s0 = affine_system(op, dim, lambda cols, z, w: kind.derivative(cols, z, w, t0, -0.0), 0.0)
+    s1 = affine_system(op, dim, lambda cols, z, w: kind.derivative(_NO_FIELD, z, w, t0, -1.0), 0.0)
     kappas, rows = _stage_kappas(kind, cfg, t0), max(1, BLOCK_BYTES // s0.nbytes)
     return (lambda n, t, count: kappas(n, t, min(rows, count)), matmul_step(
         lambda values: _block_maps(s0, s1, values, dt), SCHEMES[cfg.scheme]))
@@ -398,43 +407,44 @@ def _block_maps(s0, s1, kappas, h):
 
 
 def _rhs_step(kind, op, cfg, t0, width):
-    """``read`` and ``each_step`` advance of ``step_loop`` that call ``rhs``
-    at each stage, through ``op.unchecked()``, and advance the stacked y =
-    (z, aux), ``width`` entries, in one combination of the stages.  Each
-    stage's (dz, daux) is written into its own preallocated row, and the
-    combination keeps the operation order of the textbook RK4 sum, with
-    dt/2, dt, dt/6 and 2 as 0-d arrays (``read_only_scalar``);
-    the stage times stay floats.  A step's value is its stage kinds, one
-    per distinct stage time: the flow itself, or for a VariableStepFlow the
-    ConstantKappaFlow at each stage's kappa."""
-    view, dim, t_half, t_dt = op.unchecked(), op.dim, 0.5 * cfg.dt, cfg.dt
-    half, dt, sixth = map(read_only_scalar, (t_half, t_dt, t_dt / 6.0))
+    """``read`` and ``each_step`` advance of ``step_loop``: the flow's formula,
+    bound once per run to ``op.unchecked()``, writes each stage into views of
+    its preallocated row, and the stage inputs and the textbook RK4 sum of
+    the stacked y = (z, aux) are formed in preallocated rows in its operation
+    order, with dt/2, dt, dt/6 and 2 as 0-d arrays.  A step's value is its
+    stage values at its distinct stage times: the flow's own, or -kappa."""
+    view, dim = op.unchecked(), op.dim
+    half, dt, sixth = map(read_only_scalar, (0.5 * cfg.dt, cfg.dt, cfg.dt / 6.0))
     queries = SCHEMES[cfg.scheme]
     if getattr(kind, "reads_t", False):
         kappas = _stage_kappas(kind, cfg, t0)
 
         def read(n, t, count):
             values, error = kappas(n, t, count)
-            return _constant_kappa_flows(values), error
+            return (-values).tolist(), error
     else:
-        read = _repeat([kind] * (3 if cfg.scheme == "rk4" else 1))
+        read = _repeat([kind.stage_value(t0)] * (3 if cfg.scheme == "rk4" else 1))
 
-    k1, k2, k3, k4 = np.empty((4, width))  # one row per stage (Euler uses k1)
+    write = kind.kernel(view.field, view.jvp)
+    k1, k2, k3, k4, u, v = rows = np.empty((6, width))  # a row per stage (Euler uses k1)
+    (d1, a1), (d2, a2), (d3, a3), (d4, a4), (u_z, u_aux) = ((r[:dim], r[dim:]) for r in rows[:5])
 
-    def f(stage_kind, y, t, row):
-        row[:dim], row[dim:] = rhs(stage_kind, view, y[:dim], y[dim:], t)
-
-    def step(stage_kinds, s, out, t):
-        y, (kind_a, *kinds_bc) = s[:-1], stage_kinds
-        f(kind_a, y, t, k1)
-        if not kinds_bc:
-            out[:-1] = y + dt * k1
-        else:
-            kind_b, kind_c = kinds_bc
-            f(kind_b, y + half * k1, t + t_half, k2)
-            f(kind_b, y + half * k2, t + t_half, k3)
-            f(kind_c, y + dt * k3, t + t_dt, k4)
-            out[:-1] = y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4)
+    def step(values, s, out, t):
+        y, (value_a, *values_bc) = s[:-1], values
+        write(s[:dim], s[dim:-1], d1, a1, value_a)
+        if not values_bc:
+            np.add(y, np.multiply(dt, k1, u), out[:-1])
+            return queries
+        value_b, value_c = values_bc
+        np.add(y, np.multiply(half, k1, u), u)
+        write(u_z, u_aux, d2, a2, value_b)
+        np.add(y, np.multiply(half, k2, u), u)
+        write(u_z, u_aux, d3, a3, value_b)
+        np.add(y, np.multiply(dt, k3, u), u)
+        write(u_z, u_aux, d4, a4, value_c)
+        # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.add(np.add(k1, np.multiply(_TWO, k2, u), u), np.multiply(_TWO, k3, v), u)
+        np.add(y, np.multiply(sixth, np.add(u, k4, u), u), out[:-1])
         return queries
 
     return read, each_step(step)

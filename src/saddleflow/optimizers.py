@@ -1,6 +1,7 @@
 """Discrete saddle-point optimizers and the stepping loop shared with flows.
 
-Steppers are pure functions; the stepping loop threads method memory, counts
+Each update is one formula, checked by its stepper and bound by ``run`` to
+the unchecked view; the stepping loop threads method memory, counts
 gradient queries, and records the selected steps into a Trajectory, whose
 metrics are computed once, over all records, when the loop ends.  Divergence
 (non-finite state or norm above the guard) is recorded, not raised: a blowing
@@ -139,16 +140,40 @@ def _check_gamma(gamma):
 # Steppers
 # ---------------------------------------------------------------------------
 
+def _gda(op, z, aux, gamma, kind):
+    return z - gamma * op.field(z), aux, 1
+
+
+def _eg(op, z, aux, gamma, kind):
+    return z - gamma * op.field(z - gamma * op.field(z)), aux, 2
+
+
+def _ogda(op, z, v_prev, gamma, kind):
+    v = op.field(z)
+    return z - 2.0 * gamma * v + gamma * v_prev, v, 1
+
+
+def _ogda_s(op, z, w, gamma, kind):
+    return 0.5 * (z - w) - 2.0 * gamma * op.field(z), 0.5 * (w - z), 1
+
+
+def _la_gda(op, z, aux, gamma, kind):
+    fast = z
+    for _ in range(kind.k):
+        fast = fast - gamma * op.field(fast)
+    return z + kind.alpha * (fast - z), aux, kind.k
+
+
 def step_gda(op: Operator, z, gamma) -> Array:
     """z - gamma * V(z)."""
     _check_gamma(gamma)
-    return z - gamma * op.field(z)
+    return _gda(op, z, None, gamma, None)[0]
 
 
 def step_eg(op: Operator, z, gamma) -> Array:
     """z - gamma * V(z - gamma * V(z)); two gradient queries."""
     _check_gamma(gamma)
-    return z - gamma * op.field(z - gamma * op.field(z))
+    return _eg(op, z, None, gamma, None)[0]
 
 
 def step_ogda(op: Operator, z, v_prev, gamma):
@@ -160,8 +185,7 @@ def step_ogda(op: Operator, z, v_prev, gamma):
     iterate equals z itself.
     """
     _check_gamma(gamma)
-    v = op.field(z)
-    return z - 2.0 * gamma * v + gamma * v_prev, v
+    return _ogda(op, z, v_prev, gamma, None)[:2]
 
 
 def step_ogda_s(op: Operator, z, w, gamma):
@@ -171,9 +195,7 @@ def step_ogda_s(op: Operator, z, w, gamma):
     the one-variable optimistic update exactly.
     """
     _check_gamma(gamma)
-    z_next = 0.5 * (z - w) - 2.0 * gamma * op.field(z)
-    w_next = 0.5 * (w - z)
-    return z_next, w_next
+    return _ogda_s(op, z, w, gamma, None)[:2]
 
 
 def ogda_s_w0(op: Operator, z0, gamma) -> Array:
@@ -184,15 +206,7 @@ def ogda_s_w0(op: Operator, z0, gamma) -> Array:
 
 def step_la_gda(op: Operator, z, gamma, k, alpha) -> Array:
     """Lookahead step: k inner GDA steps, then interpolate with weight alpha."""
-    _check_gamma(gamma)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    fast = z
-    for _ in range(k):
-        fast = fast - gamma * op.field(fast)
-    return z + alpha * (fast - z)
+    return _la_gda(op, z, None, gamma, LookaheadGDA(gamma, k, alpha))[0]
 
 
 def step_ogda_implicit(op: Operator, z, omega, gamma, fp_tol=1e-12, fp_max_iter=200):
@@ -296,6 +310,7 @@ class _Method(NamedTuple):
     init_aux: Callable            # (op, z0, kind) -> initial method memory
     step: Callable                # (op, z, aux, gamma_n, kind) -> (z, aux, queries)
     queries: Optional[Callable]   # kind -> queries per step; None if it varies
+    formula: Callable             # () -> the unchecked update that step checks, same signature
     aux_var: Optional[str] = None  # "w" or "omega" when the memory is that state
     # True where rates.explicit_bound caps the iterates: the explicit
     # constant-step optimistic sequence with z_1 = z_0.
@@ -319,33 +334,35 @@ def _ogda_step(op, z, aux, gamma, kind):
     return (*step_ogda(op, z, aux, gamma), 1)
 
 
+def _newton(op, z, omega, gamma, kind):
+    return step_ogda_implicit(op, z, omega, gamma, kind.fp_tol, kind.fp_max_iter)
+
+
 #: Method id -> row, in CLI catalog order.  The method memory (aux) is the
 #: previous field for the one-variable optimistic methods, w for the
 #: two-variable form, omega for the implicit scheme, else None.  The steps
-#: look the steppers up by module-level name at call time, so a wrapped
-#: stepper is the one that runs.
+#: and formulas look the steppers and formulas up by module-level name at
+#: call time, so a wrapped one is the one that runs.
 _METHODS = {
     "gda": _Method(GDA, _no_aux, lambda op, z, aux, gamma, kind: (step_gda(op, z, gamma), aux, 1),
-                   lambda kind: 1),
+                   lambda kind: 1, lambda: _gda),
     "eg": _Method(EG, _no_aux, lambda op, z, aux, gamma, kind: (step_eg(op, z, gamma), aux, 2),
-                  lambda kind: 2),
-    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1, explicit_bound=True),
+                  lambda kind: 2, lambda: _eg),
+    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1, lambda: _ogda,
+                    explicit_bound=True),
     "ogda-s": _Method(OGDAStateSpace, lambda op, z, kind: ogda_s_w0(op, z, kind.gamma),
                       lambda op, z, aux, gamma, kind: (*step_ogda_s(op, z, aux, gamma), 1),
-                      lambda kind: 1, "w", explicit_bound=True),
+                      lambda kind: 1, lambda: _ogda_s, "w", explicit_bound=True),
     "la-gda": _Method(
         LookaheadGDA, _no_aux,
         lambda op, z, aux, gamma, kind: (
             step_la_gda(op, z, gamma, kind.k, kind.alpha), aux, kind.k),
-        lambda kind: kind.k,
+        lambda kind: kind.k, lambda: _la_gda,
     ),
-    "ogda-varstep": _Method(OGDAVariableStep, _ogda_aux, _ogda_step, lambda kind: 1),
-    "ogda-implicit": _Method(
-        ImplicitOGDA, lambda op, z, kind: np.zeros(op.dim),      # omega_0 = 0
-        lambda op, z, aux, gamma, kind: step_ogda_implicit(
-            op, z, aux, gamma, kind.fp_tol, kind.fp_max_iter),
-        None, "omega",
-    ),
+    "ogda-varstep": _Method(OGDAVariableStep, _ogda_aux, _ogda_step, lambda kind: 1,
+                            lambda: _ogda),
+    "ogda-implicit": _Method(ImplicitOGDA, lambda op, z, kind: np.zeros(op.dim),  # omega_0 = 0
+                             _newton, None, lambda: _newton, "omega"),
 }
 _BY_DESCRIPTOR = {method.descriptor: method for method in _METHODS.values()}
 
@@ -705,13 +722,13 @@ def _varstep_step(op, method, kind):
     return matmul_step(np.ndarray.tolist, queries, product)
 
 
-def _stepper_step(method, op, kind):
-    dim = op.dim
+def _stepper_step(method, view, kind):
+    """``each_step`` advance on a non-affine operator: the method's formula,
+    looked up once per run, on ``view`` at each step."""
+    dim, formula = view.dim, method.formula()
 
     def step(gamma_n, s, out, t):
-        # A memoryless method's aux is the empty slice, which its step ignores.
-        z, aux, queries = method.step(op, s[:dim], s[dim:-1], gamma_n, kind)
-        out[:dim], out[dim:-1] = z, aux
+        out[:dim], out[dim:-1], queries = formula(view, s[:dim], s[dim:-1], gamma_n, kind)
         return queries
 
     return each_step(step)

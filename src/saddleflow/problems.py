@@ -160,10 +160,11 @@ class Operator:
         return self.jacobian(self.solution) if j is None else j
 
     def unchecked(self) -> SimpleNamespace:
-        """``field``/``jacobian``/``jvp`` as their unchecked forms, through
-        which the steppers and ``flows.rhs`` evaluate non-finite states too."""
-        return SimpleNamespace(field=self.field_unchecked, jacobian=self.jacobian_unchecked,
-                               jvp=self.jvp_unchecked, dim=self.dim)
+        """The view through which the run loops evaluate non-finite states
+        too: the hooks ``_field`` and ``_jvp`` themselves, which take float
+        vectors, and ``jacobian_unchecked``, as ``field``/``jvp``/``jacobian``."""
+        return SimpleNamespace(field=self._field, jacobian=self.jacobian_unchecked,
+                               jvp=self._jvp, dim=self.dim)
 
     def fields_unchecked(self, zs) -> Array:
         """V at each row of the (n, dim) matrix ``zs``, without validation.

@@ -92,10 +92,12 @@ def _tail_fit(times, values, tail_fraction, kind, abscissa):
     # np.polyfit divides x by its root-sum-square.  Where that is 0 (every
     # |x| below about 1e-162, so any subnormal span) or x is not finite,
     # LAPACK rejects the scaled column, and prints to stdout, before numpy
-    # raises; a zero span has no slope.
-    if not (np.isfinite(x).all() and np.ptp(x) > 0 and (x * x).sum() > 0):
+    # raises; where it overflows (|x| from about 1e154) the scaled column is
+    # 0 and the fit wrong, with a RankWarning; a zero span has no slope.
+    if not (np.isfinite(x).all() and np.ptp(x) > 0 and 0 < (x * x).sum() < np.inf):
         raise ValueError(f"{kind} fit: degenerate abscissa {float(x[0])!r} .. {float(x[-1])!r} "
-                         "in the window (not finite, zero span or every |x| < 1e-162)")
+                         "in the window (not finite, zero span, every |x| < 1e-162 "
+                         "or a sum of x^2 that overflows)")
     slope, intercept = np.polyfit(x, log_v, 1)
     resid = log_v - (slope * x + intercept)
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid ** 2))), (start, end)

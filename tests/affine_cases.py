@@ -2,7 +2,8 @@
 
 ``AffineField`` declares ``affine = True``, so ``run`` and ``integrate``
 step it by its one-step map or linear flow; ``NonAffineTwin`` is the same
-field declared non-affine, so they evaluate it step by step.
+field declared non-affine, so they evaluate it step by step.  The spies
+``count_hook_calls`` and ``forbid`` count and forbid what those steps call.
 """
 
 import numpy as np
@@ -60,3 +61,25 @@ def assert_same_run(fast, ref, rtol=1e-10):
     ref_states = np.where(finite, ref.states, 0.0)
     gap = np.abs(np.where(finite, fast.states, 0.0) - ref_states)
     assert np.all(gap <= rtol * np.maximum(1.0, np.abs(ref_states).max(axis=1, keepdims=True)))
+
+
+def count_hook_calls(monkeypatch, cls, names):
+    """Calls of ``cls``'s methods ``names``, by name, counted from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(cls, name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def forbid(monkeypatch, owner, name):
+    """Make ``owner.name`` fail the test if it is called from now on."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(owner, name, called)

@@ -644,6 +644,16 @@ class TestReportCommands:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ValueError: geometric fit")
 
+    def test_rates_overflowing_fit_prints_one_error_line(self, tmp_path, capfd):
+        # At gamma = 1e200 the run's times square to inf: one ValueError, where
+        # np.polyfit fitted a zero column (rho_hat -0.0) with a RankWarning.
+        code = run_main(["rates", "--set", "problem.id=quartic", "--set", "method.id=ogda-implicit",
+                         "--set", "method.gamma=1e200", "--set", "budget.steps=5",
+                         "--out", str(tmp_path)])
+        out, err = capfd.readouterr()
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ValueError: geometric fit")
+
     def test_rates_report(self, tmp_path):
         raw = {
             "problem": {"id": "bilinear"},

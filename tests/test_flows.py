@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affine_cases import AffineField, NonAffineTwin, assert_same_run, monotone_affine_cases
+from affine_cases import (AffineField, NonAffineTwin, assert_same_run, count_hook_calls, forbid,
+                          monotone_affine_cases)
 from saddleflow import flows, lyapunov
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
     NonFiniteError,
+    Operator,
     QuarticCounterexample,
     ScaledIdentity,
     random_bilinear,
@@ -21,6 +23,23 @@ from saddleflow.problems import (
 
 BG = BilinearGame([[1.0]])
 SI = ScaledIdentity(1.0, 2)
+
+
+def count_stage_fields(monkeypatch):
+    """A list that gains one entry per V evaluation through an unchecked
+    view built from now on: the rhs path's stage kernel binds that view's
+    field once per run and evaluates it once per stage, while the maps,
+    their read-offs and ``Recorder.finish`` build no view."""
+    calls, real = [], Operator.unchecked
+
+    def unchecked(self):
+        view = real(self)
+        field = view.field
+        view.field = lambda z: calls.append(1) or field(z)
+        return view
+
+    monkeypatch.setattr(Operator, "unchecked", unchecked)
+    return calls
 
 
 class TestRightHandSides:
@@ -424,9 +443,7 @@ class TestAffinePropagator:
             assert traj.diverged and np.isnan(traj.states[-1]).all()
 
     def test_selected_by_operator_and_flow(self, monkeypatch):
-        calls = []
-        real_rhs = flows.rhs
-        monkeypatch.setattr(flows, "rhs", lambda *a, **k: calls.append(1) or real_rhs(*a, **k))
+        calls = count_stage_fields(monkeypatch)
         cfg = flows.IntegratorConfig("rk4", 0.1, 1.0)
         m, z_star = np.array([[0.5, 1.0], [-1.0, 0.0]]), np.zeros(2)
         z0, aux0 = np.array([1.0, 0.0]), np.zeros(2)
@@ -512,10 +529,22 @@ class TestVariableStepMaps:
         dt, t0 = 0.01, 0.3
         cfg = flows.IntegratorConfig(scheme, dt, n_steps * dt)
         m, z_star = np.array([[0.5, 1.0], [-1.0, 0.0]]), np.zeros(2)
-        stage_times = []
-        real_rhs = flows.rhs
-        monkeypatch.setattr(flows, "rhs", lambda kind, op, z, aux, t: (
-            stage_times.append(t) or real_rhs(kind, op, z, aux, t)))
+        # The rhs path's step kernel takes the time t before each step and
+        # the stage values, -kappa at each distinct stage time; its stages
+        # are at t, t + dt/2, t + dt/2 and t + dt.
+        stage_times, stage_values = [], []
+        real_each_step = flows.each_step
+
+        def each_step(step):
+            def spied(values, s, out, t):
+                stage_times.extend([t] if scheme == "euler" else
+                                   [t, t + 0.5 * dt, t + 0.5 * dt, t + dt])
+                stage_values.append(values)
+                return step(values, s, out, t)
+            return real_each_step(spied)
+
+        monkeypatch.setattr(flows, "each_step", each_step)
+        calls = count_stage_fields(monkeypatch)
         columns = {"rk4": 3, "euler": 1}[scheme]
         # The maps of (z, w, 1) take 200 bytes each, so BLOCK_ROWS caps them.
         map_rows = min(opt.BLOCK_ROWS, opt.BLOCK_BYTES // (8 * 5 * 5))
@@ -526,9 +555,12 @@ class TestVariableStepMaps:
             assert [r.shape for r in reads] == [
                 (min(rows, n_steps - first), columns) for first in range(0, n_steps, rows)]
             if op is NonAffineTwin:
-                assert len(stage_times) == flows.SCHEMES[scheme] * n_steps
+                assert len(stage_times) == len(calls) == flows.SCHEMES[scheme] * n_steps
                 want = np.array(stage_times if scheme == "euler" else [
                     t for i, t in enumerate(stage_times) if i % 4 != 2])
+                # Each stage takes the kappa = 1 + t read at its own time.
+                kappas = 1.0 + np.concatenate(reads)
+                assert (-np.array(stage_values)).tobytes() == kappas.tobytes()
             assert np.concatenate(reads).tobytes() == want.tobytes()
 
     def test_schedule_runs_under_the_callers_errstate(self):
@@ -548,9 +580,7 @@ class TestVariableStepMaps:
                 go()
 
     def test_maps_up_to_the_width_bound(self, monkeypatch):
-        calls = []
-        real_rhs = flows.rhs
-        monkeypatch.setattr(flows, "rhs", lambda *a, **k: calls.append(1) or real_rhs(*a, **k))
+        calls = count_stage_fields(monkeypatch)
         dim = (flows.STEP_MAP_MAX_WIDTH - 1) // 2
         assert 2 * dim + 1 == flows.STEP_MAP_MAX_WIDTH  # (z, w, 1) is exactly at the bound
         cfg = flows.IntegratorConfig("rk4", 0.1, 0.3)
@@ -685,6 +715,39 @@ class TestRhsPathIsStepwise:
         kind = flows.make_flow(flow_id, gamma=gamma, kappa_fn=_power_law_kappa(gamma))
         cfg = flows.IntegratorConfig(scheme, dt, 40 * dt)
         assert_integrate_is_stepwise(kind, NonAffineTwin(m, z_star), z0, aux0, cfg, t0)
+
+
+class TestStageKernel:
+    """The work of the rhs path's stage kernel, counted at the operator's
+    hooks: it evaluates ``_field`` and ``_jvp`` itself, once per term."""
+
+    def test_rk4_stage_evaluations(self, monkeypatch):
+        # ogda-hrde has one J omega term and no J V term.  The start is an
+        # array and the quartic's Recorder.finish evaluates its own stacked
+        # field, so every hook call is a stage's.
+        op, n = QuarticCounterexample(), 50
+        calls = count_hook_calls(monkeypatch, QuarticCounterexample, ("_field", "_jvp"))
+        forbid(monkeypatch, flows, "rhs")
+        forbid(monkeypatch, Operator, "field_unchecked")
+        cfg = flows.IntegratorConfig("rk4", 0.01, n * 0.01)
+        traj = flows.integrate(flows.make_flow("ogda-hrde", gamma=0.5), op,
+                               np.array([0.3, -0.7]), np.zeros(2), cfg)
+        assert traj.steps[-1] == n and not traj.diverged
+        stages = 4 * n  # four RK4 stages per step
+        assert calls == {"_field": stages, "_jvp": stages}
+
+    def test_variable_kappa_builds_no_flow(self, monkeypatch):
+        # Each stage takes its -kappa as a value: no ConstantKappaFlow per stage.
+        built = []
+        real = flows.ConstantKappaFlow.__post_init__
+        monkeypatch.setattr(flows.ConstantKappaFlow, "__post_init__",
+                            lambda self: built.append(self) or real(self))
+        traj = flows.integrate(flows.VariableStepFlow(_power_law_kappa(0.5)),
+                               QuarticCounterexample(), np.array([0.3, -0.7]), np.zeros(2),
+                               flows.IntegratorConfig("rk4", 0.01, 0.5))
+        assert traj.steps[-1] == 50 and not built
+        flows.make_flow("ogda-hrde2", gamma=0.5)
+        assert len(built) == 1  # the spy sees a construction
 
 
 #: Flow id -> the flow at gamma = 0.5, for every flow that carries an aux.

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affine_cases import AffineField, NonAffineTwin, assert_same_run, monotone_affine_cases
+from affine_cases import (AffineField, NonAffineTwin, assert_same_run, count_hook_calls, forbid,
+                          monotone_affine_cases)
 from saddleflow import flows
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
@@ -374,8 +375,9 @@ MAPPED_KINDS = [
     lambda gamma: opt.OGDAStateSpace(gamma),
     *(lambda gamma, k=k: opt.LookaheadGDA(gamma, k=k, alpha=0.4) for k in (1, 2, 3)),
 ]
-STEPPERS = ("step_gda", "step_eg", "step_ogda", "step_ogda_s", "step_la_gda",
-            "step_ogda_implicit")
+#: Each method's update formula, which its checked stepper and the
+#: non-affine run kernel both evaluate; ogda-implicit's is its Newton stepper.
+FORMULAS = ("_gda", "_eg", "_ogda", "_ogda_s", "_la_gda", "step_ogda_implicit")
 
 
 class TestAffinePropagator:
@@ -424,11 +426,12 @@ class TestAffinePropagator:
             assert np.isnan(traj.metric("z_norm")[stop[0]:]).all()
 
     def test_selected_by_operator_and_method(self, monkeypatch):
-        # No affine run calls a stepper per step: a constant-step run calls it
-        # once, for one_step_map, and ogda-varstep twice, for S(1) and S(2).
-        # Non-affine runs call it at every step.
-        calls = {name: 0 for name in STEPPERS}
-        for name in STEPPERS:
+        # No affine run evaluates its formula per step: a constant-step run
+        # evaluates it once, through its stepper for one_step_map, and
+        # ogda-varstep twice, for S(1) and S(2).  Non-affine runs evaluate
+        # it at every step.
+        calls = {name: 0 for name in FORMULAS}
+        for name in FORMULAS:
             real = getattr(opt, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
@@ -443,13 +446,13 @@ class TestAffinePropagator:
         for make in kinds:
             for op in (AffineField(m, z_star), BG, SI):
                 opt.run(op, make(0.1), z0, 10)
-        assert calls == {"step_gda": 3, "step_eg": 3, "step_ogda": 9, "step_ogda_s": 3,
-                         "step_la_gda": 9, "step_ogda_implicit": 3}
+        assert calls == {"_gda": 3, "_eg": 3, "_ogda": 9, "_ogda_s": 3,
+                         "_la_gda": 9, "step_ogda_implicit": 3}
         for make in kinds:
             opt.run(NonAffineTwin(m, z_star), make(0.1), z0, 10)
             opt.run(QuarticCounterexample(), make(0.01), z0, 10)
-        assert calls == {"step_gda": 23, "step_eg": 23, "step_ogda": 49, "step_ogda_s": 23,
-                         "step_la_gda": 69, "step_ogda_implicit": 23}
+        assert calls == {"_gda": 23, "_eg": 23, "_ogda": 49, "_ogda_s": 23,
+                         "_la_gda": 69, "step_ogda_implicit": 23}
 
     def test_one_step_map_requires_an_affine_operator(self):
         for method_id in ("gda", "eg", "ogda", "ogda-s", "la-gda", "ogda-implicit"):
@@ -1000,6 +1003,21 @@ class TestQuarticRunsAreStepwise:
             reached = np.flatnonzero(~np.isnan(fast.states).all(axis=1))[-1]
             assert fast.diverged and 2 <= reached < steps
             assert not np.isfinite(fast.states[reached]).all()
+
+
+class TestStepperKernel:
+    """The work of a non-affine run's step kernel, counted at the
+    operator's hooks: it evaluates the method's formula on ``_field``."""
+
+    def test_eg_evaluations(self, monkeypatch):
+        op, n = QuarticCounterexample(), 60
+        calls = count_hook_calls(monkeypatch, QuarticCounterexample, ("_field", "_jvp"))
+        forbid(monkeypatch, Operator, "field_unchecked")
+        forbid(monkeypatch, opt, "step_eg")
+        traj = opt.run(op, opt.EG(0.05), [0.3, -0.7], n)
+        assert traj.steps[-1] == n and not traj.diverged
+        queries = 2 * n  # two field evaluations per EG step
+        assert calls == {"_field": queries, "_jvp": 0}
 
 
 class TestOneStopRule:

@@ -128,6 +128,15 @@ class TestFits:
         fit = rates.fit_geometric(np.arange(1.0, 6.0) * 1e-160, np.exp(-np.arange(5.0)), 1.0)
         assert fit.rho_hat == pytest.approx(1e160)
 
+    def test_rejects_an_abscissa_whose_squares_overflow(self, capfd):
+        # sqrt(sum x^2) = inf, so np.polyfit would fit a zero column: rho_hat
+        # -0.0 and a RankWarning, where the rate is ln 2 / 1e200.
+        with pytest.raises(ValueError, match="degenerate abscissa"):
+            rates.fit_geometric(np.array([1e200, 2e200, 3e200]), np.array([1.0, 0.5, 0.25]), 1.0)
+        assert capfd.readouterr() == ("", "")
+        fit = rates.fit_geometric(np.array([1e150, 2e150, 3e150]), np.array([1.0, 0.5, 0.25]), 1.0)
+        assert fit.rho_hat == pytest.approx(np.log(2.0) / 1e150)
+
     def test_observed_flow_rate_beats_certified(self):
         # Strongly monotone run: fitted decay must be at least the certified
         # 1/(1/mu + 9/(2 beta)).
