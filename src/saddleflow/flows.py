@@ -1,7 +1,8 @@
 """High-resolution differential equations of the discrete optimizers.
 
-Every flow is written in first-order form.  Phase-space kinds evolve (z, omega)
-with dz/dt = omega and
+Every flow is one row of the table ``_FLOWS``, a ``Flow``, written in
+first-order form by one of three formulas.  Phase-space rows evolve
+(z, omega) with dz/dt = omega and
 
     domega/dt = -beta*omega + a_v*V(z) + a_jv*J(z)V(z) + a_jw*J(z)omega,
 
@@ -14,13 +15,13 @@ with the coefficient rows
     la2-gda-hrde    -2*alpha*beta 2*alpha  0
     la3-gda-hrde    -3*alpha*beta 6*alpha  0
 
-where beta = 2/gamma.  The Jacobian-free optimistic form evolves (z, w):
+where beta = 2/gamma.  The Jacobian-free optimistic rows evolve (z, w):
 
     dz/dt = -kappa*(z + w) - 2 V(z),   dw/dt = -kappa*(z + w),
 
-with kappa = beta/2 = 1/gamma, optionally time-varying (ogda-hrde2 is the
-constant-kappa case of ogda-hrde2-varstep).  The shared low-resolution
-baseline dz/dt = -V(z) is also provided; it carries an empty aux.
+with kappa = beta/2 = 1/gamma, constant (ogda-hrde2) or a function of t
+(ogda-hrde2-varstep).  The shared low-resolution baseline dz/dt = -V(z)
+(gda-ode) carries an empty aux.
 
 On an affine field V(z) = J z + q every flow whose derivative does not read
 t is the linear system d/dt (z, aux) = C (z, aux) + m, which
@@ -33,9 +34,10 @@ R_n per step, built a block of steps at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from inspect import signature
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,18 +52,46 @@ Array = np.ndarray
 # Flow descriptors
 # ---------------------------------------------------------------------------
 
-class _Flow:
-    """Base of the flow descriptors.  ``kernel(field, jvp)`` binds the flow's
-    one formula, ``write(z, aux, dz, daux, value)`` into arrays aliasing
-    neither z nor aux, with ``value`` the stage's -kappa of a (z, w) flow
-    (``stage_value``).  ``derivative``, and through it ``rhs`` and the
-    ``linear_system`` read-off, and ``integrate``'s stages evaluate it."""
+@dataclass(frozen=True)
+class Flow:
+    """A row of ``_FLOWS``: its name, its memory variable ("omega", "w", or
+    None for an empty aux), one of the formulas ``_phase``, ``_optimistic``
+    and ``_low_resolution``, and the scalars it reads: (beta, a_v, a_jv,
+    a_jw), or (kappa,) with kappa a constant or a function of t.
+    ``kernel(field, jvp)`` binds the formula as ``write(z, aux, dz, daux,
+    value)``, into arrays aliasing neither z nor aux, with ``value`` the
+    stage's -kappa, read by the (z, w) formula only (``stage_value``)."""
 
-    reads_t = False  # True for the one flow whose derivative reads t
-    has_aux = True   # False for the low-resolution ODE, whose aux is empty
+    name: str
+    aux_var: Optional[str]
+    formula: Callable
+    scalars: tuple = ()
+
+    @property
+    def reads_t(self) -> bool:
+        """True for the row whose kappa is a function of t."""
+        return any(map(callable, self.scalars))
+
+    @cached_property
+    def _bound(self):
+        """(the formula's scalars, a constant -kappa) as read-only 0-d arrays,
+        bound on first use: ``classify_method`` builds flows it never evaluates."""
+        if self.aux_var != "w":
+            return tuple(map(read_only_scalar, self.scalars)), None
+        return (), None if self.reads_t else read_only_scalar(-self.scalars[0])
+
+    def kernel(self, field, jvp):
+        return self.formula(field, jvp, *self._bound[0])
 
     def stage_value(self, t):
-        return None
+        """-kappa at time t for a (z, w) row, else None; a kappa(t) that is
+        not positive raises ValueError."""
+        if not self.reads_t:
+            return self._bound[1]
+        kappa, error = read_positive(self.scalars[0], np.array([t], dtype=float), "kappa(t)", "t")
+        if error is not None:
+            raise error
+        return -kappa[0]
 
     def derivative(self, op, z, aux, t, value=None):
         """The formula at (z, aux) and time t through ``op``, into new arrays
@@ -69,80 +99,41 @@ class _Flow:
         dz, daux = np.empty((2, *np.shape(z)))
         self.kernel(op.field, op.jvp)(z, aux, dz, daux,
                                       self.stage_value(t) if value is None else value)
-        return dz, daux if self.has_aux else daux[:0]
+        return dz, daux if self.aux_var else daux[:0]
 
 
-@dataclass(frozen=True)
-class PhaseFlow(_Flow):
-    """(z, omega) flow carrying one row of the coefficient table above; its
-    J V and J omega terms are Jacobian-vector products.  ``kernel`` binds
-    the row as 0-d arrays (``read_only_scalar``)."""
+def _phase(field, jvp, beta, a_v, a_jv, a_jw):
+    """(z, omega) flow of one row of the coefficient table above; its J V and
+    J omega terms are Jacobian-vector products, skipped where zero."""
+    jv, jw = bool(a_jv), bool(a_jw)
 
-    beta: float
-    a_v: float
-    a_jv: float
-    a_jw: float
-    name: str
+    def write(z, omega, dz, domega, value):
+        v = field(z)  # dz is scratch until it takes omega
+        np.subtract(np.multiply(a_v, v, domega), np.multiply(beta, omega, dz), domega)
+        if jv:
+            np.add(domega, np.multiply(a_jv, jvp(z, v), dz), domega)
+        if jw:
+            np.add(domega, np.multiply(a_jw, jvp(z, omega), dz), domega)
+        np.copyto(dz, omega)
 
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-
-    def kernel(self, field, jvp):
-        a_v, beta, a_jv, a_jw = map(read_only_scalar, (self.a_v, self.beta, self.a_jv, self.a_jw))
-        jv, jw = self.a_jv != 0.0, self.a_jw != 0.0
-
-        def write(z, omega, dz, domega, value):
-            v = field(z)  # dz is scratch until it takes omega
-            np.subtract(np.multiply(a_v, v, domega), np.multiply(beta, omega, dz), domega)
-            if jv:
-                np.add(domega, np.multiply(a_jv, jvp(z, v), dz), domega)
-            if jw:
-                np.add(domega, np.multiply(a_jw, jvp(z, omega), dz), domega)
-            np.copyto(dz, omega)
-
-        return write
-
-
-def gda_flow(beta) -> PhaseFlow:
-    return PhaseFlow(beta, -beta, 0.0, 0.0, "gda-hrde")
-
-
-def eg_flow(beta) -> PhaseFlow:
-    return PhaseFlow(beta, -beta, 2.0, 0.0, "eg-hrde")
-
-
-def ogda_flow(beta) -> PhaseFlow:
-    return PhaseFlow(beta, -beta, 0.0, -2.0, "ogda-hrde")
-
-
-def la2_flow(beta, alpha) -> PhaseFlow:
-    _check_alpha(alpha)
-    return PhaseFlow(beta, -2.0 * alpha * beta, 2.0 * alpha, 0.0, "la2-gda-hrde")
-
-
-def la3_flow(beta, alpha) -> PhaseFlow:
-    _check_alpha(alpha)
-    return PhaseFlow(beta, -3.0 * alpha * beta, 6.0 * alpha, 0.0, "la3-gda-hrde")
-
-
-def _check_alpha(alpha):
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    return write
 
 
 _TWO = read_only_scalar(2.0)
 
 
-class _OptimisticFlow(_Flow):
+def _optimistic(field, jvp):
     """dz = -kappa (z + w) - 2 V(z), dw = -kappa (z + w), -kappa its stage value."""
+    def write(z, w, dz, dw, neg_kappa):
+        np.multiply(neg_kappa, np.add(z, w, dw), dw)
+        np.subtract(dw, np.multiply(_TWO, field(z), dz), dz)
 
-    def kernel(self, field, jvp):
-        def write(z, w, dz, dw, neg_kappa):
-            np.multiply(neg_kappa, np.add(z, w, dw), dw)
-            np.subtract(dw, np.multiply(_TWO, field(z), dz), dz)
+    return write
 
-        return write
+
+def _low_resolution(field, jvp):
+    """dz/dt = -V(z): the step-size-free baseline shared by all methods."""
+    return lambda z, aux, dz, daux, value: np.negative(field(z), dz)
 
 
 #: A field that is zero everywhere: the optimistic formula through it is
@@ -150,49 +141,43 @@ class _OptimisticFlow(_Flow):
 _NO_FIELD = SimpleNamespace(field=np.zeros_like, jvp=None)
 
 
-@dataclass(frozen=True)
-class VariableStepFlow(_OptimisticFlow):
-    """(z, w) optimistic flow with kappa(t) = 1/gamma(t); ``integrate``
-    reads ``kappa_fn`` at the stage times of a block of steps at once, so it
-    is array in, array out.  A kappa that is not positive raises ValueError.
-    """
-
-    kappa_fn: Callable[[Array], Array]
-    name: str = "ogda-hrde2-varstep"
-    reads_t = True
-
-    def stage_value(self, t):
-        kappa, error = read_positive(self.kappa_fn, np.array([t], dtype=float), "kappa(t)", "t")
-        if error is not None:
-            raise error
-        return -kappa[0]
+def _phase_row(name, beta, a_v, a_jv, a_jw) -> Flow:
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    return Flow(name, "omega", _phase, (beta, a_v, a_jv, a_jw))
 
 
-@dataclass(frozen=True)
-class ConstantKappaFlow(_OptimisticFlow):
-    """(z, w) optimistic flow with a constant kappa = 1/gamma: ogda-hrde2,
-    whose stage value is -kappa as a 0-d array."""
-
-    kappa: float
-    name = "ogda-hrde2"
-
-    def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
-
-    def stage_value(self, t):
-        return read_only_scalar(-self.kappa)
+def gda_flow(beta) -> Flow:
+    return _phase_row("gda-hrde", beta, -beta, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class LowResolutionFlow(_Flow):
-    """dz/dt = -V(z): the step-size-free baseline shared by all methods."""
+def eg_flow(beta) -> Flow:
+    return _phase_row("eg-hrde", beta, -beta, 2.0, 0.0)
 
-    name = "gda-ode"
-    has_aux = False
 
-    def kernel(self, field, jvp):
-        return lambda z, aux, dz, daux, value: np.negative(field(z), dz)
+def ogda_flow(beta) -> Flow:
+    return _phase_row("ogda-hrde", beta, -beta, 0.0, -2.0)
+
+
+def la2_flow(beta, alpha) -> Flow:
+    _check_alpha(alpha)
+    return _phase_row("la2-gda-hrde", beta, -2.0 * alpha * beta, 2.0 * alpha, 0.0)
+
+
+def la3_flow(beta, alpha) -> Flow:
+    _check_alpha(alpha)
+    return _phase_row("la3-gda-hrde", beta, -3.0 * alpha * beta, 6.0 * alpha, 0.0)
+
+
+def _check_alpha(alpha):
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+
+
+def _optimistic_row(name, kappa) -> Flow:
+    if not (callable(kappa) or kappa > 0):
+        raise ValueError("kappa must be positive")
+    return Flow(name, "w", _optimistic, (kappa,))
 
 
 def rhs(kind, op: Operator, z, aux, t=0.0):
@@ -219,9 +204,9 @@ def linear_system(kind, op: Operator) -> Array:
     """S = [[C, m], [0, 0]] with d/dt (z, aux, 1) = S (z, aux, 1): a flow
     whose derivative does not read t, on an affine field, read off that
     derivative."""
-    if getattr(kind, "reads_t", False):
+    if kind.reads_t:
         raise ValueError(f"flow {kind.name!r} reads t and has no constant linear system")
-    n_aux = op.dim if kind.has_aux else 0
+    n_aux = op.dim if kind.aux_var else 0
     return affine_system(op, n_aux, lambda columns, z, aux: kind.derivative(
         columns, z, aux, 0.0), 0.0)
 
@@ -287,8 +272,8 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     per Euler step, and the time after step n is t0 + (n + 1) dt.
     Divergence is recorded as in ``optimizers.step_loop``; caller errors,
     such as a schedule with kappa(t) <= 0, raise.  ``step_loop`` reads a
-    ``VariableStepFlow``'s kappa once per block, at the stage times of its
-    steps (``_stage_kappas``).
+    kappa(t) once per block, at the stage times of its steps
+    (``_stage_kappas``).
 
     Every path steps the stacked state (z, aux, 1) in ``optimizers.step_loop``.
     On an affine operator a flow whose derivative does not read t is stepped
@@ -304,7 +289,7 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     ``op.unchecked()`` under np.errstate(all="ignore"), so an overflow is a state.
     """
     z = as_state(z0, op.dim)
-    if not kind.has_aux:
+    if kind.aux_var is None:
         aux = np.zeros(0)
     elif callable(aux0):
         with np.errstate(all="ignore"):
@@ -313,7 +298,7 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
         aux = as_state(aux0, op.dim)
     recorder = Recorder(op, kind.name, problem_label or op.label,
                         int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
-    if op.affine and not getattr(kind, "reads_t", False):
+    if op.affine and not kind.reads_t:
         system = _scheme_map(kind, op, cfg)
         read, advance = _repeat(system), matmul_step(lambda maps: maps, SCHEMES[cfg.scheme])
     elif op.affine and len(z) + len(aux) + 1 <= STEP_MAP_MAX_WIDTH:
@@ -349,8 +334,8 @@ def _scheme_map(kind, op, cfg):
 
 
 def _step_maps(kind, op, cfg, t0):
-    """``read`` and ``advance`` of ``step_loop`` for a VariableStepFlow on
-    an affine field: s' = R_n s, the scheme's exact map for step n
+    """``read`` and ``advance`` of ``step_loop`` for the flow whose kappa
+    reads t, on an affine field: s' = R_n s, the scheme's exact map for step n
     (``matmul_step``).
 
     S(kappa) = S0 + kappa S1 is read off the flow's formula: S0 at
@@ -383,7 +368,7 @@ def _stage_kappas(kind, cfg, t0):
         ts = t0 + np.arange(n, n + count) * dt
         ts[0] = t
         stages = [ts, ts + 0.5 * dt, ts + dt] if cfg.scheme == "rk4" else [ts]
-        return read_positive(kind.kappa_fn, np.stack(stages, axis=1), "kappa(t)", "t")
+        return read_positive(kind.scalars[0], np.stack(stages, axis=1), "kappa(t)", "t")
 
     return read
 
@@ -416,7 +401,7 @@ def _rhs_step(kind, op, cfg, t0, width):
     view, dim = op.unchecked(), op.dim
     half, dt, sixth = map(read_only_scalar, (0.5 * cfg.dt, cfg.dt, cfg.dt / 6.0))
     queries = SCHEMES[cfg.scheme]
-    if getattr(kind, "reads_t", False):
+    if kind.reads_t:
         kappas = _stage_kappas(kind, cfg, t0)
 
         def read(n, t, count):
@@ -450,18 +435,18 @@ def _rhs_step(kind, op, cfg, t0, width):
     return read, each_step(step)
 
 
-#: Flow id -> (its aux variable, builder); a builder's parameters are the
-#: arguments among gamma, alpha and kappa_fn that the flow reads.  The order
-#: is the CLI catalog order.
+#: Flow id -> (its aux variable, the builder of its ``Flow``); a builder's
+#: parameters are the arguments among gamma, alpha and kappa_fn that the
+#: row reads.  The order is the CLI catalog order.
 _FLOWS = {
     "gda-hrde": ("omega", lambda gamma: gda_flow(2.0 / gamma)),
     "eg-hrde": ("omega", lambda gamma: eg_flow(2.0 / gamma)),
     "ogda-hrde": ("omega", lambda gamma: ogda_flow(2.0 / gamma)),
     "la2-gda-hrde": ("omega", lambda gamma, alpha: la2_flow(2.0 / gamma, alpha)),
     "la3-gda-hrde": ("omega", lambda gamma, alpha: la3_flow(2.0 / gamma, alpha)),
-    "ogda-hrde2": ("w", lambda gamma: ConstantKappaFlow(1.0 / gamma)),
-    "ogda-hrde2-varstep": ("w", lambda kappa_fn: VariableStepFlow(kappa_fn)),
-    "gda-ode": (None, lambda: LowResolutionFlow()),
+    "ogda-hrde2": ("w", lambda gamma: _optimistic_row("ogda-hrde2", 1.0 / gamma)),
+    "ogda-hrde2-varstep": ("w", lambda kappa_fn: _optimistic_row("ogda-hrde2-varstep", kappa_fn)),
+    "gda-ode": (None, lambda: Flow("gda-ode", None, _low_resolution)),
 }
 
 #: Flow identifiers exposed to the CLI.
@@ -476,8 +461,8 @@ STABILITY_METHODS = tuple(fid.removesuffix("-hrde") for fid, (aux_var, _) in _FL
                           if aux_var == "omega")
 
 
-def make_flow(flow_id, gamma=None, alpha=0.5, kappa_fn=None):
-    """Instantiate a flow descriptor from its CLI identifier.
+def make_flow(flow_id, gamma=None, alpha=0.5, kappa_fn=None) -> Flow:
+    """Build the ``Flow`` of a CLI identifier.
 
     ``gamma`` sets beta = 2/gamma for phase-space kinds and kappa = 1/gamma
     for the Jacobian-free kind.

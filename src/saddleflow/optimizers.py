@@ -13,7 +13,7 @@ the one stop rule under any errstate.
 On an affine field V(z) = J z + q every constant-step method, the implicit
 one included, is the linear recurrence (z, aux)' = M (z, aux) + m, and the
 variable-step one is the recurrence of M0 + gamma_n M1 at step n.
-``one_step_map`` reads them off the method's own stepper (``affine_system``),
+``one_step_map`` reads them off the method's own formula (``affine_system``),
 and ``run`` then steps the recurrence a block at a time (``matmul_step``).
 """
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .problems import Operator, as_state
+from .problems import Operator, as_state, read_only_scalar
 
 Array = np.ndarray
 
@@ -308,9 +308,8 @@ def affine_system(op: Operator, n_aux, advance, corner) -> Array:
 class _Method(NamedTuple):
     descriptor: type
     init_aux: Callable            # (op, z0, kind) -> initial method memory
-    step: Callable                # (op, z, aux, gamma_n, kind) -> (z, aux, queries)
     queries: Optional[Callable]   # kind -> queries per step; None if it varies
-    formula: Callable             # () -> the unchecked update that step checks, same signature
+    formula: Callable             # () -> (op, z, aux, gamma_n, kind) -> (z, aux, queries)
     aux_var: Optional[str] = None  # "w" or "omega" when the memory is that state
     # True where rates.explicit_bound caps the iterates: the explicit
     # constant-step optimistic sequence with z_1 = z_0.
@@ -330,39 +329,25 @@ def _ogda_aux(op, z, kind):
     return 2.0 * op.field(z)
 
 
-def _ogda_step(op, z, aux, gamma, kind):
-    return (*step_ogda(op, z, aux, gamma), 1)
-
-
 def _newton(op, z, omega, gamma, kind):
     return step_ogda_implicit(op, z, omega, gamma, kind.fp_tol, kind.fp_max_iter)
 
 
 #: Method id -> row, in CLI catalog order.  The method memory (aux) is the
 #: previous field for the one-variable optimistic methods, w for the
-#: two-variable form, omega for the implicit scheme, else None.  The steps
-#: and formulas look the steppers and formulas up by module-level name at
-#: call time, so a wrapped one is the one that runs.
+#: two-variable form, omega for the implicit scheme, else None.  The
+#: formulas are looked up by module-level name at call time, so a wrapped
+#: one is the one that runs.
 _METHODS = {
-    "gda": _Method(GDA, _no_aux, lambda op, z, aux, gamma, kind: (step_gda(op, z, gamma), aux, 1),
-                   lambda kind: 1, lambda: _gda),
-    "eg": _Method(EG, _no_aux, lambda op, z, aux, gamma, kind: (step_eg(op, z, gamma), aux, 2),
-                  lambda kind: 2, lambda: _eg),
-    "ogda": _Method(OGDA, _ogda_aux, _ogda_step, lambda kind: 1, lambda: _ogda,
-                    explicit_bound=True),
+    "gda": _Method(GDA, _no_aux, lambda kind: 1, lambda: _gda),
+    "eg": _Method(EG, _no_aux, lambda kind: 2, lambda: _eg),
+    "ogda": _Method(OGDA, _ogda_aux, lambda kind: 1, lambda: _ogda, explicit_bound=True),
     "ogda-s": _Method(OGDAStateSpace, lambda op, z, kind: ogda_s_w0(op, z, kind.gamma),
-                      lambda op, z, aux, gamma, kind: (*step_ogda_s(op, z, aux, gamma), 1),
                       lambda kind: 1, lambda: _ogda_s, "w", explicit_bound=True),
-    "la-gda": _Method(
-        LookaheadGDA, _no_aux,
-        lambda op, z, aux, gamma, kind: (
-            step_la_gda(op, z, gamma, kind.k, kind.alpha), aux, kind.k),
-        lambda kind: kind.k, lambda: _la_gda,
-    ),
-    "ogda-varstep": _Method(OGDAVariableStep, _ogda_aux, _ogda_step, lambda kind: 1,
-                            lambda: _ogda),
+    "la-gda": _Method(LookaheadGDA, _no_aux, lambda kind: kind.k, lambda: _la_gda),
+    "ogda-varstep": _Method(OGDAVariableStep, _ogda_aux, lambda kind: 1, lambda: _ogda),
     "ogda-implicit": _Method(ImplicitOGDA, lambda op, z, kind: np.zeros(op.dim),  # omega_0 = 0
-                             _newton, None, lambda: _newton, "omega"),
+                             None, lambda: _newton, "omega"),
 }
 _BY_DESCRIPTOR = {method.descriptor: method for method in _METHODS.values()}
 
@@ -388,7 +373,7 @@ def gradient_queries(kind) -> int:
 
 def one_step_map(op: Operator, kind) -> Array:
     """S = [[M, m], [0, 1]] with (z, aux, 1)' = S (z, aux, 1): one step of a
-    constant-step method on an affine field, read off its stepper.  A
+    constant-step method on an affine field, read off its formula.  A
     singular implicit step raises NoConvergenceError."""
     method = _method_of(kind)
     if not isinstance(kind, _FixedStep):
@@ -398,11 +383,11 @@ def one_step_map(op: Operator, kind) -> Array:
 
 def _stepper_map(op, method, kind, gamma):
     """(S, queries): the map of one step at ``gamma`` on an affine field,
-    read off the stepper, and the query count that call reports."""
-    queries = []
+    read off the method's formula, and the query count that call reports."""
+    queries, formula = [], method.formula()
 
     def advance(columns, z, aux):
-        z, aux, step_queries = method.step(columns, z, aux, gamma, kind)
+        z, aux, step_queries = formula(columns, z, aux, gamma, kind)
         queries.append(step_queries)
         return z, aux
 
@@ -646,13 +631,13 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     for ``record_every``; see ``step_loop`` for divergence.
 
     On an affine operator a constant-step method (all but ogda-varstep)
-    calls its stepper once, for ``one_step_map``, and is stepped as that
+    calls its formula once, for ``one_step_map``, and is stepped as that
     recurrence (``matmul_step``), with the query count that call reports
     (2 for the implicit scheme, whose ``fp_tol`` and ``fp_max_iter`` are
     then not read); a singular implicit step is a divergence at step 1.
     ogda-varstep is stepped there by S0 s + gamma_n (S1 s)
     (``_varstep_step``), at any width.  A run on a non-affine operator
-    calls its stepper at every step, through ``op.unchecked()`` as does
+    calls its formula at every step, through ``op.unchecked()`` as does
     ``init_aux``.  ``step_loop`` reads gamma_n once per block: the constant
     gamma, or ogda-varstep's ``kind.step_size`` on an array of step
     indices, where a gamma_n that is not positive (or NaN) raises
@@ -706,8 +691,8 @@ def _varstep_step(op, method, kind):
     """``advance`` of ``step_loop`` for ogda-varstep on an affine field:
     s' = R_n s with R_n = S0 + gamma_n S1, taken as S0 s + gamma_n (S1 s),
     one product with the stacked (S0, S1) per step, so that no R_n is built.
-    S(gamma) is read off the stepper at gamma = 1 and 2, which keeps its
-    gamma > 0 check: S1 = S(2) - S(1) and S0 = S(1) - S1."""
+    S(gamma) is read off the formula at gamma = 1 and 2: S1 = S(2) - S(1)
+    and S0 = S(1) - S1."""
     s_one, queries = _stepper_map(op, method, kind, 1.0)
     s1 = _stepper_map(op, method, kind, 2.0)[0] - s_one
     width = len(s1)
@@ -724,11 +709,15 @@ def _varstep_step(op, method, kind):
 
 def _stepper_step(method, view, kind):
     """``each_step`` advance on a non-affine operator: the method's formula,
-    looked up once per run, on ``view`` at each step."""
+    looked up once per run, on ``view`` at each step.  A constant gamma is
+    bound once as a 0-d array (``read_only_scalar``), which a vector times
+    it rounds as times the block's gamma_n, read then for the times only."""
     dim, formula = view.dim, method.formula()
+    gamma = read_only_scalar(kind.gamma) if isinstance(kind, _FixedStep) else None
 
     def step(gamma_n, s, out, t):
-        out[:dim], out[dim:-1], queries = formula(view, s[:dim], s[dim:-1], gamma_n, kind)
+        out[:dim], out[dim:-1], queries = formula(
+            view, s[:dim], s[dim:-1], gamma_n if gamma is None else gamma, kind)
         return queries
 
     return each_step(step)

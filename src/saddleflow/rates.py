@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flows import IntegratorConfig, VariableStepFlow, integrate, ogda2_w_from_omega
+from .flows import IntegratorConfig, integrate, make_flow, ogda2_w_from_omega
 from .problems import Operator
 
 Array = np.ndarray
@@ -148,7 +148,7 @@ def apt_window_check(taus, states, op: Operator, gamma_of_t, T=1.0, windows=8,
 
     ``taus``/``states`` sample the discrete run on its effective-time axis,
     ``gamma_of_t`` is the continuous step-size schedule on that axis, array
-    in and array out, as ``VariableStepFlow`` reads it.  For
+    in and array out, as ``integrate`` reads kappa(t).  For
     each of ``windows`` geometrically spaced anchors t the variable-step flow
     is integrated from the interpolant over the horizon [0, T] and the
     sup-norm difference to the interpolant is returned.  A vanishing
@@ -169,7 +169,7 @@ def apt_window_check(taus, states, op: Operator, gamma_of_t, T=1.0, windows=8,
         raise ValueError("trajectory too short for the requested horizon")
 
     kappa_fn = lambda t: 1.0 / gamma_of_t(t)  # noqa: E731
-    flow = VariableStepFlow(kappa_fn)
+    flow = make_flow("ogda-hrde2-varstep", kappa_fn=kappa_fn)
 
     def interp(t):
         """The interpolant at ``t``, a time or an array of them (one row each)."""

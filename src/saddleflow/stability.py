@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flows import STABILITY_METHODS, PhaseFlow, eg_flow, linear_system, make_flow, rhs
+from .flows import STABILITY_METHODS, Flow, eg_flow, linear_system, make_flow, rhs
 from .problems import BilinearGame, QuarticCounterexample
 
 Array = np.ndarray
@@ -69,7 +69,7 @@ class Modes:
     sigma: Array      # singular values of A, ascending
     roots: Array      # (len(sigma), 2) roots at mu = i*sigma; -i*sigma gives the conjugates
     zero_modes: int   # |d1 - d2| modes mu = 0, each with the roots 0 and -beta
-    flow: PhaseFlow
+    flow: Flow        # the (z, omega) row, whose scalars are (beta, a_v, a_jv, a_jw)
     alpha: Optional[float]
     spectral_abscissa: float  # max Re over the roots and the zero modes
 
@@ -115,10 +115,11 @@ def modes(method, game: BilinearGame, gamma, alpha=None) -> Modes:
     larger root -(p + s*sqrt(p^2 - 4q))/2 (s = +-1 maximizing its modulus),
     then the other as q over it.  Rejects roots that overflow."""
     flow, alpha = _phase_flow(method, game, gamma, alpha)
+    beta, a_v, a_jv, a_jw = flow.scalars
     mu = 1j * game.singular_values
     with np.errstate(all="ignore"):
-        p = flow.beta - flow.a_jw * mu
-        q = -(flow.a_v * mu + flow.a_jv * mu * mu)
+        p = beta - a_jw * mu
+        q = -(a_v * mu + a_jv * mu * mu)
         disc = np.sqrt(p * p - 4.0 * q)
         big = -0.5 * (p + np.where((p.conj() * disc).real >= 0.0, disc, -disc))
         roots = _finite(np.array([big, q / big]).T, gamma, game)
@@ -176,7 +177,7 @@ def complex_quadratic_margin(beta, mu) -> float:
 def classify_method(method, game: BilinearGame, gamma, alpha=None) -> StabilityVerdict:
     """Routh / complex-quadratic verdict, cross-checked by the roots of ``modes``."""
     m = modes(method, game, gamma, alpha)
-    beta, zeros, routh = m.flow.beta, [0.0] * m.zero_modes, None
+    (beta, a_v, a_jv, _), zeros, routh = m.flow.scalars, [0.0] * m.zero_modes, None
     if method in ("gda", "ogda"):
         column = routh_quartic_gda if method == "gda" else routh_quartic_ogda
         columns = [column(beta, -s * s) for s in m.sigma.tolist()]
@@ -186,7 +187,7 @@ def classify_method(method, game: BilinearGame, gamma, alpha=None) -> StabilityV
     else:
         # The quadratic's a_v mu + a_jv mu^2 at mu = i*sigma (-i*sigma gives
         # the same margin): its two terms set the margin's scale.
-        a_v, a_jv, values, tols = m.flow.a_v, m.flow.a_jv, [], []
+        values, tols = [], []
         for s in m.sigma.tolist():
             mu = complex(-a_jv * s * s, a_v * s)
             values.append(complex_quadratic_margin(beta, mu))

@@ -218,7 +218,7 @@ def test_criterion_06_lyapunov_decrease():
     ]
     for op, mu, beta_fn in varstep_cases:
         assert lyap.varstep_precondition(beta_fn, mu, (0.0, 2.0))
-        kind = flows.VariableStepFlow(lambda t, b=beta_fn: 0.5 * b(t))
+        kind = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t, b=beta_fn: 0.5 * b(t))
         mons = {"lv": lyap.make_monitor("varstep_l", op, beta_fn=beta_fn)}
         traj = flows.integrate(kind, op, z0, -z0, cfg, extra_metrics=mons)
         rep = lyap.continuous_decrease_check(traj.metric("lv"), tol_abs=1e-7)

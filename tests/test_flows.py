@@ -107,7 +107,7 @@ class TestRightHandSides:
                 np.testing.assert_allclose(daux, 0.0, atol=1e-15)
 
     def test_varstep_constant_schedule_matches_fixed(self):
-        var = flows.VariableStepFlow(lambda t: 1.0)
+        var = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 1.0)
         fix = flows.make_flow("ogda-hrde2", gamma=1.0)
         z, w = np.array([0.3, 0.9]), np.array([-0.2, 0.4])
         for a, b in zip(flows.rhs(var, SI, z, w, t=3.0), flows.rhs(fix, SI, z, w)):
@@ -219,14 +219,14 @@ class TestIntegration:
 
     def test_low_resolution_conserves_bilinear_norm(self):
         cfg = flows.IntegratorConfig("rk4", 1e-3, 10.0, record_every=1000)
-        traj = flows.integrate(flows.LowResolutionFlow(), BG, np.array([1.0, 0.0]), None, cfg)
+        traj = flows.integrate(flows.make_flow("gda-ode"), BG, np.array([1.0, 0.0]), None, cfg)
         z_norm = traj.metric("z_norm")
         assert np.max(np.abs(z_norm - z_norm[0])) <= 1e-8
 
     def test_varstep_decreases_with_valid_schedule(self):
         # kappa(t) = (1+t)^0.6 meets the statement-side precondition
         # beta beta' < 4 mu on [0, 10] for mu = 1 (sup ~ 3.88).
-        kind = flows.VariableStepFlow(lambda t: (1.0 + t) ** 0.6)
+        kind = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: (1.0 + t) ** 0.6)
         beta_dot = lambda t: 2.0 * 0.6 * (1.0 + t) ** (-0.4)  # noqa: E731
         ts = np.linspace(0.0, 10.0, 101)
         assert all(2.0 * (1.0 + t) ** 0.6 * beta_dot(t) < 4.0 for t in ts)
@@ -285,7 +285,8 @@ class TestIntegration:
         z0, w0 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
         twin = NonAffineTwin(np.eye(2), np.zeros(2))
         for bad in (-1.0, 0.0, float("nan")):
-            kind = flows.VariableStepFlow(lambda t, bad=bad: np.where(t < 0.3, 1.0, bad))
+            kind = flows.make_flow("ogda-hrde2-varstep",
+                                   kappa_fn=lambda t, bad=bad: np.where(t < 0.3, 1.0, bad))
             for op in (SI, twin):
                 with pytest.raises(ValueError,
                                    match=r"kappa\(t\) must be positive, got .* at t=0\.3"):
@@ -296,7 +297,8 @@ class TestIntegration:
 
         for op in (SI, twin):
             with pytest.raises(ZeroDivisionError, match="schedule failed"):
-                flows.integrate(flows.VariableStepFlow(failing), op, z0, w0, cfg)
+                flows.integrate(flows.make_flow("ogda-hrde2-varstep", kappa_fn=failing),
+                                op, z0, w0, cfg)
 
     def test_record_every(self):
         cfg = flows.IntegratorConfig("euler", 0.1, 1.0, record_every=2)
@@ -325,12 +327,19 @@ class TestIntegration:
 
 class TestFlowFactory:
     def test_ids(self):
-        assert flows.make_flow("gda-hrde", gamma=0.1).beta == 20.0
+        assert flows.make_flow("gda-hrde", gamma=0.1).scalars[0] == 20.0
         fixed = flows.make_flow("ogda-hrde2", gamma=0.1)
-        assert fixed.name == "ogda-hrde2" and fixed.kappa == 10.0
-        assert isinstance(flows.make_flow("gda-ode"), flows.LowResolutionFlow)
+        assert fixed.name == "ogda-hrde2" and fixed.scalars == (10.0,)
+        assert flows.make_flow("gda-ode").aux_var is None
         varstep = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 1.0 + t)
-        assert varstep.kappa_fn(1.0) == 2.0
+        assert varstep.scalars[0](1.0) == 2.0
+
+    def test_rows_carry_their_table_memory_variable(self):
+        # The CLI and STABILITY_METHODS read the memory variable off the
+        # table, and the runs read it off the built row: they must agree.
+        for flow_id, (aux_var, _) in flows._FLOWS.items():
+            row = flows.make_flow(flow_id, gamma=0.5, kappa_fn=lambda t: 2.0 + t)
+            assert (row.name, row.aux_var) == (flow_id, aux_var)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="gamma"):
@@ -344,9 +353,30 @@ class TestFlowFactory:
             with pytest.raises(ValueError, match="gamma"):
                 flows.make_flow(flow_id, gamma=nan)
         with pytest.raises(ValueError, match="beta"):
-            flows.PhaseFlow(nan, -1.0, 0.0, 0.0, "gda-hrde")
+            flows.gda_flow(nan)
         with pytest.raises(ValueError, match="gamma"):
             flows.ogda2_w_from_omega(SI, [1.0, 0.0], [0.0, 0.0], nan)
+
+
+class TestOptimisticSpectra:
+    """The (z, omega) row ogda-hrde and the (z, w) row ogda-hrde2 describe
+    one flow: on a bilinear game their linear systems share one
+    characteristic polynomial, written out here mode by mode."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), d1=st.integers(1, 4), d2=st.integers(1, 4),
+           gamma=st.floats(0.05, 10.0))
+    def test_rows_share_the_characteristic_polynomial(self, seed, d1, d2, gamma):
+        game, beta = random_bilinear(seed, d1, d2), 2.0 / gamma
+        # Per eigenvalue mu of J: lambda^2 + (beta + 2 mu) lambda + beta mu.
+        expected = np.array([1.0 + 0.0j])
+        for mu in np.linalg.eigvals(game.jacobian(np.zeros(game.dim))):
+            expected = np.convolve(expected, [1.0, beta + 2.0 * mu, beta * mu])
+        assert np.abs(expected.imag).max() <= 1e-12 * np.abs(expected).max()
+        for flow_id in ("ogda-hrde", "ogda-hrde2"):
+            c = flows.linear_system(flows.make_flow(flow_id, gamma=gamma), game)[:-1, :-1]
+            coeffs = np.poly(c)
+            assert np.abs(coeffs - expected.real).max() <= 1e-12 * np.abs(expected).max()
 
 
 CONSTANT_FLOWS = [f for f in flows.FLOW_IDS if f != "ogda-hrde2-varstep"]
@@ -452,7 +482,7 @@ class TestAffinePropagator:
                             z0, aux0, cfg)
         assert not calls
         # The time-varying flow takes its per-step maps on an affine field too.
-        varstep = flows.VariableStepFlow(lambda t: 2.0)
+        varstep = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 2.0)
         flows.integrate(varstep, AffineField(m, z_star), z0, aux0, cfg)
         assert not calls
         flows.integrate(varstep, NonAffineTwin(m, z_star), z0, aux0, cfg)
@@ -466,7 +496,7 @@ class TestAffinePropagator:
             with pytest.raises(ValueError, match="affine"):
                 flows.linear_system(flows.make_flow(flow_id, gamma=0.5), QuarticCounterexample())
         with pytest.raises(ValueError, match="reads t"):
-            flows.linear_system(flows.VariableStepFlow(lambda t: 2.0), BG)
+            flows.linear_system(flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 2.0), BG)
 
     @pytest.mark.parametrize("dim", [1, 3, 8])
     def test_linear_system_matches_closed_forms(self, dim):
@@ -507,7 +537,7 @@ class TestVariableStepMaps:
            record_every=st.integers(1, 4))
     def test_matches_rhs_path(self, case, kappa_fn, dt, t0, record_every):
         m, z_star, z0, w0 = case
-        kind = flows.VariableStepFlow(kappa_fn)
+        kind = flows.make_flow("ogda-hrde2-varstep", kappa_fn=kappa_fn)
         w_parts = {f"w{i}": (lambda ts, zs, ws, i=i: ws[:, i]) for i in range(len(z0))}
         for scheme in ("rk4", "euler"):
             cfg = flows.IntegratorConfig(scheme, dt, 25 * dt, record_every)
@@ -550,7 +580,8 @@ class TestVariableStepMaps:
         map_rows = min(opt.BLOCK_ROWS, opt.BLOCK_BYTES // (8 * 5 * 5))
         for op, rows in ((NonAffineTwin, opt.BLOCK_ROWS), (AffineField, map_rows)):
             reads = []
-            kind = flows.VariableStepFlow(lambda t, reads=reads: reads.append(t.copy()) or 1.0 + t)
+            kind = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t, reads=reads: (
+                reads.append(t.copy()) or 1.0 + t))
             flows.integrate(kind, op(m, z_star), np.array([1.0, 0.0]), np.zeros(2), cfg, t0=t0)
             assert [r.shape for r in reads] == [
                 (min(rows, n_steps - first), columns) for first in range(0, n_steps, rows)]
@@ -568,7 +599,7 @@ class TestVariableStepMaps:
         # caller's code: under the caller's "raise" its overflow raises, on
         # the maps and the rhs path alike, and ogda-varstep's schedule too.
         cfg = flows.IntegratorConfig("rk4", 0.1, 1.0)
-        kind = flows.VariableStepFlow(lambda t: np.exp(800.0 + t))
+        kind = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: np.exp(800.0 + t))
         m, z_star = np.array([[0.5, 1.0], [-1.0, 0.0]]), np.zeros(2)
         varstep = opt.OGDAVariableStep(schedule=lambda n: 1.0 / np.exp(800.0 + n))
         for go in (lambda: flows.integrate(kind, AffineField(m, z_star), np.ones(2),
@@ -584,7 +615,7 @@ class TestVariableStepMaps:
         dim = (flows.STEP_MAP_MAX_WIDTH - 1) // 2
         assert 2 * dim + 1 == flows.STEP_MAP_MAX_WIDTH  # (z, w, 1) is exactly at the bound
         cfg = flows.IntegratorConfig("rk4", 0.1, 0.3)
-        kind = flows.VariableStepFlow(lambda t: 2.0)
+        kind = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 2.0)
         for d in (dim, dim + 1):
             flows.integrate(kind, ScaledIdentity(1.0, d), np.ones(d), np.zeros(d), cfg)
             assert len(calls) == (0 if d == dim else 4 * 3)
@@ -594,7 +625,7 @@ class TestVariableStepMaps:
         # np.errstate(all="raise") that is a recorded divergence, as on the
         # rhs path.
         cfg = flows.IntegratorConfig("rk4", 0.1, 1.0)
-        kind = flows.VariableStepFlow(lambda t: 1e300)
+        kind = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 1e300)
         for op in (ScaledIdentity(1.0, 2), NonAffineTwin(np.eye(2), np.zeros(2))):
             with np.errstate(all="raise"):
                 traj = flows.integrate(kind, op, np.array([1.0, 0.0]), np.zeros(2), cfg)
@@ -606,19 +637,21 @@ def closed_form_system(kind, op):
     by hand: the reference that ``flows.linear_system`` must reproduce."""
     zero, d = np.zeros(op.dim), op.dim
     jac, q, eye = op.jacobian(zero), op.field(zero), np.eye(op.dim)
-    if isinstance(kind, flows.LowResolutionFlow):
+    if kind.aux_var is None:
         return -jac, -q
     c = np.empty((2 * d, 2 * d))
-    if isinstance(kind, flows.ConstantKappaFlow):
+    if kind.aux_var == "w":
         # [[-kappa I - 2J, -kappa I], [-kappa I, -kappa I]] and m = (-2q, 0)
-        c[:d, :d] = -kind.kappa * eye - 2.0 * jac
-        c[:d, d:] = c[d:, :d] = c[d:, d:] = -kind.kappa * eye
+        (kappa,) = kind.scalars
+        c[:d, :d] = -kappa * eye - 2.0 * jac
+        c[:d, d:] = c[d:, :d] = c[d:, d:] = -kappa * eye
         return c, np.concatenate([-2.0 * q, zero])
     # [[0, I], [a_v J + a_jv J^2, -beta I + a_jw J]] and m = (0, a_v q + a_jv J q)
+    beta, a_v, a_jv, a_jw = kind.scalars
     c[:d, :d], c[:d, d:] = 0.0, eye
-    c[d:, :d] = kind.a_v * jac + kind.a_jv * (jac @ jac)
-    c[d:, d:] = -kind.beta * eye + kind.a_jw * jac
-    return c, np.concatenate([zero, kind.a_v * q + kind.a_jv * (jac @ q)])
+    c[d:, :d] = a_v * jac + a_jv * (jac @ jac)
+    c[d:, d:] = -beta * eye + a_jw * jac
+    return c, np.concatenate([zero, a_v * q + a_jv * (jac @ q)])
 
 
 def stepwise_integrate(kind, op, z0, aux0, cfg, t0=0.0):
@@ -656,7 +689,7 @@ def assert_integrate_is_stepwise(kind, op, z0, aux0, cfg, t0):
     ``stepwise_integrate`` bit for bit, stops at the same first non-finite
     state and NaN-pads the records after it."""
     dim = op.dim
-    if isinstance(kind, flows.LowResolutionFlow):
+    if kind.aux_var is None:
         aux0 = np.zeros(0)
     seen = []
     traj = flows.integrate(kind, op, z0, aux0, cfg, t0=t0, extra_metrics={
@@ -737,13 +770,12 @@ class TestStageKernel:
         assert calls == {"_field": stages, "_jvp": stages}
 
     def test_variable_kappa_builds_no_flow(self, monkeypatch):
-        # Each stage takes its -kappa as a value: no ConstantKappaFlow per stage.
-        built = []
-        real = flows.ConstantKappaFlow.__post_init__
-        monkeypatch.setattr(flows.ConstantKappaFlow, "__post_init__",
-                            lambda self: built.append(self) or real(self))
-        traj = flows.integrate(flows.VariableStepFlow(_power_law_kappa(0.5)),
-                               QuarticCounterexample(), np.array([0.3, -0.7]), np.zeros(2),
+        # Each stage takes its -kappa as a value: no constant-kappa row per stage.
+        kind, built = flows.make_flow("ogda-hrde2-varstep", kappa_fn=_power_law_kappa(0.5)), []
+        real = flows._optimistic_row
+        monkeypatch.setattr(flows, "_optimistic_row",
+                            lambda *row: built.append(row) or real(*row))
+        traj = flows.integrate(kind, QuarticCounterexample(), np.array([0.3, -0.7]), np.zeros(2),
                                flows.IntegratorConfig("rk4", 0.01, 0.5))
         assert traj.steps[-1] == 50 and not built
         flows.make_flow("ogda-hrde2", gamma=0.5)

@@ -446,7 +446,7 @@ class TestVarstep:
         ]
         for op, mu, beta_fn in cases:
             assert lyap.varstep_precondition(beta_fn, mu, (0.0, 2.0))
-            kind = flows.VariableStepFlow(lambda t, b=beta_fn: 0.5 * b(t))
+            kind = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t, b=beta_fn: 0.5 * b(t))
             mons = {"lyap": lyap.make_monitor("varstep_l", op, beta_fn=beta_fn)}
             cfg = flows.IntegratorConfig("rk4", 1e-3, 2.0)
             traj = flows.integrate(kind, op, np.array([1.0, 0.0]), np.array([-1.0, 0.0]),

@@ -535,10 +535,10 @@ class TestVaryingAndImplicitMaps:
 
     @pytest.mark.parametrize("dim", [16, 17, 50])
     def test_varstep_maps_at_any_width(self, dim, monkeypatch):
-        # No width selects the stepper: S(1) and S(2) are read off it, and
-        # the run matches it to 1e-12 of each state's norm.
-        calls, real = [], opt.step_ogda
-        monkeypatch.setattr(opt, "step_ogda", lambda *a: calls.append(1) or real(*a))
+        # No width selects the stepper: S(1) and S(2) are read off its
+        # formula, and the run matches it to 1e-12 of each state's norm.
+        calls, real = [], opt._ogda
+        monkeypatch.setattr(opt, "_ogda", lambda *a: calls.append(1) or real(*a))
         rng = np.random.default_rng(dim)
         k = rng.standard_normal((dim, dim))
         op, z0 = AffineField(0.1 * np.eye(dim) + k - k.T, rng.standard_normal(dim)), np.ones(dim)
@@ -788,7 +788,8 @@ class TestBlockLoop:
         monkeypatch.setattr(opt.Recorder, "record", lambda self, first, *a: (
             firsts.append(first) or record(self, first, *a)))
         dt, steps = 0.125, k + 20
-        kind = flows.VariableStepFlow(lambda t: np.where(t > (k - 1) * dt, np.inf, 1.0))
+        kind = flows.make_flow("ogda-hrde2-varstep",
+                               kappa_fn=lambda t: np.where(t > (k - 1) * dt, np.inf, 1.0))
         rng = np.random.default_rng(dim)
         op = AffineField(0.1 * np.eye(dim) + rng.standard_normal((dim, dim)) * 0.3, np.zeros(dim))
         z0, w0 = rng.standard_normal(dim), rng.standard_normal(dim)
@@ -820,12 +821,13 @@ class TestBlockLoop:
             return lambda t: np.where(t > (k + 1) * dt, then, np.where(
                 t > (k - 1) * dt, first, 1.0))
 
-        traj = flows.integrate(flows.VariableStepFlow(schedule(np.inf, -1.0)),
+        traj = flows.integrate(flows.make_flow("ogda-hrde2-varstep",
+                                               kappa_fn=schedule(np.inf, -1.0)),
                                op_type(m, z_star), z0, w0, cfg)
         assert traj.diverged and traj.queries[-1] == 4 * k
         assert np.isfinite(traj.states[:k]).all() and not np.isfinite(traj.states[k]).all()
         with pytest.raises(ValueError, match="kappa") as raised:
-            flows.integrate(flows.VariableStepFlow(schedule(-1.0, np.inf)),
+            flows.integrate(flows.make_flow("ogda-hrde2-varstep", kappa_fn=schedule(-1.0, np.inf)),
                             op_type(m, z_star), z0, w0, cfg)
         assert str(raised.value) == f"kappa(t) must be positive, got -1.0 at t={(k - 0.5) * dt}"
 
@@ -971,11 +973,24 @@ STOP_RULE_RUNS = {
 }
 
 
+#: Method id -> one step through the public, checked stepper:
+#: (op, z, aux, gamma_n, kind) -> (z, aux).
+CHECKED_STEPS = {
+    "eg": lambda op, z, aux, gamma, kind: (opt.step_eg(op, z, gamma), aux),
+    "ogda": lambda op, z, aux, gamma, kind: opt.step_ogda(op, z, aux, gamma),
+    "ogda-varstep": lambda op, z, aux, gamma, kind: opt.step_ogda(op, z, aux, gamma),
+    "la-gda": lambda op, z, aux, gamma, kind: (
+        opt.step_la_gda(op, z, gamma, kind.k, kind.alpha), aux),
+    "ogda-s": lambda op, z, aux, gamma, kind: opt.step_ogda_s(op, z, aux, gamma),
+}
+
+
 class TestQuarticRunsAreStepwise:
     """``run`` on the non-affine quartic (each_step, with one finiteness
-    test per block) against the per-step reference loop, bit for bit."""
+    test per block) against the per-step reference loop through the public
+    steppers (``CHECKED_STEPS``), bit for bit."""
 
-    @pytest.mark.parametrize("name", ["eg", "ogda", "ogda-varstep", "la-gda", "ogda-s"])
+    @pytest.mark.parametrize("name", CHECKED_STEPS)
     @settings(derandomize=True, max_examples=6, deadline=None)
     @given(z0=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
            gamma=st.floats(0.01, 0.3))
@@ -993,8 +1008,7 @@ class TestQuarticRunsAreStepwise:
         per_step = iter(np.broadcast_to(gammas, (steps,)).tolist())
 
         def advance(z, aux):
-            z, aux, _ = method.step(view, z, aux, next(per_step), kind)
-            return z, aux
+            return CHECKED_STEPS[name](view, z, aux, next(per_step), kind)
 
         ref = reference_run(op, advance, z0, aux0, steps, gammas, opt.gradient_queries(kind))
         fast = opt.run(op, kind, z0, steps)

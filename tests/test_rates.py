@@ -217,7 +217,7 @@ class TestAptWindows:
         # flow up to integrator/interpolation error.  Anchors start past the
         # stiff initial transient, where the interpolant slope (used to
         # reconstruct the flow's aux variable) is accurate.
-        kind = flows.VariableStepFlow(lambda t: 1.0 / 0.05)
+        kind = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 1.0 / 0.05)
         cfg = flows.IntegratorConfig("rk4", 1e-3, 6.0, record_every=5)
         z0 = np.array([1.0, 0.0])
         w0 = flows.ogda2_w_from_omega(SI, z0, np.zeros(2), 0.05)

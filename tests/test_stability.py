@@ -33,7 +33,7 @@ def mode_eigenvalues(modes):
     """The multiset of eigenvalues of C that ``modes`` describes: each root
     at mu = i*sigma, its conjugate at mu = -i*sigma, and 0 and -beta per
     zero mode."""
-    zero = np.tile([0.0, -modes.flow.beta], modes.zero_modes)
+    zero = np.tile([0.0, -modes.flow.scalars[0]], modes.zero_modes)
     return np.concatenate([modes.roots.ravel(), modes.roots.conj().ravel(), zero])
 
 
@@ -372,7 +372,7 @@ def per_sigma_verdict(method, game, gamma, alpha):
     the verdict is the worst: UNSTABLE > MARGINAL > STABLE.
     """
     eps, beta = 1e-10, 2.0 / gamma
-    flow = flows.make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha)
+    _, a_v, a_jv, _ = flows.make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha).scalars
     verdicts = {st.MARGINAL} if game.d1 != game.d2 else set()
     for s in game.singular_values.tolist():
         k = -s * s
@@ -388,7 +388,7 @@ def per_sigma_verdict(method, game, gamma, alpha):
                          st.UNSTABLE if sign_changes(col) else st.STABLE)
             continue
         for t in (s, -s):
-            mu = complex(-flow.a_jv * t * t, flow.a_v * t)
+            mu = complex(-a_jv * t * t, a_v * t)
             drift = mu.imag ** 2 / beta ** 2
             margin, tol = mu.real + drift, eps * max(1.0, abs(mu.real), drift)
             verdicts.add(st.MARGINAL if abs(margin) <= tol else
