@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,11 +40,10 @@ _SUPPLIED_SCALES = {"gamma": ("beta", "kappa", "gamma"), "kappa_fn": ("beta(t)",
 
 def _row(mode, method_id):
     """(aux variable, the arguments it reads) of a method or flow row: the
-    descriptor's fields, or the flow builder's parameters."""
+    table's memory column and the parameters of the row's builder."""
     if mode == "hrde":
         return flows._FLOWS[method_id][0], flows.FLOW_READS[method_id]
-    row = optimizers._METHODS[method_id]
-    return row.aux_var, tuple(f.name for f in fields(row.descriptor))
+    return optimizers._METHODS[method_id].aux_var, optimizers.METHOD_READS[method_id]
 
 
 @functools.cache
@@ -524,6 +522,13 @@ def cmd_lyapunov(cfg: SimpleNamespace, out_dir: Path, tol_abs=1e-7, tol_rel=1e-9
 
 
 def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
+    # The fits need two records after the start: more steps than record_every.
+    discrete = cfg.mode == "discrete"
+    steps = cfg.steps if discrete else cfg.t_end and cfg.dt and round(cfg.t_end / cfg.dt)
+    if steps and steps <= cfg.record_every:
+        raise ConfigError(f"budget.{'steps' if discrete else 't_end'}: the rate "
+                          "fits need at least two records after the start, so more steps than "
+                          f"budget.record_every = {cfg.record_every}; got {steps}")
     from . import rates
     op, traj = execute_run(cfg)
     vn = traj.metric("v_norm")
@@ -531,8 +536,7 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
     times = traj.times
 
     payload = {"run": run_summary(traj)}
-    positive = vn[1:] > 0
-    if np.all(positive) and times[-1] > 0:
+    if np.all(vn[1:] > 0) and times[-1] > 0:
         fit = rates.fit_power_law(np.maximum(times[1:], times[1]), vn[1:], tail_fraction)
         payload["exponent"] = _finite_or_none(fit.exponent)
     else:
@@ -547,10 +551,9 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
     else:
         payload["rho_hat"] = None
         payload["rho_theory"] = None
-    if (cfg.mode == "discrete" and optimizers._METHODS[cfg.method_id].explicit_bound
+    if (discrete and optimizers._METHODS[cfg.method_id].explicit_bound
             and op.lipschitz and rates.within_step_cap(cfg.gamma, op.lipschitz)):
-        z0_norm = float(zn[0])
-        margins = rates.best_iterate_bound_check(vn, cfg.gamma, op.lipschitz, z0_norm)
+        margins = rates.best_iterate_bound_check(vn, cfg.gamma, op.lipschitz, zn[0])
         payload["bound_margins"] = {
             "min": _finite_or_none(margins.min()),
             "all_nonnegative": bool(np.all(margins >= 0)),

@@ -41,8 +41,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .optimizers import (BLOCK_BYTES, Recorder, Trajectory, affine_system, each_step,
-                         matmul_step, read_positive, step_loop)
+from .optimizers import (BLOCK_BYTES, Recorder, Trajectory, affine_system, check_alpha,
+                         each_step, matmul_step, read_positive, step_loop)
 from .problems import Operator, as_state, read_only_scalar
 
 Array = np.ndarray
@@ -54,18 +54,21 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class Flow:
-    """A row of ``_FLOWS``: its name, its memory variable ("omega", "w", or
-    None for an empty aux), one of the formulas ``_phase``, ``_optimistic``
-    and ``_low_resolution``, and the scalars it reads: (beta, a_v, a_jv,
-    a_jw), or (kappa,) with kappa a constant or a function of t.
+    """The row of ``_FLOWS`` named ``name``: one of the formulas ``_phase``,
+    ``_optimistic`` and ``_low_resolution``, and the scalars it reads: (beta,
+    a_v, a_jv, a_jw), or (kappa,) with kappa a constant or a function of t.
     ``kernel(field, jvp)`` binds the formula as ``write(z, aux, dz, daux,
     value)``, into arrays aliasing neither z nor aux, with ``value`` the
     stage's -kappa, read by the (z, w) formula only (``stage_value``)."""
 
     name: str
-    aux_var: Optional[str]
     formula: Callable
     scalars: tuple = ()
+
+    @property
+    def aux_var(self) -> Optional[str]:
+        """The memory variable in the table: "omega", "w", or None for an empty aux."""
+        return _FLOWS[self.name][0]
 
     @property
     def reads_t(self) -> bool:
@@ -144,7 +147,7 @@ _NO_FIELD = SimpleNamespace(field=np.zeros_like, jvp=None)
 def _phase_row(name, beta, a_v, a_jv, a_jw) -> Flow:
     if not beta > 0:
         raise ValueError("beta must be positive")
-    return Flow(name, "omega", _phase, (beta, a_v, a_jv, a_jw))
+    return Flow(name, _phase, (beta, a_v, a_jv, a_jw))
 
 
 def gda_flow(beta) -> Flow:
@@ -160,24 +163,19 @@ def ogda_flow(beta) -> Flow:
 
 
 def la2_flow(beta, alpha) -> Flow:
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return _phase_row("la2-gda-hrde", beta, -2.0 * alpha * beta, 2.0 * alpha, 0.0)
 
 
 def la3_flow(beta, alpha) -> Flow:
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return _phase_row("la3-gda-hrde", beta, -3.0 * alpha * beta, 6.0 * alpha, 0.0)
-
-
-def _check_alpha(alpha):
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
 
 
 def _optimistic_row(name, kappa) -> Flow:
     if not (callable(kappa) or kappa > 0):
         raise ValueError("kappa must be positive")
-    return Flow(name, "w", _optimistic, (kappa,))
+    return Flow(name, _optimistic, (kappa,))
 
 
 def rhs(kind, op: Operator, z, aux, t=0.0):
@@ -435,9 +433,9 @@ def _rhs_step(kind, op, cfg, t0, width):
     return read, each_step(step)
 
 
-#: Flow id -> (its aux variable, the builder of its ``Flow``); a builder's
-#: parameters are the arguments among gamma, alpha and kappa_fn that the
-#: row reads.  The order is the CLI catalog order.
+#: Flow id -> (its aux variable, which a built row reads here by its name, and
+#: the builder of its ``Flow``, whose parameters are the arguments among gamma,
+#: alpha and kappa_fn that the row reads), in CLI catalog order.
 _FLOWS = {
     "gda-hrde": ("omega", lambda gamma: gda_flow(2.0 / gamma)),
     "eg-hrde": ("omega", lambda gamma: eg_flow(2.0 / gamma)),
@@ -446,7 +444,7 @@ _FLOWS = {
     "la3-gda-hrde": ("omega", lambda gamma, alpha: la3_flow(2.0 / gamma, alpha)),
     "ogda-hrde2": ("w", lambda gamma: _optimistic_row("ogda-hrde2", 1.0 / gamma)),
     "ogda-hrde2-varstep": ("w", lambda kappa_fn: _optimistic_row("ogda-hrde2-varstep", kappa_fn)),
-    "gda-ode": (None, lambda: Flow("gda-ode", None, _low_resolution)),
+    "gda-ode": (None, lambda: Flow("gda-ode", _low_resolution)),
 }
 
 #: Flow identifiers exposed to the CLI.

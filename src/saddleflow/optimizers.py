@@ -18,7 +18,8 @@ and ``run`` then steps the recurrence a block at a time (``matmul_step``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from inspect import signature
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
@@ -37,103 +38,96 @@ class NoConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Method descriptors
+# Methods
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _FixedStep:
-    """Base of the constant-step descriptors: gamma_n = gamma at every step,
-    so that on an affine field each step is one fixed affine map."""
+class Method:
+    """A discrete method: the row of ``_METHODS`` named ``name``, its
+    constant step size ``gamma`` (None for ogda-varstep, whose gamma_n
+    varies with n), and ``params``, the formula's other values in its
+    builder's order: (k, alpha) for la-gda, (fp_tol, fp_max_iter) for
+    ogda-implicit and (gamma0, power, schedule) for ogda-varstep."""
 
-    gamma: float
-
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-
-
-@dataclass(frozen=True)
-class GDA(_FixedStep):
-    name = "gda"
-
-
-@dataclass(frozen=True)
-class EG(_FixedStep):
-    name = "eg"
-
-
-@dataclass(frozen=True)
-class OGDA(_FixedStep):
-    name = "ogda"
-
-
-@dataclass(frozen=True)
-class OGDAStateSpace(_FixedStep):
-    """The two-variable form of optimistic descent-ascent (z, w iterates)."""
-
-    name = "ogda-s"
-
-
-@dataclass(frozen=True)
-class LookaheadGDA(_FixedStep):
-    k: int = 2
-    alpha: float = 0.5
-    name = "la-gda"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class OGDAVariableStep:
-    """Optimistic method with a per-step schedule n -> gamma_n.
-
-    The default power-law schedule gamma_n = gamma0 / (n+1)^power with
-    power = 0.6 keeps the squared steps summable; on arrays it is evaluated
-    under np.errstate(all="ignore"), so a (n+1)^power that overflows gives
-    a gamma_n of 0, which ``run`` rejects with one ValueError and no warning,
-    and a Python int n gives the same gamma_n.
-    ``run`` reads gamma_n a block of steps at a time, so a ``schedule`` is
-    array in, array out, and runs under the caller's errstate.
-    """
-
-    gamma0: float = 0.1
-    power: float = 0.6
-    schedule: Optional[Callable[[Array], Array]] = None
-    name = "ogda-varstep"
+    name: str
+    gamma: Optional[float]
+    params: tuple = ()
 
     def step_size(self, n):
-        if self.schedule is not None:
-            return self.schedule(n)
+        """gamma_n: the constant gamma at any n; or ogda-varstep's ``schedule``,
+        which ``run`` reads a block of steps at a time, array in and array
+        out, under the caller's errstate; or its power law gamma0 /
+        (n+1)^power, whose default power = 0.6 keeps the squared steps
+        summable.  On arrays the power law is evaluated under
+        np.errstate(all="ignore"), so a (n+1)^power that overflows gives a
+        gamma_n of 0, which ``run`` rejects with one ValueError and no
+        warning, and a Python int n gives the same gamma_n."""
+        if self.gamma is not None:
+            return self.gamma
+        gamma0, power, schedule = self.params
+        if schedule is not None:
+            return schedule(n)
         if isinstance(n, int):  # Python arithmetic, which no errstate governs
             try:
-                return self.gamma0 / (n + 1) ** self.power
+                return gamma0 / (n + 1) ** power
             except ArithmeticError:  # (n+1)^power left the float range:
                 n = np.float64(n)    # the array rule gives gamma_n = 0 or inf
         with np.errstate(all="ignore"):
-            return self.gamma0 / (n + 1) ** self.power
+            return gamma0 / (n + 1) ** power
 
 
-@dataclass(frozen=True)
-class ImplicitOGDA(_FixedStep):
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 200
-    name = "ogda-implicit"
+def _constant(name, gamma, *params) -> Method:
+    _check_gamma(gamma)
+    return Method(name, gamma, params)
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.fp_tol > 0:
-            raise ValueError("fp_tol must be positive")
-        if not (type(self.fp_max_iter) is int and self.fp_max_iter >= 1):
-            raise ValueError(f"fp_max_iter must be an integer >= 1, got {self.fp_max_iter!r}")
+
+def GDA(gamma) -> Method:
+    return _constant("gda", gamma)
+
+
+def EG(gamma) -> Method:
+    return _constant("eg", gamma)
+
+
+def OGDA(gamma) -> Method:
+    return _constant("ogda", gamma)
+
+
+def OGDAStateSpace(gamma) -> Method:
+    """The two-variable form of optimistic descent-ascent (z, w iterates)."""
+    return _constant("ogda-s", gamma)
+
+
+def LookaheadGDA(gamma, k=2, alpha=0.5) -> Method:
+    row = _constant("la-gda", gamma, k, alpha)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    check_alpha(alpha)
+    return row
+
+
+def OGDAVariableStep(gamma0=0.1, power=0.6, schedule=None) -> Method:
+    """Optimistic method with a per-step schedule n -> gamma_n (``Method.step_size``)."""
+    return Method("ogda-varstep", None, (gamma0, power, schedule))
+
+
+def ImplicitOGDA(gamma, fp_tol=1e-12, fp_max_iter=200) -> Method:
+    row = _constant("ogda-implicit", gamma, fp_tol, fp_max_iter)
+    if not fp_tol > 0:
+        raise ValueError("fp_tol must be positive")
+    if not (type(fp_max_iter) is int and fp_max_iter >= 1):
+        raise ValueError(f"fp_max_iter must be an integer >= 1, got {fp_max_iter!r}")
+    return row
 
 
 def _check_gamma(gamma):
     if not gamma > 0:
         raise ValueError("step size gamma must be positive")
+
+
+def check_alpha(alpha):
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +152,11 @@ def _ogda_s(op, z, w, gamma, kind):
 
 
 def _la_gda(op, z, aux, gamma, kind):
+    k, alpha = kind.params
     fast = z
-    for _ in range(kind.k):
+    for _ in range(k):
         fast = fast - gamma * op.field(fast)
-    return z + kind.alpha * (fast - z), aux, kind.k
+    return z + alpha * (fast - z), aux, k
 
 
 def step_gda(op: Operator, z, gamma) -> Array:
@@ -305,8 +300,8 @@ def affine_system(op: Operator, n_aux, advance, corner) -> Array:
 # The method table
 # ---------------------------------------------------------------------------
 
-class _Method(NamedTuple):
-    descriptor: type
+class _Row(NamedTuple):
+    build: Callable               # the public builder of the method's ``Method``
     init_aux: Callable            # (op, z0, kind) -> initial method memory
     queries: Optional[Callable]   # kind -> queries per step; None if it varies
     formula: Callable             # () -> (op, z, aux, gamma_n, kind) -> (z, aux, queries)
@@ -330,41 +325,43 @@ def _ogda_aux(op, z, kind):
 
 
 def _newton(op, z, omega, gamma, kind):
-    return step_ogda_implicit(op, z, omega, gamma, kind.fp_tol, kind.fp_max_iter)
+    return step_ogda_implicit(op, z, omega, gamma, *kind.params)
 
 
-#: Method id -> row, in CLI catalog order.  The method memory (aux) is the
-#: previous field for the one-variable optimistic methods, w for the
-#: two-variable form, omega for the implicit scheme, else None.  The
-#: formulas are looked up by module-level name at call time, so a wrapped
-#: one is the one that runs.
+#: Method id -> row, in CLI catalog order; a builder's parameters are the
+#: arguments of ``make_method`` that the method reads.  The method memory
+#: (aux) is the previous field for the one-variable optimistic methods, w
+#: for the two-variable form, omega for the implicit scheme, else None.
+#: The formulas are looked up by module-level name at call time, so a
+#: wrapped one is the one that runs.
 _METHODS = {
-    "gda": _Method(GDA, _no_aux, lambda kind: 1, lambda: _gda),
-    "eg": _Method(EG, _no_aux, lambda kind: 2, lambda: _eg),
-    "ogda": _Method(OGDA, _ogda_aux, lambda kind: 1, lambda: _ogda, explicit_bound=True),
-    "ogda-s": _Method(OGDAStateSpace, lambda op, z, kind: ogda_s_w0(op, z, kind.gamma),
-                      lambda kind: 1, lambda: _ogda_s, "w", explicit_bound=True),
-    "la-gda": _Method(LookaheadGDA, _no_aux, lambda kind: kind.k, lambda: _la_gda),
-    "ogda-varstep": _Method(OGDAVariableStep, _ogda_aux, lambda kind: 1, lambda: _ogda),
-    "ogda-implicit": _Method(ImplicitOGDA, lambda op, z, kind: np.zeros(op.dim),  # omega_0 = 0
-                             None, lambda: _newton, "omega"),
+    "gda": _Row(GDA, _no_aux, lambda kind: 1, lambda: _gda),
+    "eg": _Row(EG, _no_aux, lambda kind: 2, lambda: _eg),
+    "ogda": _Row(OGDA, _ogda_aux, lambda kind: 1, lambda: _ogda, explicit_bound=True),
+    "ogda-s": _Row(OGDAStateSpace, lambda op, z, kind: ogda_s_w0(op, z, kind.gamma),
+                   lambda kind: 1, lambda: _ogda_s, "w", explicit_bound=True),
+    "la-gda": _Row(LookaheadGDA, _no_aux, lambda kind: kind.params[0], lambda: _la_gda),
+    "ogda-varstep": _Row(OGDAVariableStep, _ogda_aux, lambda kind: 1, lambda: _ogda),
+    "ogda-implicit": _Row(ImplicitOGDA, lambda op, z, kind: np.zeros(op.dim),  # omega_0 = 0
+                          None, lambda: _newton, "omega"),
 }
-_BY_DESCRIPTOR = {method.descriptor: method for method in _METHODS.values()}
 
 #: Method identifiers exposed to the CLI.
 METHOD_IDS = tuple(_METHODS)
 
+#: Method id -> the arguments among those of ``make_method`` that it reads.
+METHOD_READS = {mid: tuple(signature(row.build).parameters) for mid, row in _METHODS.items()}
 
-def _method_of(kind) -> _Method:
-    try:
-        return _BY_DESCRIPTOR[type(kind)]
-    except KeyError:
-        raise TypeError(f"unknown optimizer kind {kind!r}") from None
+
+def _row_of(kind) -> _Row:
+    if not isinstance(kind, Method):
+        raise TypeError(f"unknown optimizer kind {kind!r}")
+    return _METHODS[kind.name]
 
 
 def gradient_queries(kind) -> int:
     """Gradient queries consumed per step; implicit steps report per-run."""
-    queries = _method_of(kind).queries
+    queries = _row_of(kind).queries
     if queries is None:
         raise ValueError("implicit steps consume a variable number of queries; "
                          "read them off the trajectory's query column")
@@ -375,8 +372,8 @@ def one_step_map(op: Operator, kind) -> Array:
     """S = [[M, m], [0, 1]] with (z, aux, 1)' = S (z, aux, 1): one step of a
     constant-step method on an affine field, read off its formula.  A
     singular implicit step raises NoConvergenceError."""
-    method = _method_of(kind)
-    if not isinstance(kind, _FixedStep):
+    method = _row_of(kind)
+    if kind.gamma is None:
         raise ValueError(f"method {kind.name!r} has no fixed one-step map")
     return _stepper_map(op, method, kind, kind.gamma)[0]
 
@@ -397,19 +394,19 @@ def _stepper_map(op, method, kind, gamma):
 
 
 def make_method(method_id, gamma=None, alpha=0.5, k=2, gamma0=0.1, power=0.6,
-                fp_tol=1e-12, fp_max_iter=200):
-    """Instantiate a method descriptor from its CLI identifier.
+                fp_tol=1e-12, fp_max_iter=200) -> Method:
+    """Build the ``Method`` of a CLI identifier.
 
-    Each descriptor takes the parameters among these that it has fields for.
+    Its builder takes the arguments among these that it reads (``METHOD_READS``).
     """
     if method_id not in _METHODS:
         raise ValueError(f"unknown method id {method_id!r}; known: {', '.join(METHOD_IDS)}")
-    params = {"gamma": gamma, "alpha": alpha, "k": k, "gamma0": gamma0, "power": power,
-              "fp_tol": fp_tol, "fp_max_iter": fp_max_iter}
-    names = [f.name for f in fields(_METHODS[method_id].descriptor) if f.name in params]
-    if "gamma" in names and gamma is None:
+    reads = METHOD_READS[method_id]
+    if "gamma" in reads and gamma is None:
         raise ValueError(f"method {method_id!r} requires gamma")
-    return _METHODS[method_id].descriptor(**{name: params[name] for name in names})
+    args = {"gamma": gamma, "alpha": alpha, "k": k, "gamma0": gamma0, "power": power,
+            "fp_tol": fp_tol, "fp_max_iter": fp_max_iter}
+    return _METHODS[method_id].build(**{name: args[name] for name in reads if name in args})
 
 
 # ---------------------------------------------------------------------------
@@ -638,38 +635,29 @@ def run(op: Operator, kind, z0, steps, extra_metrics=None, problem_label=None,
     ogda-varstep is stepped there by S0 s + gamma_n (S1 s)
     (``_varstep_step``), at any width.  A run on a non-affine operator
     calls its formula at every step, through ``op.unchecked()`` as does
-    ``init_aux``.  ``step_loop`` reads gamma_n once per block: the constant
-    gamma, or ogda-varstep's ``kind.step_size`` on an array of step
-    indices, where a gamma_n that is not positive (or NaN) raises
-    ValueError at step n.  The times are the running sums of gamma_n.
+    ``init_aux``.  ``step_loop`` reads gamma_n once per block, from
+    ``kind.step_size`` on an array of step indices, where a gamma_n that is
+    not positive (or NaN) raises ValueError at step n.  The times are the
+    running sums of gamma_n.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    method = _method_of(kind)
+    method = _row_of(kind)
     z = as_state(z0, op.dim)
     recorder = Recorder(op, kind.name, problem_label or op.label, steps, record_every,
                         extra_metrics)
     view = op.unchecked()
-    if isinstance(kind, _FixedStep):
-        gamma = kind.gamma
-        read = lambda n, t, count: (np.full(count, gamma), None)  # noqa: E731
-    else:  # ogda-varstep
-        read = _step_sizes(kind)
+    read = lambda n, t, count: read_positive(  # noqa: E731
+        kind.step_size, np.arange(n, n + count), "step size gamma_n", "n")
     if not op.affine:
         advance = _stepper_step(method, view, kind)
-    elif isinstance(kind, _FixedStep):
+    elif kind.gamma is not None:
         advance = _fixed_map_step(op, method, kind)
     else:
         advance = _varstep_step(op, method, kind)
     with np.errstate(all="ignore"):
         aux = method.init_aux(view, z, kind)
     return step_loop(recorder, read, _accumulated, advance, z, aux, 0.0)
-
-
-def _step_sizes(kind):
-    """``read`` of ``step_loop``: gamma_n of steps n .. n + count - 1."""
-    return lambda n, t, count: read_positive(kind.step_size, np.arange(n, n + count),
-                                             "step size gamma_n", "n")
 
 
 def _accumulated(n, t, gammas):
@@ -713,7 +701,7 @@ def _stepper_step(method, view, kind):
     bound once as a 0-d array (``read_only_scalar``), which a vector times
     it rounds as times the block's gamma_n, read then for the times only."""
     dim, formula = view.dim, method.formula()
-    gamma = read_only_scalar(kind.gamma) if isinstance(kind, _FixedStep) else None
+    gamma = None if kind.gamma is None else read_only_scalar(kind.gamma)
 
     def step(gamma_n, s, out, t):
         out[:dim], out[dim:-1], queries = formula(

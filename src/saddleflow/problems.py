@@ -8,6 +8,7 @@ generator, which together back the library's self-checks.
 """
 from __future__ import annotations
 
+from inspect import signature
 from types import SimpleNamespace
 
 import numpy as np
@@ -379,45 +380,39 @@ def random_bilinear(seed, d1, d2, sigma_min=0.1, max_redraws=100) -> BilinearGam
     )
 
 
+#: Problem id -> its builder, in catalog order: the seed, then the params
+#: with their defaults.  An int default takes ints only, a float default
+#: any real, and neither takes a bool.
+_PROBLEMS = {
+    "bilinear": lambda seed, A=[[1.0]], b=None, c=None: BilinearGame(A, b, c),
+    "bilinear-random": lambda seed, d1=2, d2=2, sigma_min=0.1: random_bilinear(
+        seed, d1, d2, sigma_min),
+    "quartic": lambda seed: QuarticCounterexample(),
+    "scaled-identity": lambda seed, mu=1.0, dim=2: ScaledIdentity(mu, dim),
+}
+
 #: Problem catalog addressable by string identifiers (CLI and tests).
-PROBLEM_IDS = ("bilinear", "bilinear-random", "quartic", "scaled-identity")
+PROBLEM_IDS = tuple(_PROBLEMS)
+
+#: Problem id -> its builder's params after the seed.
+_PARAMS = {pid: tuple(signature(build).parameters.values())[1:]
+           for pid, build in _PROBLEMS.items()}
 
 
 def make_problem(problem_id, params=None, seed=0) -> Operator:
     """Instantiate a catalog problem from its identifier and parameter dict;
     a parameter given as None takes its default."""
+    if problem_id not in _PROBLEMS:
+        raise ValueError(f"unknown problem id {problem_id!r}; known: {', '.join(PROBLEM_IDS)}")
     params = {key: value for key, value in (params or {}).items() if value is not None}
-    if problem_id == "bilinear":
-        A = params.pop("A", [[1.0]])
-        b = params.pop("b", None)
-        c = params.pop("c", None)
-        _reject_unknown(params)
-        return BilinearGame(A, b, c)
-    if problem_id == "bilinear-random":
-        d1 = _param(params, "d1", 2, int)
-        d2 = _param(params, "d2", 2, int)
-        sigma_min = _param(params, "sigma_min", 0.1)
-        _reject_unknown(params)
-        return random_bilinear(seed, d1, d2, sigma_min)
-    if problem_id == "quartic":
-        _reject_unknown(params)
-        return QuarticCounterexample()
-    if problem_id == "scaled-identity":
-        mu = _param(params, "mu", 1.0)
-        dim = _param(params, "dim", 2, int)
-        _reject_unknown(params)
-        return ScaledIdentity(mu, dim)
-    raise ValueError(f"unknown problem id {problem_id!r}; known: {', '.join(PROBLEM_IDS)}")
-
-
-def _param(params, name, default, kind=float):
-    """Pop a numeric parameter: an int, or for ``kind=float`` any real; never a bool."""
-    value = params.pop(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
-def _reject_unknown(params):
+    args = {}
+    for param in _PARAMS[problem_id]:
+        value = args[param.name] = params.pop(param.name, param.default)
+        kind = type(param.default)
+        if kind in (int, float):
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise ValueError(f"{param.name}: expected {kind.__name__}, got {value!r}")
+            args[param.name] = kind(value)
     if params:
         raise ValueError(f"unknown key(s): {', '.join(sorted(params))}")
+    return _PROBLEMS[problem_id](seed, **args)

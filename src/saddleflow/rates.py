@@ -25,17 +25,26 @@ def best_iterate(values) -> Array:
     return np.minimum.accumulate(values)
 
 
+@np.errstate(all="ignore")
 def explicit_bound(gamma, lipschitz, z0_norm, n) -> float:
-    """(8 + 36 gamma^2 L^2) |z0|^2 / (2 gamma^2 n): the certified cap on
+    """(8 + 36 (gamma L)^2) |z0|^2 / (2 gamma^2 n): the certified cap on
     min_{i <= n} |V(z_i)|^2 for the optimistic method with z_1 = z_0 and
-    gamma <= 1/(16 L)."""
-    return (8.0 + 36.0 * gamma ** 2 * lipschitz ** 2) * z0_norm ** 2 / (2.0 * gamma ** 2 * n)
+    gamma <= 1/(16 L), in numpy, where a bound past the float range is inf.
+    The cap keeps gamma L, squared as one number, below 1/16 at any L."""
+    gamma, z0_norm = np.float64(gamma), np.float64(z0_norm)
+    return (8.0 + 36.0 * (gamma * lipschitz) ** 2) * z0_norm ** 2 / (2.0 * gamma ** 2 * n)
 
 
+#: Relative slack of the step cap, about 4.5 units in the last place of 1:
+#: 16 gamma L rounds to within two units of 1 at a gamma of 1/(16 L).
+STEP_CAP_EPS = 1e-15
+
+
+@np.errstate(all="ignore")
 def within_step_cap(gamma, lipschitz) -> bool:
-    """gamma <= 1/(16 L), the cap of ``explicit_bound``, up to 1e-15 so that
-    a gamma written as 1/(16 L) is within it."""
-    return gamma <= 1.0 / (16.0 * lipschitz) + 1e-15
+    """16 gamma L <= 1 + STEP_CAP_EPS: gamma <= 1/(16 L), the cap of
+    ``explicit_bound``, up to a slack relative to it, at any size of L."""
+    return 16.0 * gamma * lipschitz <= 1.0 + STEP_CAP_EPS
 
 
 @np.errstate(all="ignore")
@@ -43,7 +52,9 @@ def best_iterate_bound_check(v_norms, gamma, lipschitz, z0_norm):
     """Margins bound_n - min_{i <= n} |V(z_i)|^2 for every recorded n >= 1.
 
     ``v_norms`` must start with the initial iterate (index 0).  All margins
-    are nonnegative when the step-size cap ``within_step_cap`` holds.
+    are nonnegative when the step-size cap ``within_step_cap`` holds.  A
+    bound and a running minimum that both exceed the float range have no
+    margin (inf - inf): that raises ValueError.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -55,6 +66,10 @@ def best_iterate_bound_check(v_norms, gamma, lipschitz, z0_norm):
     running = best_iterate(v_norms ** 2)
     ns = np.arange(1, v_norms.size)
     bounds = explicit_bound(gamma, lipschitz, z0_norm, ns)
+    unordered = np.flatnonzero(np.isinf(bounds) & np.isinf(running[1:]))
+    if unordered.size:
+        raise ValueError(f"explicit bound (8 + 36 (gamma L)^2) |z0|^2 / (2 gamma^2 n) and "
+                         f"min |V(z_i)|^2 both exceed the float range at n = {ns[unordered[0]]}")
     return bounds - running[1:]
 
 

@@ -654,6 +654,64 @@ class TestReportCommands:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ValueError: geometric fit")
 
+    #: The step cap, 16 gamma L <= 1, at L = mu = 1e20: a gamma of 1e-16 is
+    #: 1.6e5 times over it and gets no bound check.
+    _OVER_CAP = ["--set", "problem.id=scaled-identity", "--set", 'problem.params={"mu": 1e20}',
+                 "--set", "method.id=ogda", "--set", "method.gamma=1e-16",
+                 "--set", "budget.steps=50"]
+
+    def test_rates_bound_check_needs_the_relative_step_cap(self, tmp_path):
+        assert run_main(["rates", *self._OVER_CAP, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "run.json").read_text(), parse_constant=_reject)
+        assert payload["bound_margins"] is None
+
+    def test_rates_bound_within_the_cap_does_not_overflow(self, tmp_path, capfd):
+        # 16 gamma L = 0.16: gamma L is small, but L^2 = 1e310 is not a float.
+        code = run_main(["rates", "--set", "problem.id=scaled-identity",
+                         "--set", 'problem.params={"mu": 1e155}', "--set", "method.id=ogda",
+                         "--set", "method.gamma=1e-157", "--set", "budget.steps=50",
+                         "--set", "init.z0=[1e-10, 0]", "--out", str(tmp_path)])
+        assert code == 0 and capfd.readouterr().err == ""
+        margins = json.loads((tmp_path / "run.json").read_text())["bound_margins"]
+        assert margins["all_nonnegative"] is True and margins["min"] > 0
+
+    def test_rates_bound_beyond_the_float_range_prints_one_error_line(self, tmp_path, capfd):
+        # 16 gamma L = 0.16, but 1/gamma^2 and |V(z0)|^2 = 1e320 both
+        # overflow: no margin, one error line naming the bound.
+        code = run_main(["rates", "--set", "problem.id=scaled-identity",
+                         "--set", 'problem.params={"mu": 1e160}', "--set", "method.id=ogda",
+                         "--set", "method.gamma=1e-162", "--set", "budget.steps=50",
+                         "--out", str(tmp_path)])
+        out, err = capfd.readouterr()
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ValueError: explicit bound")
+        assert not (tmp_path / "run.json").exists()
+
+    @pytest.mark.parametrize("sets, key", [
+        (["method.id=eg", "method.gamma=0.5", "budget.steps=1"], "budget.steps"),
+        (["method.id=ogda", "method.gamma=0.1", "budget.steps=5", "budget.record_every=5"],
+         "budget.steps"),
+        (["method.id=ogda", "method.gamma=0.1", "budget.steps=5", "budget.record_every=9"],
+         "budget.steps"),
+        (["mode=hrde", "method.id=eg-hrde", "method.gamma=0.5", "budget.t_end=0.1",
+          "budget.dt=0.1"], "budget.t_end"),
+    ], ids=["one-step", "record-every-steps", "record-every-above", "one-flow-step"])
+    def test_rates_rejects_fewer_than_two_records(self, sets, key, tmp_path, capfd):
+        argv = ["rates"]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        assert run_main([*argv, "--out", str(tmp_path)]) == 2
+        out, err = capfd.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {key}: ") and "two records after the start" in err
+        assert not (tmp_path / "run.json").exists()
+
+    def test_rates_runs_with_two_records(self, tmp_path):
+        # Records at steps 0, 5 and 6: two after the start are enough.
+        assert run_main(["rates", "--set", "method.id=eg", "--set", "method.gamma=0.5",
+                         "--set", "budget.steps=6", "--set", "budget.record_every=5",
+                         "--out", str(tmp_path)]) == 0
+
     def test_rates_report(self, tmp_path):
         raw = {
             "problem": {"id": "bilinear"},

@@ -335,8 +335,8 @@ class TestFlowFactory:
         assert varstep.scalars[0](1.0) == 2.0
 
     def test_rows_carry_their_table_memory_variable(self):
-        # The CLI and STABILITY_METHODS read the memory variable off the
-        # table, and the runs read it off the built row: they must agree.
+        # A built row reads its memory variable off the table by its name,
+        # so each builder must name its row by its table id.
         for flow_id, (aux_var, _) in flows._FLOWS.items():
             row = flows.make_flow(flow_id, gamma=0.5, kappa_fn=lambda t: 2.0 + t)
             assert (row.name, row.aux_var) == (flow_id, aux_var)

@@ -353,10 +353,10 @@ class TestMethodFactory:
                 opt.ImplicitOGDA(0.1, fp_max_iter=fp_max_iter)
 
     def test_ids(self):
-        assert isinstance(opt.make_method("gda", gamma=0.1), opt.GDA)
-        assert isinstance(opt.make_method("ogda-varstep"), opt.OGDAVariableStep)
+        assert opt.make_method("gda", gamma=0.1) == opt.GDA(0.1)
+        assert opt.make_method("ogda-varstep") == opt.OGDAVariableStep()
         kind = opt.make_method("la-gda", gamma=0.1, k=3, alpha=0.25)
-        assert kind.k == 3 and kind.alpha == 0.25
+        assert kind.params == (3, 0.25)
 
     def test_gamma_required(self):
         with pytest.raises(ValueError, match="gamma"):
@@ -980,7 +980,7 @@ CHECKED_STEPS = {
     "ogda": lambda op, z, aux, gamma, kind: opt.step_ogda(op, z, aux, gamma),
     "ogda-varstep": lambda op, z, aux, gamma, kind: opt.step_ogda(op, z, aux, gamma),
     "la-gda": lambda op, z, aux, gamma, kind: (
-        opt.step_la_gda(op, z, gamma, kind.k, kind.alpha), aux),
+        opt.step_la_gda(op, z, gamma, *kind.params), aux),
     "ogda-s": lambda op, z, aux, gamma, kind: opt.step_ogda_s(op, z, aux, gamma),
 }
 
@@ -1201,10 +1201,10 @@ def closed_form_map(op, kind):
     if kind.name == "eg":  # M = I - gamma J G with G the GDA matrix
         return eye - gamma * (jac @ gda), -gamma * (gda @ q)
     if kind.name == "la-gda":  # (1 - alpha) I + alpha G^k, alpha g_k
-        fast, shift = gda, -gamma * q
-        for _ in range(kind.k - 1):
+        (k, alpha), fast, shift = kind.params, gda, -gamma * q
+        for _ in range(k - 1):
             fast, shift = gda @ fast, gda @ shift - gamma * q
-        return (1.0 - kind.alpha) * eye + kind.alpha * fast, kind.alpha * shift
+        return (1.0 - alpha) * eye + alpha * fast, alpha * shift
     mat = np.zeros((2 * dim, 2 * dim))
     if kind.name == "ogda":  # on (z, v_prev): z' = (I - 2 gamma J) z + gamma v_prev - 2 gamma q
         mat[:dim, :dim] = eye - 2.0 * gamma * jac

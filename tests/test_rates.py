@@ -56,6 +56,53 @@ class TestExplicitBound:
             rates.best_iterate_bound_check(np.ones(10), 0.5, 1.0, 1.0)
 
 
+class TestStepCap:
+    """``within_step_cap`` is 16 gamma L <= 1 + STEP_CAP_EPS, a slack relative
+    to the cap at every size of L."""
+
+    @pytest.mark.parametrize("lipschitz", [1e-150, 1e-20, 0.3, 1.0, 3.7, 1e13, 1e20, 1e150])
+    def test_gamma_written_as_the_cap_is_within_it(self, lipschitz):
+        assert rates.within_step_cap(1.0 / (16.0 * lipschitz), lipschitz)
+        assert not rates.within_step_cap((1.0 + 1e-12) / (16.0 * lipschitz), lipschitz)
+
+    def test_slack_is_relative(self):
+        # An absolute slack of 1e-15 admitted every gamma <= 1e-15 once
+        # L > 6e13: here 16 gamma L = 1.6e5.
+        assert not rates.within_step_cap(1e-16, 1e20)
+        with pytest.raises(ValueError, match="1/\\(16 L\\)"):
+            rates.best_iterate_bound_check(np.ones(10), 1e-16, 1e20, 1.0)
+
+    def test_overflowing_product_is_outside(self):
+        with np.errstate(all="raise"):
+            assert not rates.within_step_cap(1e200, 1e200)
+            assert not rates.within_step_cap(np.float64(1e200), np.float64(1e200))
+
+
+class TestBoundOverflow:
+    """Within the cap gamma L <= 1/16, so the bound's (gamma L)^2 is a float
+    whatever the size of L."""
+
+    def test_bound_with_an_overflowing_lipschitz_square(self):
+        # L^2 = 4e308 is not a float, (gamma L)^2 = 4e-4 is.
+        gamma, lipschitz, z0_norm = 1e-156, 2e154, 1e-10
+        with np.errstate(all="raise"):
+            value = rates.explicit_bound(gamma, lipschitz, z0_norm, 1)
+        assert value == pytest.approx((8.0 + 36.0 * 4e-4) * 1e-20 / (2.0 * 1e-312), rel=1e-9)
+        v_norms = np.full(5, lipschitz * z0_norm)
+        with np.errstate(all="raise"):
+            margins = rates.best_iterate_bound_check(v_norms, gamma, lipschitz, z0_norm)
+        assert np.isfinite(margins).all() and (margins > 0).all()
+
+    def test_bound_beyond_the_float_range_is_inf(self):
+        with np.errstate(all="raise"):
+            assert rates.explicit_bound(1e-162, 1e160, 1.0, 1) == np.inf
+
+    def test_no_margin_when_both_sides_overflow(self):
+        # The bound and |V(z_i)|^2 = 1e320 are both inf: inf - inf has no sign.
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="explicit bound .* n = 1"):
+            rates.best_iterate_bound_check(np.full(5, 1e160), 1e-162, 1e160, 1.0)
+
+
 class TestFloatingPointPolicy:
     """The checks and fits return under np.errstate(all="raise") the same
     numbers as under numpy's default errstate."""
