@@ -494,7 +494,7 @@ def cmd_stability(cfg: SimpleNamespace, out_dir: Path):
                 if v.routh is not None:
                     entry["routh_first_columns"] = v.routh.tolist()
                 entries.append(entry)
-    payload = {"problem": op.label, "entries": entries}
+    payload = {"problem": op.label, "zero_modes": abs(op.d1 - op.d2), "entries": entries}
     _write(out_dir / cfg.json_path, _dump_json(payload))
     return payload
 
@@ -553,7 +553,7 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
         payload["rho_theory"] = None
     if (discrete and optimizers._METHODS[cfg.method_id].explicit_bound
             and op.lipschitz and rates.within_step_cap(cfg.gamma, op.lipschitz)):
-        margins = rates.best_iterate_bound_check(vn, cfg.gamma, op.lipschitz, zn[0])
+        margins = rates.best_iterate_bound_check(vn, cfg.gamma, op.lipschitz, zn[0], traj.steps)
         payload["bound_margins"] = {
             "min": _finite_or_none(margins.min()),
             "all_nonnegative": bool(np.all(margins >= 0)),

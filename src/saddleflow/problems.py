@@ -221,7 +221,8 @@ class BilinearGame(Operator):
         self.sigma_max = float(svals.max()) if svals.size else 0.0
         self.full_rank = self.sigma_min >= rank_threshold
         solution = None
-        if np.any(self.b) or np.any(self.c):
+        self.shifted = bool(np.any(self.b) or np.any(self.c))
+        if self.shifted:
             # Shifted optimum: V = 0 at A y = -b, A^T x = -c (least-squares;
             # construction fails below if no exact zero exists).
             y_star, *_ = np.linalg.lstsq(A, -self.b, rcond=None)

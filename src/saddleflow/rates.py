@@ -48,13 +48,13 @@ def within_step_cap(gamma, lipschitz) -> bool:
 
 
 @np.errstate(all="ignore")
-def best_iterate_bound_check(v_norms, gamma, lipschitz, z0_norm):
+def best_iterate_bound_check(v_norms, gamma, lipschitz, z0_norm, steps=None):
     """Margins bound_n - min_{i <= n} |V(z_i)|^2 for every recorded n >= 1.
 
-    ``v_norms`` must start with the initial iterate (index 0).  All margins
-    are nonnegative when the step-size cap ``within_step_cap`` holds.  A
-    bound and a running minimum that both exceed the float range have no
-    margin (inf - inf): that raises ValueError.
+    ``v_norms`` starts with the initial iterate; ``steps`` are the records'
+    step numbers n (default 0, 1, 2, ...).  All margins are nonnegative when
+    the step-size cap ``within_step_cap`` holds.  A bound and a running
+    minimum that both exceed the float range have no margin (inf - inf): ValueError.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -64,7 +64,7 @@ def best_iterate_bound_check(v_norms, gamma, lipschitz, z0_norm):
     if v_norms.ndim != 1 or v_norms.size < 2:
         raise ValueError("need at least the initial iterate and one step")
     running = best_iterate(v_norms ** 2)
-    ns = np.arange(1, v_norms.size)
+    ns = np.arange(1, v_norms.size) if steps is None else np.asarray(steps)[1:]
     bounds = explicit_bound(gamma, lipschitz, z0_norm, ns)
     unordered = np.flatnonzero(np.isinf(bounds) & np.isinf(running[1:]))
     if unordered.size:

@@ -488,6 +488,30 @@ class TestReportCommands:
         for entry in entries:
             assert (entry["verdict"], entry["agrees"]) == (want[entry["method"]], True)
 
+    @pytest.mark.parametrize("d2, zero_modes", [(3, 1), (2, 0)])
+    def test_stability_report_states_its_zero_modes(self, d2, zero_modes, tmp_path):
+        argv = ["stability", "--set", "problem.id=bilinear-random", "--seed", "3",
+                "--set", f'problem.params={{"d1":2,"d2":{d2}}}',
+                "--set", "stability.gammas=[0.1]", "--out", str(tmp_path)]
+        assert run_main(argv) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["zero_modes"] == zero_modes
+
+    def test_stability_report_bytes_do_not_follow_numpy_simd_dispatch(self, tmp_path):
+        # numpy's complex multiply fuses multiply-add under AVX2/AVX-512
+        # dispatch and not under baseline dispatch: the report must not
+        # depend on which one runs.
+        argv = ["stability", "--seed", "37", "--set", "problem.id=bilinear-random",
+                "--set", "stability.gammas=[0.37]", "--set", 'stability.methods=["ogda"]']
+        reports = []
+        for disabled in ("", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+                   "NPY_DISABLE_CPU_FEATURES": disabled}
+            out = tmp_path / f"dispatch-{len(reports)}"
+            subprocess.run([sys.executable, "-m", "saddleflow", *argv, "--out", str(out)],
+                           env=env, check=True)
+            reports.append((out / "run.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_lyapunov_report(self, tmp_path):
         raw = {
             "problem": {"id": "bilinear"},
@@ -727,6 +751,19 @@ class TestReportCommands:
         assert payload["bound_margins"]["all_nonnegative"] is True
         assert payload["bound_margins"]["min"] >= 0.0
         assert payload["rho_hat"] is not None
+
+    def test_rates_thinned_run_checks_each_record_at_its_step(self, tmp_path):
+        # Record k of a run thinned by 100 is step 100 k: its margin is taken
+        # against that step's bound, not the bound at n = k.
+        margins = {}
+        for every in (1, 100):
+            out = tmp_path / str(every)
+            assert run_main(["rates", "--set", "method.gamma=0.0625", "--set",
+                             "budget.steps=10000", "--set", f"budget.record_every={every}",
+                             "--out", str(out)]) == 0
+            margins[every] = json.loads((out / "run.json").read_text())["bound_margins"]
+        assert margins[100]["all_nonnegative"] is True
+        assert margins[100]["min"] == pytest.approx(margins[1]["min"], rel=1e-12, abs=0)
 
     def test_rates_bound_check_follows_the_method_row(self, tmp_path):
         # ogda-s runs the same sequence as ogda, so it gets the same check;

@@ -51,6 +51,23 @@ class TestExplicitBound:
         margins = rates.best_iterate_bound_check(traj.metric("v_norm"), 1 / 16, 1.0, 1.0)
         assert margins[0] >= 0.0
 
+    def test_thinned_records_are_compared_at_their_own_steps(self):
+        # Records every 100 steps: record j is step 100 j, and its margin is
+        # taken against the bound at that step.  The running minimum over the
+        # records is at least the true one, so each thinned margin is at most
+        # the unthinned one at its step; at the last step, where |V| is least,
+        # they are equal.
+        z0 = np.array([1.0, 0.0])
+        full = opt.run(BG, opt.OGDA(1 / 16), z0, 10_000)
+        thin = opt.run(BG, opt.OGDA(1 / 16), z0, 10_000, record_every=100)
+        assert full.metric("v_norm").argmin() == 10_000
+        margins = rates.best_iterate_bound_check(full.metric("v_norm"), 1 / 16, 1.0, 1.0)
+        thinned = rates.best_iterate_bound_check(thin.metric("v_norm"), 1 / 16, 1.0, 1.0,
+                                                 thin.steps)
+        assert thinned.size == 100
+        assert np.all(thinned <= margins[thin.steps[1:] - 1])
+        assert thinned[-1] == margins[-1]
+
     def test_step_cap_enforced(self):
         with pytest.raises(ValueError, match="1/\\(16 L\\)"):
             rates.best_iterate_bound_check(np.ones(10), 0.5, 1.0, 1.0)

@@ -187,6 +187,109 @@ class TestModes:
                 assert st.classify_method(method, game, 0.1, alpha).agrees
 
 
+def oracle_roots(flow, sigma):
+    """The complex-array formula that ``modes`` used before its roots moved to
+    scaled floats, kept as their reference: (len(sigma), 2) roots at
+    mu = i*sigma, non-finite where an intermediate overflows."""
+    beta, a_v, a_jv, a_jw = flow.scalars
+    mu = 1j * sigma
+    with np.errstate(all="ignore"):
+        p = beta - a_jw * mu
+        q = -(a_v * mu + a_jv * mu * mu)
+        disc = np.sqrt(p * p - 4.0 * q)
+        big = -0.5 * (p + np.where((p.conj() * disc).real >= 0.0, disc, -disc))
+        return np.array([big, q / big]).T
+
+
+def oracle_modes(method, game, gamma, alpha=None):
+    """``modes``' checks and ``oracle_roots``: (flow, roots), with the same
+    ValueErrors."""
+    flow, _ = st._phase_flow(method, game, gamma, alpha)
+    roots = oracle_roots(flow, game.singular_values)
+    if not np.isfinite(roots).all():
+        raise ValueError(f"overflow at gamma = {gamma!r}, sigma_max = {game.sigma_max!r}")
+    return flow, roots
+
+
+def oracle_classify(method, game, gamma, alpha=None):
+    """``classify_method`` as it read the roots of ``oracle_modes``, with the
+    same ValueErrors: (roots, verdict, abscissa_verdict, routh)."""
+    flow, roots = oracle_modes(method, game, gamma, alpha)
+    sigma = game.singular_values.tolist()
+    (beta, a_v, a_jv, _), zeros, routh = flow.scalars, [0.0] * abs(game.d1 - game.d2), None
+    if method in ("gda", "ogda"):
+        column = st.routh_quartic_gda if method == "gda" else st.routh_quartic_ogda
+        routh = np.array([column(beta, -s * s) for s in sigma])
+        if not np.isfinite(routh).all():
+            raise ValueError(f"overflow at gamma = {gamma!r}, sigma_max = {game.sigma_max!r}")
+        values, tols = [-min(c) for c in routh.tolist()], [0.0] * len(sigma)
+    else:
+        mus = [complex(-a_jv * s * s, a_v * s) for s in sigma]
+        values = [st.complex_quadratic_margin(beta, mu) for mu in mus]
+        tols = [st.EPS * max(abs(mu.real), (mu.imag / beta) ** 2) for mu in mus]
+    with np.errstate(all="ignore"):
+        ratio = float((roots.real / abs(roots)).max())
+    return (roots, st._classify(values + zeros, tols + zeros),
+            st._classify([ratio] + zeros, [st.EPS] + zeros), routh)
+
+
+def outcome(analysis, *args):
+    """``analysis(*args)``, or the message of the ValueError it raises."""
+    try:
+        return analysis(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+#: The nine method/alpha cases of the benchmark's classify jobs.
+CASES = [("gda", None), ("eg", None), ("ogda", None)] + [
+    (m, a) for m in ("la2-gda", "la3-gda") for a in (0.25, 0.5, 0.75)]
+
+
+class TestScaledRoots:
+    """``modes`` solves each quadratic in exactly scaled floats; the complex
+    arrays it replaced (``oracle_roots``) are the reference."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(d1=hst.integers(1, 4), d2=hst.integers(1, 4), seed=hst.integers(0, 10 ** 6),
+           log10_gamma=hst.floats(-10.0, 10.0))
+    def test_match_the_complex_array_formula(self, d1, d2, seed, log10_gamma):
+        # Roots within 1e-15 relative (3.8e-16 worst over a 56,700-case
+        # grid), and the same verdicts and Routh columns.
+        game, gamma = random_bilinear(seed, d1, d2, 0.1), 10.0 ** log10_gamma
+        for method, alpha in CASES:
+            roots, verdict, abscissa_verdict, routh = oracle_classify(method, game, gamma, alpha)
+            got = st.modes(method, game, gamma, alpha).roots
+            assert np.all(np.abs(got - roots) <= 1e-15 * np.abs(roots)), (method, got, roots)
+            v = st.classify_method(method, game, gamma, alpha)
+            assert (v.verdict, v.abscissa_verdict) == (verdict, abscissa_verdict)
+            assert v.agrees is (verdict == abscissa_verdict)
+            assert (v.routh is None) if routh is None else v.routh.tobytes() == routh.tobytes()
+
+    def test_double_root(self):
+        # OGDA at sigma = beta/2: p^2 - 4q is exactly 0, and both roots are -p/2.
+        np.testing.assert_array_equal(st.modes("ogda", BG, 1.0).roots, [[-1 - 1j, -1 - 1j]])
+
+    #: From a step size whose (2/gamma)^2 overflows to one where it underflows,
+    #: with the accepted range's two ends: 2/gamma = 1.33e154 and 2.2e-162.
+    GAMMAS = [*(10.0 ** np.linspace(-160.0, 169.0, 70)).tolist(), 1.5e-154, 9e161]
+
+    @pytest.mark.parametrize("log10_a", range(-150, 151, 30))
+    def test_accept_and_reject_as_the_complex_array_formula(self, log10_a):
+        # No intermediate overflows where the array formula's roots were
+        # finite, and every rejection keeps its message.
+        game = BilinearGame([[10.0 ** log10_a]])
+        for gamma in self.GAMMAS:
+            for method, alpha in CASES:
+                for analysis, oracle in ((st.modes, oracle_modes),
+                                         (st.classify_method, oracle_classify)):
+                    got, want = (outcome(f, method, game, gamma, alpha) for f in (analysis, oracle))
+                    if isinstance(want, str):
+                        assert got == want, (method, gamma)
+                    else:
+                        assert not isinstance(got, str), (method, gamma, got)
+
+
 class TestNonSquare:
     """A game with d1 != d2 has |d1 - d2| zero modes with the roots 0 and
     -beta, so no flow on it is stable: EG, OGDA and LA-k at or below
