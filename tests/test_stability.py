@@ -270,6 +270,14 @@ class TestScaledRoots:
         # OGDA at sigma = beta/2: p^2 - 4q is exactly 0, and both roots are -p/2.
         np.testing.assert_array_equal(st.modes("ogda", BG, 1.0).roots, [[-1 - 1j, -1 - 1j]])
 
+    def test_zero_root(self):
+        # At alpha = 5e-324, q underflows to 0: the smaller root is exactly 0,
+        # which reads as marginal, as the margin verdict does.
+        game = BilinearGame([[0.1]])
+        assert st.modes("la2-gda", game, 0.1, 5e-324).roots[0, 1] == 0
+        v = st.classify_method("la2-gda", game, 0.1, 5e-324)
+        assert (v.verdict, v.abscissa_verdict, v.agrees) == (st.MARGINAL, st.MARGINAL, True)
+
     #: From a step size whose (2/gamma)^2 overflows to one where it underflows,
     #: with the accepted range's two ends: 2/gamma = 1.33e154 and 2.2e-162.
     GAMMAS = [*(10.0 ** np.linspace(-160.0, 169.0, 70)).tolist(), 1.5e-154, 9e161]
