@@ -301,6 +301,16 @@ def _build_problem(cfg: SimpleNamespace) -> Operator:
         raise ConfigError(f"problem.params: {exc}") from None
 
 
+def _power_law(gamma0, power, t):
+    """The method.schedule gamma(t) = gamma0 (1 + t)^-power: Python arithmetic
+    on a time, which a monitor reads once per record, and one C pow per
+    element on an array of stage times (``optimizers.pow_per_element``),
+    which rounds alike under any numpy SIMD dispatch."""
+    if isinstance(t, float):
+        return gamma0 * (1.0 + t) ** (-power)
+    return gamma0 * optimizers.pow_per_element(1.0 + t, -power)
+
+
 def execute_run(cfg: SimpleNamespace):
     """Build the problem and run/integrate per the config; returns
     (operator, trajectory)."""
@@ -317,7 +327,7 @@ def execute_run(cfg: SimpleNamespace):
         if vector is not None and vector.shape != (op.dim,):
             raise ConfigError(f"init.{key}: expected {op.dim} entries, got {vector.size}")
     z0 = np.ones(op.dim) / np.sqrt(op.dim) if cfg.z0 is None else cfg.z0
-    gamma_fn = ((lambda t: cfg.gamma0 * (1.0 + t) ** (-cfg.power)) if "kappa_fn" in reads
+    gamma_fn = (functools.partial(_power_law, cfg.gamma0, cfg.power) if "kappa_fn" in reads
                 else lambda t: cfg.gamma)
     monitors = _monitors(cfg, op, gamma_fn)
 

@@ -57,10 +57,10 @@ def _sq(x) -> Array:
 
 
 def _jac_quad(op: Operator, zs, xs) -> Array:
-    """x.J(z)x for each pair of rows, as an (n, 1) column: the stacked
-    products J(z) x of ``op.jvps_unchecked``, dotted row by row, with no J
-    formed and no Python loop over rows."""
-    return _dot(xs, op.jvps_unchecked(zs, xs))
+    """x.J(z)x for each pair of rows, as an (n, 1) column: the operator's
+    own J(z) x, ``op._jvp``, row by row, dotted by ``row_dots``, with no J
+    formed."""
+    return _dot(xs, np.array([op._jvp(z, x) for z, x in zip(zs, xs)]).reshape(xs.shape))
 
 
 def _with_field(formula):
@@ -126,7 +126,7 @@ def evaluate(kind, op: Operator, z, aux, beta=None, kappa=None, gamma=None):
     positive number or, with stacks, an (n,) array of them (a beta(t) read
     at each row's time).  One state is validated by ``as_state``, so that a
     non-finite one raises NonFiniteError, and evaluated as a one-row stack.
-    V comes from ``op.fields_unchecked`` (J x from ``op.jvps_unchecked``),
+    V comes from ``op.fields_unchecked`` (a rate's J x from ``op._jvp``),
     so a finite state whose field or value overflows gives inf or NaN, under
     any np.errstate.
     """

@@ -18,6 +18,7 @@ and ``run`` then steps the recurrence a block at a time (``matmul_step``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from inspect import signature
 from types import SimpleNamespace
@@ -58,10 +59,11 @@ class Method:
         which ``run`` reads a block of steps at a time, array in and array
         out, under the caller's errstate; or its power law gamma0 /
         (n+1)^power, whose default power = 0.6 keeps the squared steps
-        summable.  On arrays the power law is evaluated under
-        np.errstate(all="ignore"), so a (n+1)^power that overflows gives a
-        gamma_n of 0, which ``run`` rejects with one ValueError and no
-        warning, and a Python int n gives the same gamma_n."""
+        summable.  On arrays the power law takes (n+1)^power per element
+        (``pow_per_element``), so a Python int n gives the same gamma_n bit
+        for bit, and divides under np.errstate(all="ignore"): a (n+1)^power
+        that overflows gives a gamma_n of 0, which ``run`` rejects with one
+        ValueError and no warning."""
         if self.gamma is not None:
             return self.gamma
         gamma0, power, schedule = self.params
@@ -73,7 +75,22 @@ class Method:
             except ArithmeticError:  # (n+1)^power left the float range:
                 n = np.float64(n)    # the array rule gives gamma_n = 0 or inf
         with np.errstate(all="ignore"):
-            return gamma0 / (n + 1) ** power
+            return gamma0 / pow_per_element(n + 1, power)
+
+
+def pow_per_element(bases, exponent) -> Array:
+    """``bases ** exponent`` by one C pow (``math.pow``) per element, which
+    rounds as Python's ``**`` on a float; numpy's SIMD ``power`` rounds by
+    the CPU's dispatch.  A power that overflows is inf."""
+    bases = np.asarray(bases, dtype=float)
+    return np.array([_pow(x, exponent) for x in bases.ravel().tolist()]).reshape(bases.shape)
+
+
+def _pow(x, exponent):
+    try:
+        return math.pow(x, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _constant(name, gamma, *params) -> Method:

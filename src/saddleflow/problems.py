@@ -28,7 +28,7 @@ FULL_RANK_THRESHOLD = 0.05
 class NonFiniteError(ValueError):
     """A state, field value or Jacobian with a NaN or infinite entry.
 
-    Raised at the checked boundaries (``as_state``, ``field``, ``jacobian``);
+    Raised at the checked boundaries (``as_state``, ``field``, ``jacobian``, ``jvp``);
     inside the run loops, which evaluate unchecked, a non-finite value is a state.
     """
 
@@ -64,13 +64,16 @@ class Operator:
     ``_jvp``, the Jacobian-vector product J(z) x, which defaults to
     ``_jacobian(z) @ x``: the flows and the Lyapunov rates multiply J only
     by vectors, so an override never forms J (a dense J's 0 * inf entries
-    are NaN where the product's are not).  ``field``/``jacobian``/``jvp``
-    validate dimensions and finiteness at the boundary; the solution point
-    is checked against ``SOLUTION_TOL`` at construction time.  The run loops
-    evaluate through ``unchecked()``, where a non-finite value is a state:
-    they test states once per block of steps, so ``_field`` and ``_jvp``
-    may also be called at the non-finite states of a block's later steps,
-    whose results are discarded.
+    are NaN where the product's are not).  The library reads V, J and J x
+    only through these three hooks, V also through ``field_unchecked`` and
+    the stacked ``fields_unchecked`` of the recorders.
+    ``field``/``jacobian``/``jvp`` validate dimensions and finiteness at the
+    boundary (``_checked``); the solution point is checked against
+    ``SOLUTION_TOL`` at construction time.  The run loops evaluate through
+    ``unchecked()``, the hooks themselves, where a non-finite value is a
+    state: they test states once per block of steps, so the hooks may also
+    be called at the non-finite states of a block's later steps, whose
+    results are discarded.
 
     ``affine`` is True on classes whose field is affine in z, so that J is
     one constant matrix: ``jacobian`` then builds and checks it on the first
@@ -105,55 +108,40 @@ class Operator:
     def dim(self) -> int:
         return self.d1 + self.d2
 
-    def field(self, z) -> Array:
-        """Evaluate V(z).  An overflow is no warning: the non-finite value
-        it gives raises NonFiniteError, under any np.errstate."""
-        z = as_state(z, self.dim)
+    def _checked(self, what, hook, *args, shape=None) -> Array:
+        """``hook(*args)`` as a float array, evaluated under
+        np.errstate(all="ignore"): an overflow is no warning, and the
+        non-finite value it gives raises NonFiniteError, under any errstate."""
         with np.errstate(all="ignore"):
-            v = np.asarray(self._field(z), dtype=float)
-        if not np.isfinite(v).all():
-            raise NonFiniteError("field evaluation produced non-finite entries")
-        return v
+            value = np.asarray(hook(*args), dtype=float)
+        if shape is not None and value.shape != shape:
+            raise ValueError(f"jacobian has shape {value.shape}, expected {shape}")
+        if not np.isfinite(value).all():
+            raise NonFiniteError(f"{what} produced non-finite entries")
+        return value
+
+    def field(self, z) -> Array:
+        """Evaluate V(z), checked (``_checked``)."""
+        return self._checked("field evaluation", self._field, as_state(z, self.dim))
 
     def jacobian(self, z) -> Array:
-        """Evaluate the analytic Jacobian J(z) (shared and read-only if affine),
-        with the same overflow rule as ``field``."""
+        """Evaluate the analytic Jacobian J(z), checked, shared and read-only if affine."""
         z = as_state(z, self.dim)
         if self._constant_jacobian is not None:
             return self._constant_jacobian
-        with np.errstate(all="ignore"):
-            j = np.asarray(self._jacobian(z), dtype=float)
-        if j.shape != (self.dim, self.dim):
-            raise ValueError(f"jacobian has shape {j.shape}, expected {(self.dim, self.dim)}")
-        if not np.isfinite(j).all():
-            raise NonFiniteError("jacobian evaluation produced non-finite entries")
+        j = self._checked("jacobian evaluation", self._jacobian, z, shape=(self.dim, self.dim))
         if self.affine:
             self._constant_jacobian = _read_only(j)
         return j
 
     def jvp(self, z, x) -> Array:
-        """Evaluate J(z) x, with the same overflow rule as ``field``."""
-        z, x = as_state(z, self.dim), as_state(x, self.dim)
-        with np.errstate(all="ignore"):
-            jx = np.asarray(self._jvp(z, x), dtype=float)
-        if not np.isfinite(jx).all():
-            raise NonFiniteError("jacobian-vector product produced non-finite entries")
-        return jx
+        """Evaluate J(z) x, checked."""
+        return self._checked("jacobian-vector product", self._jvp,
+                             as_state(z, self.dim), as_state(x, self.dim))
 
     def field_unchecked(self, z) -> Array:
         """V(z) without validation."""
         return np.asarray(self._field(np.asarray(z, dtype=float)), dtype=float)
-
-    def jacobian_unchecked(self, z) -> Array:
-        """J(z) without validation (an affine operator's J, checked once)."""
-        if self.affine:
-            return self._affine_jacobian()
-        return np.asarray(self._jacobian(np.asarray(z, dtype=float)), dtype=float)
-
-    def jvp_unchecked(self, z, x) -> Array:
-        """J(z) x without validation."""
-        return np.asarray(self._jvp(np.asarray(z, dtype=float), np.asarray(x, dtype=float)),
-                          dtype=float)
 
     def _affine_jacobian(self) -> Array:
         """An affine operator's constant J, checked by the first call only."""
@@ -162,9 +150,9 @@ class Operator:
 
     def unchecked(self) -> SimpleNamespace:
         """The view through which the run loops evaluate non-finite states
-        too: the hooks ``_field`` and ``_jvp`` themselves, which take float
-        vectors, and ``jacobian_unchecked``, as ``field``/``jvp``/``jacobian``."""
-        return SimpleNamespace(field=self._field, jacobian=self.jacobian_unchecked,
+        too: the hooks ``_field``, ``_jacobian`` and ``_jvp`` themselves,
+        which take float vectors, as ``field``/``jacobian``/``jvp``."""
+        return SimpleNamespace(field=self._field, jacobian=self._jacobian,
                                jvp=self._jvp, dim=self.dim)
 
     def fields_unchecked(self, zs) -> Array:
@@ -175,13 +163,6 @@ class Operator:
         with one stacked evaluation.
         """
         return np.array([self.field_unchecked(z) for z in zs]).reshape(len(zs), self.dim)
-
-    def jvps_unchecked(self, zs, xs) -> Array:
-        """J(z) x at each pair of rows of the (n, dim) matrices ``zs`` and
-        ``xs``, without validation: row i equals ``jvp_unchecked(zs[i],
-        xs[i])`` bit for bit, as in ``fields_unchecked``."""
-        return np.array([self.jvp_unchecked(z, x) for z, x in zip(zs, xs)]).reshape(
-            len(zs), self.dim)
 
     def _field(self, z) -> Array:
         raise NotImplementedError
@@ -251,9 +232,6 @@ class BilinearGame(Operator):
     def _jvp(self, z, x):
         return self._affine_jacobian() @ x
 
-    def jvps_unchecked(self, zs, xs):
-        return np.matmul(self._affine_jacobian(), xs[:, :, None])[..., 0]
-
 
 #: The quartic's coefficients, bound once (``read_only_scalar``).
 _FOUR, _TWELVE = read_only_scalar(4.0), read_only_scalar(12.0)
@@ -279,8 +257,6 @@ class QuarticCounterexample(Operator):
 
     def _jvp(self, z, x):
         return _TWELVE * (z * z) * x
-
-    jvps_unchecked = _jvp  # elementwise: the same bits per row
 
 
 class ScaledIdentity(Operator):
@@ -309,8 +285,6 @@ class ScaledIdentity(Operator):
 
     def _jvp(self, z, x):
         return self.mu * x
-
-    jvps_unchecked = _jvp  # elementwise: the same bits per row
 
 
 def fd_jacobian(op: Operator, z, h=FD_STEP) -> Array:

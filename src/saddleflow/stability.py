@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flows import STABILITY_METHODS, Flow, eg_flow, linear_system, make_flow, rhs
+from .flows import STABILITY_METHODS, Flow, eg_flow, make_flow, rhs
 from .problems import BilinearGame, QuarticCounterexample
 
 Array = np.ndarray
@@ -95,24 +95,10 @@ def _phase_flow(method, game: BilinearGame, gamma, alpha):
 
 
 def _finite(values, gamma, game: BilinearGame):
+    """``values``, a list of the floats of roots or Routh columns, if all are finite."""
     if not all(map(isfinite, values)):
         raise ValueError(f"overflow at gamma = {gamma!r}, sigma_max = {game.sigma_max!r}")
     return values
-
-
-def assemble_system_matrix(method, game: BilinearGame, gamma, alpha=None) -> Array:
-    """Block matrix C of the method's flow on a pure bilinear game.
-
-    C is the flow's ``linear_system`` without its homogeneous row and
-    column: [[0, I], [a_v*Jg + a_jv*Jg^2, -beta*I + a_jw*Jg]] where Jg is
-    the constant game Jacobian [[0, A], [-A^T, 0]] and the coefficient row
-    is the method's flow row.
-    Requires b = c = 0 and a full-rank A, and rejects a C that overflows.
-    """
-    flow, _ = _phase_flow(method, game, gamma, alpha)
-    c = linear_system(flow, game)[:-1, :-1]
-    _finite(c.ravel().tolist(), gamma, game)
-    return c
 
 
 def _roots(pr, pi, qr, qi):

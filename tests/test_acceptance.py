@@ -94,8 +94,8 @@ def test_criterion_01_bilinear_stability_split():
                 want = expected_class(method, alpha)
                 # The verdict's abscissa is closed-form; the dense eigensolve
                 # of the assembled C is the independent leg.
-                dense = st.spectral_abscissa(
-                    st.assemble_system_matrix(method, game, gamma, alpha))
+                flow = flows.make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha)
+                dense = st.spectral_abscissa(flows.linear_system(flow, game)[:-1, :-1])
                 if (abscissa_class(v.spectral_abscissa) != want or v.verdict != want
                         or abscissa_class(dense) != want):
                     failures.append((method, alpha, want, v.verdict))

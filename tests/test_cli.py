@@ -1,6 +1,7 @@
 """Tests for config parsing, CLI commands, and output determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -381,6 +382,20 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "run.json").read_text())
         assert payload["lyapunov"]["ogda_i_l1"]["violations"] == []
         assert payload["run"]["queries"] > 20  # implicit solves cost extra evals
+
+    def test_power_law_kappa_schedule_is_c_pow_per_element(self, monkeypatch):
+        # The kappa(t) = 1/gamma(t) that ogda-hrde2-varstep reads on arrays of
+        # stage times rounds as math.pow does, whatever numpy's SIMD dispatch.
+        schedules, make_flow = [], flows.make_flow
+        monkeypatch.setattr(flows, "make_flow", lambda *a, **k: (
+            schedules.append(k["kappa_fn"]) or make_flow(*a, **k)))
+        raw = {"method": {"id": "ogda-hrde2-varstep",
+                          "schedule": {"gamma0": 0.7, "power": 0.37}},
+               "mode": "hrde", "budget": {"t_end": 0.01, "dt": 0.001}}
+        cli.execute_run(cli.validate_config(raw))
+        ts = np.linspace(0.0, 200.0, 20_001)
+        want = [1.0 / (0.7 * math.pow(1.0 + t, -0.37)) for t in ts.tolist()]
+        assert schedules[0](ts).tobytes() == np.array(want).tobytes()
 
     def test_hrde_mode_run(self, tmp_path):
         raw = {

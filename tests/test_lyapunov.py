@@ -199,8 +199,8 @@ class TestStackedEvaluation:
 
 def _dense_jac_quad(op, zs, xs):
     """x.J(z)x row by row through the dense Jacobian: the reference for the
-    library's stacked Jacobian-vector form."""
-    quads = [x @ (op.jacobian_unchecked(z) @ x) for z, x in zip(zs, xs)]
+    library's Jacobian-vector form."""
+    quads = [x @ (op._jacobian(z) @ x) for z, x in zip(zs, xs)]
     return np.array(quads).reshape(len(zs), 1)
 
 
@@ -225,7 +225,7 @@ class TestAnalyticRates:
     @given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(range(6)),
            rows=st.integers(0, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]))
     def test_rates_match_the_dense_row_loop(self, seed, family, rows, scale):
-        # The stacked Jacobian-vector products give the rates of the dense
+        # The Jacobian-vector products give the rates of the dense
         # x.J(z)x row loop bit for bit.
         rng = np.random.default_rng(seed)
         dim = 1 + seed % 4

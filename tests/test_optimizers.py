@@ -248,6 +248,13 @@ class TestRunLoop:
         np.testing.assert_allclose(kind.step_size(np.arange(50)),
                                    [0.1 / (n + 1) ** 0.6 for n in range(50)], rtol=1e-15)
 
+    def test_power_law_array_matches_ints_bit_for_bit(self):
+        # One C pow per element: numpy's SIMD power, which an AVX-512 host
+        # dispatches, rounded 496 of these gamma_n otherwise.
+        kind = opt.OGDAVariableStep(0.1, 0.6)
+        ints = np.array([kind.step_size(n) for n in range(10_000)])
+        assert kind.step_size(np.arange(10_000)).tobytes() == ints.tobytes()
+
     def test_power_law_out_of_range_on_an_int(self):
         # Python's float power raises where numpy's leaves the float range:
         # an int n gives the gamma_n of the array rule, 0 or inf.

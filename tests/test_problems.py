@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_cases import NonAffineTwin
+from saddleflow import lyapunov as lyap
 from saddleflow import optimizers as opt
 from saddleflow import problems
 from saddleflow.problems import (
@@ -135,8 +136,7 @@ class TestFieldEvaluation:
                 assert view.field(z).tobytes() == op.field(z).tobytes()
                 assert view.jacobian(z).tobytes() == op.jacobian(z).tobytes()
                 assert view.jvp(z, z[::-1]).tobytes() == op.jvp(z, z[::-1]).tobytes()
-            if op.affine:
-                assert view.jacobian(np.full(op.dim, np.nan)) is op.jacobian(op.solution)
+            assert (view.field, view.jacobian, view.jvp) == (op._field, op._jacobian, op._jvp)
         q = QuarticCounterexample().unchecked()
         with np.errstate(over="ignore"):
             assert np.isinf(q.field(np.array([1e150, 0.5]))[0])
@@ -240,16 +240,16 @@ def jvp_cases(draw):
 
 
 class TestJacobianVectorProduct:
-    """``jvp_unchecked(z, x)`` is J(z) x without J: the dense product's bits
-    at finite inputs, finite differences' value, and one row of the stack."""
+    """``_jvp(z, x)`` is J(z) x without J: the dense product's bits at
+    finite inputs, and finite differences' value."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(case=jvp_cases())
     def test_equals_the_dense_product(self, case):
         op, zs, xs = case
         for z, x in zip(zs, xs):
-            assert op.jvp_unchecked(z, x).tobytes() == (op.jacobian_unchecked(z) @ x).tobytes()
-            assert op.jvp(z, x).tobytes() == op.jvp_unchecked(z, x).tobytes()
+            assert op._jvp(z, x).tobytes() == (op._jacobian(z) @ x).tobytes()
+            assert op.jvp(z, x).tobytes() == op._jvp(z, x).tobytes()
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(case=jvp_cases())
@@ -260,16 +260,7 @@ class TestJacobianVectorProduct:
             # Central differences of 4 z^3 are off by 4 h^2 per entry of J,
             # and round at about 1e-16 |V| / h.
             tol = 1e-6 * (1.0 + np.linalg.norm(op.jacobian(z)) * np.linalg.norm(x))
-            assert np.linalg.norm(op.jvp_unchecked(z, x) - fd) <= tol
-
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(case=jvp_cases())
-    def test_stack_rows_match_single_states(self, case):
-        op, zs, xs = case
-        stacked = op.jvps_unchecked(zs, xs)
-        rows = np.array([op.jvp_unchecked(z, x) for z, x in zip(zs, xs)]).reshape(zs.shape)
-        assert stacked.shape == zs.shape
-        assert stacked.tobytes() == rows.tobytes()
+            assert np.linalg.norm(op._jvp(z, x) - fd) <= tol
 
     def test_checked_product_rejects_non_finite_values(self):
         op = QuarticCounterexample()
@@ -289,14 +280,14 @@ class TestJacobianVectorProduct:
         op, z = QuarticCounterexample(), np.array([1e103, 0.5])
         with np.errstate(all="ignore"):
             v = op.field_unchecked(z)
-            dense, jv = op.jacobian_unchecked(z) @ v, op.jvp_unchecked(z, v)
+            dense, jv = op._jacobian(z) @ v, op._jvp(z, v)
         assert np.isinf(v[0]) and np.isinf(dense[0]) and np.isnan(dense[1])
         assert np.isinf(jv[0]) and jv[1] == 12.0 * 0.25 * 0.5
 
 
 class TestConstantJacobian:
-    """An affine operator builds and checks its constant J once; the
-    unchecked forms then read it with no validation."""
+    """An affine operator builds and checks its constant J once; its J x
+    hook then gives that J's products with no validation."""
 
     @pytest.mark.parametrize("make", [lambda: BilinearGame([[1.0, 2.0], [0.5, -1.0]]),
                                       lambda: random_bilinear(3, 2, 3),
@@ -306,16 +297,48 @@ class TestConstantJacobian:
         real = problems.as_state
         monkeypatch.setattr(problems, "as_state", lambda *a: calls.append(1) or real(*a))
         z, x = np.linspace(-1.0, 1.0, op.dim), np.linspace(0.5, 2.0, op.dim)
-        zs, xs = np.stack([z, 2.0 * z]), np.stack([x, -x])
-        first = op.jacobian_unchecked(z)
+        first = op._affine_jacobian()
         checked = len(calls)
         for _ in range(3):
-            assert op.jacobian_unchecked(2.0 * z) is first
-            assert op.jvp_unchecked(z, x).tobytes() == (first @ x).tobytes()
-            rows = np.array([first @ x, first @ -x])
-            assert op.jvps_unchecked(zs, xs).tobytes() == rows.tobytes()
+            assert op._affine_jacobian() is first
+            assert op._jvp(2.0 * z, x).tobytes() == (first @ x).tobytes()
+            assert op._jvp(z, -x).tobytes() == (first @ -x).tobytes()
         assert checked <= 1 and len(calls) == checked
         assert not first.flags.writeable
+
+
+class ZeroFormsQuartic(QuarticCounterexample):
+    """The quartic with more forms of J and J x, each of them zeros."""
+
+    def jacobian_unchecked(self, z):
+        return np.zeros((self.dim, self.dim))
+
+    def jvp_unchecked(self, z, x):
+        return np.zeros(self.dim)
+
+    def jvps_unchecked(self, zs, xs):
+        return np.zeros_like(xs)
+
+
+class TestOnlyTheHooksAreRead:
+    """The library reads J and J x through ``_jacobian`` and ``_jvp`` alone:
+    other methods that also give J or J x change nothing."""
+
+    def test_rates_read_the_jvp_hook(self):
+        plain, decoy = QuarticCounterexample(), ZeroFormsQuartic()
+        zs, auxs = np.random.default_rng(5).standard_normal((2, 7, 2))
+        for kind, name in (("ogda_l1", "beta"), ("ogda_l2", "beta"), ("ogda2_l4", "kappa")):
+            want = lyap.analytic_decrease_rate(kind, plain, zs, auxs, **{name: 2.0})
+            got = lyap.analytic_decrease_rate(kind, decoy, zs, auxs, **{name: 2.0})
+            assert got.tobytes() == want.tobytes(), kind
+
+    def test_newton_step_reads_the_jacobian_hook(self):
+        runs = [opt.run(op, opt.ImplicitOGDA(0.05), [1.0, 0.5], 50)
+                for op in (QuarticCounterexample(), ZeroFormsQuartic())]
+        want, got = runs
+        for axis in ("steps", "times", "queries", "states"):
+            assert getattr(got, axis).tobytes() == getattr(want, axis).tobytes(), axis
+        assert got.diverged is want.diverged is False
 
 
 class TestFiniteDifferenceJacobian:

@@ -29,6 +29,13 @@ def char_poly_coeffs(matrix):
     return coeffs
 
 
+def system_matrix(method, game, gamma, alpha=None):
+    """C of the method's flow on a pure bilinear game: its ``linear_system``
+    without the homogeneous row and column."""
+    flow = flows.make_flow(f"{method}-hrde", gamma=gamma, alpha=alpha)
+    return flows.linear_system(flow, game)[:-1, :-1]
+
+
 def mode_eigenvalues(modes):
     """The multiset of eigenvalues of C that ``modes`` describes: each root
     at mu = i*sigma, its conjugate at mu = -i*sigma, and 0 and -beta per
@@ -48,7 +55,7 @@ def classify_grid(method, game, gamma_grid, alpha=None):
 
 class TestSystemMatrices:
     def test_gda_matrix(self):
-        c = st.assemble_system_matrix("gda", BG, 1.0)
+        c = system_matrix("gda", BG, 1.0)
         expected = np.array([
             [0.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 0.0, 1.0],
@@ -58,7 +65,7 @@ class TestSystemMatrices:
         np.testing.assert_array_equal(c, expected)
 
     def test_ogda_matrix(self):
-        c = st.assemble_system_matrix("ogda", BG, 1.0)
+        c = system_matrix("ogda", BG, 1.0)
         expected = np.array([
             [0.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 0.0, 1.0],
@@ -71,16 +78,16 @@ class TestSystemMatrices:
         game = random_bilinear(2, 2, 3, 0.1)
         a = game.A
         beta = 2.0 / 0.5
-        c = st.assemble_system_matrix("eg", game, 0.5)
+        c = system_matrix("eg", game, 0.5)
         np.testing.assert_allclose(c[5:7, 0:2], -2.0 * a @ a.T)
         np.testing.assert_allclose(c[5:7, 2:5], -beta * a)
         np.testing.assert_allclose(c[7:10, 0:2], beta * a.T)
         np.testing.assert_allclose(c[7:10, 2:5], -2.0 * a.T @ a)
         alpha = 0.3
-        c2 = st.assemble_system_matrix("la2-gda", game, 0.5, alpha)
+        c2 = system_matrix("la2-gda", game, 0.5, alpha)
         np.testing.assert_allclose(c2[5:7, 0:2], -2.0 * alpha * a @ a.T)
         np.testing.assert_allclose(c2[5:7, 2:5], -(4.0 * alpha / 0.5) * a)
-        c3 = st.assemble_system_matrix("la3-gda", game, 0.5, alpha)
+        c3 = system_matrix("la3-gda", game, 0.5, alpha)
         np.testing.assert_allclose(c3[5:7, 0:2], -6.0 * alpha * a @ a.T)
         np.testing.assert_allclose(c3[5:7, 2:5], -(6.0 * alpha / 0.5) * a)
 
@@ -97,21 +104,13 @@ class TestSystemMatrices:
         }
         for method, kind in kinds.items():
             alpha = 0.3 if method.startswith("la") else None
-            c = st.assemble_system_matrix(method, game, 0.5, alpha)
+            c = system_matrix(method, game, 0.5, alpha)
             for _ in range(10):
                 z, om = rng.standard_normal(game.dim), rng.standard_normal(game.dim)
                 dz, dom = flows.rhs(kind, game, z, om)
                 np.testing.assert_allclose(
                     c @ np.concatenate([z, om]), np.concatenate([dz, dom]), atol=1e-12
                 )
-
-    def test_rejects_shifted_and_rank_deficient(self):
-        shifted = BilinearGame([[1.0]], b=[0.5])
-        with pytest.raises(ValueError, match="b = c = 0"):
-            st.assemble_system_matrix("gda", shifted, 1.0)
-        tiny = BilinearGame([[1e-4]])
-        with pytest.raises(ValueError, match="full-rank"):
-            st.assemble_system_matrix("gda", tiny, 1.0)
 
 
 MISUSE = [
@@ -123,7 +122,7 @@ MISUSE = [
     # (2/gamma)^2 overflows, or underflows to 0.
     (("gda", BG, 1e-160, None), r"gamma must be positive, with \(2/gamma\)\^2 finite"),
     (("eg", BG, 1e300, None), r"gamma must be positive, with \(2/gamma\)\^2 finite"),
-    # a_jv sigma^2 overflows in the modes and in C.
+    # a_jv sigma^2 overflows in the modes.
     (("eg", BilinearGame([[1e200]]), 0.1, None), r"overflow at gamma = 0.1, sigma_max = 1e\+200"),
 ]
 
@@ -140,7 +139,7 @@ class TestModes:
         # sigma = beta/2) and to about eps * |C|_2 elsewhere.
         game = random_bilinear(seed, d1, d2, 0.1)
         alpha = alpha if method.startswith("la") else None
-        c = st.assemble_system_matrix(method, game, gamma, alpha)
+        c = system_matrix(method, game, gamma, alpha)
         dense = list(np.linalg.eigvals(c))
         closed = mode_eigenvalues(st.modes(method, game, gamma, alpha))
         assert closed.size == len(dense) == 2 * game.dim
@@ -160,7 +159,8 @@ class TestModes:
 
     @pytest.mark.parametrize("args, message", MISUSE)
     def test_same_misuse_rejected_as_dense_path(self, args, message):
-        for analysis in (st.modes, st.assemble_system_matrix, st.classify_method):
+        # Both analyses run the same checks, with the same messages.
+        for analysis in (st.modes, st.classify_method):
             with pytest.raises(ValueError, match=message):
                 analysis(*args)
 
@@ -169,7 +169,7 @@ class TestModes:
         # entries 2*kappa*beta and -kappa*beta^2 (kappa = -sigma^2) overflow.
         game = BilinearGame([[1e200]])
         assert np.isfinite(st.modes("gda", game, 0.1).roots).all()
-        assert np.isfinite(st.assemble_system_matrix("gda", game, 0.1)).all()
+        assert np.isfinite(system_matrix("gda", game, 0.1)).all()
         with pytest.raises(ValueError, match=r"overflow at gamma = 0.1, sigma_max = 1e\+200"):
             st.classify_method("gda", game, 0.1)
 
@@ -318,7 +318,7 @@ class TestNonSquare:
     @pytest.mark.parametrize("method, alpha, want", EXPECTED)
     def test_dense_abscissa_class(self, method, alpha, want):
         for gamma in self.GRID:
-            c = st.assemble_system_matrix(method, NON_SQUARE, gamma, alpha)
+            c = system_matrix(method, NON_SQUARE, gamma, alpha)
             assert st._classify([st.spectral_abscissa(c)], [1e-8]) == want
 
     def test_wide_and_tall_games(self):
@@ -336,8 +336,8 @@ class TestSpectralAbscissa:
         assert st.spectral_abscissa(np.diag([-1.0, -2.0])) == pytest.approx(-1.0)
 
     def test_gda_positive_ogda_negative(self):
-        assert st.spectral_abscissa(st.assemble_system_matrix("gda", BG, 1.0)) > 0
-        assert st.spectral_abscissa(st.assemble_system_matrix("ogda", BG, 1.0)) < 0
+        assert st.spectral_abscissa(system_matrix("gda", BG, 1.0)) > 0
+        assert st.spectral_abscissa(system_matrix("ogda", BG, 1.0)) < 0
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -441,13 +441,13 @@ class TestComplexQuadratic:
 
 class TestCharPoly:
     def test_gda_closed_form(self):
-        c = st.assemble_system_matrix("gda", BG, 1.0)
+        c = system_matrix("gda", BG, 1.0)
         beta, kappa = 2.0, -1.0
         expected = [1.0, 2 * beta, beta ** 2, 0.0, -kappa * beta ** 2]
         np.testing.assert_allclose(char_poly_coeffs(c), expected, atol=1e-10)
 
     def test_ogda_closed_form(self):
-        c = st.assemble_system_matrix("ogda", BG, 1.0)
+        c = system_matrix("ogda", BG, 1.0)
         beta, kappa = 2.0, -1.0
         expected = [1.0, 2 * beta, beta ** 2 - 4 * kappa, -4 * beta * kappa,
                     -kappa * beta ** 2]
@@ -457,7 +457,7 @@ class TestCharPoly:
         # det(C_EG - l I) = prod over D-eigenvalues mu of (l^2 + beta l - mu).
         a = 1.7
         game = BilinearGame([[a]])
-        c = st.assemble_system_matrix("eg", game, 1.0)
+        c = system_matrix("eg", game, 1.0)
         beta = 2.0
         mus = np.linalg.eigvals(c[game.dim:, :game.dim])
         product = np.array([1.0 + 0.0j])
@@ -522,7 +522,7 @@ class TestScan:
         alpha = alpha if method.startswith("la") else None
         verdict = st.classify_method(method, game, gamma, alpha).verdict
         assert verdict == per_sigma_verdict(method, game, gamma, alpha)
-        c = st.assemble_system_matrix(method, game, gamma, alpha)
+        c = system_matrix(method, game, gamma, alpha)
         assert verdict == st._classify([st.spectral_abscissa(c)], [1e-8])
 
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -678,6 +678,51 @@ class TestResolutionOrder:
         hrde, low = self.gaps("la2-gda", 0.5, lambda x: opt.LookaheadGDA(x, k=2, alpha=0.5),
                               1.0, self.XS)
         assert _slope(self.XS, hrde) >= 2.8 and _slope(self.XS, low) >= 2.8
+
+
+class TestResolutionConstant:
+    """The resolution constant c, exactly: on A = [[sigma]] at mu = i*sigma,
+    each HRDE's slow root is lambda = -mu + gamma*c*mu^2 + O(gamma^2), and
+    its method's log(m)/gamma has the same c (the modified equation in the
+    README): -1/2 for gda, +1/2 for eg and ogda.  gda-ode's root is -mu
+    itself, c = 0.  The values of c are written here, never read from the
+    program; each estimate (lambda + mu)/(gamma*mu^2) lies within
+    gamma*sigma of them."""
+
+    C = {"gda": (-0.5, opt.GDA), "eg": (0.5, opt.EG), "ogda": (0.5, opt.OGDA)}
+    SIGMAS = (0.5, 1.0, 2.0)
+    GAMMAS = (1e-2, 1e-3, 1e-4)
+
+    @staticmethod
+    def nearest(values, target):
+        return values[np.argmin(np.abs(values - target))]
+
+    @pytest.mark.parametrize("method", C)
+    def test_flow_and_method_share_c(self, method):
+        c, make = self.C[method]
+        for sigma in self.SIGMAS:
+            game, mu = BilinearGame([[sigma]]), 1j * sigma
+            for gamma in self.GAMMAS:
+                lam = self.nearest(st.modes(method, game, gamma).roots[0], -mu)
+                mults = np.linalg.eigvals(opt.one_step_map(game, make(gamma))[:-1, :-1])
+                rate = self.nearest(np.log(mults) / gamma, -mu)
+                for estimate in (lam, rate):
+                    c_hat = (estimate + mu) / (gamma * mu * mu)
+                    assert abs(c_hat - c) <= gamma * sigma, (sigma, gamma, c_hat)
+
+    def test_low_resolution_ode_misses_c_by_a_half(self):
+        # C = -J exactly, so its root is -mu and c = 0: the eigensolver's
+        # estimate of it is 0 to rounding, 1/2 from every method's c.
+        for sigma in self.SIGMAS:
+            game, mu = BilinearGame([[sigma]]), 1j * sigma
+            system = flows.linear_system(flows.make_flow("gda-ode"), game)[:-1, :-1]
+            assert np.array_equal(system, -game.jacobian(np.zeros(2)))
+            lam = self.nearest(np.linalg.eigvals(system), -mu)
+            for gamma in self.GAMMAS:
+                c_hat = (lam + mu) / (gamma * mu * mu)
+                assert abs(c_hat) <= 1e-10
+                for c_method, _ in self.C.values():
+                    assert abs(c_hat - c_method) >= 0.5 - 1e-10 > gamma * sigma
 
 
 class TestResolutionOrderOfTrajectories:
