@@ -27,9 +27,9 @@ On an affine field V(z) = J z + q every flow whose derivative does not read
 t is the linear system d/dt (z, aux) = C (z, aux) + m, which
 ``linear_system`` reads off its ``derivative``.  A fixed-step scheme on it
 is the one-step map s' = R s of the stacked state, which ``integrate``
-steps as ``run`` steps a method's map.  The time-varying optimistic flow is
-S(kappa) = S0 + kappa S1 there, and ``integrate`` steps it by one exact map
-R_n per step, built a block of steps at a time.
+steps as ``run`` steps a method's map, or by modes (``_mode_step``) on a
+wide bilinear game.  The time-varying optimistic flow is S(kappa) = S0 +
+kappa S1 there, stepped by one exact map R_n per step, built by blocks.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .optimizers import (BLOCK_BYTES, Recorder, Trajectory, affine_system, check_alpha,
                          each_step, matmul_step, read_positive, step_loop)
-from .problems import Operator, as_state, read_only_scalar
+from .problems import BilinearGame, Operator, as_state, read_only_scalar
 
 Array = np.ndarray
 
@@ -98,11 +98,11 @@ class Flow:
 
     def derivative(self, op, z, aux, t, value=None):
         """The formula at (z, aux) and time t through ``op``, into new arrays
-        (an empty aux keeps z's columns), at stage value ``value`` if given."""
+        (an empty aux keeps z's stack and columns), at stage value ``value``."""
         dz, daux = np.empty((2, *np.shape(z)))
         self.kernel(op.field, op.jvp)(z, aux, dz, daux,
                                       self.stage_value(t) if value is None else value)
-        return dz, daux if self.aux_var else daux[:0]
+        return dz, daux if self.aux_var else daux[..., :0, :] if daux.ndim > 2 else daux[:0]
 
 
 def _phase(field, jvp, beta, a_v, a_jv, a_jw):
@@ -200,8 +200,8 @@ def rhs(kind, op: Operator, z, aux, t=0.0):
 
 def linear_system(kind, op: Operator) -> Array:
     """S = [[C, m], [0, 0]] with d/dt (z, aux, 1) = S (z, aux, 1): a flow
-    whose derivative does not read t, on an affine field, read off that
-    derivative."""
+    whose derivative does not read t, on an affine field (or a stack of them,
+    ``affine_system``), read off that derivative."""
     if kind.reads_t:
         raise ValueError(f"flow {kind.name!r} reads t and has no constant linear system")
     n_aux = op.dim if kind.aux_var else 0
@@ -235,6 +235,10 @@ SCHEMES = {"rk4": 4, "euler": 1}
 #: O(width^3); measured per RK4 step, it overtakes the four stage
 #: evaluations it replaces between widths 37 and 49 (README).
 STEP_MAP_MAX_WIDTH = 33
+
+#: Narrowest bilinear stacked state stepped by singular modes (``_mode_step``):
+#: they beat the dense map at 400 and 4,000 RK4 steps from width 181, not 161 (README).
+MODE_MIN_WIDTH = 181
 
 
 @dataclass(frozen=True)
@@ -276,7 +280,8 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
     Every path steps the stacked state (z, aux, 1) in ``optimizers.step_loop``.
     On an affine operator a flow whose derivative does not read t is stepped
     by its scheme's one-step map R of ``linear_system`` (``_scheme_map``),
-    one matrix-vector product per step, and the time-varying optimistic flow
+    one matrix-vector product per step (per singular mode on a wide
+    ``BilinearGame``, ``_mode_step``), and the time-varying optimistic flow
     by one map R_n per step (``_step_maps``) while its stacked state is at
     most ``STEP_MAP_MAX_WIDTH`` wide.  Every other pair evaluates the flow's
     formula at each stage through ``op.unchecked()`` (``_rhs_step``), which
@@ -296,13 +301,16 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
         aux = as_state(aux0, op.dim)
     recorder = Recorder(op, kind.name, problem_label or op.label,
                         int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
-    if op.affine and not kind.reads_t:
+    width = len(z) + len(aux) + 1
+    if not kind.reads_t and isinstance(op, BilinearGame) and width >= MODE_MIN_WIDTH:
+        read, advance = _repeat(None), _mode_step(kind, op, cfg, z, aux)
+    elif op.affine and not kind.reads_t:
         system = _scheme_map(kind, op, cfg)
         read, advance = _repeat(system), matmul_step(lambda maps: maps, SCHEMES[cfg.scheme])
-    elif op.affine and len(z) + len(aux) + 1 <= STEP_MAP_MAX_WIDTH:
+    elif op.affine and width <= STEP_MAP_MAX_WIDTH:
         read, advance = _step_maps(kind, op, cfg, t0)
     else:
-        read, advance = _rhs_step(kind, op, cfg, t0, len(z) + len(aux))
+        read, advance = _rhs_step(kind, op, cfg, t0, width - 1)
 
     def times_after(n, t, values):
         return t0 + np.arange(n + 1, n + len(values) + 1) * cfg.dt
@@ -311,8 +319,8 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
 
 
 def _scheme_map(kind, op, cfg):
-    """The scheme's stability function of A = dt*S, S = [[C, m], [0, 0]]:
-    R = sum_{j<=p} A^j / j! = I + A (I + A/2 (... (I + A/p))), in Horner's
+    """The scheme's stability function of A = dt*S, S = [[C, m], [0, 0]] (or
+    a stack): R = sum_{j<=p} A^j / j! = I + A (I + A/2 (... (I + A/p))), in Horner's
     form on two buffers, with p the scheme's degree (I + A for Euler)."""
     a = linear_system(kind, op)
     degree = SCHEMES[cfg.scheme]
@@ -320,15 +328,47 @@ def _scheme_map(kind, op, cfg):
     with np.errstate(all="ignore"):
         a *= cfg.dt
         r, tmp = a / degree, np.empty_like(a)
-        diag = np.diag_indices_from(r)
+        diag = (..., *np.diag_indices(a.shape[-1]))
         r[diag] += 1.0
         for j in range(degree - 1, 0, -1):
-            for c in range(0, len(a), 64):  # column tiles keep BLAS's packing buffer small
-                np.matmul(a, r[:, c:c + 64], out=tmp[:, c:c + 64])
+            for c in range(0, a.shape[-1], 64):  # column tiles keep BLAS's packing buffer small
+                np.matmul(a, r[..., c:c + 64], out=tmp[..., c:c + 64])
             tmp /= j
             tmp[diag] += 1.0
             r, tmp = tmp, r
     return r
+
+
+def _mode_step(kind, game, cfg, z, aux):
+    """``advance`` of ``step_loop`` per singular mode: the scheme's map R_i of
+    each mode's block, read off the flow on ``game.singular_blocks``; (z, aux)
+    rotated into the singular basis once, one batched product of every R_i
+    per step, and the original-basis rows written back once per block."""
+    u, vh, blocks = game.singular_blocks
+    maps = np.ascontiguousarray(np.moveaxis(_scheme_map(kind, blocks, cfg), 0, -1))  # (i, j, mode)
+    dim, d1, d2, queries = len(z), game.d1, game.d2, SCHEMES[cfg.scheme]
+    parts = np.reshape((z, aux)[:1 + len(aux) // dim], (-1, dim))  # z, then aux if any
+    # Rows (z_a, z_b, aux_a, aux_b, 1) by mode: x u in even rows, vh y in odd ones.
+    state = np.zeros(maps.shape[1:])
+    with np.errstate(all="ignore"):  # a derived aux may overflow: a state
+        state[0:-1:2, :d1], state[1:-1:2, :d2] = parts[:, :d1] @ u, parts[:, d1:] @ vh.T
+    state[-1] = 1.0
+
+    def advance(values, states, times, counts):
+        nonlocal state
+        taken, n = len(values), len(parts)
+        modes = np.empty((taken + 1, *state.shape))
+        modes[0] = state
+        for i in range(taken):
+            np.einsum("ijn,jn->in", maps, modes[i], out=modes[i + 1])
+        rows = states[0].base[1:taken + 1, :-1].reshape(taken, n, dim)  # the block's rows
+        rows[..., :d1] = (modes[1:, 0:-1:2, :d1].reshape(-1, d1) @ u.T).reshape(taken, n, d1)
+        rows[..., d1:] = (modes[1:, 1:-1:2, :d2].reshape(-1, d2) @ vh).reshape(taken, n, d2)
+        state = modes[taken]
+        counts[1:taken + 1] = counts[0] + queries * np.arange(1, taken + 1)
+        return taken, False
+
+    return advance
 
 
 def _step_maps(kind, op, cfg, t0):

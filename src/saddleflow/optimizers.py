@@ -290,7 +290,9 @@ def affine_system(op: Operator, n_aux, advance, corner) -> Array:
     one-step map, so that s' = S s on the stacked state s = (z, aux, 1), and
     0 for a flow, so that ds/dt = S s.  The call runs under
     np.errstate(all="ignore"): an S that overflows is a divergence for the
-    step loop to record, not an error.
+    step loop to record, not an error.  Where ``op.jacobian`` and
+    ``op.field_unchecked`` give stacks (..., d, d) and (..., d) of J and q,
+    it returns the stack (..., n + 1, n + 1) of S.
     """
     if not op.affine:
         raise ValueError(f"an affine system requires an affine operator, not {op.label!r}")
@@ -299,17 +301,18 @@ def affine_system(op: Operator, n_aux, advance, corner) -> Array:
 
     def field(zs):
         v = jac @ zs
-        v[:, -1] += q
+        v[..., -1] += q
         return v
 
     columns = SimpleNamespace(field=field, jacobian=lambda zs: jac, jvp=lambda zs, x: jac @ x,
                               dim=dim, affine=True)
-    system = np.eye(dim + n_aux + 1)
+    system = np.eye(dim + n_aux + 1) * np.ones((*jac.shape[:-2], 1, 1))
     # The identity becomes S in place: advance returns new arrays (or the
     # empty aux it was given), all computed before the first row is written.
     with np.errstate(all="ignore"):
-        system[:dim], system[dim:-1] = advance(columns, system[:dim], system[dim:-1])
-    system[-1, -1] = corner
+        system[..., :dim, :], system[..., dim:-1, :] = advance(
+            columns, system[..., :dim, :], system[..., dim:-1, :])
+    system[..., -1, -1] = corner
     return system
 
 
@@ -567,7 +570,8 @@ def step_loop(recorder: Recorder, read, times_after, advance, z, aux, t) -> Traj
     ``times_after(n, t, values)`` then gives the times after those steps
     from the time t before step n, and ``advance(values, states, times,
     counts) -> (taken, stopped)`` takes up to one step per value from row 0
-    (the state, time and query count before step n), writes the state and
+    (the state, time and query count before step n; ``states`` are the rows
+    of one array, ``states[0].base``), writes the state and
     query count of row i after step n + i - 1, and says how many it took
     and whether the run ends there.  Both run under np.errstate(all="ignore"),
     so the one stop rule, under any errstate, is the finiteness test, made

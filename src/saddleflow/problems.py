@@ -8,6 +8,7 @@ generator, which together back the library's self-checks.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from inspect import signature
 from types import SimpleNamespace
 
@@ -181,6 +182,7 @@ class BilinearGame(Operator):
     [[0, A], [-A^T, 0]].  ``singular_values`` holds the min(d1, d2) singular
     values of A in ascending order (read-only); ``full_rank`` records whether
     the smallest clears ``FULL_RANK_THRESHOLD`` (or a caller-supplied threshold).
+    ``singular_blocks`` splits it into 2x2 singular modes, by one SVD on first use.
     """
 
     label = "bilinear"
@@ -231,6 +233,19 @@ class BilinearGame(Operator):
 
     def _jvp(self, z, x):
         return self._affine_jacobian() @ x
+
+    @cached_property
+    def singular_blocks(self):
+        """(u, vh, blocks) of A = u diag(sigma) vh, one full SVD on first use:
+        mode i has the coordinates ((x u)_i, (vh y)_i), 0 past d1 or d2, with
+        V = [[0, sigma_i], [-sigma_i, 0]] z + q_i (sigma_i = 0 unpaired); ``blocks``
+        stacks the max(d1, d2) modes as an operator of dim 2 (``affine_system``)."""
+        u, sigma, vh = np.linalg.svd(self.A)
+        jac, q = np.zeros((max(self.d1, self.d2), 2, 2)), np.zeros((max(self.d1, self.d2), 2))
+        jac[:len(sigma), 0, 1], jac[:len(sigma), 1, 0] = sigma, -sigma
+        q[:self.d1, 0], q[:self.d2, 1] = self.b @ u, -(vh @ self.c)
+        return u, vh, SimpleNamespace(jacobian=lambda z: jac, field_unchecked=lambda z: q,
+                                      dim=2, affine=True, label=f"{self.label} modes")
 
 
 #: The quartic's coefficients, bound once (``read_only_scalar``).

@@ -12,12 +12,15 @@ scaled Python floats that no numpy SIMD loop rounds: ``classify_method`` costs
 Every verdict reduces signed values by one rule, ``_classify``: a value v
 of scale s (the largest magnitude among the terms that v sums) is marginal
 if |v| <= EPS*s = 1e-13*s and unstable if v > EPS*s; the worst mode wins.
-Per sigma ``classify_method`` reads minus the least entry of the Routh first
-column (gda, ogda) at scale 0, as for beta > 0 > kappa every entry is a
+Per sigma ``classify_method`` reads minus the least of the first four Routh
+entries (gda, ogda) at scale 0, as for beta > 0 > kappa every entry is a
 product or a sum of same-signed terms, or the complex-quadratic margin
 Re mu + (Im mu/beta)^2 (eg, LA-k) at scale max(|Re mu|, (Im mu/beta)^2).
-Its cross-check reads each root lambda of ``modes`` as Re lambda at scale
-|lambda|, through the largest Re lambda/|lambda| at scale 1.  A zero mode
+Its cross-check reads each root lambda of ``modes`` as Re lambda at the
+scale of the terms it sums (``_roots``), through the largest ratio at
+scale 1: a scale of |lambda| would read a root with |Re lambda| below
+1e-13 |lambda| as marginal, as EG's roots, Re lambda ~ -beta and
+|lambda| ~ sigma, are once sigma*gamma passes about 1e13.  A zero mode
 gives 0 at scale 0, so no flow is stable on a non-square game.
 
 The two quartic Routh arrays are pinned to their published closed forms:
@@ -76,6 +79,7 @@ class Modes:
     flow: Flow        # the (z, omega) row, whose scalars are (beta, a_v, a_jv, a_jw)
     alpha: Optional[float]
     spectral_abscissa: float  # max Re over the roots and the zero modes
+    ratios: list      # each root's Re over its scale (``_roots``), in the order of roots.ravel()
 
 
 def _phase_flow(method, game: BilinearGame, gamma, alpha):
@@ -101,9 +105,11 @@ def _finite(values, gamma, game: BilinearGame):
     return values
 
 
-def _roots(pr, pi, qr, qi):
+def _roots(pr, pi, qr, qi, ratios):
     """Re and Im of the larger root of lambda^2 + p lambda + q = 0, then of
-    the smaller, for p = pr + i*pi and q = qr + i*qi."""
+    the smaller, for p = pr + i*pi and q = qr + i*qi.  Appends to ``ratios``
+    each root's Re over its scale: the sum of the magnitudes of the terms
+    that Re sums, each within a few ulps."""
     # Scale p by 2^-k and q by 2^-2k, exactly, to |p| < 2 and |q| < 4 (with
     # 2^k a float); the roots scale by 2^-k.  An overflowed term stays inf.
     k = frexp(0.5 * (abs(pr) + abs(pi) + sqrt(abs(qr) + abs(qi))))[1]
@@ -121,7 +127,10 @@ def _roots(pr, pi, qr, qi):
     a, b, c, d = (qr, qi, br, bi) if abs(br) >= abs(bi) else (qi, -qr, bi, -br)
     r = d / c
     den = c + d * r
-    return br * g, bi * g, (a + b * r) / den * g, (b - a * r) / den * g
+    sr = (a + b * r) / den
+    ratios += (br / (0.5 * (abs(pr) + abs(dr)) or 1.0),
+               sr / ((abs(a) + abs(b * r)) / abs(den) or 1.0))
+    return br * g, bi * g, sr * g, (b - a * r) / den * g
 
 
 def modes(method, game: BilinearGame, gamma, alpha=None) -> Modes:
@@ -131,12 +140,13 @@ def modes(method, game: BilinearGame, gamma, alpha=None) -> Modes:
     then the other as q over it.  Rejects roots that overflow."""
     flow, alpha = _phase_flow(method, game, gamma, alpha)
     beta, a_v, a_jv, a_jw = flow.scalars
+    ratios = []
     flat = [x for s in game.singular_values.tolist()
-            for x in _roots(beta, -a_jw * s, a_jv * s * s, -a_v * s)]
+            for x in _roots(beta, -a_jw * s, a_jv * s * s, -a_v * s, ratios)]
     roots = np.array(_finite(flat, gamma, game)).view(complex).reshape(-1, 2)
     zero_modes = abs(game.d1 - game.d2)
     abscissa = max(flat[::2] + ([0.0] if zero_modes else []))
-    return Modes(game.singular_values, roots, zero_modes, flow, alpha, abscissa)
+    return Modes(game.singular_values, roots, zero_modes, flow, alpha, abscissa, ratios)
 
 
 def spectral_abscissa(matrix) -> float:
@@ -194,7 +204,10 @@ def classify_method(method, game: BilinearGame, gamma, alpha=None) -> StabilityV
         columns = [column(beta, -s * s) for s in m.sigma.tolist()]
         routh = np.array(_finite([x for c in columns for x in c], gamma, game)).reshape(-1, 5)
         # Entry 0 is 1: the least entry is negative iff the column changes sign.
-        values, tols = [-min(c) for c in columns], [0.0] * len(columns)
+        # Entry 4 is -kappa beta^2 > 0 (gda) or entry 3 times it (ogda), so the
+        # first four decide, also where entry 4 underflows to 0 (ogda at
+        # gamma^3/sigma^4 above about 1e325).
+        values, tols = [-min(c[:4]) for c in columns], [0.0] * len(columns)
     else:
         # complex_quadratic_margin of a_v mu + a_jv mu^2 at mu = +-i*sigma; its terms set its scale
         values, tols = [], []
@@ -202,8 +215,8 @@ def classify_method(method, game: BilinearGame, gamma, alpha=None) -> StabilityV
             re, drift = -a_jv * s * s, (a_v * s / beta) ** 2
             values.append(re + drift)
             tols.append(EPS * max(abs(re), drift))
-    # Each root's value over its scale, Re lambda/|lambda| (0 at a zero root): the largest decides.
-    ratio = max(z.real / (abs(z) or 1.0) for z in m.roots.ravel().tolist())
+    # Each root's Re over its scale (0 at a zero root): the largest decides.
+    ratio = max(m.ratios)
     verdict = _classify(values + zeros, tols + zeros)
     abscissa_verdict = _classify([ratio] + zeros, [EPS] + zeros)
     return StabilityVerdict(method, gamma, m.alpha, m.spectral_abscissa, verdict,

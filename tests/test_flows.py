@@ -1,5 +1,6 @@
 """Tests for the flow right-hand sides and the fixed-step integrators."""
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from affine_cases import (AffineField, NonAffineTwin, assert_same_run, count_hook_calls, forbid,
                           monotone_affine_cases)
-from saddleflow import flows, lyapunov
+from saddleflow import cli, flows, lyapunov
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
     BilinearGame,
@@ -814,3 +815,186 @@ class TestRhsChecks:
             dz, daux = flows.rhs(AUX_FLOWS[flow_id], op.unchecked(), z, aux)
         assert dz.shape == daux.shape == (2,)
         assert not np.isfinite(np.concatenate((dz, daux))).all()
+
+
+def _game(shape, seed, shifted=False):
+    """A bilinear game of ``shape``; with b = -A y* and c = -A^T x*, so
+    that its solution (x*, y*) is not the origin, if ``shifted``."""
+    if not shifted:
+        return random_bilinear(seed, *shape)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape)
+    return BilinearGame(a, -a @ rng.standard_normal(shape[1]), -a.T @ rng.standard_normal(shape[0]))
+
+
+def _modes_and_dense(monkeypatch, kind, op, z0, aux0, cfg):
+    """The run by modes, which must be taken, and the same run by the dense map."""
+    taken, mode_step = [], flows._mode_step
+    monkeypatch.setattr(flows, "_mode_step", lambda *a: taken.append(1) or mode_step(*a))
+    modes = flows.integrate(kind, op, z0, aux0, cfg)
+    assert taken == [1]
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "MODE_MIN_WIDTH", 10 ** 9)
+        return modes, flows.integrate(kind, op, z0, aux0, cfg)
+
+
+def _assert_close(got, want, rtol=1e-12):
+    """Within ``rtol`` of the largest entry of ``want``."""
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+#: (d1, d2) with a state (z, omega, 1) or (z, w, 1) at least MODE_MIN_WIDTH
+#: wide, and those for gda-ode's (z, 1).
+_MODE_SHAPES = {"square": ((50, 50), (100, 100)), "tall": ((60, 40), (110, 90)),
+                "wide": ((40, 60), (90, 110))}
+
+
+class TestModePath:
+    """A wide bilinear game is stepped per singular mode, in its singular
+    basis (``flows._mode_step``), and gives the dense map's run up to the
+    last bits."""
+
+    @pytest.mark.parametrize("scheme", ["rk4", "euler"])
+    @pytest.mark.parametrize("shape, shifted", [("square", False), ("tall", False),
+                                                ("wide", True)])
+    def test_matches_dense_path(self, monkeypatch, scheme, shape, shifted):
+        for flow_id in CONSTANT_FLOWS:
+            kind = flows.make_flow(flow_id, gamma=0.5, alpha=0.3)
+            op = _game(_MODE_SHAPES[shape][kind.aux_var is None], 7, shifted)
+            rng = np.random.default_rng(1)
+            z0, aux0 = rng.standard_normal((2, op.dim))
+            assert flows.MODE_MIN_WIDTH <= op.dim * (1 + bool(kind.aux_var)) + 1
+            cfg = flows.IntegratorConfig(scheme, 0.01, 0.5)
+            modes, dense = _modes_and_dense(monkeypatch, kind, op, z0, aux0, cfg)
+            np.testing.assert_array_equal(modes.times, dense.times)
+            np.testing.assert_array_equal(modes.queries, dense.queries)
+            assert not modes.diverged and not dense.diverged
+            _assert_close(modes.states, dense.states)
+            for name, column in dense.metrics.items():
+                _assert_close(modes.metric(name), column)
+
+    def test_thinning_is_the_sliced_run(self):
+        game = _game((50, 50), 3)
+        z0, aux0 = np.random.default_rng(2).standard_normal((2, game.dim))
+        for flow_id in CONSTANT_FLOWS[:-1]:  # gda-ode is too narrow here
+            kind = flows.make_flow(flow_id, gamma=0.5, alpha=0.3)
+            thin, full = (flows.integrate(kind, game, z0, aux0,
+                                          flows.IntegratorConfig("rk4", 0.01, 0.5, every))
+                          for every in (7, 1))
+            assert thin.states.tobytes() == full.states[thin.steps].tobytes()
+            for name, column in full.metrics.items():
+                assert thin.metric(name).tobytes() == column[thin.steps].tobytes()
+
+    @pytest.mark.parametrize("scheme, t_end", [("rk4", 20.0), ("euler", 40.0)])
+    def test_blow_up_matches_dense_path(self, monkeypatch, scheme, t_end):
+        # dt*beta = 20 lies outside both schemes' stability regions: both
+        # paths overflow, within a step of each other, and trip the guard at
+        # the same step.
+        game = _game((50, 50), 5)
+        z0 = np.random.default_rng(3).standard_normal(game.dim)
+        kind = flows.make_flow("gda-hrde", gamma=0.01)
+        cfg = flows.IntegratorConfig(scheme, 0.1, t_end)
+        modes, dense = _modes_and_dense(monkeypatch, kind, game, z0, np.zeros(game.dim), cfg)
+
+        def first(flags):
+            assert flags.any()
+            return int(np.argmax(flags))
+
+        assert modes.diverged and dense.diverged
+        stops = [first(~np.isfinite(t.states).all(axis=1)) for t in (modes, dense)]
+        assert abs(stops[0] - stops[1]) <= 1
+        guards = [first(t.metric("z_norm") > opt.DIVERGENCE_GUARD) for t in (modes, dense)]
+        assert guards[0] == guards[1] > 0
+        head = min(guards) + 1
+        _assert_close(modes.states[:head], dense.states[:head])
+
+    def test_lyapunov_report_matches_dense_path(self, monkeypatch, tmp_path):
+        # The monitors read the omega rows, which the mode path writes back.
+        argv = ["lyapunov", "--seed", "4", "--set", "problem.id=bilinear-random",
+                "--set", 'problem.params={"d1": 50, "d2": 50}', "--set", "mode=hrde",
+                "--set", "method.id=ogda-hrde", "--set", "method.gamma=0.5",
+                "--set", "budget.t_end=0.5", "--set", "budget.dt=0.005",
+                "--set", 'lyapunov=["ogda_l1", "ogda_l2"]']
+        taken, mode_step = [], flows._mode_step
+        monkeypatch.setattr(flows, "_mode_step", lambda *a: taken.append(1) or mode_step(*a))
+        assert cli.main([*argv, "--out", str(tmp_path / "modes")]) == 0
+        assert taken == [1]
+        monkeypatch.setattr(flows, "MODE_MIN_WIDTH", 10 ** 9)
+        assert cli.main([*argv, "--out", str(tmp_path / "dense")]) == 0
+        assert taken == [1]
+        (modes, dense) = (np.genfromtxt(tmp_path / run / "run.csv", delimiter=",", names=True)
+                          for run in ("modes", "dense"))
+        assert modes.dtype.names == dense.dtype.names and "lyap_ogda_l1" in dense.dtype.names
+        for name in dense.dtype.names:
+            _assert_close(modes[name], dense[name])
+        reports = [json.loads((tmp_path / run / "run.json").read_text())["lyapunov"]
+                   for run in ("modes", "dense")]
+        assert reports[0].keys() == reports[1].keys() == {"ogda_l1", "ogda_l2"}
+        for kind, report in reports[1].items():
+            assert reports[0][kind]["violations"] == report["violations"] == []
+            scale = np.abs(dense[f"lyap_{kind}"]).max()
+            assert abs(reports[0][kind]["max_increase"] - report["max_increase"]) <= 1e-12 * scale
+
+    def test_other_states_keep_their_paths(self, monkeypatch):
+        forbid(monkeypatch, flows, "_mode_step")
+        maps, rhs_steps = [], []
+        scheme_map, rhs_step = flows._scheme_map, flows._rhs_step
+        monkeypatch.setattr(flows, "_scheme_map", lambda kind, op, cfg: (
+            maps.append(op) or scheme_map(kind, op, cfg)))
+        monkeypatch.setattr(flows, "_rhs_step", lambda *a: rhs_steps.append(a[1]) or rhs_step(*a))
+        cfg = flows.IntegratorConfig("rk4", 0.01, 0.05)
+        phase, ode = flows.make_flow("ogda-hrde", gamma=0.5), flows.make_flow("gda-ode")
+        below = (flows.MODE_MIN_WIDTH - 1) // 2 - 1  # (z, omega, 1) two short of the width
+        dense_cases = [(phase, _game((below // 2, below - below // 2), 1)),
+                       (ode, _game((50, 50), 1)),
+                       (ode, _game((60, flows.MODE_MIN_WIDTH - 62), 1)),
+                       (phase, ScaledIdentity(1.0, 100))]
+        for kind, op in dense_cases:
+            flows.integrate(kind, op, np.ones(op.dim), np.zeros(op.dim), cfg)
+            assert maps[-1] is op
+        varstep = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 2.0 + t)
+        game = _game((50, 50), 1)
+        flows.integrate(varstep, game, np.ones(game.dim), np.zeros(game.dim), cfg)
+        assert rhs_steps == [game] and len(maps) == len(dense_cases)
+
+    def test_taken_from_the_width_on(self, monkeypatch):
+        taken, mode_step = [], flows._mode_step
+        monkeypatch.setattr(flows, "_mode_step", lambda kind, op, *a: (
+            taken.append(op) or mode_step(kind, op, *a)))
+        cfg = flows.IntegratorConfig("euler", 0.01, 0.02)
+        half = (flows.MODE_MIN_WIDTH - 1) // 2
+        assert 2 * half + 1 == flows.MODE_MIN_WIDTH  # (z, omega, 1) is exactly at the width
+        cases = [(flows.make_flow("eg-hrde", gamma=0.5), _game((half // 2, half - half // 2), 2)),
+                 (flows.make_flow("gda-ode"), _game((half, 2 * half - half), 2))]
+        for kind, op in cases:
+            flows.integrate(kind, op, np.ones(op.dim), np.zeros(op.dim), cfg)
+        assert taken == [op for _, op in cases]
+
+
+class TestSingularBlockSpectra:
+    """Every constant flow's linear system on a bilinear game is, in the
+    singular basis, one block per mode: the stacked read-off of the flow's
+    own formula (``linear_system`` on ``BilinearGame.singular_blocks``)."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), d1=st.integers(1, 4), d2=st.integers(1, 4),
+           gamma=st.floats(0.05, 10.0), alpha=st.floats(0.1, 1.0))
+    def test_blocks_give_the_whole_game_spectrum(self, seed, d1, d2, gamma, alpha):
+        game = random_bilinear(seed, d1, d2)
+        blocks = game.singular_blocks[2]
+        side = 0 if d1 > d2 else 1  # an unpaired mode's coordinate: x (rows 0, 2) or y
+        for flow_id in CONSTANT_FLOWS:
+            kind = flows.make_flow(flow_id, gamma=gamma, alpha=alpha)
+            stack = flows.linear_system(kind, blocks)[:, :-1, :-1]
+            assert stack.shape[0] == max(d1, d2)
+            # A sigma = 0 mode keeps its one real coordinate, not the zero padding.
+            got = np.concatenate([np.linalg.eigvals(c if i < min(d1, d2) else
+                                                    c[side::2, side::2])
+                                  for i, c in enumerate(stack)])
+            want = np.linalg.eigvals(flows.linear_system(kind, game)[:-1, :-1])
+            assert len(got) == len(want)
+            tol = 1e-8 * max(1.0, np.abs(want).max())
+            unused = list(got)
+            for value in want:  # nearest unused block eigenvalue, one for one
+                i = int(np.argmin(np.abs(np.array(unused) - value)))
+                assert abs(unused.pop(i) - value) <= tol, (flow_id, value)

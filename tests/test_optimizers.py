@@ -331,6 +331,28 @@ class TestEquivalence:
             two = opt.run(op, opt.OGDAStateSpace(gamma), z0, 1000)
             assert np.max(np.abs(one.states - two.states)) <= 1e-12
 
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(case=monotone_affine_cases())
+    def test_forms_agree_on_generated_affine_fields(self, case):
+        # The z_n of the one-variable and two-variable optimistic forms are
+        # one sequence, so their recorded norms agree on every monotone field.
+        m, z_star, z0, _ = case
+        op = AffineField(m, z_star)
+        gamma = 1.0 / (16.0 * max(np.linalg.norm(m, 2), 1.0))
+        one, two = (opt.run(op, kind, z0, 300) for kind in (opt.OGDA(gamma),
+                                                             opt.OGDAStateSpace(gamma)))
+        for name in ("z_norm", "dist_to_solution"):
+            np.testing.assert_allclose(one.metric(name), two.metric(name), rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0), gamma=st.floats(1 / 96, 1 / 48))
+    def test_forms_agree_on_the_quartic(self, x, y, gamma):
+        op, z0 = QuarticCounterexample(), np.array([x, y])
+        one, two = (opt.run(op, kind, z0, 300) for kind in (opt.OGDA(gamma),
+                                                             opt.OGDAStateSpace(gamma)))
+        for name in ("z_norm", "dist_to_solution"):
+            np.testing.assert_allclose(one.metric(name), two.metric(name), rtol=0, atol=1e-12)
+
     def test_ratio_bound_under_step_cap(self):
         # ||V(z_{n+1})|| / ||V(z_n)|| stays in [1/2, 3/2] when gamma <= 1/(8L).
         for op in (BG, SI):
@@ -1131,6 +1153,27 @@ class TestOneStepSpectra:
             expected = stepped()
             np.testing.assert_allclose((system @ state)[:-1], expected, rtol=1e-12,
                                        atol=1e-12 * np.abs(expected).max())
+
+
+class TestSingularBlockMaps:
+    """A bilinear game is, in its singular basis, a stack of 2x2 games
+    (``BilinearGame.singular_blocks``), so each constant-step method's
+    one-step map is block-diagonal there: the stacked read-off of its own
+    formula gives one map per mode, unpaired coordinates as sigma = 0 modes."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), d1=st.integers(1, 4), d2=st.integers(1, 4),
+           gamma=st.floats(0.01, 2.0), alpha=st.floats(0.1, 1.0), k=st.integers(1, 3))
+    def test_spectral_radius_of_the_whole_game(self, seed, d1, d2, gamma, alpha, k):
+        game = random_bilinear(seed, d1, d2)
+        blocks = game.singular_blocks[2]
+        for kind in (opt.GDA(gamma), opt.EG(gamma), opt.OGDA(gamma), opt.OGDAStateSpace(gamma),
+                     opt.LookaheadGDA(gamma, k, alpha), opt.ImplicitOGDA(gamma)):
+            whole = _spectral_radius(opt.one_step_map(game, kind)[:-1, :-1])
+            stack = opt.one_step_map(blocks, kind)
+            assert stack.shape[0] == max(d1, d2)
+            per_mode = max(_spectral_radius(m[:-1, :-1]) for m in stack)
+            assert abs(per_mode - whole) <= 1e-13 * whole, (kind.name, per_mode, whole)
 
 
 def _la_sq(k, x, alpha):

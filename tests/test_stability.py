@@ -1,5 +1,7 @@
 """Tests for the bilinear stability analysis."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -529,15 +531,41 @@ class TestScan:
     @given(d1=hst.integers(1, 4), d2=hst.integers(1, 4), seed=hst.integers(0, 10 ** 6),
            method=hst.sampled_from(st.STABILITY_METHODS),
            alpha=hst.sampled_from([0.25, 0.5, 2.0 / 3.0, 0.75, 1.0]),
-           log10_gamma=hst.floats(-10.0, 10.0))
+           log10_gamma=hst.floats(math.log10(1.5e-154), math.log10(9e161)))
     def test_agrees_at_every_step_size(self, d1, d2, seed, method, alpha, log10_gamma):
-        # The Routh / margin verdict and the verdict of the roots agree over
-        # twenty decades of step size, where a tolerance of fixed absolute
-        # size would read a small stable or unstable abscissa as marginal.
+        # The Routh / margin verdict and the verdict of the roots agree at
+        # every step size that classify_method accepts, (2/gamma)^2 from
+        # 1.8e308 down to its least subnormal: a root's Re read at scale
+        # |lambda|, or an Routh entry that underflows to 0, would read a
+        # small stable or unstable abscissa as marginal.
         game, gamma = random_bilinear(seed, d1, d2, 0.1), 10.0 ** log10_gamma
         alpha = alpha if method.startswith("la") else None
-        v = st.classify_method(method, game, gamma, alpha)
+        try:
+            v = st.classify_method(method, game, gamma, alpha)
+        except ValueError as exc:  # not accepted: its roots or Routh column overflow
+            assert str(exc).startswith("overflow at gamma"), exc
+            return
         assert v.agrees, (v.verdict, v.abscissa_verdict, v.spectral_abscissa)
+
+    @pytest.mark.parametrize("method, alpha", CASES)
+    def test_agrees_on_the_unit_game_at_every_decade(self, method, alpha):
+        # On A = [[1]] each verdict is the same at every accepted gamma: GDA
+        # unstable, EG and OGDA stable, LA-k stable below alpha*_k = (k-1)/k,
+        # marginal at it and unstable above it.
+        threshold = {"la2-gda": 0.5, "la3-gda": 2.0 / 3.0}.get(method)
+        want = (st.UNSTABLE if method == "gda" else st.STABLE if threshold is None
+                else st.STABLE if alpha < threshold else
+                st.MARGINAL if alpha == threshold else st.UNSTABLE)
+        accepted = 0
+        for gamma in [1.5e-154, *(10.0 ** np.arange(-153, 162)).tolist(), 9e161]:
+            try:
+                v = st.classify_method(method, BG, gamma, alpha)
+            except ValueError as exc:
+                assert str(exc).startswith("overflow at gamma"), exc
+                continue
+            accepted += 1
+            assert (v.verdict, v.abscissa_verdict) == (want, want), gamma
+        assert accepted >= 260  # OGDA's Routh column overflows below gamma = 1e-102
 
     def test_gda_unstable_everywhere(self):
         game = random_bilinear(3, 3, 3, 0.1)
