@@ -261,6 +261,8 @@ def validate_config(raw: dict, command="run") -> SimpleNamespace:
         raise ConfigError("budget.steps applies to discrete mode only")
     elif cfg.t_end is not None and cfg.dt is not None:
         ratio = cfg.t_end / cfg.dt
+        if not math.isfinite(ratio):
+            raise ConfigError(f"budget.t_end: {cfg.t_end} / budget.dt {cfg.dt} overflows")
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ConfigError(f"budget.t_end: {cfg.t_end} is not a whole multiple "
                               f"of budget.dt {cfg.dt}")
@@ -439,11 +441,10 @@ def cmd_run(cfg: SimpleNamespace, out_dir: Path):
     return traj
 
 
-def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
-                  alpha=0.25, scale=4.0):
+def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path, alpha=0.25):
     """Five-method distance-vs-queries comparison on one seeded 1x1 game.
 
-    The drawn game is rescaled so its singular value equals ``scale`` (LA2-GDA
+    The drawn game is rescaled so its singular value equals 4 (LA2-GDA
     needs alpha < 1/2 to converge on bilinear games, and with the conventional
     gamma the unit-scale game is too slow to show the split; see README).
     """
@@ -454,24 +455,21 @@ def cmd_figure_bg(gamma, steps, seed, out_svg: Path, out_csv: Path = None,
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"figure-bg: alpha must lie in (0, 1], got {alpha}")
     base = random_bilinear(seed, 1, 1, 0.1)
-    game = BilinearGame(base.A * (scale / base.sigma_min))
+    game = BilinearGame(base.A * (4.0 / base.sigma_min))
     z0 = np.array([1.0, 0.0])
 
     series = []
     csv = ["method,step,queries,dist_to_solution\n"]
     for label in flows.STABILITY_METHODS:
-        if label.startswith("la"):
-            kind = optimizers.LookaheadGDA(gamma, k=int(label[2]), alpha=alpha)
-        else:
-            kind = optimizers.make_method(label, gamma=gamma)
+        method_id, k = ("la-gda", int(label[2])) if label.startswith("la") else (label, 2)
+        kind = optimizers.make_method(method_id, gamma=gamma, alpha=alpha, k=k)
         traj = optimizers.run(game, kind, z0, steps, problem_label="bilinear-figure")
         dist = traj.metric("dist_to_solution")
         series.append((label, traj.queries, dist))
         csv.append(_csv_rows("%s,%d,%d,%.17g\n", [[label] * len(traj), traj.steps.tolist(),
                                                    traj.queries.tolist(), dist.tolist()]))
 
-    if out_csv is not None:
-        _write(out_csv, "".join(csv))
+    _write(out_csv, "".join(csv))
     svg = line_plot(
         series,
         title=f"bilinear game: distance to optimum (gamma={gamma:g}, alpha={alpha:g})",
@@ -509,7 +507,7 @@ def cmd_stability(cfg: SimpleNamespace, out_dir: Path):
     return payload
 
 
-def cmd_lyapunov(cfg: SimpleNamespace, out_dir: Path, tol_abs=1e-7, tol_rel=1e-9):
+def cmd_lyapunov(cfg: SimpleNamespace, out_dir: Path):
     if not cfg.lyapunov_kinds:
         raise ConfigError("lyapunov: config must list at least one kind")
     from . import lyapunov
@@ -517,7 +515,7 @@ def cmd_lyapunov(cfg: SimpleNamespace, out_dir: Path, tol_abs=1e-7, tol_rel=1e-9
     report = {}
     for kind in cfg.lyapunov_kinds:
         values = traj.metric(f"lyap_{kind}")
-        check = lyapunov.continuous_decrease_check(values, tol_abs, tol_rel)
+        check = lyapunov.continuous_decrease_check(values)
         # Non-finite values (a diverged run) map to null, as in run_summary.
         report[kind] = {
             "violations": check.violations,
@@ -531,7 +529,7 @@ def cmd_lyapunov(cfg: SimpleNamespace, out_dir: Path, tol_abs=1e-7, tol_rel=1e-9
     return payload
 
 
-def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
+def cmd_rates(cfg: SimpleNamespace, out_dir: Path):
     # The fits need two records after the start: more steps than record_every.
     discrete = cfg.mode == "discrete"
     steps = cfg.steps if discrete else cfg.t_end and cfg.dt and round(cfg.t_end / cfg.dt)
@@ -547,7 +545,7 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
 
     payload = {"run": run_summary(traj)}
     if np.all(vn[1:] > 0) and times[-1] > 0:
-        fit = rates.fit_power_law(np.maximum(times[1:], times[1]), vn[1:], tail_fraction)
+        fit = rates.fit_power_law(np.maximum(times[1:], times[1]), vn[1:])
         payload["exponent"] = _finite_or_none(fit.exponent)
     else:
         payload["exponent"] = None
@@ -555,7 +553,7 @@ def cmd_rates(cfg: SimpleNamespace, out_dir: Path, tail_fraction=0.5):
     # beta = 2/gamma only where the row reads a constant gamma.
     beta = 2.0 / cfg.gamma if "gamma" in _row(cfg.mode, cfg.method_id)[1] else None
     if np.all(zn[1:] > 0):
-        gfit = rates.fit_geometric(times[1:], zn[1:], tail_fraction, mu=mu, beta=beta)
+        gfit = rates.fit_geometric(times[1:], zn[1:], mu=mu, beta=beta)
         payload["rho_hat"] = _finite_or_none(gfit.rho_hat)
         payload["rho_theory"] = _finite_or_none(gfit.rho_theory)
     else:

@@ -256,6 +256,8 @@ class IntegratorConfig:
             raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
+        if not np.isfinite(float(self.t_end) / float(self.dt)):
+            raise ValueError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
         if self.record_every < 1:
@@ -263,7 +265,7 @@ class IntegratorConfig:
 
 
 def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
-              extra_metrics=None, t0=0.0, problem_label=None) -> Trajectory:
+              extra_metrics=None, t0=0.0) -> Trajectory:
     """Fixed-step integration of a flow, recorded by the ``Recorder`` rule.
 
     Metric columns are those of the discrete run loop (z_norm,
@@ -299,8 +301,8 @@ def integrate(kind, op: Operator, z0, aux0, cfg: IntegratorConfig,
             aux = np.asarray(aux0(op.unchecked(), z), dtype=float).reshape(op.dim)
     else:
         aux = as_state(aux0, op.dim)
-    recorder = Recorder(op, kind.name, problem_label or op.label,
-                        int(round(cfg.t_end / cfg.dt)), cfg.record_every, extra_metrics)
+    recorder = Recorder(op, kind.name, op.label, int(round(cfg.t_end / cfg.dt)),
+                        cfg.record_every, extra_metrics)
     width = len(z) + len(aux) + 1
     if not kind.reads_t and isinstance(op, BilinearGame) and width >= MODE_MIN_WIDTH:
         read, advance = _repeat(None), _mode_step(kind, op, cfg, z, aux)

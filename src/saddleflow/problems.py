@@ -76,14 +76,13 @@ class Operator:
     be called at the non-finite states of a block's later steps, whose
     results are discarded.
 
-    ``affine`` is True on classes whose field is affine in z, so that J is
-    one constant matrix: ``jacobian`` then builds and checks it on the first
-    call and returns that same read-only array on every later one.
+    ``affine`` is True on classes whose field is affine in z, V(z) = J z + q,
+    on which the run loops step each method and flow by maps read off its
+    formula once per run (``optimizers.affine_system``).
     """
 
     label = "operator"
     affine = False
-    _constant_jacobian = None
 
     def __init__(self, d1, d2, lipschitz=None, strong_mu=None, solution=None):
         self.d1 = int(d1)
@@ -126,14 +125,9 @@ class Operator:
         return self._checked("field evaluation", self._field, as_state(z, self.dim))
 
     def jacobian(self, z) -> Array:
-        """Evaluate the analytic Jacobian J(z), checked, shared and read-only if affine."""
-        z = as_state(z, self.dim)
-        if self._constant_jacobian is not None:
-            return self._constant_jacobian
-        j = self._checked("jacobian evaluation", self._jacobian, z, shape=(self.dim, self.dim))
-        if self.affine:
-            self._constant_jacobian = _read_only(j)
-        return j
+        """Evaluate the analytic Jacobian J(z), checked."""
+        return self._checked("jacobian evaluation", self._jacobian, as_state(z, self.dim),
+                             shape=(self.dim, self.dim))
 
     def jvp(self, z, x) -> Array:
         """Evaluate J(z) x, checked."""
@@ -143,11 +137,6 @@ class Operator:
     def field_unchecked(self, z) -> Array:
         """V(z) without validation."""
         return np.asarray(self._field(np.asarray(z, dtype=float)), dtype=float)
-
-    def _affine_jacobian(self) -> Array:
-        """An affine operator's constant J, checked by the first call only."""
-        j = self._constant_jacobian
-        return self.jacobian(self.solution) if j is None else j
 
     def unchecked(self) -> SimpleNamespace:
         """The view through which the run loops evaluate non-finite states
@@ -179,9 +168,10 @@ class BilinearGame(Operator):
     """min_x max_y  x^T A y + b^T x + c^T y.
 
     The joint field is V(x, y) = (A y + b, -A^T x - c) with constant Jacobian
-    [[0, A], [-A^T, 0]].  ``singular_values`` holds the min(d1, d2) singular
-    values of A in ascending order (read-only); ``full_rank`` records whether
-    the smallest clears ``FULL_RANK_THRESHOLD`` (or a caller-supplied threshold).
+    [[0, A], [-A^T, 0]]; ``A``, ``b`` and ``c`` are read-only copies.
+    ``singular_values`` holds the min(d1, d2) singular values of A in
+    ascending order (read-only); ``full_rank`` records whether the smallest
+    clears ``FULL_RANK_THRESHOLD`` (or a caller-supplied threshold).
     ``singular_blocks`` splits it into 2x2 singular modes, by one SVD on first use.
     """
 
@@ -189,8 +179,8 @@ class BilinearGame(Operator):
     affine = True
 
     def __init__(self, A, b=None, c=None, rank_threshold=FULL_RANK_THRESHOLD):
-        # Private read-only copies: a caller writing to its A, b or c later
-        # must not move the field away from the cached Jacobian.
+        # Private read-only copies: a caller writing to its A, b or c later must
+        # not move the field away from singular_values, solution or singular_blocks.
         A = np.atleast_2d(np.array(A, dtype=float))
         if A.ndim != 2 or not np.all(np.isfinite(A)):
             raise ValueError("A must be a finite 2-d matrix")
@@ -230,9 +220,6 @@ class BilinearGame(Operator):
         j[: self.d1, self.d1 :] = self.A
         j[self.d1 :, : self.d1] = -self.A.T
         return j
-
-    def _jvp(self, z, x):
-        return self._affine_jacobian() @ x
 
     @cached_property
     def singular_blocks(self):

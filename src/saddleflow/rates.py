@@ -158,7 +158,7 @@ def effective_times(step_sizes) -> Array:
 
 @np.errstate(all="ignore")
 def apt_window_check(taus, states, op: Operator, gamma_of_t, T=1.0, windows=8,
-                     dt=None, t_start=None) -> Array:
+                     t_start=None) -> Array:
     """Windowed sup-distance between the interpolated iterates and the flow.
 
     ``taus``/``states`` sample the discrete run on its effective-time axis,
@@ -202,8 +202,7 @@ def apt_window_check(taus, states, op: Operator, gamma_of_t, T=1.0, windows=8,
         gamma_t = float(gamma_of_t(t0))
         w0 = ogda2_w_from_omega(op, z0, slope_at(t0), gamma_t)
         kappa_max = max(kappa_fn(t0), kappa_fn(t0 + T))
-        step = dt if dt is not None else min(1e-3, 0.2 / kappa_max)
-        cfg = IntegratorConfig("rk4", step, T, record_every=1)
+        cfg = IntegratorConfig("rk4", min(1e-3, 0.2 / kappa_max), T, record_every=1)
         traj = integrate(flow, op, z0, w0, cfg, t0=t0)
         sups[j] = np.linalg.norm(interp(t0 + (traj.times - t0)) - traj.states, axis=1).max()
     return sups

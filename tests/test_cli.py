@@ -89,6 +89,12 @@ MISUSE = [
     ("lyapunov", ["mode=hrde", "method.id=ogda-hrde2-varstep", "budget.t_end=0.5",
                   "budget.dt=0.01", 'lyapunov=["varstep_l"]', "method.gamma=0.3"],
      "method.gamma"),
+    # A step count t_end / dt that overflows to inf: round(inf) raised
+    # OverflowError (exit 1), in run and in rates.
+    ("run", ["mode=hrde", "method.id=gda-ode", "budget.dt=1e-300", "budget.t_end=1e300"],
+     "budget.t_end: "),
+    ("rates", ["mode=hrde", "method.id=gda-ode", "budget.t_end=1e300", "budget.dt=1e-300"],
+     "budget.t_end: "),
 ]
 
 

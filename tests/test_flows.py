@@ -324,6 +324,11 @@ class TestIntegration:
             flows.IntegratorConfig("rk4", 2.0, 1.0)
         with pytest.raises(ValueError):
             flows.IntegratorConfig("rk4", 0.1, 1.0, record_every=0)
+        # A step count t_end / dt past the float range (round(inf) raised
+        # OverflowError inside integrate), or NaN.
+        for dt, t_end in ((1e-300, 1e300), (1.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="t_end / dt must be finite"):
+                flows.IntegratorConfig("rk4", dt, t_end)
 
 
 class TestFlowFactory:
@@ -362,7 +367,8 @@ class TestFlowFactory:
 class TestOptimisticSpectra:
     """The (z, omega) row ogda-hrde and the (z, w) row ogda-hrde2 describe
     one flow: on a bilinear game their linear systems share one
-    characteristic polynomial, written out here mode by mode."""
+    characteristic polynomial, written out here mode by mode, and on
+    generated monotone affine fields their RK4 runs record the same z."""
 
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**16), d1=st.integers(1, 4), d2=st.integers(1, 4),
@@ -378,6 +384,23 @@ class TestOptimisticSpectra:
             c = flows.linear_system(flows.make_flow(flow_id, gamma=gamma), game)[:-1, :-1]
             coeffs = np.poly(c)
             assert np.abs(coeffs - expected.real).max() <= 1e-12 * np.abs(expected).max()
+
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(case=monotone_affine_cases(), gamma=st.floats(0.05, 2.0))
+    def test_rows_agree_along_runs(self, case, gamma):
+        # w0 = ogda2_w_from_omega(z0, omega0) is an affine change of variables
+        # on an affine field, which RK4 commutes with: the two rows' z agree to
+        # rounding, on the map paths (AffineField) and the rhs path (NonAffineTwin).
+        m, z_star, z0, omega0 = case
+        cfg = flows.IntegratorConfig("rk4", 0.01, 2.0, record_every=10)
+        for op in (AffineField(m, z_star), NonAffineTwin(m, z_star)):
+            w0 = flows.ogda2_w_from_omega(op, z0, omega0, gamma)
+            a = flows.integrate(flows.make_flow("ogda-hrde", gamma=gamma), op, z0, omega0, cfg)
+            b = flows.integrate(flows.make_flow("ogda-hrde2", gamma=gamma), op, z0, w0, cfg)
+            assert not a.diverged and not b.diverged
+            scale = max(1.0, np.abs(a.states).max())
+            assert np.abs(a.states - b.states).max() <= 1e-10 * scale
 
 
 CONSTANT_FLOWS = [f for f in flows.FLOW_IDS if f != "ogda-hrde2-varstep"]

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_cases import NonAffineTwin
+from affine_cases import AffineField, NonAffineTwin, count_hook_calls
+from saddleflow import flows
 from saddleflow import lyapunov as lyap
 from saddleflow import optimizers as opt
-from saddleflow import problems
 from saddleflow.problems import (
     BilinearGame,
     NonFiniteError,
@@ -85,14 +85,12 @@ class TestFieldEvaluation:
 
     def test_dimension_mismatch_rejected(self):
         for op in CATALOG:
-            op.jacobian(np.zeros(op.dim))  # fills an affine operator's cache
             for evaluate in (op.field, op.jacobian):
                 with pytest.raises(ValueError, match="dimension mismatch"):
                     evaluate(np.ones(op.dim + 1))
 
     def test_non_finite_input_rejected(self):
         for op in CATALOG:
-            op.jacobian(np.zeros(op.dim))
             for evaluate in (op.field, op.jacobian):
                 for bad in (np.nan, np.inf):
                     z = np.zeros(op.dim)
@@ -113,17 +111,20 @@ class TestFieldEvaluation:
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             op.field_unchecked(np.array([1e150, 0.5]))
 
-    def test_affine_jacobian_is_built_once(self):
-        for op in CATALOG:
+    def test_jacobian_and_jvp_have_the_hooks_bits(self):
+        # jacobian(z) is _jacobian(z), checked, and the J x hook is that J's
+        # product, bit for bit, on every catalog operator.
+        for op in (*CATALOG, BilinearGame([[1.0, 2.0], [0.5, -1.0]]), random_bilinear(3, 2, 3),
+                   ScaledIdentity(2.0, 3)):
             z1, z2 = np.full(op.dim, 0.5), np.arange(1.0, op.dim + 1.0)
-            j1, j2 = op.jacobian(z1), op.jacobian(z2)
+            x = np.linspace(0.5, 2.0, op.dim)
+            for z in (z1, z2):
+                jac = op._jacobian(z)
+                assert op.jacobian(z).tobytes() == np.asarray(jac, dtype=float).tobytes()
+                for direction in (x, -x):
+                    assert op._jvp(z, direction).tobytes() == (jac @ direction).tobytes()
             if not op.affine:
-                assert j1 is not j2 and not np.array_equal(j1, j2)
-                continue
-            assert j1 is j2
-            assert j1.tobytes() == np.asarray(op._jacobian(z2), dtype=float).tobytes()
-            with pytest.raises(ValueError, match="read-only"):
-                j1[0, 0] = 7.0
+                assert not np.array_equal(op.jacobian(z1), op.jacobian(z2))
 
     def test_unchecked_view(self):
         # The view the run loops step through: the same values bit for bit
@@ -285,26 +286,86 @@ class TestJacobianVectorProduct:
         assert np.isinf(jv[0]) and jv[1] == 12.0 * 0.25 * 0.5
 
 
-class TestConstantJacobian:
-    """An affine operator builds and checks its constant J once; its J x
-    hook then gives that J's products with no validation."""
+class TestAffineRunsReadJOnce:
+    """An affine run reads ``Operator.jacobian`` only inside
+    ``affine_system``, once per read-off (none on the mode path, which reads
+    the game's singular blocks), and never calls ``_jvp``: no loop needs a
+    cached J."""
 
-    @pytest.mark.parametrize("make", [lambda: BilinearGame([[1.0, 2.0], [0.5, -1.0]]),
-                                      lambda: random_bilinear(3, 2, 3),
-                                      lambda: ScaledIdentity(2.0, 3)])
-    def test_no_validation_after_the_first_call(self, make, monkeypatch):
-        op, calls = make(), []
-        real = problems.as_state
-        monkeypatch.setattr(problems, "as_state", lambda *a: calls.append(1) or real(*a))
-        z, x = np.linspace(-1.0, 1.0, op.dim), np.linspace(0.5, 2.0, op.dim)
-        first = op._affine_jacobian()
-        checked = len(calls)
-        for _ in range(3):
-            assert op._affine_jacobian() is first
-            assert op._jvp(2.0 * z, x).tobytes() == (first @ x).tobytes()
-            assert op._jvp(z, -x).tobytes() == (first @ -x).tobytes()
-        assert checked <= 1 and len(calls) == checked
-        assert not first.flags.writeable
+    OPERATORS = {
+        "bilinear": lambda: BilinearGame([[1.0, 2.0], [0.5, -1.0]], b=[0.5, -0.25]),
+        "scaled-identity": lambda: ScaledIdentity(2.0, 3),
+        "affine-field": lambda: AffineField([[0.2, 1.0], [-1.0, 0.0]], np.array([0.3, -0.1])),
+    }
+
+    @staticmethod
+    def spy(monkeypatch, op):
+        """(hook calls on ``op``'s class, Operator.jacobian calls within each
+        affine_system call)."""
+        calls, inside = count_hook_calls(monkeypatch, type(op), ("jacobian", "_jvp")), []
+        real = opt.affine_system
+
+        def counted(*args):
+            before = calls["jacobian"]
+            system = real(*args)
+            inside.append(calls["jacobian"] - before)
+            return system
+
+        for module in (opt, flows):  # flows binds the name at import
+            monkeypatch.setattr(module, "affine_system", counted)
+        return calls, inside
+
+    def check(self, monkeypatch, op, runs, read_offs):
+        calls, inside = self.spy(monkeypatch, op)
+        z0 = np.linspace(-1.0, 1.0, op.dim) + 0.25
+        for execute in runs:
+            assert not execute(op, z0).diverged
+        assert inside == read_offs
+        assert calls["jacobian"] == sum(inside) and calls["_jvp"] == 0
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_fixed_maps(self, monkeypatch, name):
+        ids = [mid for mid in opt.METHOD_IDS if mid != "ogda-varstep"]
+        runs = [lambda op, z0, mid=mid: opt.run(op, opt.make_method(mid, gamma=0.1), z0, 20)
+                for mid in ids]
+        self.check(monkeypatch, self.OPERATORS[name](), runs, [1] * len(ids))
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_varstep_pencil(self, monkeypatch, name):
+        # S(gamma) is read off at gamma = 1 and 2.
+        runs = [lambda op, z0: opt.run(op, opt.OGDAVariableStep(0.1, 0.6), z0, 20)]
+        self.check(monkeypatch, self.OPERATORS[name](), runs, [1, 1])
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_dense_flow_maps(self, monkeypatch, name):
+        cfg = flows.IntegratorConfig("rk4", 0.01, 0.1)
+        ids = [fid for fid in flows.FLOW_IDS if fid != "ogda-hrde2-varstep"]
+        runs = [lambda op, z0, fid=fid: flows.integrate(flows.make_flow(fid, gamma=0.5), op, z0,
+                                                        np.zeros(op.dim), cfg) for fid in ids]
+        self.check(monkeypatch, self.OPERATORS[name](), runs, [1] * len(ids))
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_varstep_flow_maps(self, monkeypatch, name):
+        # S0 and S1 are read off once each.
+        kind = flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 2.0 + t)
+        cfg = flows.IntegratorConfig("rk4", 0.01, 0.1)
+        runs = [lambda op, z0: flows.integrate(kind, op, z0, np.zeros(op.dim), cfg)]
+        self.check(monkeypatch, self.OPERATORS[name](), runs, [1, 1])
+
+    def test_mode_path(self, monkeypatch):
+        # Every constant flow on a bilinear state past MODE_MIN_WIDTH reads its
+        # blocks off the game's singular modes, and the time-varying one
+        # evaluates its Jacobian-free formula.
+        game = random_bilinear(4, 50, 50)
+        cfg = flows.IntegratorConfig("rk4", 0.01, 0.05)
+        kinds = [flows.make_flow(fid, gamma=0.5) for fid in ("gda-hrde", "eg-hrde", "ogda-hrde",
+                                                           "la2-gda-hrde", "la3-gda-hrde",
+                                                           "ogda-hrde2")]
+        kinds.append(flows.make_flow("ogda-hrde2-varstep", kappa_fn=lambda t: 2.0 + t))
+        runs = [lambda op, z0, kind=kind: flows.integrate(kind, op, z0, np.zeros(op.dim), cfg)
+                for kind in kinds]
+        self.check(monkeypatch, game, runs, [0] * (len(kinds) - 1))
+        assert "singular_blocks" in vars(game)
 
 
 class ZeroFormsQuartic(QuarticCounterexample):

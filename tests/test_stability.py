@@ -391,6 +391,28 @@ class TestRouthArrays:
         assert np.all(col > 0)
 
 
+class TestRouthCountsTheRoots:
+    """Routh's theorem on the gda and ogda quartics, across decades of beta
+    and sigma: the sign changes of the published first column at kappa =
+    -sigma^2 equal the roots with Re > 0 that ``modes`` gives on A = [[sigma]]
+    at gamma = 2/beta, each root of the mode's quadratic counted with its
+    conjugate, the quartic's other root."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(method=hst.sampled_from(["gda", "ogda"]),
+           beta=hst.builds(lambda m, e: m * 10.0 ** e, hst.floats(1.0, 9.99), hst.integers(-6, 6)),
+           sigma=hst.builds(lambda m, e: m * 10.0 ** e, hst.floats(1.0, 9.99), hst.integers(-6, 6)))
+    def test_sign_changes_count_the_unstable_roots(self, method, beta, sigma):
+        column = (st.routh_quartic_gda if method == "gda" else st.routh_quartic_ogda)(
+            beta, -sigma * sigma)
+        assert all(math.isfinite(e) and e != 0.0 for e in column)
+        changes = sum((a > 0) != (b > 0) for a, b in zip(column, column[1:]))
+        game = BilinearGame([[sigma]], rank_threshold=sigma)  # full rank at every sigma
+        roots = st.modes(method, game, 2.0 / beta).roots
+        assert changes == 2 * int(np.count_nonzero(roots.real > 0))
+        assert changes == {"gda": 2, "ogda": 0}[method]
+
+
 def sign_changes(column, eps=1e-10):
     """Sign changes down a Routh first column, skipping entries within eps of zero."""
     signs = [e > 0 for e in column if abs(e) > eps]
