@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from affine_cases import AffineField, NonAffineTwin, count_hook_calls
 from saddleflow import flows
+from saddleflow import problems
 from saddleflow import lyapunov as lyap
 from saddleflow import optimizers as opt
 from saddleflow.problems import (
@@ -111,20 +112,26 @@ class TestFieldEvaluation:
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             op.field_unchecked(np.array([1e150, 0.5]))
 
-    def test_jacobian_and_jvp_have_the_hooks_bits(self):
-        # jacobian(z) is _jacobian(z), checked, and the J x hook is that J's
-        # product, bit for bit, on every catalog operator.
-        for op in (*CATALOG, BilinearGame([[1.0, 2.0], [0.5, -1.0]]), random_bilinear(3, 2, 3),
-                   ScaledIdentity(2.0, 3)):
+    def test_affine_jacobian_is_built_once(self, monkeypatch):
+        # jacobian(z) is _jacobian(z), checked, as a new array at each call,
+        # and J x is its product; an affine run builds its one J at its
+        # read-off and no step asks again.
+        for op in CATALOG:
             z1, z2 = np.full(op.dim, 0.5), np.arange(1.0, op.dim + 1.0)
-            x = np.linspace(0.5, 2.0, op.dim)
-            for z in (z1, z2):
-                jac = op._jacobian(z)
-                assert op.jacobian(z).tobytes() == np.asarray(jac, dtype=float).tobytes()
-                for direction in (x, -x):
-                    assert op._jvp(z, direction).tobytes() == (jac @ direction).tobytes()
+            j1, j2 = op.jacobian(z1), op.jacobian(z2)
+            assert j2.tobytes() == np.asarray(op._jacobian(z2), dtype=float).tobytes()
+            for direction in (z1, -z2):
+                assert op._jvp(z2, direction).tobytes() == (op._jacobian(z2) @ direction).tobytes()
             if not op.affine:
-                assert not np.array_equal(op.jacobian(z1), op.jacobian(z2))
+                assert not np.array_equal(j1, j2)
+                continue
+            assert j1 is not j2 and j1.tobytes() == j2.tobytes()
+            j1[0, 0] += 7.0
+            assert op.jacobian(z1).tobytes() == j2.tobytes()
+            calls = count_hook_calls(monkeypatch, type(op), ("jacobian",))
+            opt.run(op, opt.make_method("gda", gamma=0.1), z1, 20)
+            assert calls["jacobian"] == 1
+            monkeypatch.undo()
 
     def test_unchecked_view(self):
         # The view the run loops step through: the same values bit for bit
@@ -366,6 +373,28 @@ class TestAffineRunsReadJOnce:
                 for kind in kinds]
         self.check(monkeypatch, game, runs, [0] * (len(kinds) - 1))
         assert "singular_blocks" in vars(game)
+
+
+class TestConstantJacobian:
+    """An affine run builds and checks its constant J once, however many
+    steps it takes; the J x hook gives that J's products bit for bit."""
+
+    @pytest.mark.parametrize("make", [lambda: BilinearGame([[1.0, 2.0], [0.5, -1.0]]),
+                                      lambda: random_bilinear(3, 2, 3),
+                                      lambda: ScaledIdentity(2.0, 3)])
+    def test_no_validation_after_the_first_call(self, make, monkeypatch):
+        op, calls = make(), []
+        real = problems.as_state
+        monkeypatch.setattr(problems, "as_state", lambda *a: calls.append(1) or real(*a))
+        z, x = np.linspace(-1.0, 1.0, op.dim), np.linspace(0.5, 2.0, op.dim)
+        for steps in (5, 50):
+            before = len(calls)
+            opt.run(op, opt.make_method("ogda", gamma=0.1), z, steps)
+            assert len(calls) - before == 1
+        jac = op._jacobian(z)
+        for direction in (x, -x):
+            assert op._jvp(2.0 * z, direction).tobytes() == (jac @ direction).tobytes()
+            assert op._jvp(z, direction).tobytes() == (op._jacobian(2.0 * z) @ direction).tobytes()
 
 
 class ZeroFormsQuartic(QuarticCounterexample):
